@@ -14,7 +14,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -467,201 +467,205 @@ def detect_table_kind(path: Union[str, Path]) -> str:
 
 # --- emission --------------------------------------------------------------
 
+# Decimals of each rounded field, the same in every format. Fields not
+# listed (ids, labels, n, degrees of freedom) are written as they are.
+_DECIMALS = {
+    **dict.fromkeys(
+        ("jva_ratio_pct", "team_post_test", "mean", "sd", "f", "cohens_d", "f_equivalent"),
+        2,
+    ),
+    "p": 3,
+    **dict.fromkeys(
+        ("eta_squared", "omega_squared", "r", "r_squared", "slope", "intercept"), 4
+    ),
+}
 
-def _fmt(value: Optional[float], decimals: int) -> str:
+
+def _json_value(value, decimals: int):
+    """Missing is null, non-finite is the string "inf"/"nan"."""
     if value is None:
+        return value
+    return round(value, decimals) if math.isfinite(value) else str(value)
+
+
+def _text_value(value, decimals: int) -> str:
+    """Missing or NaN is NA, infinite is inf."""
+    if value is None or value != value:
         return "NA"
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
-    return f"{value:.{decimals}f}"
+    return f"{value:.{decimals}f}" if math.isfinite(value) else "inf"
 
 
-def _round(value: Optional[float], decimals: int):
-    if value is None:
-        return None
-    if isinstance(value, float) and not math.isfinite(value):
-        return str(value)
-    return round(value, decimals)
+def _csv_value(value, decimals: int) -> str:
+    """Missing or NaN is an empty cell, infinite is inf."""
+    return "" if value is None or value != value else _text_value(value, decimals)
+
+
+def _formatted(record: dict, value_rule) -> dict:
+    """``record`` with each field in ``_DECIMALS`` rendered by ``value_rule``."""
+    return {
+        k: value_rule(v, _DECIMALS[k]) if k in _DECIMALS else v
+        for k, v in record.items()
+    }
+
+
+def _team_record(r: TeamRow) -> dict:
+    return {
+        "team_id": r.team_id,
+        "condition": r.condition.value,
+        "group": r.group.value,
+        "gender": r.gender.value,
+        "jva_ratio_pct": r.jva_ratio_pct,
+        "team_post_test": r.team_post_test,
+    }
+
+
+def _summary_record(g: GroupSummary, **labels) -> dict:
+    return {**labels, "n": g.n, "mean": g.mean, "sd": g.sd}
+
+
+def _anova_record(report: Report, key: str) -> dict:
+    """One ANOVA; ``cohens_d`` is present only for two-group comparisons."""
+    a = report.anovas[key]
+    record = {
+        "f": a.f,
+        "df1": a.df_between,
+        "df2": a.df_within,
+        "p": a.p,
+        "eta_squared": a.eta_squared,
+        "omega_squared": a.omega_squared,
+    }
+    if key in report.effect_d:
+        record["cohens_d"] = report.effect_d[key]
+    return record
+
+
+def _posthoc_record(c: dict) -> dict:
+    return {k: c[k] for k in ("a", "b", "f", "p", "cohens_d", "correction")}
 
 
 def _report_dict(report: Report) -> dict:
-    data: dict = {
-        "teams": [
-            {
-                "team_id": r.team_id,
-                "condition": r.condition.value,
-                "group": r.group.value,
-                "gender": r.gender.value,
-                "jva_ratio_pct": _round(r.jva_ratio_pct, 2),
-                "team_post_test": _round(r.team_post_test, 2),
-            }
-            for r in report.teams
-        ],
+    def js(record: dict) -> dict:
+        return _formatted(record, _json_value)
+
+    anovas = {}
+    for key in report.anovas:
+        anovas[key] = record = js(_anova_record(report, key))
+        record["df"] = [record.pop("df1"), record.pop("df2")]
+    data = {
+        "teams": [js(_team_record(r)) for r in report.teams],
         "summaries": {
             grouping: {
-                measure: [
-                    {
-                        "label": g.label,
-                        "n": g.n,
-                        "mean": _round(g.mean, 2),
-                        "sd": _round(g.sd, 2),
-                    }
-                    for g in groups
-                ]
+                measure: [js(_summary_record(g, label=g.label)) for g in groups]
                 for measure, groups in by_measure.items()
             }
             for grouping, by_measure in report.summaries.items()
         },
-        "totals": {
-            measure: {
-                "n": g.n,
-                "mean": _round(g.mean, 2),
-                "sd": _round(g.sd, 2),
-            }
-            for measure, g in report.totals.items()
-        },
-        "anovas": {
-            key: {
-                "f": _round(a.f, 2),
-                "df": [a.df_between, a.df_within],
-                "p": _round(a.p, 3),
-                "eta_squared": _round(a.eta_squared, 4),
-                "omega_squared": _round(a.omega_squared, 4),
-                **(
-                    {"cohens_d": _round(report.effect_d[key], 2)}
-                    if key in report.effect_d
-                    else {}
-                ),
-            }
-            for key, a in report.anovas.items()
-        },
+        "totals": {m: js(_summary_record(g)) for m, g in report.totals.items()},
+        "anovas": anovas,
         "posthoc": {
-            key: [
-                {
-                    "a": c["a"],
-                    "b": c["b"],
-                    "f": _round(c["f"], 2),
-                    "p": _round(c["p"], 3),
-                    "cohens_d": _round(c["cohens_d"], 2),
-                    "correction": c["correction"],
-                }
-                for c in comparisons
-            ]
+            key: [js(_posthoc_record(c)) for c in comparisons]
             for key, comparisons in report.posthoc.items()
         },
         "scatter": [
-            [_round(x, 2), _round(y, 2)] for x, y in report.scatter
+            [_json_value(x, _DECIMALS["jva_ratio_pct"]),
+             _json_value(y, _DECIMALS["team_post_test"])]
+            for x, y in report.scatter
         ],
         "notes": list(report.notes),
     }
     if report.correlation is not None:
-        c = report.correlation
-        data["correlation"] = {
-            "r": _round(c.r, 4),
-            "r_squared": _round(c.r_squared, 4),
-            "n": c.n,
-            "f_equivalent": _round(c.f_equivalent, 2),
-            "p": _round(c.p, 3),
-            "slope": _round(c.slope, 4),
-            "intercept": _round(c.intercept, 4),
-        }
+        data["correlation"] = js(asdict(report.correlation))
     return data
 
 
 _MEASURE_TITLES = {"jva_ratio_pct": "JVA ratio (%)", "post_test": "Post-test"}
 
+_TEXT_TEAM_LINE = (
+    "{team_id:<10}{condition:<12}{group:<12}{gender:<8}"
+    "{jva_ratio_pct:>14}{team_post_test:>11}"
+)
+
 
 def _render_text(report: Report) -> str:
+    def txt(record: dict) -> dict:
+        return _formatted(record, _text_value)
+
     lines: list[str] = []
 
     if report.teams:
         lines.append("Per-team results")
         lines.append(
-            f"{'team':<10}{'condition':<12}{'group':<12}{'gender':<8}"
-            f"{'JVA ratio (%)':>14}{'post-test':>11}"
-        )
-        for r in report.teams:
-            lines.append(
-                f"{r.team_id:<10}{r.condition.value:<12}{r.group.value:<12}"
-                f"{r.gender.value:<8}{_fmt(r.jva_ratio_pct, 2):>14}"
-                f"{_fmt(r.team_post_test, 2):>11}"
+            _TEXT_TEAM_LINE.format(
+                team_id="team", condition="condition", group="group",
+                gender="gender", jva_ratio_pct="JVA ratio (%)", team_post_test="post-test",
             )
+        )
+        lines.extend(_TEXT_TEAM_LINE.format_map(txt(_team_record(r))) for r in report.teams)
         lines.append("")
 
     for grouping in sorted(report.summaries):
         by_measure = report.summaries[grouping]
+        measures = [m for m in _MEASURES if m in by_measure]
         lines.append(f"Summary by {grouping}")
-        header = f"{'label':<14}{'n':>4}"
-        for measure in _MEASURES:
-            if measure in by_measure:
-                header += f"{_MEASURE_TITLES[measure]:>22}"
-        lines.append(header)
-        labels = []
-        for measure in _MEASURES:
-            for g in by_measure.get(measure, []):
-                if g.label not in labels:
-                    labels.append(g.label)
-        for label in labels:
-            cells = f"{label:<14}"
-            n_cell = ""
-            body = ""
-            for measure in _MEASURES:
-                match = [g for g in by_measure.get(measure, []) if g.label == label]
-                if measure in by_measure:
-                    if match:
-                        g = match[0]
-                        n_cell = f"{g.n:>4}"
-                        body += f"{_fmt(g.mean, 2) + ' ± ' + _fmt(g.sd, 2):>22}"
-                    else:
-                        body += f"{'NA':>22}"
-            lines.append(cells + n_cell + body)
+        lines.append(
+            f"{'label':<14}{'n':>4}"
+            + "".join(f"{_MEASURE_TITLES[m]:>22}" for m in measures)
+        )
+        cells: dict[str, dict[str, dict]] = {}
+        for m in measures:
+            for g in by_measure[m]:
+                cells.setdefault(g.label, {})[m] = txt(_summary_record(g))
+        for label, by_label in cells.items():
+            n_cell = f"{by_label[[m for m in measures if m in by_label][-1]]['n']:>4}"
+            body = "".join(
+                f"{t['mean'] + ' ± ' + t['sd'] if (t := by_label.get(m)) else 'NA':>22}"
+                for m in measures
+            )
+            lines.append(f"{label:<14}{n_cell}{body}")
         lines.append("")
 
     if report.totals:
         lines.append("Total")
-        for measure in _MEASURES:
-            if measure in report.totals:
-                g = report.totals[measure]
+        for m in _MEASURES:
+            if m in report.totals:
+                t = txt(_summary_record(report.totals[m]))
                 lines.append(
-                    f"{_MEASURE_TITLES[measure]:<16}n={g.n:<4}"
-                    f"{_fmt(g.mean, 2)} ± {_fmt(g.sd, 2)}"
+                    f"{_MEASURE_TITLES[m]:<16}n={t['n']:<4}{t['mean']} ± {t['sd']}"
                 )
         lines.append("")
 
     if report.anovas:
         lines.append("One-way ANOVA")
         for key in sorted(report.anovas):
-            a = report.anovas[key]
+            t = txt(_anova_record(report, key))
             line = (
-                f"{key:<26}F({a.df_between},{a.df_within}) = {_fmt(a.f, 2)}, "
-                f"p = {_fmt(a.p, 3)}, eta2 = {a.eta_squared:.4f}, "
-                f"omega2 = {a.omega_squared:.4f}"
+                f"{key:<26}F({t['df1']},{t['df2']}) = {t['f']}, p = {t['p']}, "
+                f"eta2 = {t['eta_squared']}, omega2 = {t['omega_squared']}"
             )
-            if key in report.effect_d:
-                line += f", Cohen's d = {_fmt(report.effect_d[key], 2)}"
+            if "cohens_d" in t:
+                line += f", Cohen's d = {t['cohens_d']}"
             lines.append(line)
         lines.append("")
 
     for key in sorted(report.posthoc):
         lines.append(f"Pairwise comparisons for {key} (uncorrected)")
         for c in report.posthoc[key]:
+            t = txt(_posthoc_record(c))
             lines.append(
-                f"  {c['a']} vs {c['b']}: F = {_fmt(c['f'], 2)}, "
-                f"p = {_fmt(c['p'], 3)}, d = {_fmt(c['cohens_d'], 2)}"
+                f"  {t['a']} vs {t['b']}: F = {t['f']}, p = {t['p']}, d = {t['cohens_d']}"
             )
         lines.append("")
 
     if report.correlation is not None:
         c = report.correlation
+        t = txt(asdict(c))
         lines.append("Correlation (JVA ratio vs post-test)")
         lines.append(
-            f"r = {_fmt(c.r, 4)}, r2 = {_fmt(c.r_squared, 4)}, n = {c.n}, "
-            f"F(1,{c.n - 2}) = {_fmt(c.f_equivalent, 2)}, p = {_fmt(c.p, 3)}"
+            f"r = {t['r']}, r2 = {t['r_squared']}, n = {c.n}, "
+            f"F(1,{c.n - 2}) = {t['f_equivalent']}, p = {t['p']}"
         )
         if math.isfinite(c.slope):
-            lines.append(
-                f"fit: post_test = {_fmt(c.slope, 4)} * jva_pct + {_fmt(c.intercept, 4)}"
-            )
+            lines.append(f"fit: post_test = {t['slope']} * jva_pct + {t['intercept']}")
         lines.append("")
 
     for note in report.notes:
@@ -677,7 +681,8 @@ def emit_report(
     """Render a report; write to ``out`` when given, return the text.
 
     ``csv-bundle`` needs ``out`` to be a directory; it returns the
-    directory path and writes teams.csv, summaries.csv and anovas.csv.
+    directory path and writes teams.csv, summaries.csv, anovas.csv and,
+    when there is a correlation, correlation.csv.
     """
     if fmt == "json":
         text = json.dumps(_report_dict(report), indent=2, sort_keys=True) + "\n"
@@ -696,74 +701,49 @@ def emit_report(
     return text
 
 
+def _write_csv(path: Path, columns: Sequence[str], records) -> None:
+    """One CSV file; a field missing from a record is an empty cell."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for record in records:
+            record = _formatted(record, _csv_value)
+            writer.writerow([record.get(c) for c in columns])
+
+
 def _write_csv_bundle(report: Report, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "teams.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["team_id", "condition", "group", "gender", "jva_ratio_pct", "team_post_test"]
-        )
-        for r in report.teams:
-            writer.writerow(
-                [
-                    r.team_id,
-                    r.condition.value,
-                    r.group.value,
-                    r.gender.value,
-                    _fmt(r.jva_ratio_pct, 2) if r.jva_ratio_pct is not None else "",
-                    _fmt(r.team_post_test, 2),
-                ]
-            )
-    with open(out_dir / "summaries.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["grouping", "label", "measure", "n", "mean", "sd"])
-        for grouping in sorted(report.summaries):
-            for measure in _MEASURES:
-                for g in report.summaries[grouping].get(measure, []):
-                    writer.writerow(
-                        [grouping, g.label, measure, g.n, _fmt(g.mean, 2), _fmt(g.sd, 2)]
-                    )
-        for measure in _MEASURES:
-            if measure in report.totals:
-                g = report.totals[measure]
-                writer.writerow(
-                    ["total", "total", measure, g.n, _fmt(g.mean, 2), _fmt(g.sd, 2)]
-                )
-    with open(out_dir / "anovas.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["analysis", "f", "df1", "df2", "p", "eta_squared", "omega_squared", "cohens_d"]
-        )
-        for key in sorted(report.anovas):
-            a = report.anovas[key]
-            writer.writerow(
-                [
-                    key,
-                    _fmt(a.f, 2),
-                    a.df_between,
-                    a.df_within,
-                    _fmt(a.p, 3),
-                    f"{a.eta_squared:.4f}",
-                    f"{a.omega_squared:.4f}",
-                    _fmt(report.effect_d[key], 2) if key in report.effect_d else "",
-                ]
-            )
+    _write_csv(
+        out_dir / "teams.csv",
+        [f.name for f in fields(TeamRow)],
+        map(_team_record, report.teams),
+    )
+    summaries = [
+        _summary_record(g, grouping=grouping, label=g.label, measure=measure)
+        for grouping in sorted(report.summaries)
+        for measure in _MEASURES
+        for g in report.summaries[grouping].get(measure, [])
+    ] + [
+        _summary_record(report.totals[m], grouping="total", label="total", measure=m)
+        for m in _MEASURES
+        if m in report.totals
+    ]
+    _write_csv(
+        out_dir / "summaries.csv",
+        ["grouping", "label", "measure", "n", "mean", "sd"],
+        summaries,
+    )
+    _write_csv(
+        out_dir / "anovas.csv",
+        ["analysis", "f", "df1", "df2", "p", "eta_squared", "omega_squared", "cohens_d"],
+        ({"analysis": key, **_anova_record(report, key)} for key in sorted(report.anovas)),
+    )
     if report.correlation is not None:
-        c = report.correlation
-        with open(out_dir / "correlation.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["r", "r_squared", "n", "f_equivalent", "p", "slope", "intercept"])
-            writer.writerow(
-                [
-                    _fmt(c.r, 4),
-                    _fmt(c.r_squared, 4),
-                    c.n,
-                    _fmt(c.f_equivalent, 2),
-                    _fmt(c.p, 3),
-                    _fmt(c.slope, 4) if math.isfinite(c.slope) else "",
-                    _fmt(c.intercept, 4) if math.isfinite(c.intercept) else "",
-                ]
-            )
+        _write_csv(
+            out_dir / "correlation.csv",
+            [f.name for f in fields(CorrelationResult)],
+            [asdict(report.correlation)],
+        )
 
 
 # --- configuration ---------------------------------------------------------
