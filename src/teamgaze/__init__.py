@@ -16,7 +16,6 @@ from .model import (
 )
 from .gazefield import (
     DirectionField,
-    GazePredictor,
     SyntheticScene,
     decode_heatmap,
     encode_direction_field,

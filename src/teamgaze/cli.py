@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -28,8 +29,8 @@ DATA_ERROR = 1
 
 def _positive_float(raw: str) -> float:
     value = float(raw)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive: {raw}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite: {raw}")
     return value
 
 

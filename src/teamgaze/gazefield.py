@@ -1,16 +1,15 @@
 """Inference-side geometry of the gaze-following pipeline.
 
 Covers direction-field encoding, heatmap argmax decoding with rescaling to
-scene coordinates, and a pluggable predictor seam. The real neural network
-lives behind :class:`GazePredictor`; the synthetic predictor here is the
-test oracle used to exercise everything downstream.
+scene coordinates, and a synthetic predictor that is the test oracle used
+to exercise everything downstream.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Protocol, Sequence, runtime_checkable
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -18,7 +17,6 @@ from .model import GazeObservation, Heatmap, Point2D
 
 __all__ = [
     "DirectionField",
-    "GazePredictor",
     "SyntheticScene",
     "encode_direction_field",
     "direction_value",
@@ -159,18 +157,6 @@ def load_heatmap_text(path) -> Heatmap:
     """Read a heatmap from a plain-text grid (whitespace-separated rows)."""
     arr = np.loadtxt(path, dtype=float, ndmin=2)
     return Heatmap(values=arr)
-
-
-@runtime_checkable
-class GazePredictor(Protocol):
-    """Seam for gaze prediction backends.
-
-    Implementations take a scene descriptor and a head location and return
-    the predicted gaze point in scene coordinates. A trained network can be
-    adapter-wrapped to this without touching downstream modules.
-    """
-
-    def predict(self, scene: "SyntheticScene", head: Point2D) -> Point2D: ...
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,11 @@
 Two input files drive the pipeline: a frame table (one row per frame and
 person) and a team table (one row per team with condition, gender and the
 two individual post-test scores). Reports render the same content as
-machine-readable JSON, an aligned plain-text table, or a CSV bundle, with
-fixed decimal formatting (2 decimals for M/SD/F/d, 3 for p, 4 for r) so
+machine-readable JSON, an aligned plain-text table, or a CSV bundle. Each
+kind of report row (team, group summary, ANOVA, pairwise comparison,
+correlation) is built once as a record of raw values; every format rounds
+a field to the decimals ``_DECIMALS`` gives it (2 for M/SD/F/d, 3 for p,
+4 for r) and writes missing and non-finite values by its own one rule, so
 output is byte-identical across runs.
 """
 
@@ -34,7 +37,6 @@ from .stats import (
     CorrelationResult,
     GroupSummary,
     anova_from_summary,
-    cohens_d,
     pairwise_comparisons,
     pearson,
     summarize,
@@ -98,6 +100,25 @@ def _parse_float(value: str, column: str, line: int) -> float:
         raise ValueError(f"line {line}: column {column!r} not numeric: {value!r}")
 
 
+def _parse_bounded(value: str, column: str, line: int, high: int) -> float:
+    """A number in [0, high]; NaN and anything outside are errors."""
+    number = _parse_float(value, column, line)
+    if not 0 <= number <= high:
+        raise ValueError(f"line {line}: {column} {value!r} out of [0,{high}]")
+    return number
+
+
+def _parse_token(tokens: dict, row: dict, column: str, line: int):
+    """The enum member named by ``row[column]``, case-insensitively."""
+    member = tokens.get(row[column].strip().lower())
+    if member is None:
+        allowed = " | ".join(m.value for m in tokens.values())
+        raise ValueError(
+            f"line {line}: unknown {column} {row[column]!r}, expected {allowed}"
+        )
+    return member
+
+
 def load_frames(path: Union[str, Path]) -> LoadResult:
     """Load a frame table, grouping rows into per-team FrameRecords.
 
@@ -137,21 +158,7 @@ def load_frames(path: Union[str, Path]) -> LoadResult:
                 )
                 continue
 
-            head = None
-            hx, hy = row.get("head_x", ""), row.get("head_y", "")
-            if hx.strip() and hy.strip():
-                head = Point2D(
-                    _parse_float(hx, "head_x", line), _parse_float(hy, "head_y", line)
-                )
-            conf_raw = row.get("confidence", "").strip()
-            confidence = _parse_float(conf_raw, "confidence", line) if conf_raw else 1.0
-
-            obs = GazeObservation(
-                person_id=row["person_id"].strip(),
-                gaze=Point2D(gx, gy),
-                head=head,
-                confidence=confidence,
-            )
+            obs = GazeObservation(person_id=row["person_id"].strip(), gaze=Point2D(gx, gy))
             bucket = frames_by_team.setdefault(team, {}).setdefault(
                 frame_id,
                 {
@@ -196,21 +203,14 @@ def load_teams(path: Union[str, Path]) -> dict[str, TeamMeta]:
             raise ValueError(f"{path}: missing mandatory columns {missing}")
         for line, row in enumerate(reader, start=2):
             team = row["team_id"].strip()
-            cond_token = row["condition"].strip().lower()
-            if cond_token not in _CONDITION_TOKENS:
-                raise ValueError(f"line {line}: unknown condition {row['condition']!r}")
-            gender_token = row["gender"].strip().lower()
-            if gender_token not in _GENDER_TOKENS:
-                raise ValueError(f"line {line}: unknown gender {row['gender']!r}")
-            s1 = _parse_float(row["post_test_1"], "post_test_1", line)
-            s2 = _parse_float(row["post_test_2"], "post_test_2", line)
-            if not (0 <= s1 <= 5 and 0 <= s2 <= 5):
-                raise ValueError(f"line {line}: post-test score out of [0,5]")
             out[team] = TeamMeta(
                 team_id=team,
-                condition=_CONDITION_TOKENS[cond_token],
-                gender=_GENDER_TOKENS[gender_token],
-                post_test_scores=(s1, s2),
+                condition=_parse_token(_CONDITION_TOKENS, row, "condition", line),
+                gender=_parse_token(_GENDER_TOKENS, row, "gender", line),
+                post_test_scores=(
+                    _parse_bounded(row["post_test_1"], "post_test_1", line, 5),
+                    _parse_bounded(row["post_test_2"], "post_test_2", line, 5),
+                ),
             )
     return out
 
@@ -256,15 +256,16 @@ class Report:
 
     ``summaries`` maps grouping name -> measure -> list of GroupSummary;
     ``anovas`` maps "<grouping>_<measure>" -> AnovaResult. Two-group
-    comparisons carry Cohen's d in ``effect_d``; three-group ANOVAs carry
-    uncorrected pairwise comparisons in ``posthoc``.
+    comparisons carry Cohen's d in ``effect_d`` (None when the pooled SD
+    is zero but the means differ); three-group ANOVAs carry uncorrected
+    pairwise comparisons in ``posthoc``.
     """
 
     teams: list[TeamRow] = field(default_factory=list)
     summaries: dict[str, dict[str, list[GroupSummary]]] = field(default_factory=dict)
     totals: dict[str, GroupSummary] = field(default_factory=dict)
     anovas: dict[str, AnovaResult] = field(default_factory=dict)
-    effect_d: dict[str, float] = field(default_factory=dict)
+    effect_d: dict[str, Optional[float]] = field(default_factory=dict)
     posthoc: dict[str, list[dict]] = field(default_factory=dict)
     correlation: Optional[CorrelationResult] = None
     scatter: list[tuple[float, float]] = field(default_factory=list)
@@ -359,10 +360,17 @@ def _add_anova(
     except ValueError as exc:
         report.notes.append(f"anova {key} skipped: {exc}")
         return
+    comparisons = pairwise_comparisons(groups)
+    for c in comparisons:
+        if c["cohens_d"] is None:
+            report.notes.append(
+                f"cohen's d for {key} {c['a']} vs {c['b']} not reported: "
+                "zero pooled standard deviation"
+            )
     if len(groups) == 2:
-        report.effect_d[key] = cohens_d(groups[0], groups[1])
+        report.effect_d[key] = comparisons[0]["cohens_d"]
     else:
-        report.posthoc[key] = pairwise_comparisons(groups)
+        report.posthoc[key] = comparisons
 
 
 def analyze_report(
@@ -430,21 +438,31 @@ def _strip_comments(fh):
 
 
 def load_team_rows(path: Union[str, Path]) -> list[TeamRow]:
-    """Read a per-team results table (the analyze output's teams.csv)."""
+    """Read a per-team results table (the analyze output's teams.csv).
+
+    Unknown condition/gender tokens, a post-test outside [0, 5] and a JVA
+    ratio outside [0, 100] are errors naming the line.
+    """
     out = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(_strip_comments(fh))
         for line, row in enumerate(reader, start=2):
-            cond = _CONDITION_TOKENS[row["condition"].strip().lower()]
+            cond = _parse_token(_CONDITION_TOKENS, row, "condition", line)
             ratio_raw = row.get("jva_ratio_pct", "").strip()
             out.append(
                 TeamRow(
                     team_id=row["team_id"].strip(),
                     condition=cond,
                     group=group_for_condition(cond),
-                    gender=_GENDER_TOKENS[row["gender"].strip().lower()],
-                    jva_ratio_pct=float(ratio_raw) if ratio_raw else None,
-                    team_post_test=float(row["team_post_test"]),
+                    gender=_parse_token(_GENDER_TOKENS, row, "gender", line),
+                    jva_ratio_pct=(
+                        _parse_bounded(ratio_raw, "jva_ratio_pct", line, 100)
+                        if ratio_raw
+                        else None
+                    ),
+                    team_post_test=_parse_bounded(
+                        row["team_post_test"], "team_post_test", line, 5
+                    ),
                 )
             )
     return out
@@ -608,20 +626,20 @@ def _render_text(report: Report) -> str:
         measures = [m for m in _MEASURES if m in by_measure]
         lines.append(f"Summary by {grouping}")
         lines.append(
-            f"{'label':<14}{'n':>4}"
-            + "".join(f"{_MEASURE_TITLES[m]:>22}" for m in measures)
+            f"{'label':<14}"
+            + "".join(f"{'n':>4}{_MEASURE_TITLES[m]:>22}" for m in measures)
         )
         cells: dict[str, dict[str, dict]] = {}
         for m in measures:
             for g in by_measure[m]:
                 cells.setdefault(g.label, {})[m] = txt(_summary_record(g))
         for label, by_label in cells.items():
-            n_cell = f"{by_label[[m for m in measures if m in by_label][-1]]['n']:>4}"
-            body = "".join(
-                f"{t['mean'] + ' ± ' + t['sd'] if (t := by_label.get(m)) else 'NA':>22}"
-                for m in measures
-            )
-            lines.append(f"{label:<14}{n_cell}{body}")
+            line = f"{label:<14}"
+            for m in measures:
+                t = by_label.get(m)
+                mean_sd = f"{t['mean']} ± {t['sd']}" if t else "NA"
+                line += f"{t['n'] if t else 'NA':>4}{mean_sd:>22}"
+            lines.append(line)
         lines.append("")
 
     if report.totals:
@@ -748,8 +766,13 @@ def _write_csv_bundle(report: Report, out_dir: Path) -> None:
 
 # --- configuration ---------------------------------------------------------
 
-_SCALE_TOKENS = {m.value: m for m in ScaleMode}
-_POLICY_TOKENS = {p.value: p for p in DenominatorPolicy}
+# Parser of each config key's value: float or the enum of allowed tokens.
+_CONFIG_KEYS = {
+    "threshold": float,
+    "reference_diagonal": float,
+    "scale_mode": ScaleMode,
+    "denominator_policy": DenominatorPolicy,
+}
 
 
 def config_path_from_env() -> Optional[Path]:
@@ -774,14 +797,21 @@ def load_config(path: Optional[Union[str, Path]] = None, **overrides) -> JvaConf
             if "=" not in line:
                 raise ValueError(f"{path}:{line_no}: expected key=value")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key in ("threshold", "reference_diagonal"):
-                values[key] = float(value)
-            elif key == "scale_mode":
-                values[key] = _SCALE_TOKENS[value]
-            elif key == "denominator_policy":
-                values[key] = _POLICY_TOKENS[value]
-            else:
+            parse = _CONFIG_KEYS.get(key)
+            if parse is None:
                 raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
+            try:
+                values[key] = parse(value)
+                JvaConfig(**{key: values[key]})  # range check of this one value
+            except ValueError:
+                allowed = (
+                    "a positive finite number"
+                    if parse is float
+                    else " | ".join(m.value for m in parse)
+                )
+                raise ValueError(
+                    f"{path}:{line_no}: bad {key} {value!r}, expected {allowed}"
+                ) from None
     for key, value in overrides.items():
         if value is not None:
             values[key] = value

@@ -50,10 +50,10 @@ class JvaConfig:
     denominator_policy: DenominatorPolicy = DenominatorPolicy.VALID_PAIR_FRAMES
 
     def __post_init__(self) -> None:
-        if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
-        if self.reference_diagonal <= 0:
-            raise ValueError("reference diagonal must be positive")
+        if not 0 < self.threshold < math.inf:
+            raise ValueError("threshold must be positive and finite")
+        if not 0 < self.reference_diagonal < math.inf:
+            raise ValueError("reference diagonal must be positive and finite")
 
     def effective_threshold(self, image_width: int, image_height: int) -> float:
         """Threshold in this frame's pixels, rescaled when normalizing."""

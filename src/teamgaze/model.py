@@ -46,16 +46,10 @@ class Point2D:
 
 @dataclass(frozen=True)
 class GazeObservation:
-    """One person's predicted gaze point in one frame.
-
-    ``head`` is the eye/head location when known; ``confidence`` is carried
-    for future filtering and defaults to full confidence.
-    """
+    """One person's predicted gaze point in one frame."""
 
     person_id: str
     gaze: Point2D
-    head: Optional[Point2D] = None
-    confidence: float = 1.0
 
 
 class Condition(Enum):
@@ -197,10 +191,6 @@ def validate_session(session: TeamSession) -> list[str]:
             ):
                 violations.append(
                     f"{where}: gaze out of image bounds for {obs.person_id}"
-                )
-            if not (0.0 <= obs.confidence <= 1.0):
-                violations.append(
-                    f"{where}: confidence out of [0,1] for {obs.person_id}"
                 )
         if not frame.discarded:
             person_ids.update(o.person_id for o in frame.valid_observations())

@@ -216,7 +216,8 @@ def pairwise_comparisons(
     """Uncorrected pairwise two-group ANOVAs plus Cohen's d.
 
     No multiple-comparison correction is applied; output is labeled
-    accordingly by the report layer.
+    accordingly by the report layer. ``cohens_d`` is None when the pair's
+    pooled SD is zero but its means differ.
     """
     out = []
     for i in range(len(groups)):
@@ -227,6 +228,10 @@ def pairwise_comparisons(
             except ValueError:
                 # degenerate pair (zero total variance); nothing to compare
                 continue
+            try:
+                d = cohens_d(a, b)
+            except ValueError:
+                d = None  # zero pooled SD with distinct means
             out.append(
                 {
                     "a": a.label,
@@ -234,7 +239,7 @@ def pairwise_comparisons(
                     "f": result.f,
                     "df": (result.df_between, result.df_within),
                     "p": result.p,
-                    "cohens_d": cohens_d(a, b),
+                    "cohens_d": d,
                     "correction": "uncorrected",
                 }
             )

@@ -44,6 +44,15 @@ def test_analyze_negative_threshold_is_usage_error(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_analyze_non_finite_threshold_is_usage_error(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--frames", "f.csv", "--teams", "t.csv",
+              "--threshold", value])
+    assert exc.value.code == 2
+    assert "positive and finite" in capsys.readouterr().err
+
+
 def test_analyze_missing_file_is_data_error(tmp_path, capsys):
     code, _, err = run(
         capsys,
@@ -82,6 +91,24 @@ def test_stats_accepts_per_team_table(tmp_path, capsys):
     code, out, _ = run(capsys, ["stats", "--teams", str(table)])
     assert code == 0
     assert "Correlation" in out
+
+
+def test_stats_with_zero_pooled_sd_keeps_the_report(tmp_path, capsys):
+    table = tmp_path / "t.csv"
+    table.write_text(
+        "team_id,condition,gender,jva_ratio_pct,team_post_test\n"
+        + "".join(
+            f"t{i},{cond},{'FF MM MX'.split()[i % 3]},{ratio},{post}\n"
+            for i, (cond, ratio, post) in enumerate(
+                [("textbook", 30, 1)] * 3 + [("tablet", 50, 3), ("ar", 50, 3)] * 3
+            )
+        )
+    )
+    code, out, err = run(capsys, ["stats", "--teams", str(table)])
+    assert (code, err) == (0, "")
+    assert "group_jva_ratio_pct       F(1,7) = inf, p = 0.000" in out
+    assert "Cohen's d = NA" in out
+    assert "note: cohen's d for group_post_test control vs experiment not reported" in out
 
 
 def test_synth_then_analyze_round_trip(tmp_path, capsys):

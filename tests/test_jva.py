@@ -140,6 +140,13 @@ def test_nonpositive_threshold_rejected():
         JvaConfig(threshold=-1.0)
 
 
+@pytest.mark.parametrize("field", ["threshold", "reference_diagonal"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_config_values_rejected(field, value):
+    with pytest.raises(ValueError, match="positive and finite"):
+        JvaConfig(**{field: value})
+
+
 coord = st.tuples(
     st.floats(0, 2560, allow_nan=False), st.floats(0, 1440, allow_nan=False)
 )

@@ -189,6 +189,15 @@ def test_pairwise_comparisons_are_labeled_uncorrected():
     assert tt["cohens_d"] > 1.0
 
 
+def test_pairwise_comparison_with_zero_pooled_sd_reports_no_d():
+    groups = [GroupSummary("a", 3, 1.0, 0.0), GroupSummary("b", 3, 2.0, 0.0),
+              GroupSummary("c", 3, 2.0, 1.0)]
+    by_pair = {(c["a"], c["b"]): c for c in pairwise_comparisons(groups)}
+    assert by_pair[("a", "b")]["f"] == math.inf
+    assert by_pair[("a", "b")]["cohens_d"] is None
+    assert by_pair[("a", "c")]["cohens_d"] == pytest.approx(math.sqrt(2))
+
+
 # Means snap to a 0.1 grid: near-identical means make the between-group
 # sum of squares cancellation-dominated, which has nothing to do with the
 # identity under test.
