@@ -445,7 +445,7 @@ def load_team_rows(path: Union[str, Path]) -> list[TeamRow]:
     """
     out = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(_strip_comments(fh))
+        reader = csv.DictReader(_strip_comments(fh), restval="")
         for line, row in enumerate(reader, start=2):
             cond = _parse_token(_CONDITION_TOKENS, row, "condition", line)
             ratio_raw = row.get("jva_ratio_pct", "").strip()

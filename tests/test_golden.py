@@ -33,14 +33,11 @@ from teamgaze.stats import correlation_from_r
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
 
-_CONDITIONS = {c.value: c for c in Condition}
-_GENDERS = {g.value: g for g in GenderComposition}
-
 
 def team_row(team_id, condition, gender, ratio, post_test):
-    cond = _CONDITIONS[condition]
+    cond = Condition(condition)
     return TeamRow(
-        team_id, cond, group_for_condition(cond), _GENDERS[gender], ratio, post_test
+        team_id, cond, group_for_condition(cond), GenderComposition(gender), ratio, post_test
     )
 
 

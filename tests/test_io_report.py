@@ -270,6 +270,7 @@ TEAM_ROWS_HEADER = "team_id,condition,group,gender,jva_ratio_pct,team_post_test\
         ("t1,ar,,FF,100.5,2", "line 3: jva_ratio_pct '100.5' out of [0,100]"),
         ("t1,ar,,FF,nan,2", "line 3: jva_ratio_pct 'nan' out of [0,100]"),
         ("t1,ar,,FF,30,x", "line 3: column 'team_post_test' not numeric"),
+        ("t1,ar,,FF", "line 3: column 'team_post_test' not numeric: ''"),
     ],
 )
 def test_load_team_rows_rejects_bad_rows_with_line(tmp_path, row, message):
