@@ -129,12 +129,11 @@ def _emit(report, args) -> None:
 
 def _cmd_analyze(args) -> int:
     config = _jva_config(args)
-    loaded = io_report.load_frames(args.frames)
-    for message in loaded.row_errors:
+    table = io_report.read_frame_table(args.frames)
+    for message in table.row_errors:
         print(f"warning: {args.frames}: {message}", file=sys.stderr)
     teams = io_report.load_teams(args.teams)
-    sessions = io_report.build_sessions(loaded.frames_by_team, teams)
-    report = io_report.analyze_report(sessions, config)
+    report = io_report.analyze_table(table, teams, config)
     _emit(report, args)
     return 0
 

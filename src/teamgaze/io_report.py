@@ -2,7 +2,13 @@
 
 Two input files drive the pipeline: a frame table (one row per frame and
 person) and a team table (one row per team with condition, gender and the
-two individual post-test scores). Reports render the same content as
+two individual post-test scores). ``read_frame_table`` is the one parser
+of frame tables: it reads the CSV in fixed-size chunks into numpy columns
+(ids numbered, numbers as float64, each row's physical line kept) and
+rejects malformed rows by line. ``analyze_table`` scores those columns
+with ``jva.team_jva_counts``; ``load_frames`` turns the same columns into
+per-team ``FrameRecord`` objects for ``build_sessions``/``analyze_report``,
+the per-frame reference path. Reports render the same content as
 machine-readable JSON, an aligned plain-text table, or a CSV bundle. Each
 kind of report row (team, group summary, ANOVA, pairwise comparison,
 correlation) is built once as a record of raw values; every format rounds
@@ -18,10 +24,13 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field, fields
+from itertools import islice
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .jva import DenominatorPolicy, JvaConfig, ScaleMode, session_jva
+import numpy as np
+
+from .jva import DenominatorPolicy, JvaConfig, ScaleMode, session_jva, team_jva_counts
 from .model import (
     Condition,
     FrameRecord,
@@ -31,6 +40,7 @@ from .model import (
     Point2D,
     TeamSession,
     group_for_condition,
+    team_post_test_score,
 )
 from .stats import (
     AnovaResult,
@@ -44,13 +54,16 @@ from .stats import (
 from .synth import FRAME_COLUMNS, TEAM_COLUMNS
 
 __all__ = [
+    "FrameTable",
     "LoadResult",
     "TeamMeta",
     "Report",
+    "read_frame_table",
     "load_frames",
     "load_teams",
     "build_sessions",
     "analyze_report",
+    "analyze_table",
     "stats_report_from_team_rows",
     "stats_report_from_summaries",
     "load_summary_fixture",
@@ -78,6 +91,16 @@ _MANDATORY_FRAME_COLUMNS = [
     "gaze_y",
 ]
 
+# Frame columns read as numbers, in the order a row's cells are checked.
+_NUMERIC_FRAME_COLUMNS = ("timestamp_s", "image_w", "image_h", "gaze_x", "gaze_y")
+
+# Accepted ``discarded`` cells after stripping and lower-casing.
+_DISCARDED_TOKENS = {"": False, "0": False, "false": False, "1": True, "true": True}
+
+# Frame rows parsed per step. Small enough for one step's row lists to
+# stay in the CPU cache: steps of 16k rows parsed slower than 1k.
+_CHUNK_ROWS = 1024
+
 
 @dataclass(frozen=True)
 class TeamMeta:
@@ -85,6 +108,32 @@ class TeamMeta:
     condition: Condition
     gender: GenderComposition
     post_test_scores: tuple[float, float]
+
+
+@dataclass
+class FrameTable:
+    """A frame table as columns: one entry per frame and one per kept row.
+
+    Teams and frames are numbered in the order their first kept row appears
+    in the file. The kept rows of frame ``f`` are rows
+    ``row_offsets[f]:row_offsets[f + 1]``, in file order. Image sizes hold
+    whole pixels (``int(float(cell))``) as floats. A row skipped for its
+    gaze point appears only in ``row_errors``.
+    """
+
+    team_ids: list[str]
+    frame_ids: list[str]
+    frame_team: np.ndarray
+    timestamp: np.ndarray
+    width: np.ndarray
+    height: np.ndarray
+    discarded: np.ndarray
+    row_offsets: np.ndarray
+    person_ids: list[str]
+    row_person: np.ndarray
+    gaze_x: np.ndarray
+    gaze_y: np.ndarray
+    row_errors: list[str]
 
 
 @dataclass
@@ -119,90 +168,318 @@ def _parse_token(tokens: dict, row: dict, column: str, line: int):
     return member
 
 
-def load_frames(path: Union[str, Path]) -> LoadResult:
-    """Load a frame table, grouping rows into per-team FrameRecords.
+def read_frame_table(path: Union[str, Path]) -> FrameTable:
+    """Parse a frame table into columns; the one parser of frame CSVs.
 
-    Rows for the same (team_id, frame_id) merge into one frame. Hard
-    errors (missing header, unparseable mandatory column) raise; rows with
-    out-of-bounds gaze points are skipped and logged with their line
-    number, so no row disappears silently.
+    Rows for the same (team_id, frame_id) form one frame. Errors raise
+    ``ValueError`` naming the physical line of the first bad row in file
+    order: a missing header or mandatory column, a short row, an empty
+    team or frame id, a cell that is not a number, an image size that is
+    not finite or not positive, a ``discarded`` cell other than empty, 0,
+    1, true or false (any case), a person twice in one frame, and rows of
+    one frame that disagree on timestamp, image size or discarded flag.
+    A row whose gaze point is outside the image or NaN is skipped and
+    logged in ``row_errors``; a skipped row never creates a frame.
     """
-    frames_by_team: dict[str, dict[str, dict]] = {}
-    row_errors: list[str] = []
-
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ValueError(f"{path}: empty file, header row required")
-        missing = [c for c in _MANDATORY_FRAME_COLUMNS if c not in reader.fieldnames]
+        missing = [c for c in _MANDATORY_FRAME_COLUMNS if c not in header]
         if missing:
             raise ValueError(f"{path}: missing mandatory columns {missing}")
+        # The last of two same-named columns wins, as in csv.DictReader.
+        rows = _FrameRows({name: i for i, name in enumerate(header)})
+        line = reader.line_num
+        while chunk := list(islice(reader, _CHUNK_ROWS)):
+            rows.add(chunk, _row_lines(chunk, line, reader.line_num))
+            line = reader.line_num
+    return rows.table()
 
-        for line, row in enumerate(reader, start=2):
-            team = row["team_id"].strip()
-            frame_id = row["frame_id"].strip()
-            if not team or not frame_id:
-                raise ValueError(f"line {line}: empty team_id or frame_id")
-            ts = _parse_float(row["timestamp_s"], "timestamp_s", line)
-            w = int(_parse_float(row["image_w"], "image_w", line))
-            h = int(_parse_float(row["image_h"], "image_h", line))
-            if w <= 0 or h <= 0:
-                raise ValueError(f"line {line}: non-positive image dimensions")
-            gx = _parse_float(row["gaze_x"], "gaze_x", line)
-            gy = _parse_float(row["gaze_y"], "gaze_y", line)
-            discarded = str(row.get("discarded", "0")).strip() in ("1", "true", "True")
 
-            if not (0 <= gx <= w and 0 <= gy <= h):
-                row_errors.append(
-                    f"line {line}: gaze ({gx}, {gy}) outside {w}x{h} image, row skipped"
-                )
-                continue
+def _row_lines(chunk: list, before: int, after: int) -> np.ndarray:
+    """The physical line each row of ``chunk`` ends on (``reader.line_num``)."""
+    if after - before == len(chunk):
+        return np.arange(before + 1, after + 1)
+    # A quoted cell holds a line break: count each row's breaks.
+    spans = [
+        1 + sum(c.count("\n") + c.count("\r") - c.count("\r\n") for c in row)
+        for row in chunk
+    ]
+    return before + np.cumsum(spans)
 
-            obs = GazeObservation(person_id=row["person_id"].strip(), gaze=Point2D(gx, gy))
-            bucket = frames_by_team.setdefault(team, {}).setdefault(
-                frame_id,
-                {
-                    "timestamp": ts,
-                    "w": w,
-                    "h": h,
-                    "observations": [],
-                    "discarded": discarded,
-                },
+
+def _parse_size(value: str, column: str, line: int) -> int:
+    number = _parse_float(value, column, line)
+    if not math.isfinite(number):
+        raise ValueError(f"line {line}: column {column!r} not finite: {value!r}")
+    return int(number)
+
+
+def _check_frame_row(row: list, line: int, column: dict[str, int]) -> None:
+    """Raise the first error of one frame row, checking cells in column order."""
+    for name in _MANDATORY_FRAME_COLUMNS:
+        if column[name] >= len(row):
+            raise ValueError(f"line {line}: short row, no {name} cell")
+    if not row[column["team_id"]].strip() or not row[column["frame_id"]].strip():
+        raise ValueError(f"line {line}: empty team_id or frame_id")
+    _parse_float(row[column["timestamp_s"]], "timestamp_s", line)
+    w = _parse_size(row[column["image_w"]], "image_w", line)
+    h = _parse_size(row[column["image_h"]], "image_h", line)
+    if w <= 0 or h <= 0:
+        raise ValueError(f"line {line}: non-positive image dimensions")
+    _parse_float(row[column["gaze_x"]], "gaze_x", line)
+    _parse_float(row[column["gaze_y"]], "gaze_y", line)
+    index = column.get("discarded", len(row))
+    token = row[index] if index < len(row) else ""
+    if token.strip().lower() not in _DISCARDED_TOKENS:
+        raise ValueError(
+            f"line {line}: discarded {token!r} is not empty, 0, 1, true or false"
+        )
+
+
+class _Ids:
+    """Numbers ids (stripped cells) 0, 1, ... in the order they arrive."""
+
+    def __init__(self):
+        self.names: list[str] = []
+        self.number: dict[str, int] = {}
+        # Every raw cell seen so far, so most cells cost one lookup.
+        self._cell_number: dict[str, int] = {}
+
+    def codes(self, cells: Sequence[str]) -> np.ndarray:
+        codes = list(map(self._cell_number.get, cells))
+        if None in codes:
+            for cell in cells:
+                if cell not in self._cell_number:
+                    name = cell.strip()
+                    if name not in self.number:
+                        self.number[name] = len(self.names)
+                        self.names.append(name)
+                    self._cell_number[cell] = self.number[name]
+            codes = list(map(self._cell_number.get, cells))
+        return np.array(codes, dtype=np.int64)
+
+
+def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct keys 0, 1, ... in the order they first appear.
+
+    Returns each key's number and, per number, where that key first appears.
+    """
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(len(order))
+    return number[inverse.reshape(-1)], first[order]
+
+
+class _FrameRows:
+    """The kept rows of a frame table, parsed a chunk at a time into columns.
+
+    A chunk is parsed with whole-column operations. When one of them finds
+    a bad cell, ``_check_frame_row`` walks the chunk's rows to name the
+    first bad one and its first error, the order a row-by-row reader has.
+    """
+
+    def __init__(self, column: dict[str, int]):
+        self.column = column
+        self.need = 1 + max(column[c] for c in _MANDATORY_FRAME_COLUMNS)
+        self.width = max(self.need, 1 + column.get("discarded", -1))
+        self.teams, self.frames, self.persons = _Ids(), _Ids(), _Ids()
+        self.row_errors: list[str] = []
+        # The kept rows' team, frame, person, timestamp, width, height,
+        # discarded, gaze x, gaze y and line, one array per chunk.
+        self.columns: list[list[np.ndarray]] = [[] for _ in range(10)]
+        # An empty first chunk gives each column its dtype, also for a file
+        # without rows.
+        self._parse([], np.arange(0))
+
+    def add(self, chunk: list, lines: np.ndarray) -> None:
+        if not all(chunk):  # csv.reader gives [] for a blank line
+            kept = [i for i, row in enumerate(chunk) if row]
+            chunk, lines = [chunk[i] for i in kept], lines[kept]
+        try:
+            self._parse(chunk, lines)
+        except ValueError:
+            for i, (row, line) in enumerate(zip(chunk, lines.tolist())):
+                try:
+                    _check_frame_row(row, line, self.column)
+                except ValueError as exc:
+                    # A frame error on an earlier line comes first:
+                    # table() raises it.
+                    self._parse(chunk[:i], lines[:i])
+                    self.table()
+                    raise exc from None
+            raise
+
+    def _parse(self, chunk: list, lines: np.ndarray) -> None:
+        column, n = self.column, len(chunk)
+        if min(map(len, chunk), default=self.width) < self.width:
+            if min(map(len, chunk)) < self.need:
+                raise ValueError("short row")
+            chunk = [row + [""] * (self.width - len(row)) for row in chunk]
+        cells = list(zip(*chunk)) or [()] * self.width
+        team = self.teams.codes(cells[column["team_id"]])
+        frame = self.frames.codes(cells[column["frame_id"]])
+        for ids, codes in ((self.teams, team), (self.frames, frame)):
+            if "" in ids.number and (codes == ids.number[""]).any():
+                raise ValueError("empty id")
+        ts, w, h, gx, gy = (
+            np.fromiter(map(float, cells[column[c]]), float, n)
+            for c in _NUMERIC_FRAME_COLUMNS
+        )
+        if not (np.isfinite(w) & (w >= 1) & np.isfinite(h) & (h >= 1)).all():
+            raise ValueError("image size")
+        w, h = np.trunc(w), np.trunc(h)
+        flags = [False] * n
+        if "discarded" in column:
+            tokens = cells[column["discarded"]]
+            if None in (flags := list(map(_DISCARDED_TOKENS.get, tokens))):
+                flags = [_DISCARDED_TOKENS.get(t.strip().lower()) for t in tokens]
+                if None in flags:
+                    raise ValueError("discarded")
+        discarded = np.array(flags, dtype=bool)
+        person = self.persons.codes(cells[column["person_id"]])
+
+        inside = (gx >= 0) & (gx <= w) & (gy >= 0) & (gy <= h)
+        for i in np.flatnonzero(~inside).tolist():
+            self.row_errors.append(
+                f"line {lines[i]}: gaze ({float(gx[i])}, {float(gy[i])}) outside "
+                f"{int(w[i])}x{int(h[i])} image, row skipped"
             )
-            bucket["observations"].append(obs)
-            bucket["discarded"] = bucket["discarded"] or discarded
+        kept = (team, frame, person, ts, w, h, discarded, gx, gy, lines)
+        for chunks, values in zip(self.columns, kept):
+            chunks.append(values[inside])
 
-    result: dict[str, list[FrameRecord]] = {}
-    for team, frames in frames_by_team.items():
-        records = [
+    def table(self) -> FrameTable:
+        """The kept rows as a FrameTable; raises the first frame error."""
+        for chunks in self.columns:  # one column at a time, to bound memory
+            chunks[:] = [np.concatenate(chunks)]
+        team, frame, person, ts, w, h, discarded, gx, gy, line = (
+            chunks[0] for chunks in self.columns
+        )
+        frame_no, first = _first_appearance(team * len(self.frames.names) + frame)
+        team_no, team_first = _first_appearance(team[first])
+        team_names, frame_names = self.teams.names, self.frames.names
+
+        def where(r: int) -> str:
+            return f"team {team_names[team[r]]!r} frame {frame_names[frame[r]]!r}"
+
+        # Each frame error as (row, message); the first row's is raised.
+        problems = []
+        ref = first[frame_no]  # the first kept row of each row's frame
+        for name, values, shown in (
+            ("timestamp_s", ts, float),
+            ("image_w", w, int),
+            ("image_h", h, int),
+            ("discarded", discarded, bool),
+        ):
+            # NaN timestamps agree with each other.
+            same = (values == values[ref]) | (
+                (values != values) & (values[ref] != values[ref])
+            )
+            if not same.all():
+                r = int(np.argmin(same))
+                problems.append((r, (
+                    f"line {line[r]}: {name} {shown(values[r])} differs from "
+                    f"{shown(values[ref[r]])} on line {line[ref[r]]} for {where(r)}"
+                )))
+        pair_key = frame_no * len(self.persons.names) + person
+        order = np.argsort(pair_key, kind="stable")
+        repeat = np.flatnonzero(pair_key[order[1:]] == pair_key[order[:-1]])
+        if len(repeat):
+            k = int(np.argmin(order[1:][repeat]))
+            r, earlier = int(order[1:][repeat][k]), int(order[:-1][repeat][k])
+            problems.append((r, (
+                f"line {line[r]}: person_id {self.persons.names[person[r]]!r} "
+                f"already on line {line[earlier]} for {where(r)}"
+            )))
+        if problems:
+            raise ValueError(min(problems, key=lambda p: p[0])[1])
+
+        by_frame = np.argsort(frame_no, kind="stable")
+        counts = np.bincount(frame_no, minlength=len(first))
+        return FrameTable(
+            team_ids=[team_names[c] for c in team[first][team_first].tolist()],
+            frame_ids=[frame_names[c] for c in frame[first].tolist()],
+            frame_team=team_no,
+            timestamp=ts[first],
+            width=w[first],
+            height=h[first],
+            discarded=discarded[first],
+            row_offsets=np.concatenate(([0], np.cumsum(counts))),
+            person_ids=self.persons.names,
+            row_person=person[by_frame],
+            gaze_x=gx[by_frame],
+            gaze_y=gy[by_frame],
+            row_errors=self.row_errors,
+        )
+
+
+def load_frames(path: Union[str, Path]) -> LoadResult:
+    """Load a frame table as per-team FrameRecords.
+
+    ``read_frame_table`` parses and checks the file; each team's frames
+    are sorted by (timestamp, frame_id), with observations in file order.
+    """
+    table = read_frame_table(path)
+    persons = [table.person_ids[p] for p in table.row_person.tolist()]
+    gaze = [Point2D(x, y) for x, y in zip(table.gaze_x.tolist(), table.gaze_y.tolist())]
+    bounds = table.row_offsets.tolist()
+    frames_by_team: dict[str, list[FrameRecord]] = {t: [] for t in table.team_ids}
+    for f, (team, frame_id, timestamp, w, h, discarded) in enumerate(
+        zip(
+            table.frame_team.tolist(),
+            table.frame_ids,
+            table.timestamp.tolist(),
+            table.width.tolist(),
+            table.height.tolist(),
+            table.discarded.tolist(),
+        )
+    ):
+        frames_by_team[table.team_ids[team]].append(
             FrameRecord(
-                frame_id=fid,
-                timestamp=info["timestamp"],
-                image_width=info["w"],
-                image_height=info["h"],
-                observations=tuple(info["observations"]),
-                discarded=info["discarded"],
-                discard_reason="flagged in input" if info["discarded"] else "",
+                frame_id=frame_id,
+                timestamp=timestamp,
+                image_width=int(w),
+                image_height=int(h),
+                observations=tuple(
+                    GazeObservation(persons[r], gaze[r])
+                    for r in range(bounds[f], bounds[f + 1])
+                ),
+                discarded=discarded,
+                discard_reason="flagged in input" if discarded else "",
             )
-            for fid, info in frames.items()
-        ]
+        )
+    for records in frames_by_team.values():
         records.sort(key=lambda r: (r.timestamp, r.frame_id))
-        result[team] = records
-    return LoadResult(frames_by_team=result, row_errors=row_errors)
+    return LoadResult(frames_by_team=frames_by_team, row_errors=table.row_errors)
 
 
 def load_teams(path: Union[str, Path]) -> dict[str, TeamMeta]:
-    """Load team metadata; unknown condition/gender tokens are hard errors."""
+    """Load team metadata; unknown condition/gender tokens are hard errors.
+
+    So are a post-test outside [0, 5] and a team_id that repeats.
+    """
     out: dict[str, TeamMeta] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")
         if reader.fieldnames is None:
             raise ValueError(f"{path}: empty file, header row required")
         missing = [c for c in TEAM_COLUMNS if c not in reader.fieldnames]
         if missing:
             raise ValueError(f"{path}: missing mandatory columns {missing}")
-        for line, row in enumerate(reader, start=2):
+        first_line: dict[str, int] = {}
+        for row in reader:
+            line = reader.line_num
             team = row["team_id"].strip()
+            if team in first_line:
+                raise ValueError(
+                    f"line {line}: duplicate team_id {team!r} "
+                    f"(first on line {first_line[team]})"
+                )
+            first_line[team] = line
             out[team] = TeamMeta(
                 team_id=team,
                 condition=_parse_token(_CONDITION_TOKENS, row, "condition", line),
@@ -300,16 +577,16 @@ def stats_report_from_team_rows(rows: Sequence[TeamRow]) -> Report:
     for grouping, labels in _GROUPING_LABELS.items():
         report.summaries[grouping] = {}
         for measure in _MEASURES:
-            groups = []
-            for label in labels:
-                values = [
-                    v
-                    for row in rows
-                    if _row_label(row, grouping) == label
-                    and (v := _row_measure(row, measure)) is not None
-                ]
-                if len(values) >= 2:
-                    groups.append(summarize(values, label=label))
+            # One pass over the rows; each group keeps row order.
+            values_by_label: dict[str, list[float]] = {label: [] for label in labels}
+            for row in rows:
+                if (v := _row_measure(row, measure)) is not None:
+                    values_by_label[_row_label(row, grouping)].append(v)
+            groups = [
+                summarize(values, label=label)
+                for label, values in values_by_label.items()
+                if len(values) >= 2
+            ]
             report.summaries[grouping][measure] = groups
             if len(groups) >= 2:
                 _add_anova(report, grouping, measure, groups)
@@ -377,19 +654,67 @@ def analyze_report(
     sessions: Sequence[TeamSession], config: JvaConfig = JvaConfig()
 ) -> Report:
     """Run JVA scoring over every session and assemble the full report."""
-    rows = []
-    for session in sorted(sessions, key=lambda s: s.team_id):
+    counts = []
+    for session in sessions:
         result = session_jva(session, config)
-        rows.append(
-            TeamRow(
-                team_id=session.team_id,
-                condition=session.condition,
-                group=session.group,
-                gender=session.gender_composition,
-                jva_ratio_pct=result.jva_ratio_pct,
-                team_post_test=session.team_post_test,
-            )
+        meta = TeamMeta(
+            session.team_id,
+            session.condition,
+            session.gender_composition,
+            session.post_test_scores,
         )
+        counts.append((meta, result.jva_frames, result.denominator_frames))
+    return _report_from_counts(counts)
+
+
+def analyze_table(
+    table: FrameTable, teams: dict[str, TeamMeta], config: JvaConfig = JvaConfig()
+) -> Report:
+    """The report of ``analyze_report`` scored straight from a FrameTable.
+
+    Teams with a kept frame row must all be in ``teams``; a team without
+    frames gets no ratio.
+    """
+    unknown = sorted(set(table.team_ids) - set(teams))
+    if unknown:
+        raise ValueError(f"frames reference unknown teams: {unknown}")
+    valid_pair = np.diff(table.row_offsets) == 2
+    first = table.row_offsets[:-1][valid_pair]
+    dx, dy = np.zeros(len(valid_pair)), np.zeros(len(valid_pair))
+    dx[valid_pair] = table.gaze_x[first] - table.gaze_x[first + 1]
+    dy[valid_pair] = table.gaze_y[first] - table.gaze_y[first + 1]
+    jva_frames, denominator_frames = team_jva_counts(
+        table.frame_team,
+        len(table.team_ids),
+        table.width,
+        table.height,
+        table.discarded,
+        valid_pair,
+        dx,
+        dy,
+        config,
+    )
+    counts = dict(
+        zip(table.team_ids, zip(jva_frames.tolist(), denominator_frames.tolist()))
+    )
+    return _report_from_counts(
+        (meta, *counts.get(team_id, (0, 0))) for team_id, meta in teams.items()
+    )
+
+
+def _report_from_counts(counts: Iterable[tuple[TeamMeta, int, int]]) -> Report:
+    """The analyze report from each team's JVA and denominator frame counts."""
+    rows = [
+        TeamRow(
+            team_id=meta.team_id,
+            condition=meta.condition,
+            group=group_for_condition(meta.condition),
+            gender=meta.gender,
+            jva_ratio_pct=100.0 * (jva_frames / denominator) if denominator else None,
+            team_post_test=team_post_test_score(*meta.post_test_scores),
+        )
+        for meta, jva_frames, denominator in sorted(counts, key=lambda c: c[0].team_id)
+    ]
     report = stats_report_from_team_rows(rows)
     no_frames = [r.team_id for r in rows if r.jva_ratio_pct is None]
     if no_frames:
@@ -412,8 +737,10 @@ def load_summary_fixture(
     summaries: dict[str, dict[str, list[GroupSummary]]] = {}
     totals: dict[str, GroupSummary] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.DictReader(_strip_comments(fh))]
-    for line, row in enumerate(rows, start=2):
+        lines, physical = _uncommented(fh)
+        reader = csv.DictReader(lines)
+        rows = [(physical[reader.line_num - 1], row) for row in reader]
+    for line, row in rows:
         grouping = row["grouping"].strip()
         measure = row["measure"].strip()
         if measure not in _MEASURES:
@@ -431,10 +758,21 @@ def load_summary_fixture(
     return summaries, totals
 
 
-def _strip_comments(fh):
-    for line in fh:
-        if not line.lstrip().startswith("#"):
-            yield line
+def _uncommented(fh) -> tuple[Iterator[str], list[int]]:
+    """The lines of ``fh`` that are not ``#`` comments, read lazily.
+
+    The list fills with the physical line number of each line yielded, so
+    ``physical[reader.line_num - 1]`` is the file line a csv row ends on.
+    """
+    physical: list[int] = []
+
+    def lines():
+        for number, line in enumerate(fh, start=1):
+            if not line.lstrip().startswith("#"):
+                physical.append(number)
+                yield line
+
+    return lines(), physical
 
 
 def load_team_rows(path: Union[str, Path]) -> list[TeamRow]:
@@ -445,8 +783,10 @@ def load_team_rows(path: Union[str, Path]) -> list[TeamRow]:
     """
     out = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(_strip_comments(fh), restval="")
-        for line, row in enumerate(reader, start=2):
+        lines, physical = _uncommented(fh)
+        reader = csv.DictReader(lines, restval="")
+        for row in reader:
+            line = physical[reader.line_num - 1]
             cond = _parse_token(_CONDITION_TOKENS, row, "condition", line)
             ratio_raw = row.get("jva_ratio_pct", "").strip()
             out.append(
@@ -471,7 +811,7 @@ def load_team_rows(path: Union[str, Path]) -> list[TeamRow]:
 def detect_table_kind(path: Union[str, Path]) -> str:
     """'summary' for (grouping,label,measure,n,mean,sd) files, else 'teams'."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(_strip_comments(fh))
+        reader = csv.reader(_uncommented(fh)[0])
         header = next(reader, None)
     if header is None:
         raise ValueError(f"{path}: empty file")

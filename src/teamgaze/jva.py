@@ -3,6 +3,10 @@
 A frame exhibits JVA when the Euclidean distance between the two persons'
 gaze points is strictly smaller than the threshold (100 px by default, at
 the reference 2560x1440 capture resolution).
+
+``classify_frame`` and ``session_jva`` score one frame object at a time and
+are the reference; ``team_jva_counts`` scores many frames held as arrays
+and gives the same counts.
 """
 
 from __future__ import annotations
@@ -11,6 +15,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
+
+import numpy as np
 
 from .model import FrameRecord, TeamSession
 
@@ -22,6 +28,7 @@ __all__ = [
     "JvaSessionResult",
     "classify_frame",
     "session_jva",
+    "team_jva_counts",
     "REFERENCE_DIAGONAL",
 ]
 
@@ -134,4 +141,50 @@ def session_jva(session: TeamSession, config: JvaConfig = JvaConfig()) -> JvaSes
         jva_frames=jva_count,
         denominator_frames=denominator,
         jva_ratio=ratio,
+    )
+
+
+def team_jva_counts(
+    team: np.ndarray,
+    n_teams: int,
+    width: np.ndarray,
+    height: np.ndarray,
+    discarded: np.ndarray,
+    valid_pair: np.ndarray,
+    dx: np.ndarray,
+    dy: np.ndarray,
+    config: JvaConfig = JvaConfig(),
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-team JVA and denominator frame counts of many frames at once.
+
+    Every array has one entry per frame: the frame's team number (below
+    ``n_teams``), image size, discarded flag, whether it holds exactly two
+    valid observations, and for such a pair the difference of the two gaze
+    points. Entries of ``dx``/``dy`` outside a valid pair are not read.
+    Counts equal ``session_jva``'s: the distance is compared with the same
+    ``math.hypot`` result whenever ``np.hypot`` lands near the threshold.
+    """
+    if config.denominator_policy is DenominatorPolicy.VALID_PAIR_FRAMES:
+        counted = valid_pair & ~discarded
+    else:
+        counted = ~discarded
+    scored = np.flatnonzero(valid_pair & ~discarded)
+    # Distinct (width, height) pairs, as complex numbers: np.unique sorts
+    # those far faster than rows of a 2-column array.
+    sizes, size_of = np.unique(
+        width[scored] + 1j * height[scored], return_inverse=True
+    )
+    threshold = np.array(
+        [config.effective_threshold(int(s.real), int(s.imag)) for s in sizes.tolist()],
+        dtype=float,
+    )[size_of]
+    dx, dy = dx[scored], dy[scored]
+    distance = np.hypot(dx, dy)
+    is_jva = distance < threshold
+    # np.hypot and math.hypot may differ in the last bit or two.
+    for i in np.flatnonzero(np.abs(distance - threshold) <= 4 * np.spacing(threshold)):
+        is_jva[i] = math.hypot(dx[i], dy[i]) < threshold[i]
+    return (
+        np.bincount(team[scored[is_jva]], minlength=n_teams),
+        np.bincount(team[counted], minlength=n_teams),
     )

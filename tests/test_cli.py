@@ -63,6 +63,26 @@ def test_analyze_missing_file_is_data_error(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("t1,f1,0.0,2560,1440", "error: line 3: short row, no person_id cell"),
+        ("t1,f1,0.0,inf,1440,p1,1,1,,,1.0,0", "error: line 3: column 'image_w' not finite"),
+    ],
+)
+def test_analyze_malformed_frame_row_is_data_error(tmp_path, capsys, row, message):
+    frames = tmp_path / "frames.csv"
+    frames.write_text(
+        "team_id,frame_id,timestamp_s,image_w,image_h,person_id,gaze_x,gaze_y,"
+        "head_x,head_y,confidence,discarded\n\n" + row + "\n"
+    )
+    teams = tmp_path / "teams.csv"
+    teams.write_text("team_id,condition,gender,post_test_1,post_test_2\nt1,ar,FF,1,2\n")
+    code, _, err = run(capsys, ["analyze", "--frames", str(frames), "--teams", str(teams)])
+    assert code == 1
+    assert message in err
+
+
 def test_stats_on_bundled_fixture_prints_published_f_values(capsys):
     code, out, _ = run(capsys, ["stats"])
     assert code == 0

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from teamgaze.cli import main
 from teamgaze.io_report import (
     Report,
     TeamRow,
@@ -139,6 +140,20 @@ def test_report_matches_golden(name, fmt, tmp_path):
     else:
         golden = GOLDEN / name / FILES[fmt]
         assert (tmp_path / FILES[fmt]).read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "csv-bundle"])
+def test_analyze_cli_matches_golden(fmt, tmp_path):
+    """``teamgaze analyze`` scores from columns, not through analyze_report."""
+    name = "bundle" if fmt == "csv-bundle" else FILES[fmt]
+    argv = ["analyze", "--frames", str(INPUTS / "frames.csv"),
+            "--teams", str(INPUTS / "teams.csv"), "--format", fmt,
+            "--out", str(tmp_path / name)]
+    assert main(argv) == 0
+    if fmt == "csv-bundle":
+        assert rendered_files(tmp_path / name) == rendered_files(GOLDEN / "analyze" / name)
+    else:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / "analyze" / name).read_bytes()
 
 
 def write_goldens():

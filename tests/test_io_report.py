@@ -1,10 +1,16 @@
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from teamgaze import io_report
 from teamgaze.io_report import (
     analyze_report,
+    analyze_table,
     build_sessions,
     detect_table_kind,
     emit_report,
@@ -14,6 +20,7 @@ from teamgaze.io_report import (
     load_team_rows,
     load_teams,
     paper_fixture_path,
+    read_frame_table,
     stats_report_from_summaries,
     stats_report_from_team_rows,
 )
@@ -52,11 +59,14 @@ def test_out_of_bounds_gaze_row_skipped_and_logged(tmp_path):
         [
             "t1,f1,0.0,2560,1440,p1,-5,100,,,1.0,0",
             "t1,f1,0.0,2560,1440,p2,150,150,,,1.0,0",
+            "t1,f2,1.0,2560,1440,p1,nan,100,,,1.0,0",
         ],
     )
     loaded = load_frames(path)
-    assert len(loaded.row_errors) == 1
-    assert "line 2" in loaded.row_errors[0]
+    assert loaded.row_errors == [
+        "line 2: gaze (-5.0, 100.0) outside 2560x1440 image, row skipped",
+        "line 4: gaze (nan, 100.0) outside 2560x1440 image, row skipped",
+    ]
     (frame,) = loaded.frames_by_team["t1"]
     assert len(frame.observations) == 1
 
@@ -84,6 +94,91 @@ def test_frames_sorted_by_timestamp(tmp_path):
     )
     loaded = load_frames(path)
     assert [f.frame_id for f in loaded.frames_by_team["t1"]] == ["f1", "f2"]
+
+
+GOOD_ROW = "t1,f1,0.0,2560,1440,p1,100,100,,,1.0,0"
+
+
+@pytest.mark.parametrize("load", [load_frames, read_frame_table])
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["t1,f1,0.0,2560"], "line 2: short row, no image_h cell"),
+        (["t1,f1,0.0,inf,1440,p1,1,1,,,1.0,0"], "line 2: column 'image_w' not finite: 'inf'"),
+        (["t1,f1,0.0,2560,nan,p1,1,1,,,1.0,0"], "line 2: column 'image_h' not finite: 'nan'"),
+        (
+            [GOOD_ROW, "", "t1,f2,1.0,2560,1440,p1,x,1,,,1.0,0"],
+            "line 4: column 'gaze_x' not numeric: 'x'",
+        ),
+        (
+            ['t1,f1,0.0,2560,1440,"p\n1",1,1,,,1.0,0', "t1,f2,1.0,2560,1440,p1,1,,,,1.0,0"],
+            "line 4: column 'gaze_y' not numeric: ''",
+        ),
+        # Each of these used to load and change the team's ratio.
+        (
+            [GOOD_ROW, "t1,f1,0.0,2560,1440,p1,900,900,,,1.0,0"],
+            "line 3: person_id 'p1' already on line 2 for team 't1' frame 'f1'",
+        ),
+        (
+            [GOOD_ROW, "t1,f1,5.0,2560,1440,p2,100,100,,,1.0,0"],
+            "line 3: timestamp_s 5.0 differs from 0.0 on line 2 for team 't1' frame 'f1'",
+        ),
+        (
+            [GOOD_ROW, "t1,f1,0.0,1280,1440,p2,100,100,,,1.0,0"],
+            "line 3: image_w 1280 differs from 2560 on line 2",
+        ),
+        (
+            [GOOD_ROW, "t1,f1,0.0,2560,720,p2,100,100,,,1.0,0"],
+            "line 3: image_h 720 differs from 1440 on line 2",
+        ),
+        (
+            [GOOD_ROW, "t1,f1,0.0,2560,1440,p2,100,100,,,1.0,1"],
+            "line 3: discarded True differs from False on line 2",
+        ),
+        (
+            [GOOD_ROW, "t1,f2,1.0,2560,1440,p1,100,100,,,1.0,yes"],
+            "line 3: discarded 'yes' is not empty, 0, 1, true or false",
+        ),
+    ],
+)
+def test_malformed_frame_rows_name_their_physical_line(tmp_path, load, rows, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load(write_frames(tmp_path, rows))
+
+
+def test_discarded_tokens_any_case(tmp_path):
+    tokens = ["", "0", "1", "true", "FALSE", " True ", "TRUE"]
+    rows = [f"t1,f{i},{i}.0,2560,1440,p1,1,1,,,1.0,{t}" for i, t in enumerate(tokens)]
+    frames = load_frames(write_frames(tmp_path, rows)).frames_by_team["t1"]
+    assert [f.discarded for f in frames] == [False, False, True, True, False, True, True]
+
+
+def test_frame_checks_skip_out_of_bounds_rows(tmp_path):
+    rows = [GOOD_ROW, "t1,f1,0.0,2560,1440,p1,-1,1,,,1.0,0"]
+    (frame,) = load_frames(write_frames(tmp_path, rows)).frames_by_team["t1"]
+    assert [o.person_id for o in frame.observations] == ["p1"]
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # A frame error before a row error, in another chunk.
+        ([GOOD_ROW, "t1,f2,1.0,2560,1440,p1,1,1,,,1.0,0", GOOD_ROW,
+          "t1,f3,2.0,2560,1440,p1,1,1,,,1.0,0", "t1,f4,3.0,0,1440,p1,1,1,,,1.0,0"],
+         "line 4: person_id 'p1' already on line 2"),
+        # A row error before a frame error.
+        ([GOOD_ROW, "t1,f2,1.0,2560,1440,p1,1,1,,,1.0,maybe", GOOD_ROW],
+         "line 3: discarded 'maybe'"),
+        # A frame whose rows are three chunks apart.
+        ([GOOD_ROW] + [f"t1,f{i},{i}.0,2560,1440,p1,1,1,,,1.0,0" for i in range(2, 7)]
+         + ["t1,f1,0.0,2560,1440,p2,1,1,,,1.0,1"],
+         "line 8: discarded True differs from False on line 2"),
+    ],
+)
+def test_first_bad_line_in_file_order_is_reported(tmp_path, monkeypatch, rows, message):
+    monkeypatch.setattr(io_report, "_CHUNK_ROWS", 2)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_frame_table(write_frames(tmp_path, rows))
 
 
 def test_load_teams_happy_path(tmp_path):
@@ -114,6 +209,24 @@ def test_load_teams_rejects_score_out_of_range(tmp_path):
         "team_id,condition,gender,post_test_1,post_test_2\nt1,ar,FF,7,2\n"
     )
     with pytest.raises(ValueError, match="out of \\[0,5\\]"):
+        load_teams(path)
+
+
+TEAMS_HEADER = "team_id,condition,gender,post_test_1,post_test_2\n"
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("t1,ar,FF,1,2\nt2,ar,FF,1,2\nt1,tablet,MM,3,3\n",
+         "line 4: duplicate team_id 't1' (first on line 2)"),
+        ("t1,ar,FF,1,2\n\nt2,ar\n", "line 4: unknown gender '', expected FF"),
+    ],
+)
+def test_load_teams_rejects_bad_rows_with_physical_line(tmp_path, rows, message):
+    path = tmp_path / "teams.csv"
+    path.write_text(TEAMS_HEADER + rows)
+    with pytest.raises(ValueError, match=re.escape(message)):
         load_teams(path)
 
 
@@ -280,6 +393,20 @@ def test_load_team_rows_rejects_bad_rows_with_line(tmp_path, row, message):
         load_team_rows(path)
 
 
+def test_team_rows_and_summary_errors_count_comment_lines(tmp_path):
+    teams = tmp_path / "teams.csv"
+    teams.write_text("# run 3\n# tuned\n" + TEAM_ROWS_HEADER + "t0,ar,,FF,,2\nt1,ar,,FF,30,9\n")
+    with pytest.raises(ValueError, match=re.escape("line 5: team_post_test '9' out of [0,5]")):
+        load_team_rows(teams)
+    summary = tmp_path / "summary.csv"
+    summary.write_text(
+        "# run 3\n# tuned\ngrouping,label,measure,n,mean,sd\n"
+        "group,control,post_test,5,1.5,0.5\ngroup,control,bogus,5,1.5,0.5\n"
+    )
+    with pytest.raises(ValueError, match=re.escape("line 5: unknown measure 'bogus'")):
+        load_summary_fixture(summary)
+
+
 def test_load_team_rows_accepts_range_ends(tmp_path):
     path = tmp_path / "teams.csv"
     path.write_text(TEAM_ROWS_HEADER + "t0,AR,,mx,0,5\nt1,textbook,,FF,100,0\n")
@@ -288,3 +415,56 @@ def test_load_team_rows_accepts_range_ends(tmp_path):
         (Condition.AR, GenderComposition.MIXED, 0.0, 5.0),
         (Condition.TEXTBOOK, GenderComposition.FEMALES, 100.0, 0.0),
     ]
+
+
+RESOLUTIONS = [(1280, 720), (1920, 1080), (2560, 1440)]
+
+
+@st.composite
+def frame_tables(draw):
+    """Frame-table rows (shuffled) and team-table rows for a few teams."""
+    rows = []
+    teams = [f"t{i}" for i in range(draw(st.integers(1, 4)))]
+    for team in teams:
+        for f in range(draw(st.integers(0, 6))):
+            w, h = draw(st.sampled_from(RESOLUTIONS))
+            ts = draw(st.sampled_from([0.0, 10.0, 20.0]))
+            discarded = draw(st.booleans())
+            for person in range(draw(st.integers(1, 3))):
+                # Quarter-pixel gaze points; some lie outside the image.
+                x = draw(st.integers(-40, 4 * w + 40)) / 4
+                y = draw(st.integers(-40, 4 * h + 40)) / 4
+                rows.append(
+                    f"{team},f{f},{ts},{w},{h},p{person},{x},{y},,,1.0,{int(discarded)}"
+                )
+    rows = draw(st.permutations(rows))
+    team_rows = [
+        f"{team},{draw(st.sampled_from(['textbook', 'tablet', 'ar']))},"
+        f"{draw(st.sampled_from(['FF', 'MM', 'MX']))},"
+        f"{draw(st.integers(0, 5))},{draw(st.integers(0, 5))}"
+        for team in teams
+    ]
+    return rows, team_rows
+
+
+@given(
+    frame_tables(),
+    st.one_of(st.sampled_from([25.0, 50.0, 100.0]), st.floats(1, 400)),
+    st.sampled_from(list(ScaleMode)),
+    st.sampled_from(list(DenominatorPolicy)),
+)
+@settings(max_examples=150, deadline=None)
+def test_columnar_and_object_paths_emit_the_same_report(tables, threshold, scale, policy):
+    rows, team_rows = tables
+    config = JvaConfig(threshold=threshold, scale_mode=scale, denominator_policy=policy)
+    with tempfile.TemporaryDirectory() as tmp:
+        frames_path = write_frames(Path(tmp), rows)
+        teams_path = Path(tmp) / "teams.csv"
+        teams_path.write_text(TEAMS_HEADER + "".join(r + "\n" for r in team_rows))
+        teams = load_teams(teams_path)
+        table = read_frame_table(frames_path)
+        loaded = load_frames(frames_path)
+    assert table.row_errors == loaded.row_errors
+    columnar = emit_report(analyze_table(table, teams, config), "json")
+    sessions = build_sessions(loaded.frames_by_team, teams)
+    assert columnar == emit_report(analyze_report(sessions, config), "json")

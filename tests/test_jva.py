@@ -12,6 +12,7 @@ from teamgaze.jva import (
     ScaleMode,
     classify_frame,
     session_jva,
+    team_jva_counts,
 )
 from teamgaze.model import (
     Condition,
@@ -46,6 +47,34 @@ def session_of(frames, team_id="t1"):
         post_test_scores=(2.0, 3.0),
         frames=tuple(frames),
     )
+
+
+def vector_counts(frames, config=JvaConfig()):
+    """(jva_frames, denominator_frames) of one team's frames by team_jva_counts."""
+    pairs = [frame.valid_observations() for frame in frames]
+    valid_pair = np.array([len(p) == 2 for p in pairs], dtype=bool)
+    dx = np.array([p[0].gaze.x - p[1].gaze.x if len(p) == 2 else 0.0 for p in pairs])
+    dy = np.array([p[0].gaze.y - p[1].gaze.y if len(p) == 2 else 0.0 for p in pairs])
+    jva, denominator = team_jva_counts(
+        np.zeros(len(frames), dtype=np.int64),
+        1,
+        np.array([f.image_width for f in frames], dtype=float),
+        np.array([f.image_height for f in frames], dtype=float),
+        np.array([f.discarded for f in frames], dtype=bool),
+        valid_pair,
+        dx,
+        dy,
+        config,
+    )
+    return int(jva[0]), int(denominator[0])
+
+
+def both_counts(frames, config=JvaConfig()):
+    """session_jva's counts, after checking team_jva_counts gives the same."""
+    result = session_jva(session_of(frames), config)
+    counts = (result.jva_frames, result.denominator_frames)
+    assert vector_counts(frames, config) == counts
+    return counts
 
 
 def test_close_gazes_are_jva():
@@ -158,10 +187,9 @@ frame_pairs = st.lists(st.tuples(coord, coord), min_size=1, max_size=50)
 def test_ratio_monotone_in_threshold(pairs, t1, t2):
     lo, hi = sorted((t1, t2))
     frames = [pair_frame(f"f{i}", a, b, ts=float(i)) for i, (a, b) in enumerate(pairs)]
-    session = session_of(frames)
-    r_lo = session_jva(session, JvaConfig(threshold=lo))
-    r_hi = session_jva(session, JvaConfig(threshold=hi))
-    assert r_lo.jva_frames <= r_hi.jva_frames
+    jva_lo, _ = both_counts(frames, JvaConfig(threshold=lo))
+    jva_hi, _ = both_counts(frames, JvaConfig(threshold=hi))
+    assert jva_lo <= jva_hi
 
 
 @given(frame_pairs)
@@ -176,6 +204,7 @@ def test_person_swap_symmetry(pairs):
     assert session_jva(session_of(frames)).jva_ratio == session_jva(
         session_of(swapped)
     ).jva_ratio
+    assert both_counts(frames) == both_counts(swapped)
 
 
 @given(
@@ -200,15 +229,49 @@ def test_ratio_bounds(pairs):
     frames = [pair_frame(f"f{i}", a, b, ts=float(i)) for i, (a, b) in enumerate(pairs)]
     result = session_jva(session_of(frames))
     assert 0.0 <= result.jva_ratio <= 1.0
+    jva, denominator = both_counts(frames)
+    assert 0 <= jva <= denominator == len(frames)
 
 
 @given(frame_pairs, st.floats(10, 400))
 @settings(max_examples=200)
 def test_matches_brute_force_recount(pairs, threshold):
     frames = [pair_frame(f"f{i}", a, b, ts=float(i)) for i, (a, b) in enumerate(pairs)]
-    result = session_jva(session_of(frames), JvaConfig(threshold=threshold))
-    expected_jva, expected_denominator = brute_force_jva_count(pairs, threshold)
-    assert (result.jva_frames, result.denominator_frames) == (
-        expected_jva,
-        expected_denominator,
-    )
+    counts = both_counts(frames, JvaConfig(threshold=threshold))
+    assert counts == brute_force_jva_count(pairs, threshold)
+
+
+@pytest.mark.parametrize(
+    "gaze, threshold, is_jva",
+    [
+        # math.hypot gives 6.658312473893066, np.hypot the threshold itself.
+        ((1.05, 6.575), 6.658312473893067, True),
+        # math.hypot gives the threshold itself, np.hypot 27.493726557162088.
+        ((1.55, 27.45), 27.49372655716209, False),
+    ],
+)
+def test_vectorized_scorer_decides_like_math_hypot(gaze, threshold, is_jva):
+    assert (math.hypot(*gaze) < threshold) is is_jva
+    frames = [pair_frame("f", gaze, (0.0, 0.0))]
+    assert both_counts(frames, JvaConfig(threshold=threshold)) == (int(is_jva), 1)
+
+
+def test_vectorized_scorer_covers_policies_and_scaling():
+    frames = [
+        pair_frame("a", (400, 400), (440, 400), w=1280, h=720),
+        pair_frame("b", (400, 400), (460, 400), w=1280, h=720),
+        pair_frame("c", (400, 400), (460, 400)),
+        pair_frame("d", (1, 1), (2, 2), discarded=True),
+        FrameRecord("e", 0.0, 2560, 1440, (GazeObservation("p1", Point2D(5, 5)),)),
+    ]
+    # 50 px everywhere: only a (40 px) is JVA. 100 px at 2560x1440 is
+    # 50 px at 1280x720: a and c (60 px of 100) are JVA.
+    expected = {
+        (50.0, ScaleMode.ABSOLUTE, DenominatorPolicy.VALID_PAIR_FRAMES): (1, 3),
+        (50.0, ScaleMode.ABSOLUTE, DenominatorPolicy.ALL_CAPTURED_FRAMES): (1, 4),
+        (100.0, ScaleMode.DIAGONAL_NORMALIZED, DenominatorPolicy.VALID_PAIR_FRAMES): (2, 3),
+        (100.0, ScaleMode.DIAGONAL_NORMALIZED, DenominatorPolicy.ALL_CAPTURED_FRAMES): (2, 4),
+    }
+    for (threshold, scale, policy), counts in expected.items():
+        config = JvaConfig(threshold=threshold, scale_mode=scale, denominator_policy=policy)
+        assert both_counts(frames, config) == counts

@@ -163,7 +163,10 @@ def test_correlation_identity_matches_published_value():
 
 
 @given(
-    st.lists(st.floats(-50, 50), min_size=5, max_size=30, unique=True),
+    # Hundredths in [-50, 50]: no x so small that y rounds to a constant.
+    st.lists(st.integers(-5000, 5000), min_size=5, max_size=30, unique=True).map(
+        lambda xs: [v / 100 for v in xs]
+    ),
     st.floats(0.1, 10),
     st.floats(-100, 100),
 )
