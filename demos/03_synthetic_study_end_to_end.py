@@ -10,8 +10,8 @@ import json
 import tempfile
 from pathlib import Path
 
-from teamgaze import SynthSpec, analyze_report, build_sessions, emit_report
-from teamgaze.io_report import load_frames, load_teams
+from teamgaze import SynthSpec, analyze_table, emit_report
+from teamgaze.io_report import load_teams, read_frame_table
 from teamgaze.synth import generate
 
 spec = SynthSpec(
@@ -24,9 +24,7 @@ spec = SynthSpec(
 
 with tempfile.TemporaryDirectory() as tmp:
     frames_path, teams_path, truth_path, truth = generate(spec, tmp)
-    loaded = load_frames(frames_path)
-    sessions = build_sessions(loaded.frames_by_team, load_teams(teams_path))
-    report = analyze_report(sessions)
+    report = analyze_table(read_frame_table(frames_path), load_teams(teams_path))
 
     print("ground truth vs recovered JVA ratio (%):")
     for row in report.teams:

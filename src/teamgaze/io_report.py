@@ -5,16 +5,17 @@ person) and a team table (one row per team with condition, gender and the
 two individual post-test scores). ``read_frame_table`` is the one parser
 of frame tables: it reads the CSV in fixed-size chunks into numpy columns
 (ids numbered, numbers as float64, each row's physical line kept) and
-rejects malformed rows by line. ``analyze_table`` scores those columns
-with ``jva.team_jva_counts``; ``load_frames`` turns the same columns into
-per-team ``FrameRecord`` objects for ``build_sessions``/``analyze_report``,
-the per-frame reference path. Reports render the same content as
-machine-readable JSON, an aligned plain-text table, or a CSV bundle. Each
-kind of report row (team, group summary, ANOVA, pairwise comparison,
-correlation) is built once as a record of raw values; every format rounds
-a field to the decimals ``_DECIMALS`` gives it (2 for M/SD/F/d, 3 for p,
-4 for r) and writes missing and non-finite values by its own one rule, so
-output is byte-identical across runs.
+rejects malformed rows by line. ``analyze_table``, the one way from
+frames and teams to a report, scores those columns with
+``jva.team_jva_counts``; ``load_frames`` turns them into ``FrameRecord``
+objects for ``build_sessions`` and the reference ``jva.session_jva``.
+Reports render the same content as machine-readable JSON, an aligned
+plain-text table, or a CSV bundle. Each kind of report row (team, group
+summary, ANOVA, pairwise comparison, correlation) is built once as a
+record of raw values; every format rounds a field to the decimals
+``_DECIMALS`` gives it (2 for M/SD/F/d, 3 for p, 4 for r) and writes
+missing and non-finite values by its own one rule, so output is
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -23,14 +24,14 @@ import csv
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields
-from itertools import islice
+from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import islice, zip_longest
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .jva import DenominatorPolicy, JvaConfig, ScaleMode, session_jva, team_jva_counts
+from .jva import DenominatorPolicy, JvaConfig, ScaleMode, team_jva_counts
 from .model import (
     Condition,
     FrameRecord,
@@ -40,7 +41,6 @@ from .model import (
     Point2D,
     TeamSession,
     group_for_condition,
-    team_post_test_score,
 )
 from .stats import (
     AnovaResult,
@@ -51,18 +51,16 @@ from .stats import (
     pearson,
     summarize,
 )
-from .synth import FRAME_COLUMNS, TEAM_COLUMNS
+from .synth import TEAM_COLUMNS
 
 __all__ = [
     "FrameTable",
     "LoadResult",
-    "TeamMeta",
     "Report",
     "read_frame_table",
     "load_frames",
     "load_teams",
     "build_sessions",
-    "analyze_report",
     "analyze_table",
     "stats_report_from_team_rows",
     "stats_report_from_summaries",
@@ -101,13 +99,8 @@ _DISCARDED_TOKENS = {"": False, "0": False, "false": False, "1": True, "true": T
 # stay in the CPU cache: steps of 16k rows parsed slower than 1k.
 _CHUNK_ROWS = 1024
 
-
-@dataclass(frozen=True)
-class TeamMeta:
-    team_id: str
-    condition: Condition
-    gender: GenderComposition
-    post_test_scores: tuple[float, float]
+_TEAM_ROW_COLUMNS = ("team_id", "condition", "gender", "team_post_test")
+_SUMMARY_COLUMNS = ("grouping", "label", "measure", "n", "mean", "sd")
 
 
 @dataclass
@@ -142,9 +135,9 @@ class LoadResult:
     row_errors: list[str] = field(default_factory=list)
 
 
-def _parse_float(value: str, column: str, line: int) -> float:
+def _parse_float(value: str, column: str, line: int, kind=float) -> float:
     try:
-        return float(value)
+        return kind(value)
     except ValueError:
         raise ValueError(f"line {line}: column {column!r} not numeric: {value!r}")
 
@@ -173,28 +166,32 @@ def read_frame_table(path: Union[str, Path]) -> FrameTable:
 
     Rows for the same (team_id, frame_id) form one frame. Errors raise
     ``ValueError`` naming the physical line of the first bad row in file
-    order: a missing header or mandatory column, a short row, an empty
-    team or frame id, a cell that is not a number, an image size that is
-    not finite or not positive, a ``discarded`` cell other than empty, 0,
-    1, true or false (any case), a person twice in one frame, and rows of
-    one frame that disagree on timestamp, image size or discarded flag.
+    order: a missing header or mandatory column, a cell longer than the
+    csv module's field limit, a short row, an empty team or frame id, a
+    cell that is not a number, an image size that is not finite or not
+    positive, a ``discarded`` cell other than empty, 0, 1, true or false
+    (any case), a person twice in one frame, and rows of one frame that
+    disagree on timestamp, image size or discarded flag.
     A row whose gaze point is outside the image or NaN is skipped and
     logged in ``row_errors``; a skipped row never creates a frame.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file, header row required")
-        missing = [c for c in _MANDATORY_FRAME_COLUMNS if c not in header]
-        if missing:
-            raise ValueError(f"{path}: missing mandatory columns {missing}")
-        # The last of two same-named columns wins, as in csv.DictReader.
-        rows = _FrameRows({name: i for i, name in enumerate(header)})
-        line = reader.line_num
-        while chunk := list(islice(reader, _CHUNK_ROWS)):
-            rows.add(chunk, _row_lines(chunk, line, reader.line_num))
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file, header row required")
+            missing = [c for c in _MANDATORY_FRAME_COLUMNS if c not in header]
+            if missing:
+                raise ValueError(f"{path}: missing mandatory columns {missing}")
+            # The last of two same-named columns wins, as in csv.DictReader.
+            rows = _FrameRows({name: i for i, name in enumerate(header)})
             line = reader.line_num
+            while chunk := list(islice(reader, _CHUNK_ROWS)):
+                rows.add(chunk, _row_lines(chunk, line, reader.line_num))
+                line = reader.line_num
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return rows.table()
 
 
@@ -457,61 +454,84 @@ def load_frames(path: Union[str, Path]) -> LoadResult:
     return LoadResult(frames_by_team=frames_by_team, row_errors=table.row_errors)
 
 
-def load_teams(path: Union[str, Path]) -> dict[str, TeamMeta]:
-    """Load team metadata; unknown condition/gender tokens are hard errors.
+def _read_table(path: Union[str, Path], columns: Sequence[str]) -> Iterator:
+    """Read a team-level table: yield its header, then ``(line, row)`` pairs.
 
-    So are a post-test outside [0, 5] and a team_id that repeats.
+    ``#`` lines are comments and blank lines are skipped. A row is a dict
+    from stripped header name to cell, empty for cells a short row lacks;
+    ``line`` is the physical line it ends on. A missing header or column
+    and an over-long cell are errors naming the file.
     """
-    out: dict[str, TeamMeta] = {}
+    line = 0
+
+    def uncommented(fh):
+        nonlocal line
+        for line, text in enumerate(fh, start=1):
+            if not text.lstrip().startswith("#"):
+                yield text
+
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh, restval="")
-        if reader.fieldnames is None:
-            raise ValueError(f"{path}: empty file, header row required")
-        missing = [c for c in TEAM_COLUMNS if c not in reader.fieldnames]
-        if missing:
-            raise ValueError(f"{path}: missing mandatory columns {missing}")
-        first_line: dict[str, int] = {}
-        for row in reader:
-            line = reader.line_num
-            team = row["team_id"].strip()
-            if team in first_line:
-                raise ValueError(
-                    f"line {line}: duplicate team_id {team!r} "
-                    f"(first on line {first_line[team]})"
-                )
-            first_line[team] = line
-            out[team] = TeamMeta(
-                team_id=team,
-                condition=_parse_token(_CONDITION_TOKENS, row, "condition", line),
-                gender=_parse_token(_GENDER_TOKENS, row, "gender", line),
-                post_test_scores=(
-                    _parse_bounded(row["post_test_1"], "post_test_1", line, 5),
-                    _parse_bounded(row["post_test_2"], "post_test_2", line, 5),
-                ),
-            )
+        reader = csv.reader(uncommented(fh))
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file, header row required")
+            header = [name.strip() for name in header]
+            missing = [c for c in columns if c not in header]
+            if missing:
+                raise ValueError(f"{path}: missing mandatory columns {missing}")
+            yield header
+            for row in reader:
+                if row:  # csv.reader gives [] for a blank line
+                    yield line, dict(zip_longest(header, row, fillvalue=""))
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {line}: {exc}") from None
+
+
+def _check_unique(first_line: dict, key, line: int, name: str) -> None:
+    """Reject ``key`` when an earlier line of the table had it."""
+    if (first := first_line.setdefault(key, line)) != line:
+        raise ValueError(
+            f"line {line}: duplicate {name} {key!r} (first on line {first})"
+        )
+
+
+def load_teams(path: Union[str, Path]) -> dict[str, TeamSession]:
+    """Load the team table as frameless TeamSessions keyed by team_id.
+
+    Unknown condition/gender tokens, a post-test outside [0, 5] and a
+    team_id that repeats are errors naming the line.
+    """
+    out: dict[str, TeamSession] = {}
+    first_line: dict[str, int] = {}
+    rows = _read_table(path, TEAM_COLUMNS)
+    next(rows)
+    for line, row in rows:
+        team = row["team_id"].strip()
+        _check_unique(first_line, team, line, "team_id")
+        out[team] = TeamSession(
+            team_id=team,
+            condition=_parse_token(_CONDITION_TOKENS, row, "condition", line),
+            gender_composition=_parse_token(_GENDER_TOKENS, row, "gender", line),
+            post_test_scores=(
+                _parse_bounded(row["post_test_1"], "post_test_1", line, 5),
+                _parse_bounded(row["post_test_2"], "post_test_2", line, 5),
+            ),
+        )
     return out
 
 
 def build_sessions(
-    frames_by_team: dict[str, list[FrameRecord]], teams: dict[str, TeamMeta]
+    frames_by_team: dict[str, list[FrameRecord]], teams: dict[str, TeamSession]
 ) -> list[TeamSession]:
-    """Join frames with metadata; teams lacking either side are an error."""
+    """Each team of ``load_teams`` with its frames; frames of others are an error."""
     missing_meta = sorted(set(frames_by_team) - set(teams))
     if missing_meta:
         raise ValueError(f"frames reference unknown teams: {missing_meta}")
-    sessions = []
-    for team_id in sorted(teams):
-        meta = teams[team_id]
-        sessions.append(
-            TeamSession(
-                team_id=team_id,
-                condition=meta.condition,
-                gender_composition=meta.gender,
-                post_test_scores=meta.post_test_scores,
-                frames=tuple(frames_by_team.get(team_id, [])),
-            )
-        )
-    return sessions
+    return [
+        replace(teams[team_id], frames=tuple(frames_by_team.get(team_id, [])))
+        for team_id in sorted(teams)
+    ]
 
 
 # --- report assembly -------------------------------------------------------
@@ -549,25 +569,17 @@ class Report:
     notes: list[str] = field(default_factory=list)
 
 
-_MEASURES = ("jva_ratio_pct", "post_test")
+# Each measure and the TeamRow field holding a team's value.
+_MEASURES = {"jva_ratio_pct": "jva_ratio_pct", "post_test": "team_post_test"}
 
+_MEASURE_HIGH = {"jva_ratio_pct": 100, "post_test": 5}
+
+# Each grouping is the TeamRow field holding a team's label.
 _GROUPING_LABELS = {
     "condition": [c.value for c in Condition],
     "group": [g.value for g in Group],
     "gender": [g.value for g in GenderComposition],
 }
-
-
-def _row_label(row: TeamRow, grouping: str) -> str:
-    if grouping == "condition":
-        return row.condition.value
-    if grouping == "group":
-        return row.group.value
-    return row.gender.value
-
-
-def _row_measure(row: TeamRow, measure: str) -> Optional[float]:
-    return row.jva_ratio_pct if measure == "jva_ratio_pct" else row.team_post_test
 
 
 def stats_report_from_team_rows(rows: Sequence[TeamRow]) -> Report:
@@ -576,12 +588,12 @@ def stats_report_from_team_rows(rows: Sequence[TeamRow]) -> Report:
 
     for grouping, labels in _GROUPING_LABELS.items():
         report.summaries[grouping] = {}
-        for measure in _MEASURES:
+        for measure, attr in _MEASURES.items():
             # One pass over the rows; each group keeps row order.
             values_by_label: dict[str, list[float]] = {label: [] for label in labels}
             for row in rows:
-                if (v := _row_measure(row, measure)) is not None:
-                    values_by_label[_row_label(row, grouping)].append(v)
+                if (v := getattr(row, attr)) is not None:
+                    values_by_label[getattr(row, grouping).value].append(v)
             groups = [
                 summarize(values, label=label)
                 for label, values in values_by_label.items()
@@ -591,24 +603,19 @@ def stats_report_from_team_rows(rows: Sequence[TeamRow]) -> Report:
             if len(groups) >= 2:
                 _add_anova(report, grouping, measure, groups)
 
-    for measure in _MEASURES:
-        values = [
-            v for row in rows if (v := _row_measure(row, measure)) is not None
-        ]
+    for measure, attr in _MEASURES.items():
+        values = [v for row in rows if (v := getattr(row, attr)) is not None]
         if len(values) >= 2:
             report.totals[measure] = summarize(values, label="total")
 
-    pairs = [
+    report.scatter = [
         (row.jva_ratio_pct, row.team_post_test)
         for row in report.teams
         if row.jva_ratio_pct is not None
     ]
-    report.scatter = pairs
-    if len(pairs) >= 3:
-        x = [p[0] for p in pairs]
-        y = [p[1] for p in pairs]
+    if len(report.scatter) >= 3:
         try:
-            report.correlation = pearson(x, y)
+            report.correlation = pearson(*zip(*report.scatter))
         except ValueError as exc:
             report.notes.append(f"correlation skipped: {exc}")
     return report
@@ -634,7 +641,7 @@ def _add_anova(
     key = f"{grouping}_{measure}"
     try:
         report.anovas[key] = anova_from_summary(groups)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # an n too large for a float
         report.notes.append(f"anova {key} skipped: {exc}")
         return
     comparisons = pairwise_comparisons(groups)
@@ -650,30 +657,13 @@ def _add_anova(
         report.posthoc[key] = comparisons
 
 
-def analyze_report(
-    sessions: Sequence[TeamSession], config: JvaConfig = JvaConfig()
-) -> Report:
-    """Run JVA scoring over every session and assemble the full report."""
-    counts = []
-    for session in sessions:
-        result = session_jva(session, config)
-        meta = TeamMeta(
-            session.team_id,
-            session.condition,
-            session.gender_composition,
-            session.post_test_scores,
-        )
-        counts.append((meta, result.jva_frames, result.denominator_frames))
-    return _report_from_counts(counts)
-
-
 def analyze_table(
-    table: FrameTable, teams: dict[str, TeamMeta], config: JvaConfig = JvaConfig()
+    table: FrameTable, teams: dict[str, TeamSession], config: JvaConfig = JvaConfig()
 ) -> Report:
-    """The report of ``analyze_report`` scored straight from a FrameTable.
+    """Score each team of ``load_teams`` from a FrameTable and report on them.
 
-    Teams with a kept frame row must all be in ``teams``; a team without
-    frames gets no ratio.
+    Frames of other teams are an error; a team without countable frames
+    gets no ratio and a note.
     """
     unknown = sorted(set(table.team_ids) - set(teams))
     if unknown:
@@ -697,24 +687,20 @@ def analyze_table(
     counts = dict(
         zip(table.team_ids, zip(jva_frames.tolist(), denominator_frames.tolist()))
     )
-    return _report_from_counts(
-        (meta, *counts.get(team_id, (0, 0))) for team_id, meta in teams.items()
-    )
-
-
-def _report_from_counts(counts: Iterable[tuple[TeamMeta, int, int]]) -> Report:
-    """The analyze report from each team's JVA and denominator frame counts."""
-    rows = [
-        TeamRow(
-            team_id=meta.team_id,
-            condition=meta.condition,
-            group=group_for_condition(meta.condition),
-            gender=meta.gender,
-            jva_ratio_pct=100.0 * (jva_frames / denominator) if denominator else None,
-            team_post_test=team_post_test_score(*meta.post_test_scores),
+    rows = []
+    for team_id in sorted(teams):
+        team = teams[team_id]
+        jva, denominator = counts.get(team_id, (0, 0))
+        rows.append(
+            TeamRow(
+                team_id=team_id,
+                condition=team.condition,
+                group=team.group,
+                gender=team.gender_composition,
+                jva_ratio_pct=100.0 * (jva / denominator) if denominator else None,
+                team_post_test=team.team_post_test,
+            )
         )
-        for meta, jva_frames, denominator in sorted(counts, key=lambda c: c[0].team_id)
-    ]
     report = stats_report_from_team_rows(rows)
     no_frames = [r.team_id for r in rows if r.jva_ratio_pct is None]
     if no_frames:
@@ -733,24 +719,28 @@ def paper_fixture_path() -> Path:
 def load_summary_fixture(
     path: Union[str, Path],
 ) -> tuple[dict[str, dict[str, list[GroupSummary]]], dict[str, GroupSummary]]:
-    """Read a summary CSV with columns grouping,label,measure,n,mean,sd."""
+    """Read a summary CSV with columns grouping,label,measure,n,mean,sd.
+
+    A bad cell, a mean or SD outside its measure's range and a repeated
+    (grouping, label, measure) are errors naming the line.
+    """
     summaries: dict[str, dict[str, list[GroupSummary]]] = {}
     totals: dict[str, GroupSummary] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        lines, physical = _uncommented(fh)
-        reader = csv.DictReader(lines)
-        rows = [(physical[reader.line_num - 1], row) for row in reader]
+    first_line: dict[tuple[str, str, str], int] = {}
+    rows = _read_table(path, _SUMMARY_COLUMNS)
+    next(rows)
     for line, row in rows:
-        grouping = row["grouping"].strip()
-        measure = row["measure"].strip()
+        grouping, label, measure = (row[c].strip() for c in _SUMMARY_COLUMNS[:3])
         if measure not in _MEASURES:
             raise ValueError(f"line {line}: unknown measure {measure!r}")
-        summary = GroupSummary(
-            label=row["label"].strip(),
-            n=int(row["n"]),
-            mean=float(row["mean"]),
-            sd=float(row["sd"]),
-        )
+        _check_unique(first_line, (grouping, label, measure), line, "summary")
+        n = _parse_float(row["n"], "n", line, int)
+        mean = _parse_bounded(row["mean"], "mean", line, _MEASURE_HIGH[measure])
+        sd = _parse_bounded(row["sd"], "sd", line, _MEASURE_HIGH[measure])
+        try:
+            summary = GroupSummary(label=label, n=n, mean=mean, sd=sd)
+        except ValueError as exc:
+            raise ValueError(f"line {line}: {exc}") from None
         if grouping == "total":
             totals[measure] = summary
         else:
@@ -758,69 +748,49 @@ def load_summary_fixture(
     return summaries, totals
 
 
-def _uncommented(fh) -> tuple[Iterator[str], list[int]]:
-    """The lines of ``fh`` that are not ``#`` comments, read lazily.
-
-    The list fills with the physical line number of each line yielded, so
-    ``physical[reader.line_num - 1]`` is the file line a csv row ends on.
-    """
-    physical: list[int] = []
-
-    def lines():
-        for number, line in enumerate(fh, start=1):
-            if not line.lstrip().startswith("#"):
-                physical.append(number)
-                yield line
-
-    return lines(), physical
-
-
 def load_team_rows(path: Union[str, Path]) -> list[TeamRow]:
     """Read a per-team results table (the analyze output's teams.csv).
 
-    Unknown condition/gender tokens, a post-test outside [0, 5] and a JVA
-    ratio outside [0, 100] are errors naming the line.
+    Unknown condition/gender tokens, a post-test outside [0, 5], a JVA
+    ratio outside [0, 100] and a team_id that repeats are errors naming
+    the line.
     """
     out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        lines, physical = _uncommented(fh)
-        reader = csv.DictReader(lines, restval="")
-        for row in reader:
-            line = physical[reader.line_num - 1]
-            cond = _parse_token(_CONDITION_TOKENS, row, "condition", line)
-            ratio_raw = row.get("jva_ratio_pct", "").strip()
-            out.append(
-                TeamRow(
-                    team_id=row["team_id"].strip(),
-                    condition=cond,
-                    group=group_for_condition(cond),
-                    gender=_parse_token(_GENDER_TOKENS, row, "gender", line),
-                    jva_ratio_pct=(
-                        _parse_bounded(ratio_raw, "jva_ratio_pct", line, 100)
-                        if ratio_raw
-                        else None
-                    ),
-                    team_post_test=_parse_bounded(
-                        row["team_post_test"], "team_post_test", line, 5
-                    ),
-                )
+    first_line: dict[str, int] = {}
+    rows = _read_table(path, _TEAM_ROW_COLUMNS)
+    next(rows)
+    for line, row in rows:
+        team = row["team_id"].strip()
+        _check_unique(first_line, team, line, "team_id")
+        cond = _parse_token(_CONDITION_TOKENS, row, "condition", line)
+        ratio_raw = row.get("jva_ratio_pct", "").strip()
+        out.append(
+            TeamRow(
+                team_id=team,
+                condition=cond,
+                group=group_for_condition(cond),
+                gender=_parse_token(_GENDER_TOKENS, row, "gender", line),
+                jva_ratio_pct=(
+                    _parse_bounded(ratio_raw, "jva_ratio_pct", line, 100)
+                    if ratio_raw
+                    else None
+                ),
+                team_post_test=_parse_bounded(
+                    row["team_post_test"], "team_post_test", line, 5
+                ),
             )
+        )
     return out
 
 
 def detect_table_kind(path: Union[str, Path]) -> str:
-    """'summary' for (grouping,label,measure,n,mean,sd) files, else 'teams'."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(_uncommented(fh)[0])
-        header = next(reader, None)
-    if header is None:
-        raise ValueError(f"{path}: empty file")
-    cols = {c.strip() for c in header}
-    if {"grouping", "label", "measure", "n", "mean", "sd"} <= cols:
+    """'summary' or 'teams': the table whose columns the header has."""
+    header = set(next(_read_table(path, ())))
+    if header.issuperset(_SUMMARY_COLUMNS):
         return "summary"
-    if {"team_id", "condition", "gender", "team_post_test"} <= cols:
+    if header.issuperset(_TEAM_ROW_COLUMNS):
         return "teams"
-    raise ValueError(f"{path}: unrecognized table header {sorted(cols)}")
+    raise ValueError(f"{path}: unrecognized table header {sorted(header)}")
 
 
 # --- emission --------------------------------------------------------------

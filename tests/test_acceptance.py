@@ -16,7 +16,7 @@ from teamgaze.gazefield import (
     encode_direction_field,
     multiscale_fields,
 )
-from teamgaze.io_report import analyze_report, build_sessions, load_frames, load_teams
+from teamgaze.io_report import analyze_table, load_teams, read_frame_table
 from teamgaze.jva import JvaConfig, classify_frame, session_jva
 from teamgaze.model import (
     Condition,
@@ -157,9 +157,7 @@ def test_criterion_08_end_to_end_round_trip(tmp_path):
         teams=9, frames_per_team=200, jva_probability=probabilities, seed=11
     )
     frames_path, teams_path, _, truth = generate(spec, tmp_path / "exact")
-    loaded = load_frames(frames_path)
-    sessions = build_sessions(loaded.frames_by_team, load_teams(teams_path))
-    result = analyze_report(sessions)
+    result = analyze_table(read_frame_table(frames_path), load_teams(teams_path))
     for row in result.teams:
         assert row.jva_ratio_pct == pytest.approx(
             100.0 * truth.team_ratios[row.team_id], abs=1e-12
@@ -170,9 +168,7 @@ def test_criterion_08_end_to_end_round_trip(tmp_path):
         gaze_noise_sigma=20.0, seed=12,
     )
     frames_path, teams_path, _, truth = generate(noisy, tmp_path / "noisy")
-    loaded = load_frames(frames_path)
-    sessions = build_sessions(loaded.frames_by_team, load_teams(teams_path))
-    result = analyze_report(sessions)
+    result = analyze_table(read_frame_table(frames_path), load_teams(teams_path))
     for row in result.teams:
         assert row.jva_ratio_pct == pytest.approx(
             100.0 * truth.team_ratios[row.team_id], abs=2.0

@@ -131,6 +131,73 @@ def test_stats_with_zero_pooled_sd_keeps_the_report(tmp_path, capsys):
     assert "note: cohen's d for group_post_test control vs experiment not reported" in out
 
 
+SUMMARY_HEADER = "grouping,label,measure,n,mean,sd\n"
+SUMMARY_ROW = "group,control,post_test,5,1.5,0.5\n"
+TEAM_ROWS_HEADER = "team_id,condition,group,gender,jva_ratio_pct,team_post_test\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (SUMMARY_HEADER + SUMMARY_ROW + "group,experiment,post_test,x,1,1\n",
+         "error: line 3: column 'n' not numeric: 'x'\n"),
+        (SUMMARY_HEADER + "# note\n" + SUMMARY_ROW + "group,experiment,post_test\n",
+         "error: line 4: column 'n' not numeric: ''\n"),
+        (SUMMARY_HEADER + SUMMARY_ROW + "group,experiment,post_test,1,1,1\n",
+         "error: line 3: insufficient data: group needs n >= 2\n"),
+        (SUMMARY_HEADER + SUMMARY_ROW + "group,experiment,post_test,5,1,-1\n",
+         "error: line 3: sd '-1' out of [0,5]\n"),
+        (SUMMARY_HEADER + SUMMARY_ROW + "group,experiment,post_test,5,1e200,1\n",
+         "error: line 3: mean '1e200' out of [0,5]\n"),
+        (SUMMARY_HEADER + SUMMARY_ROW + SUMMARY_ROW,
+         "error: line 3: duplicate summary ('group', 'control', 'post_test') "
+         "(first on line 2)\n"),
+    ],
+)
+def test_stats_bad_table_is_data_error_with_line(tmp_path, capsys, text, message):
+    table = tmp_path / "table.csv"
+    table.write_text(text)
+    assert run(capsys, ["stats", "--teams", str(table)]) == (1, "", message)
+
+
+def test_stats_notes_an_anova_whose_n_overflows_a_float(tmp_path, capsys):
+    table = tmp_path / "table.csv"
+    huge_n = 10**400
+    table.write_text(SUMMARY_HEADER + SUMMARY_ROW + f"group,experiment,post_test,{huge_n},1,1\n")
+    code, out, err = run(capsys, ["stats", "--teams", str(table)])
+    assert (code, err) == (0, "")
+    assert "note: anova group_post_test skipped: int too large to convert to float" in out
+
+
+def test_stats_reads_a_header_with_spaces(tmp_path, capsys):
+    table = tmp_path / "table.csv"
+    table.write_text(
+        "team_id, condition, gender, team_post_test\n"
+        + "".join(f"t{i}, {c}, FF, {i % 5}\n" for i, c in enumerate(["ar", "tablet"] * 3))
+    )
+    code, out, err = run(capsys, ["stats", "--teams", str(table)])
+    assert (code, err) == (0, "")
+    assert "Summary by condition" in out
+
+
+def test_over_long_cell_is_data_error(tmp_path, capsys):
+    long_cell = "x" * 140_000
+    frames = tmp_path / "frames.csv"
+    frames.write_text(
+        "team_id,frame_id,timestamp_s,image_w,image_h,person_id,gaze_x,gaze_y\n"
+        f"t1,f1,0,2560,1440,{long_cell},1,1\n"
+    )
+    teams = tmp_path / "teams.csv"
+    teams.write_text(TEAM_ROWS_HEADER + f"{long_cell},ar,,FF,30,2\n")
+    for argv, path in (
+        (["analyze", "--frames", str(frames), "--teams", str(teams)], frames),
+        (["stats", "--teams", str(teams)], teams),
+    ):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: line 2: field larger than field limit")
+
+
 def test_synth_then_analyze_round_trip(tmp_path, capsys):
     frames, teams = synth_inputs(tmp_path, capsys, jva_probability="0.4")
     truth = json.loads((tmp_path / "data" / "ground_truth.json").read_text())

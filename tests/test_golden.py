@@ -18,13 +18,12 @@ from teamgaze.cli import main
 from teamgaze.io_report import (
     Report,
     TeamRow,
-    analyze_report,
-    build_sessions,
+    analyze_table,
     emit_report,
-    load_frames,
     load_summary_fixture,
     load_teams,
     paper_fixture_path,
+    read_frame_table,
     stats_report_from_summaries,
     stats_report_from_team_rows,
 )
@@ -47,9 +46,9 @@ def fixture_report():
 
 
 def analyze_inputs_report():
-    loaded = load_frames(INPUTS / "frames.csv")
-    sessions = build_sessions(loaded.frames_by_team, load_teams(INPUTS / "teams.csv"))
-    return analyze_report(sessions)
+    return analyze_table(
+        read_frame_table(INPUTS / "frames.csv"), load_teams(INPUTS / "teams.csv")
+    )
 
 
 def rows_with_missing_ratio_report():
@@ -144,7 +143,7 @@ def test_report_matches_golden(name, fmt, tmp_path):
 
 @pytest.mark.parametrize("fmt", ["json", "text", "csv-bundle"])
 def test_analyze_cli_matches_golden(fmt, tmp_path):
-    """``teamgaze analyze`` scores from columns, not through analyze_report."""
+    """``teamgaze analyze`` writes the same files as ``analyze_table``."""
     name = "bundle" if fmt == "csv-bundle" else FILES[fmt]
     argv = ["analyze", "--frames", str(INPUTS / "frames.csv"),
             "--teams", str(INPUTS / "teams.csv"), "--format", fmt,

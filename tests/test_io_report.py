@@ -1,6 +1,8 @@
+import io
 import json
 import re
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -8,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teamgaze import io_report
+from teamgaze.cli import main
 from teamgaze.io_report import (
-    analyze_report,
     analyze_table,
     build_sessions,
     detect_table_kind,
@@ -24,7 +26,7 @@ from teamgaze.io_report import (
     stats_report_from_summaries,
     stats_report_from_team_rows,
 )
-from teamgaze.jva import DenominatorPolicy, JvaConfig, ScaleMode
+from teamgaze.jva import DenominatorPolicy, JvaConfig, ScaleMode, session_jva
 from teamgaze.model import Condition, GenderComposition, Group
 
 FRAME_HEADER = (
@@ -190,7 +192,7 @@ def test_load_teams_happy_path(tmp_path):
     teams = load_teams(path)
     meta = teams["t1"]
     assert meta.condition is Condition.TABLET
-    assert meta.gender is GenderComposition.MIXED
+    assert meta.gender_composition is GenderComposition.MIXED
     assert meta.post_test_scores == (3.0, 2.0)
 
 
@@ -384,6 +386,8 @@ TEAM_ROWS_HEADER = "team_id,condition,group,gender,jva_ratio_pct,team_post_test\
         ("t1,ar,,FF,nan,2", "line 3: jva_ratio_pct 'nan' out of [0,100]"),
         ("t1,ar,,FF,30,x", "line 3: column 'team_post_test' not numeric"),
         ("t1,ar,,FF", "line 3: column 'team_post_test' not numeric: ''"),
+        # A repeated team used to be counted twice.
+        ("t0,ar,,FF,30,2", "line 3: duplicate team_id 't0' (first on line 2)"),
     ],
 )
 def test_load_team_rows_rejects_bad_rows_with_line(tmp_path, row, message):
@@ -405,6 +409,54 @@ def test_team_rows_and_summary_errors_count_comment_lines(tmp_path):
     )
     with pytest.raises(ValueError, match=re.escape("line 5: unknown measure 'bogus'")):
         load_summary_fixture(summary)
+
+
+def test_load_team_rows_names_a_missing_column(tmp_path):
+    path = tmp_path / "teams.csv"
+    path.write_text("team_id,condition,team_post_test\nt0,ar,2\n")
+    message = f"{path}: missing mandatory columns ['gender']"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_team_rows(path)
+
+
+SUMMARY_HEADER = "grouping,label,measure,n,mean,sd\n"
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("group,control,post_test,5,1.5,-", "line 3: column 'sd' not numeric: '-'"),
+        ("group,control,post_test,5,nan,1", "line 3: mean 'nan' out of [0,5]"),
+        ("group,control,jva_ratio_pct,5,40,101", "line 3: sd '101' out of [0,100]"),
+        # A repeated group used to become a second group with the same label.
+        (
+            "group, textbook ,jva_ratio_pct,5,1.5,0.5",
+            "line 3: duplicate summary ('group', 'textbook', 'jva_ratio_pct') "
+            "(first on line 2)",
+        ),
+    ],
+)
+def test_load_summary_fixture_rejects_bad_rows_with_line(tmp_path, row, message):
+    path = tmp_path / "summary.csv"
+    path.write_text(SUMMARY_HEADER + "group,textbook,jva_ratio_pct,5,1.5,0.5\n" + row + "\n")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_summary_fixture(path)
+
+
+@pytest.mark.parametrize(
+    "load, header, good_row",
+    [
+        (read_frame_table, FRAME_HEADER, GOOD_ROW),
+        (load_teams, TEAMS_HEADER, "t1,ar,FF,1,2"),
+        (load_team_rows, TEAM_ROWS_HEADER, "t0,ar,,FF,,2"),
+        (load_summary_fixture, SUMMARY_HEADER, "group,textbook,jva_ratio_pct,5,1.5,0.5"),
+    ],
+)
+def test_cell_over_the_csv_field_limit_names_file_and_line(tmp_path, load, header, good_row):
+    path = tmp_path / "table.csv"
+    path.write_text(header + good_row + "\n" + "x" * 140_000 + "," + good_row + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: field larger than")):
+        load(path)
 
 
 def test_load_team_rows_accepts_range_ends(tmp_path):
@@ -454,7 +506,7 @@ def frame_tables(draw):
     st.sampled_from(list(DenominatorPolicy)),
 )
 @settings(max_examples=150, deadline=None)
-def test_columnar_and_object_paths_emit_the_same_report(tables, threshold, scale, policy):
+def test_columnar_ratios_match_the_per_frame_reference(tables, threshold, scale, policy):
     rows, team_rows = tables
     config = JvaConfig(threshold=threshold, scale_mode=scale, denominator_policy=policy)
     with tempfile.TemporaryDirectory() as tmp:
@@ -465,6 +517,63 @@ def test_columnar_and_object_paths_emit_the_same_report(tables, threshold, scale
         table = read_frame_table(frames_path)
         loaded = load_frames(frames_path)
     assert table.row_errors == loaded.row_errors
-    columnar = emit_report(analyze_table(table, teams, config), "json")
+    report = analyze_table(table, teams, config)
     sessions = build_sessions(loaded.frames_by_team, teams)
-    assert columnar == emit_report(analyze_report(sessions, config), "json")
+    assert [(r.team_id, r.jva_ratio_pct) for r in report.teams] == [
+        (s.team_id, session_jva(s, config).jva_ratio_pct) for s in sessions
+    ]
+
+
+# Each table the loaders read: a header and rows to draw from.
+FUZZ_TABLES = [
+    (FRAME_HEADER, [GOOD_ROW, "t1,f1,0.0,2560,1440,p2,150,150,,,1.0,0"]),
+    (TEAMS_HEADER, ["t1,ar,FF,1,2", "t2,tablet,MM,3,4"]),
+    (TEAM_ROWS_HEADER, ["t1,tablet,,MM,30,2", "t2,ar,,FF,40,3", "t3,textbook,,MX,,1"]),
+    (SUMMARY_HEADER, [
+        "group,control,post_test,5,1.5,0.5", "group,experiment,post_test,5,2.5,0.5",
+        "condition,ar,post_test,5,2.0,0.5", "condition,tablet,post_test,5,3.0,0.5",
+    ]),
+    ("threshold = 5", ["scale_mode = absolute", "denominator_policy = all-captured-frames"]),
+]
+ODD_CELLS = st.one_of(
+    st.sampled_from(["-1", "0", "1", "2.5", "1e200", "1e400", "nan", "inf"]),
+    st.sampled_from(["", " ", "#", '"', "\r", "\n", "\x00"]),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def fuzz_tables(draw):
+    """A table with a few cells replaced, rows cut short and bytes appended."""
+    header, rows = draw(st.sampled_from(FUZZ_TABLES))
+    rows = draw(st.lists(st.sampled_from(rows), max_size=5, unique=True))
+    lines = [header.strip()] + rows
+    # (line from the end, cell, new value, cells kept); counting lines from
+    # the end edits rows more often than the header.
+    keep = st.sampled_from([None] * 3 + [1, 3, 5])
+    edits = st.tuples(st.integers(0, 5), st.integers(0, 20), ODD_CELLS, keep)
+    for back, cell, value, keep in draw(st.lists(edits, max_size=3)):
+        line = -1 - back % len(lines)
+        cells = lines[line].split(",")
+        cells[cell % len(cells)] = value
+        lines[line] = ",".join(cells[:keep])
+    return "\n".join(lines).encode("utf-8") + draw(st.just(b"") | st.binary(max_size=2))
+
+
+fuzz_files = st.one_of(st.binary(max_size=64), fuzz_tables())
+
+
+@given(fuzz_files)
+@settings(max_examples=200, deadline=None)
+def test_loaders_raise_only_value_and_os_errors(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        path.write_bytes(data)
+        for load in (load_teams, load_team_rows, load_summary_fixture,
+                     detect_table_kind, read_frame_table, load_config):
+            try:
+                load(path)
+            except (ValueError, OSError):
+                pass
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert main(["stats", "--teams", str(path)]) in (0, 1)

@@ -3,18 +3,17 @@ import json
 import numpy as np
 import pytest
 
-from teamgaze.io_report import analyze_report, build_sessions, load_frames, load_teams
+from teamgaze.io_report import analyze_table, load_teams, read_frame_table
 from teamgaze.jva import JvaConfig
 from teamgaze.synth import SynthSpec, generate, moment_matched_groups
 
 
 def run_pipeline(tmp_path, spec):
     frames_path, teams_path, truth_path, truth = generate(spec, tmp_path)
-    loaded = load_frames(frames_path)
-    assert loaded.row_errors == []
+    table = read_frame_table(frames_path)
+    assert table.row_errors == []
     teams = load_teams(teams_path)
-    sessions = build_sessions(loaded.frames_by_team, teams)
-    report = analyze_report(sessions, JvaConfig(threshold=spec.threshold))
+    report = analyze_table(table, teams, JvaConfig(threshold=spec.threshold))
     return report, truth
 
 
