@@ -1,14 +1,14 @@
 """CSV ingestion, report assembly and deterministic report emission.
 
-Two input files drive the pipeline: a frame table (one row per frame and
-person) and a team table (one row per team with condition, gender and the
-two individual post-test scores). ``read_frame_table`` is the one parser
-of frame tables: it reads the CSV in fixed-size chunks into numpy columns
-(ids numbered, numbers as float64, each row's physical line kept) and
-rejects malformed rows by line. ``analyze_table``, the one way from
-frames and teams to a report, scores those columns with
-``jva.team_jva_counts``; ``load_frames`` turns them into ``FrameRecord``
-objects for ``build_sessions`` and the reference ``jva.session_jva``.
+Four input tables drive the pipeline: a frame table (one row per frame
+and person), a team table (condition, gender and two post-test scores per
+team), and for ``teamgaze stats`` a per-team results or summary table.
+``_read_csv`` tokenizes all four under one contract, and each error of a
+table reader starts with the table's path (``_names_file``).
+``read_frame_table`` parses frame rows in chunks into numpy columns;
+``analyze_table``, the one way from frames and teams to a report, scores
+them with ``jva.team_jva_counts``, and ``load_frames`` turns them into
+``FrameRecord`` objects for the reference ``jva.session_jva``.
 Reports render the same content as machine-readable JSON, an aligned
 plain-text table, or a CSV bundle. Each kind of report row (team, group
 summary, ANOVA, pairwise comparison, correlation) is built once as a
@@ -25,6 +25,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import wraps
 from itertools import islice, zip_longest
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
@@ -95,8 +96,8 @@ _NUMERIC_FRAME_COLUMNS = ("timestamp_s", "image_w", "image_h", "gaze_x", "gaze_y
 # Accepted ``discarded`` cells after stripping and lower-casing.
 _DISCARDED_TOKENS = {"": False, "0": False, "false": False, "1": True, "true": True}
 
-# Frame rows parsed per step. Small enough for one step's row lists to
-# stay in the CPU cache: steps of 16k rows parsed slower than 1k.
+# Rows read per step. Small enough for one step's row lists to stay in
+# the CPU cache: steps of 16k frame rows parsed slower than 1k.
 _CHUNK_ROWS = 1024
 
 _TEAM_ROW_COLUMNS = ("team_id", "condition", "gender", "team_post_test")
@@ -161,38 +162,70 @@ def _parse_token(tokens: dict, row: dict, column: str, line: int):
     return member
 
 
-def read_frame_table(path: Union[str, Path]) -> FrameTable:
-    """Parse a frame table into columns; the one parser of frame CSVs.
+def _names_file(read):
+    """Make each ValueError of a table reader start with the table's path."""
 
-    Rows for the same (team_id, frame_id) form one frame. Errors raise
-    ``ValueError`` naming the physical line of the first bad row in file
-    order: a missing header or mandatory column, a cell longer than the
-    csv module's field limit, a short row, an empty team or frame id, a
-    cell that is not a number, an image size that is not finite or not
-    positive, a ``discarded`` cell other than empty, 0, 1, true or false
-    (any case), a person twice in one frame, and rows of one frame that
-    disagree on timestamp, image size or discarded flag.
-    A row whose gaze point is outside the image or NaN is skipped and
-    logged in ``row_errors``; a skipped row never creates a frame.
+    @wraps(read)
+    def reader(path: Union[str, Path]):
+        try:
+            return read(path)
+        except ValueError as exc:  # also a UnicodeDecodeError
+            raise ValueError(f"{path}: {exc}") from None
+
+    return reader
+
+
+def _read_csv(path: Union[str, Path], columns: Sequence[str]) -> Iterator:
+    """Read an input table: yield its header, then ``(lines, rows)`` chunks.
+
+    A chunk holds up to ``_CHUNK_ROWS`` rows (lists of cells) and the
+    physical line each ends on. Blank rows and comment rows (a first cell
+    starting with ``#`` after leading spaces) are skipped; header names are
+    stripped. A missing header or column, a comment row holding a quoted
+    line break and a cell over the csv module's field limit are errors
+    naming the line, raised after the rows before them are yielded.
     """
+    header, error = None, None
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise ValueError(f"{path}: empty file, header row required")
-            missing = [c for c in _MANDATORY_FRAME_COLUMNS if c not in header]
-            if missing:
-                raise ValueError(f"{path}: missing mandatory columns {missing}")
-            # The last of two same-named columns wins, as in csv.DictReader.
-            rows = _FrameRows({name: i for i, name in enumerate(header)})
+        line = 0
+        while error is None:
+            chunk: list = []
+            try:
+                chunk.extend(islice(reader, _CHUNK_ROWS))
+            except csv.Error as exc:
+                error = ValueError(f"line {reader.line_num}: {exc}")
+            if not chunk:
+                break
+            lines = _row_lines(chunk, line, reader.line_num)
+            # csv.reader gives [] for a blank line.
+            if not all(chunk) or "#" in "".join([row[0] for row in chunk]):
+                kept = []
+                for i, row in enumerate(chunk):
+                    if row and row[0].lstrip().startswith("#"):
+                        start = lines[i - 1] + 1 if i else line + 1
+                        if lines[i] != start:
+                            error = ValueError(
+                                f"line {start}: comment row holds a quoted line break"
+                            )
+                            break
+                    elif row:
+                        kept.append(i)
+                chunk, lines = [chunk[i] for i in kept], lines[kept]
             line = reader.line_num
-            while chunk := list(islice(reader, _CHUNK_ROWS)):
-                rows.add(chunk, _row_lines(chunk, line, reader.line_num))
-                line = reader.line_num
-        except csv.Error as exc:
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-    return rows.table()
+            if header is None and chunk:
+                header = [name.strip() for name in chunk[0]]
+                missing = [c for c in columns if c not in header]
+                if missing:
+                    raise ValueError(f"missing mandatory columns {missing}")
+                yield header
+                chunk, lines = chunk[1:], lines[1:]
+            if chunk:
+                yield lines, chunk
+    if error is not None:
+        raise error
+    if header is None:
+        raise ValueError("empty file, header row required")
 
 
 def _row_lines(chunk: list, before: int, after: int) -> np.ndarray:
@@ -205,6 +238,31 @@ def _row_lines(chunk: list, before: int, after: int) -> np.ndarray:
         for row in chunk
     ]
     return before + np.cumsum(spans)
+
+
+@_names_file
+def read_frame_table(path: Union[str, Path]) -> FrameTable:
+    """Parse a frame table into columns; the one parser of frame CSVs.
+
+    Rows for the same (team_id, frame_id) form one frame. Besides
+    ``_read_csv``'s, errors name the first bad row in file order: a short
+    row, an empty team or frame id, a cell that is not a number, an image
+    size that is not finite or not positive, a ``discarded`` cell other
+    than empty, 0, 1, true or false (any case), a person twice in one
+    frame, and rows of one frame that disagree on timestamp, image size or
+    discarded flag. A row whose gaze point is outside the image or NaN is
+    skipped and logged in ``row_errors``; it never creates a frame.
+    """
+    chunks = _read_csv(path, _MANDATORY_FRAME_COLUMNS)
+    # The last of two same-named columns wins, as in csv.DictReader.
+    rows = _FrameRows({name: i for i, name in enumerate(next(chunks))})
+    try:
+        for lines, chunk in chunks:
+            rows.add(chunk, lines)
+    except ValueError:
+        rows.table()  # a frame error on an earlier line comes first
+        raise
+    return rows.table()
 
 
 def _parse_size(value: str, column: str, line: int) -> int:
@@ -293,21 +351,16 @@ class _FrameRows:
         self._parse([], np.arange(0))
 
     def add(self, chunk: list, lines: np.ndarray) -> None:
-        if not all(chunk):  # csv.reader gives [] for a blank line
-            kept = [i for i, row in enumerate(chunk) if row]
-            chunk, lines = [chunk[i] for i in kept], lines[kept]
         try:
             self._parse(chunk, lines)
         except ValueError:
             for i, (row, line) in enumerate(zip(chunk, lines.tolist())):
                 try:
                     _check_frame_row(row, line, self.column)
-                except ValueError as exc:
-                    # A frame error on an earlier line comes first:
-                    # table() raises it.
+                except ValueError:
+                    # Keep the rows before it for table()'s frame checks.
                     self._parse(chunk[:i], lines[:i])
-                    self.table()
-                    raise exc from None
+                    raise
             raise
 
     def _parse(self, chunk: list, lines: np.ndarray) -> None:
@@ -454,48 +507,28 @@ def load_frames(path: Union[str, Path]) -> LoadResult:
     return LoadResult(frames_by_team=frames_by_team, row_errors=table.row_errors)
 
 
-def _read_table(path: Union[str, Path], columns: Sequence[str]) -> Iterator:
-    """Read a team-level table: yield its header, then ``(line, row)`` pairs.
+def _table_rows(path, columns: Sequence[str], key: Sequence[str], name: str) -> Iterator:
+    """A team-level table's rows as ``(line, {header name: cell}, key)``.
 
-    ``#`` lines are comments and blank lines are skipped. A row is a dict
-    from stripped header name to cell, empty for cells a short row lacks;
-    ``line`` is the physical line it ends on. A missing header or column
-    and an over-long cell are errors naming the file.
+    A short row's missing cells are empty. ``key`` is the stripped cell of
+    the one ``key`` column, else their tuple; a repeated key is an error.
     """
-    line = 0
-
-    def uncommented(fh):
-        nonlocal line
-        for line, text in enumerate(fh, start=1):
-            if not text.lstrip().startswith("#"):
-                yield text
-
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(uncommented(fh))
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise ValueError(f"{path}: empty file, header row required")
-            header = [name.strip() for name in header]
-            missing = [c for c in columns if c not in header]
-            if missing:
-                raise ValueError(f"{path}: missing mandatory columns {missing}")
-            yield header
-            for row in reader:
-                if row:  # csv.reader gives [] for a blank line
-                    yield line, dict(zip_longest(header, row, fillvalue=""))
-        except csv.Error as exc:
-            raise ValueError(f"{path}: line {line}: {exc}") from None
+    chunks = _read_csv(path, columns)
+    header = next(chunks)
+    first_line: dict = {}
+    for lines, chunk in chunks:
+        for line, cells in zip(lines.tolist(), chunk):
+            row = dict(zip_longest(header, cells, fillvalue=""))
+            value = tuple(row[c].strip() for c in key)
+            value = value[0] if len(key) == 1 else value
+            if (first := first_line.setdefault(value, line)) != line:
+                raise ValueError(
+                    f"line {line}: duplicate {name} {value!r} (first on line {first})"
+                )
+            yield line, row, value
 
 
-def _check_unique(first_line: dict, key, line: int, name: str) -> None:
-    """Reject ``key`` when an earlier line of the table had it."""
-    if (first := first_line.setdefault(key, line)) != line:
-        raise ValueError(
-            f"line {line}: duplicate {name} {key!r} (first on line {first})"
-        )
-
-
+@_names_file
 def load_teams(path: Union[str, Path]) -> dict[str, TeamSession]:
     """Load the team table as frameless TeamSessions keyed by team_id.
 
@@ -503,12 +536,7 @@ def load_teams(path: Union[str, Path]) -> dict[str, TeamSession]:
     team_id that repeats are errors naming the line.
     """
     out: dict[str, TeamSession] = {}
-    first_line: dict[str, int] = {}
-    rows = _read_table(path, TEAM_COLUMNS)
-    next(rows)
-    for line, row in rows:
-        team = row["team_id"].strip()
-        _check_unique(first_line, team, line, "team_id")
+    for line, row, team in _table_rows(path, TEAM_COLUMNS, ["team_id"], "team_id"):
         out[team] = TeamSession(
             team_id=team,
             condition=_parse_token(_CONDITION_TOKENS, row, "condition", line),
@@ -668,20 +696,15 @@ def analyze_table(
     unknown = sorted(set(table.team_ids) - set(teams))
     if unknown:
         raise ValueError(f"frames reference unknown teams: {unknown}")
-    valid_pair = np.diff(table.row_offsets) == 2
-    first = table.row_offsets[:-1][valid_pair]
-    dx, dy = np.zeros(len(valid_pair)), np.zeros(len(valid_pair))
-    dx[valid_pair] = table.gaze_x[first] - table.gaze_x[first + 1]
-    dy[valid_pair] = table.gaze_y[first] - table.gaze_y[first + 1]
     jva_frames, denominator_frames = team_jva_counts(
         table.frame_team,
         len(table.team_ids),
         table.width,
         table.height,
         table.discarded,
-        valid_pair,
-        dx,
-        dy,
+        table.row_offsets,
+        table.gaze_x,
+        table.gaze_y,
         config,
     )
     counts = dict(
@@ -716,6 +739,7 @@ def paper_fixture_path() -> Path:
     return Path(__file__).parent / "fixtures" / "paper_fixture.csv"
 
 
+@_names_file
 def load_summary_fixture(
     path: Union[str, Path],
 ) -> tuple[dict[str, dict[str, list[GroupSummary]]], dict[str, GroupSummary]]:
@@ -726,14 +750,10 @@ def load_summary_fixture(
     """
     summaries: dict[str, dict[str, list[GroupSummary]]] = {}
     totals: dict[str, GroupSummary] = {}
-    first_line: dict[tuple[str, str, str], int] = {}
-    rows = _read_table(path, _SUMMARY_COLUMNS)
-    next(rows)
-    for line, row in rows:
-        grouping, label, measure = (row[c].strip() for c in _SUMMARY_COLUMNS[:3])
+    rows = _table_rows(path, _SUMMARY_COLUMNS, _SUMMARY_COLUMNS[:3], "summary")
+    for line, row, (grouping, label, measure) in rows:
         if measure not in _MEASURES:
             raise ValueError(f"line {line}: unknown measure {measure!r}")
-        _check_unique(first_line, (grouping, label, measure), line, "summary")
         n = _parse_float(row["n"], "n", line, int)
         mean = _parse_bounded(row["mean"], "mean", line, _MEASURE_HIGH[measure])
         sd = _parse_bounded(row["sd"], "sd", line, _MEASURE_HIGH[measure])
@@ -748,6 +768,7 @@ def load_summary_fixture(
     return summaries, totals
 
 
+@_names_file
 def load_team_rows(path: Union[str, Path]) -> list[TeamRow]:
     """Read a per-team results table (the analyze output's teams.csv).
 
@@ -756,12 +777,7 @@ def load_team_rows(path: Union[str, Path]) -> list[TeamRow]:
     the line.
     """
     out = []
-    first_line: dict[str, int] = {}
-    rows = _read_table(path, _TEAM_ROW_COLUMNS)
-    next(rows)
-    for line, row in rows:
-        team = row["team_id"].strip()
-        _check_unique(first_line, team, line, "team_id")
+    for line, row, team in _table_rows(path, _TEAM_ROW_COLUMNS, ["team_id"], "team_id"):
         cond = _parse_token(_CONDITION_TOKENS, row, "condition", line)
         ratio_raw = row.get("jva_ratio_pct", "").strip()
         out.append(
@@ -783,14 +799,15 @@ def load_team_rows(path: Union[str, Path]) -> list[TeamRow]:
     return out
 
 
+@_names_file
 def detect_table_kind(path: Union[str, Path]) -> str:
     """'summary' or 'teams': the table whose columns the header has."""
-    header = set(next(_read_table(path, ())))
+    header = set(next(_read_csv(path, ())))
     if header.issuperset(_SUMMARY_COLUMNS):
         return "summary"
     if header.issuperset(_TEAM_ROW_COLUMNS):
         return "teams"
-    raise ValueError(f"{path}: unrecognized table header {sorted(header)}")
+    raise ValueError(f"unrecognized table header {sorted(header)}")
 
 
 # --- emission --------------------------------------------------------------
@@ -1079,7 +1096,6 @@ def _write_csv_bundle(report: Report, out_dir: Path) -> None:
 # Parser of each config key's value: float or the enum of allowed tokens.
 _CONFIG_KEYS = {
     "threshold": float,
-    "reference_diagonal": float,
     "scale_mode": ScaleMode,
     "denominator_policy": DenominatorPolicy,
 }
@@ -1094,7 +1110,7 @@ def load_config(path: Optional[Union[str, Path]] = None, **overrides) -> JvaConf
     """Build a JvaConfig with standard precedence: defaults < file < overrides.
 
     The file is simple key=value lines; '#' starts a comment. Recognized
-    keys: threshold, scale_mode, denominator_policy, reference_diagonal.
+    keys: threshold, scale_mode, denominator_policy.
     """
     values: dict = {}
     if path is not None:

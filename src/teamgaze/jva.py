@@ -52,22 +52,19 @@ class DenominatorPolicy(Enum):
 @dataclass(frozen=True)
 class JvaConfig:
     threshold: float = 100.0
-    reference_diagonal: float = REFERENCE_DIAGONAL
     scale_mode: ScaleMode = ScaleMode.ABSOLUTE
     denominator_policy: DenominatorPolicy = DenominatorPolicy.VALID_PAIR_FRAMES
 
     def __post_init__(self) -> None:
         if not 0 < self.threshold < math.inf:
             raise ValueError("threshold must be positive and finite")
-        if not 0 < self.reference_diagonal < math.inf:
-            raise ValueError("reference diagonal must be positive and finite")
 
     def effective_threshold(self, image_width: int, image_height: int) -> float:
         """Threshold in this frame's pixels, rescaled when normalizing."""
         if self.scale_mode is ScaleMode.ABSOLUTE:
             return self.threshold
         diagonal = math.hypot(image_width, image_height)
-        return self.threshold * diagonal / self.reference_diagonal
+        return self.threshold * diagonal / REFERENCE_DIAGONAL
 
 
 @dataclass(frozen=True)
@@ -150,20 +147,20 @@ def team_jva_counts(
     width: np.ndarray,
     height: np.ndarray,
     discarded: np.ndarray,
-    valid_pair: np.ndarray,
-    dx: np.ndarray,
-    dy: np.ndarray,
+    row_offsets: np.ndarray,
+    gaze_x: np.ndarray,
+    gaze_y: np.ndarray,
     config: JvaConfig = JvaConfig(),
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-team JVA and denominator frame counts of many frames at once.
 
-    Every array has one entry per frame: the frame's team number (below
-    ``n_teams``), image size, discarded flag, whether it holds exactly two
-    valid observations, and for such a pair the difference of the two gaze
-    points. Entries of ``dx``/``dy`` outside a valid pair are not read.
-    Counts equal ``session_jva``'s: the distance is compared with the same
-    ``math.hypot`` result whenever ``np.hypot`` lands near the threshold.
+    ``team`` (numbers below ``n_teams``), ``width``, ``height`` and
+    ``discarded`` hold one entry per frame; frame ``f``'s valid observations
+    are ``gaze_x``/``gaze_y[row_offsets[f]:row_offsets[f + 1]]``, a valid
+    pair when there are exactly two. Counts equal ``session_jva``'s: a
+    distance near the threshold is re-decided with ``math.hypot``.
     """
+    valid_pair = np.diff(row_offsets) == 2
     if config.denominator_policy is DenominatorPolicy.VALID_PAIR_FRAMES:
         counted = valid_pair & ~discarded
     else:
@@ -178,7 +175,9 @@ def team_jva_counts(
         [config.effective_threshold(int(s.real), int(s.imag)) for s in sizes.tolist()],
         dtype=float,
     )[size_of]
-    dx, dy = dx[scored], dy[scored]
+    first = row_offsets[scored]
+    dx = gaze_x[first] - gaze_x[first + 1]
+    dy = gaze_y[first] - gaze_y[first + 1]
     distance = np.hypot(dx, dy)
     is_jva = distance < threshold
     # np.hypot and math.hypot may differ in the last bit or two.

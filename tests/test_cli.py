@@ -66,8 +66,8 @@ def test_analyze_missing_file_is_data_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "row, message",
     [
-        ("t1,f1,0.0,2560,1440", "error: line 3: short row, no person_id cell"),
-        ("t1,f1,0.0,inf,1440,p1,1,1,,,1.0,0", "error: line 3: column 'image_w' not finite"),
+        ("t1,f1,0.0,2560,1440", "line 3: short row, no person_id cell"),
+        ("t1,f1,0.0,inf,1440,p1,1,1,,,1.0,0", "line 3: column 'image_w' not finite: 'inf'"),
     ],
 )
 def test_analyze_malformed_frame_row_is_data_error(tmp_path, capsys, row, message):
@@ -78,9 +78,9 @@ def test_analyze_malformed_frame_row_is_data_error(tmp_path, capsys, row, messag
     )
     teams = tmp_path / "teams.csv"
     teams.write_text("team_id,condition,gender,post_test_1,post_test_2\nt1,ar,FF,1,2\n")
-    code, _, err = run(capsys, ["analyze", "--frames", str(frames), "--teams", str(teams)])
-    assert code == 1
-    assert message in err
+    assert run(capsys, ["analyze", "--frames", str(frames), "--teams", str(teams)]) == (
+        1, "", f"error: {frames}: {message}\n"
+    )
 
 
 def test_stats_on_bundled_fixture_prints_published_f_values(capsys):
@@ -140,24 +140,25 @@ TEAM_ROWS_HEADER = "team_id,condition,group,gender,jva_ratio_pct,team_post_test\
     "text, message",
     [
         (SUMMARY_HEADER + SUMMARY_ROW + "group,experiment,post_test,x,1,1\n",
-         "error: line 3: column 'n' not numeric: 'x'\n"),
+         "line 3: column 'n' not numeric: 'x'"),
         (SUMMARY_HEADER + "# note\n" + SUMMARY_ROW + "group,experiment,post_test\n",
-         "error: line 4: column 'n' not numeric: ''\n"),
+         "line 4: column 'n' not numeric: ''"),
         (SUMMARY_HEADER + SUMMARY_ROW + "group,experiment,post_test,1,1,1\n",
-         "error: line 3: insufficient data: group needs n >= 2\n"),
+         "line 3: insufficient data: group needs n >= 2"),
         (SUMMARY_HEADER + SUMMARY_ROW + "group,experiment,post_test,5,1,-1\n",
-         "error: line 3: sd '-1' out of [0,5]\n"),
+         "line 3: sd '-1' out of [0,5]"),
         (SUMMARY_HEADER + SUMMARY_ROW + "group,experiment,post_test,5,1e200,1\n",
-         "error: line 3: mean '1e200' out of [0,5]\n"),
+         "line 3: mean '1e200' out of [0,5]"),
         (SUMMARY_HEADER + SUMMARY_ROW + SUMMARY_ROW,
-         "error: line 3: duplicate summary ('group', 'control', 'post_test') "
-         "(first on line 2)\n"),
+         "line 3: duplicate summary ('group', 'control', 'post_test') "
+         "(first on line 2)"),
     ],
 )
 def test_stats_bad_table_is_data_error_with_line(tmp_path, capsys, text, message):
     table = tmp_path / "table.csv"
     table.write_text(text)
-    assert run(capsys, ["stats", "--teams", str(table)]) == (1, "", message)
+    expected = f"error: {table}: {message}\n"
+    assert run(capsys, ["stats", "--teams", str(table)]) == (1, "", expected)
 
 
 def test_stats_notes_an_anova_whose_n_overflows_a_float(tmp_path, capsys):
@@ -279,3 +280,14 @@ def test_config_env_var(tmp_path, capsys, monkeypatch):
     # threshold 5 px still classifies exact-coincidence frames as JVA
     payload = json.loads(out.read_text())
     assert all(r["jva_ratio_pct"] == 100.0 for r in payload["teams"])
+
+
+def test_config_naming_reference_diagonal_is_data_error(tmp_path, capsys):
+    config = tmp_path / "jva.conf"
+    config.write_text("reference_diagonal = 3000\n")
+    frames, teams = synth_inputs(tmp_path, capsys)
+    code, out, err = run(
+        capsys,
+        ["analyze", "--frames", str(frames), "--teams", str(teams), "--config", str(config)],
+    )
+    assert (code, out, err) == (1, "", f"error: {config}:1: unknown key 'reference_diagonal'\n")

@@ -175,6 +175,11 @@ def test_frame_checks_skip_out_of_bounds_rows(tmp_path):
         ([GOOD_ROW] + [f"t1,f{i},{i}.0,2560,1440,p1,1,1,,,1.0,0" for i in range(2, 7)]
          + ["t1,f1,0.0,2560,1440,p2,1,1,,,1.0,1"],
          "line 8: discarded True differs from False on line 2"),
+        # A frame error before an over-long cell or a broken comment, in another chunk.
+        ([GOOD_ROW, GOOD_ROW, "t1,f2,1.0,2560,1440,p1,1,1,,,1.0,0", "x" * 140_000 + ","],
+         "line 3: person_id 'p1' already on line 2"),
+        ([GOOD_ROW, GOOD_ROW, "t1,f2,1.0,2560,1440,p1,1,1,,,1.0,0", '#,"', GOOD_ROW],
+         "line 3: person_id 'p1' already on line 2"),
     ],
 )
 def test_first_bad_line_in_file_order_is_reported(tmp_path, monkeypatch, rows, message):
@@ -342,7 +347,6 @@ def test_config_unknown_key_rejected(tmp_path):
         ("denominator_policy = most", "jva.conf:2: bad denominator_policy 'most'"),
         ("threshold = wide", "jva.conf:2: bad threshold 'wide', expected a positive"),
         ("threshold = nan", "jva.conf:2: bad threshold 'nan'"),
-        ("reference_diagonal = inf", "jva.conf:2: bad reference_diagonal 'inf'"),
         ("threshold = -3", "jva.conf:2: bad threshold '-3'"),
     ],
 )
@@ -443,20 +447,91 @@ def test_load_summary_fixture_rejects_bad_rows_with_line(tmp_path, row, message)
         load_summary_fixture(path)
 
 
-@pytest.mark.parametrize(
-    "load, header, good_row",
-    [
-        (read_frame_table, FRAME_HEADER, GOOD_ROW),
-        (load_teams, TEAMS_HEADER, "t1,ar,FF,1,2"),
-        (load_team_rows, TEAM_ROWS_HEADER, "t0,ar,,FF,,2"),
-        (load_summary_fixture, SUMMARY_HEADER, "group,textbook,jva_ratio_pct,5,1.5,0.5"),
-    ],
-)
+# Each input table's loader, header and a good row.
+TABLES = [
+    (read_frame_table, FRAME_HEADER, GOOD_ROW),
+    (load_teams, TEAMS_HEADER, "t1,ar,FF,1,2"),
+    (load_team_rows, TEAM_ROWS_HEADER, "t0,ar,,FF,,2"),
+    (load_summary_fixture, SUMMARY_HEADER, "group,textbook,jva_ratio_pct,5,1.5,0.5"),
+]
+
+
+@pytest.mark.parametrize("load, header, good_row", TABLES)
 def test_cell_over_the_csv_field_limit_names_file_and_line(tmp_path, load, header, good_row):
     path = tmp_path / "table.csv"
     path.write_text(header + good_row + "\n" + "x" * 140_000 + "," + good_row + "\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: field larger than")):
         load(path)
+
+
+@pytest.mark.parametrize(
+    "load, header, bad_row, message",
+    [
+        (read_frame_table, FRAME_HEADER, "t1,f1,x,2560,1440,p1,1,1,,,1.0,0",
+         "line 2: column 'timestamp_s' not numeric: 'x'"),
+        (load_teams, TEAMS_HEADER, "t1,ar,XY,1,2", "line 2: unknown gender 'XY'"),
+    ],
+)
+def test_bad_row_before_an_over_long_cell_is_reported_first(
+    tmp_path, load, header, bad_row, message
+):
+    path = tmp_path / "table.csv"
+    path.write_text(header + bad_row + "\n" + "x" * 140_000 + "," + bad_row + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        load(path)
+
+
+@pytest.mark.parametrize("load, header, good_row", TABLES)
+def test_comment_row_with_a_quoted_line_break_is_rejected(tmp_path, load, header, good_row):
+    # Read as one comment, the quote would swallow the rows up to the next quote.
+    path = tmp_path / "table.csv"
+    path.write_text(header + good_row + '\n# paused,"camera off\n' + good_row + "\n")
+    message = f"{path}: line 3: comment row holds a quoted line break"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # Comment and blank lines above the header and between rows.
+        "# exported by tracker 2.1\n" + FRAME_HEADER + GOOD_ROW + '\n\n  # pause, "x"\n',
+        # Header names with spaces.
+        FRAME_HEADER.replace(",", ", ") + GOOD_ROW + "\n",
+    ],
+)
+def test_frame_table_follows_the_team_table_contract(tmp_path, text):
+    later = "t1,f1,0.0,2560,1440,p2,150,-1,,,1.0,0\n"
+    path = tmp_path / "frames.csv"
+    path.write_text(text + later)
+    plain = read_frame_table(write_frames(tmp_path, [GOOD_ROW, later.strip()], "plain.csv"))
+    table = read_frame_table(path)
+    line = len(text.splitlines()) + 1
+    assert table.row_errors == [
+        f"line {line}: gaze (150.0, -1.0) outside 2560x1440 image, row skipped"
+    ]
+    assert (table.team_ids, table.frame_ids, table.person_ids) == (
+        plain.team_ids, plain.frame_ids, plain.person_ids
+    )
+    assert table.gaze_x.tolist() == plain.gaze_x.tolist() == [100.0]
+
+
+@pytest.mark.parametrize(
+    "load", [read_frame_table, load_teams, load_team_rows, load_summary_fixture,
+             detect_table_kind],
+)
+@pytest.mark.parametrize(
+    "data",
+    [b"", b"# only a comment\n\n", b"a,b\n1,2\n", b"team_id,\xff\n"],
+    ids=["empty", "comment only", "other columns", "not utf-8"],
+)
+def test_every_table_error_names_its_file_once(tmp_path, load, data):
+    path = tmp_path / "table.csv"
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as raised:
+        load(path)
+    message = str(raised.value)
+    assert message.startswith(f"{path}: ") and message.count(str(path)) == 1
 
 
 def test_load_team_rows_accepts_range_ends(tmp_path):
@@ -470,11 +545,20 @@ def test_load_team_rows_accepts_range_ends(tmp_path):
 
 
 RESOLUTIONS = [(1280, 720), (1920, 1080), (2560, 1440)]
+NOISE_LINES = ["", "# exported by tracker 2.1", '  #,"quoted, comma"', "\t# pause"]
+
+
+def with_noise(draw, lines):
+    """``lines`` with blank and comment lines drawn in before, between and after."""
+    noise = st.lists(st.sampled_from(NOISE_LINES), max_size=2)
+    gaps = [draw(noise) for _ in range(len(lines) + 1)]
+    return gaps[0] + [x for line, gap in zip(lines, gaps[1:]) for x in [line] + gap]
 
 
 @st.composite
 def frame_tables(draw):
-    """Frame-table rows (shuffled) and team-table rows for a few teams."""
+    """Frame-table rows (shuffled) and team-table rows for a few teams, each
+    also with blank and comment lines."""
     rows = []
     teams = [f"t{i}" for i in range(draw(st.integers(1, 4)))]
     for team in teams:
@@ -496,7 +580,9 @@ def frame_tables(draw):
         f"{draw(st.integers(0, 5))},{draw(st.integers(0, 5))}"
         for team in teams
     ]
-    return rows, team_rows
+    noisy = [with_noise(draw, [header.strip()] + lines)
+             for header, lines in ((FRAME_HEADER, rows), (TEAMS_HEADER, team_rows))]
+    return rows, team_rows, noisy
 
 
 @given(
@@ -507,7 +593,7 @@ def frame_tables(draw):
 )
 @settings(max_examples=150, deadline=None)
 def test_columnar_ratios_match_the_per_frame_reference(tables, threshold, scale, policy):
-    rows, team_rows = tables
+    rows, team_rows, (noisy_frame_lines, noisy_team_lines) = tables
     config = JvaConfig(threshold=threshold, scale_mode=scale, denominator_policy=policy)
     with tempfile.TemporaryDirectory() as tmp:
         frames_path = write_frames(Path(tmp), rows)
@@ -516,12 +602,17 @@ def test_columnar_ratios_match_the_per_frame_reference(tables, threshold, scale,
         teams = load_teams(teams_path)
         table = read_frame_table(frames_path)
         loaded = load_frames(frames_path)
+        frames_path.write_text("\n".join(noisy_frame_lines) + "\n")
+        teams_path.write_text("\n".join(noisy_team_lines) + "\n")
+        noisy_table, noisy_teams = read_frame_table(frames_path), load_teams(teams_path)
+    noisy_report = analyze_table(noisy_table, noisy_teams, config)
     assert table.row_errors == loaded.row_errors
     report = analyze_table(table, teams, config)
     sessions = build_sessions(loaded.frames_by_team, teams)
-    assert [(r.team_id, r.jva_ratio_pct) for r in report.teams] == [
-        (s.team_id, session_jva(s, config).jva_ratio_pct) for s in sessions
-    ]
+    ratios = [(r.team_id, r.jva_ratio_pct) for r in report.teams]
+    assert ratios == [(s.team_id, session_jva(s, config).jva_ratio_pct) for s in sessions]
+    # Blank and comment lines change no ratio.
+    assert [(r.team_id, r.jva_ratio_pct) for r in noisy_report.teams] == ratios
 
 
 # Each table the loaders read: a header and rows to draw from.
@@ -563,17 +654,34 @@ def fuzz_tables(draw):
 fuzz_files = st.one_of(st.binary(max_size=64), fuzz_tables())
 
 
+TABLE_READERS = (load_teams, load_team_rows, load_summary_fixture, detect_table_kind,
+                 read_frame_table)
+
+
 @given(fuzz_files)
 @settings(max_examples=200, deadline=None)
 def test_loaders_raise_only_value_and_os_errors(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "table.csv"
         path.write_bytes(data)
-        for load in (load_teams, load_team_rows, load_summary_fixture,
-                     detect_table_kind, read_frame_table, load_config):
+        for load in TABLE_READERS:
             try:
                 load(path)
-            except (ValueError, OSError):
-                pass
+            except ValueError as exc:
+                assert str(exc).startswith(f"{path}: ")
+        try:
+            load_config(path)
+        except (ValueError, OSError):
+            pass
+        teams = Path(tmp) / "teams.csv"
+        teams.write_text(TEAMS_HEADER + "t1,ar,FF,1,2\nt2,tablet,MM,3,4\n")
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             assert main(["stats", "--teams", str(path)]) in (0, 1)
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main(["analyze", "--frames", str(path), "--teams", str(teams),
+                         "--format", "json"])
+    assert code in (0, 1)
+    if code == 0:
+        ratios = [team["jva_ratio_pct"] for team in json.loads(out.getvalue())["teams"]]
+        assert all(r is None or 0 <= r <= 100 for r in ratios)

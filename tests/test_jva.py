@@ -51,19 +51,17 @@ def session_of(frames, team_id="t1"):
 
 def vector_counts(frames, config=JvaConfig()):
     """(jva_frames, denominator_frames) of one team's frames by team_jva_counts."""
-    pairs = [frame.valid_observations() for frame in frames]
-    valid_pair = np.array([len(p) == 2 for p in pairs], dtype=bool)
-    dx = np.array([p[0].gaze.x - p[1].gaze.x if len(p) == 2 else 0.0 for p in pairs])
-    dy = np.array([p[0].gaze.y - p[1].gaze.y if len(p) == 2 else 0.0 for p in pairs])
+    valid = [frame.valid_observations() for frame in frames]
+    gaze = [obs.gaze for observations in valid for obs in observations]
     jva, denominator = team_jva_counts(
         np.zeros(len(frames), dtype=np.int64),
         1,
         np.array([f.image_width for f in frames], dtype=float),
         np.array([f.image_height for f in frames], dtype=float),
         np.array([f.discarded for f in frames], dtype=bool),
-        valid_pair,
-        dx,
-        dy,
+        np.cumsum([0] + [len(observations) for observations in valid]),
+        np.array([g.x for g in gaze], dtype=float),
+        np.array([g.y for g in gaze], dtype=float),
         config,
     )
     return int(jva[0]), int(denominator[0])
@@ -169,11 +167,10 @@ def test_nonpositive_threshold_rejected():
         JvaConfig(threshold=-1.0)
 
 
-@pytest.mark.parametrize("field", ["threshold", "reference_diagonal"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
-def test_non_finite_config_values_rejected(field, value):
+def test_non_finite_config_values_rejected(value):
     with pytest.raises(ValueError, match="positive and finite"):
-        JvaConfig(**{field: value})
+        JvaConfig(threshold=value)
 
 
 coord = st.tuples(
