@@ -52,9 +52,10 @@ from .stats import (
     pearson,
     summarize,
 )
-from .synth import TEAM_COLUMNS
 
 __all__ = [
+    "FRAME_COLUMNS",
+    "TEAM_COLUMNS",
     "FrameTable",
     "LoadResult",
     "Report",
@@ -79,7 +80,8 @@ CONFIG_ENV_VAR = "TEAMGAZE_CONFIG"
 _CONDITION_TOKENS = {c.value: c for c in Condition}
 _GENDER_TOKENS = {g.value.lower(): g for g in GenderComposition}
 
-_MANDATORY_FRAME_COLUMNS = [
+# The columns read from a frame table; ``discarded`` may be left out.
+FRAME_COLUMNS = [
     "team_id",
     "frame_id",
     "timestamp_s",
@@ -88,7 +90,10 @@ _MANDATORY_FRAME_COLUMNS = [
     "person_id",
     "gaze_x",
     "gaze_y",
+    "discarded",
 ]
+_MANDATORY_FRAME_COLUMNS = FRAME_COLUMNS[:-1]
+TEAM_COLUMNS = ["team_id", "condition", "gender", "post_test_1", "post_test_2"]
 
 # Frame columns read as numbers, in the order a row's cells are checked.
 _NUMERIC_FRAME_COLUMNS = ("timestamp_s", "image_w", "image_h", "gaze_x", "gaze_y")
@@ -169,10 +174,32 @@ def _names_file(read):
     def reader(path: Union[str, Path]):
         try:
             return read(path)
-        except ValueError as exc:  # also a UnicodeDecodeError
+        except UnicodeDecodeError:
+            line, problem = _undecodable(path)
+            raise ValueError(f"{path}: line {line}: {problem}") from None
+        except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 
     return reader
+
+
+def _undecodable(path: Union[str, Path]) -> tuple[int, str]:
+    """The physical line of the first byte of a file that is not UTF-8.
+
+    A decoding error reports an offset in the decoder's read buffer, which
+    does not locate the byte in the file. Line breaks are counted as the
+    csv module counts them: LF, CR LF and a lone CR.
+    """
+    line = 1
+    with open(path, "rb") as fh:
+        for raw in fh:  # no UTF-8 sequence holds an LF byte
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line += raw.count(b"\r", 0, exc.start)
+                return line, f"byte 0x{raw[exc.start]:02x} is not UTF-8 ({exc.reason})"
+            line += raw.count(b"\n") + raw.count(b"\r") - raw.count(b"\r\n")
+    return line, "not UTF-8"
 
 
 def _read_csv(path: Union[str, Path], columns: Sequence[str]) -> Iterator:
@@ -1114,9 +1141,12 @@ def load_config(path: Optional[Union[str, Path]] = None, **overrides) -> JvaConf
     """
     values: dict = {}
     if path is not None:
-        for line_no, raw in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines(), start=1
-        ):
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            line_no, problem = _undecodable(path)
+            raise ValueError(f"{path}:{line_no}: {problem}") from None
+        for line_no, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

@@ -236,6 +236,36 @@ def test_synth_invalid_probability_is_usage_error(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_synth_image_too_small_is_usage_error(tmp_path, capsys):
+    # A 400x300 image cannot hold a partner point 300 px from every target:
+    # clipping it back would give frames whose JVA label differs from the
+    # ground truth.
+    code, _, err = run(
+        capsys,
+        ["synth", "--out-dir", str(tmp_path / "d"), "--image-w", "400",
+         "--image-h", "300", "--teams", "3", "--frames-per-team", "500",
+         "--seed", "1"],
+    )
+    assert code == 2
+    assert err == (
+        "error: image 400x300 too small for threshold 100: each side must be "
+        "at least 2 * 3 * threshold = 600 px\n"
+    )
+    assert not (tmp_path / "d").exists()
+
+
+def test_analyze_config_not_utf8_names_file_and_line(tmp_path, capsys):
+    config = tmp_path / "jva.conf"
+    config.write_bytes(b"# tuned\nthreshold = 5 # \xff\n")
+    code, out, err = run(
+        capsys,
+        ["analyze", "--frames", str(tmp_path / "f.csv"),
+         "--teams", str(tmp_path / "t.csv"), "--config", str(config)],
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: {config}:2: byte 0xff is not UTF-8 (invalid start byte)\n"
+
+
 def test_decode_batch(tmp_path, capsys):
     grid_a = tmp_path / "a.txt"
     values = np.zeros((56, 56))

@@ -534,6 +534,27 @@ def test_every_table_error_names_its_file_once(tmp_path, load, data):
     assert message.startswith(f"{path}: ") and message.count(str(path)) == 1
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize(
+    "load, header, good_row",
+    TABLES + [(detect_table_kind, TEAM_ROWS_HEADER, "t0,ar,,FF,,2")],
+)
+def test_non_utf8_byte_is_reported_at_its_line(tmp_path, load, header, good_row, newline):
+    # 2,000 comment lines (64 KB) carry the byte past the decoder's first
+    # read buffer and the first chunk of rows, where detect_table_kind
+    # finds the header.
+    lines = ["# padding the first read buffer"] * 2000 + [header.strip(), good_row]
+    path = tmp_path / "table.csv"
+    path.write_bytes(
+        newline.join(lines + [""]).encode() + b"\xff" + (good_row + newline).encode()
+    )
+    with pytest.raises(ValueError) as raised:
+        load(path)
+    assert str(raised.value) == (
+        f"{path}: line 2003: byte 0xff is not UTF-8 (invalid start byte)"
+    )
+
+
 def test_load_team_rows_accepts_range_ends(tmp_path):
     path = tmp_path / "teams.csv"
     path.write_text(TEAM_ROWS_HEADER + "t0,AR,,mx,0,5\nt1,textbook,,FF,100,0\n")

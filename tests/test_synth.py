@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from teamgaze import synth
 from teamgaze.io_report import analyze_table, load_teams, read_frame_table
-from teamgaze.jva import JvaConfig
+from teamgaze.jva import JvaConfig, team_jva_counts
 from teamgaze.synth import SynthSpec, generate, moment_matched_groups
 
 
@@ -99,6 +100,80 @@ def test_noise_with_separation_margin_keeps_labels(tmp_path):
         assert row.jva_ratio_pct == pytest.approx(
             100.0 * truth.team_ratios[row.team_id], abs=2.0
         )
+
+
+def team_lines(path, team):
+    return [line for line in path.read_text().splitlines() if line.startswith(team + ",")]
+
+
+@pytest.mark.parametrize("sigma", [0.0, 12.0])
+def test_team_rows_do_not_depend_on_team_count_or_block_size(tmp_path, monkeypatch, sigma):
+    base = dict(frames_per_team=30, jva_probability=0.5, seed=77, gaze_noise_sigma=sigma)
+    generate(SynthSpec(teams=5, **base), tmp_path / "five")
+    generate(SynthSpec(teams=9, **base), tmp_path / "nine")
+    monkeypatch.setattr(synth, "_BLOCK_ROWS", 2 * 2 * 30)  # two teams per block
+    generate(SynthSpec(teams=9, **base), tmp_path / "blocks")
+    for name in ("frames.csv", "teams.csv", "ground_truth.json"):
+        assert (tmp_path / "nine" / name).read_bytes() == (
+            tmp_path / "blocks" / name
+        ).read_bytes()
+    for name in ("frames.csv", "teams.csv"):
+        five = team_lines(tmp_path / "five" / name, "team05")
+        assert five == team_lines(tmp_path / "nine" / name, "team05")
+        assert len(five) == (60 if name == "frames.csv" else 1)
+    labels = [
+        json.loads((tmp_path / d / "ground_truth.json").read_text())["frame_labels"]
+        for d in ("five", "nine")
+    ]
+    assert labels[0]["team05"] == labels[1]["team05"]
+
+
+@pytest.mark.parametrize(
+    "teams, frames, w, h, p",
+    [
+        (30, 155, 2560, 1440, 0.4),
+        # The smallest image allowed: partner points reflect at both borders.
+        (6, 300, 600, 600, 0.3),
+        (6, 300, 2000, 600, {"textbook": 0.0, "tablet": 0.5, "ar": 1.0}),
+    ],
+)
+def test_zero_noise_recovers_every_frame_label(tmp_path, teams, frames, w, h, p):
+    spec = SynthSpec(teams=teams, frames_per_team=frames, image_w=w, image_h=h,
+                     jva_probability=p, seed=5)
+    frames_path, _, truth_path, _ = generate(spec, tmp_path)
+    truth = json.loads(truth_path.read_text())
+    table = read_frame_table(frames_path)
+    assert table.row_errors == []
+    names = [f"team{i + 1:02d}" for i in range(teams)]
+    assert [table.team_ids[t] for t in table.frame_team.tolist()] == [
+        name for name in names for _ in range(frames)
+    ]
+    assert table.frame_ids == [f"f{i:05d}" for i in range(frames)] * teams
+    # Each frame scored as its own team: the program's per-frame decision.
+    n = len(table.frame_ids)
+    jva, counted = team_jva_counts(
+        np.arange(n), n, table.width, table.height, table.discarded,
+        table.row_offsets, table.gaze_x, table.gaze_y,
+        JvaConfig(threshold=spec.threshold),
+    )
+    assert counted.tolist() == [1] * n
+    assert jva.tolist() == [v for name in names for v in truth["frame_labels"][name]]
+    for i, name in enumerate(names):
+        assert truth["team_ratios"][name] == jva[i * frames:(i + 1) * frames].sum() / frames
+
+
+@pytest.mark.parametrize(
+    "w, h, threshold",
+    [(400, 300, 100.0), (599, 1440, 100.0), (2560, 599, 100.0), (1000, 1000, 200.0)],
+)
+def test_image_smaller_than_two_separations_rejected(w, h, threshold):
+    with pytest.raises(ValueError, match=f"image {w}x{h} too small"):
+        SynthSpec(image_w=w, image_h=h, threshold=threshold)
+
+
+def test_image_of_two_separations_accepted():
+    SynthSpec(image_w=600, image_h=600)
+    SynthSpec(image_w=400, image_h=300, threshold=50.0)
 
 
 def test_moment_matching_is_exact():
