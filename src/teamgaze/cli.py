@@ -26,6 +26,9 @@ from .synth import SynthSpec, generate
 USAGE_ERROR = 2
 DATA_ERROR = 1
 
+# Skipped frame rows warned about one by one; the rest get one summary line.
+MAX_ROW_WARNINGS = 20
+
 
 def _positive_float(raw: str) -> float:
     value = float(raw)
@@ -130,8 +133,14 @@ def _emit(report, args) -> None:
 def _cmd_analyze(args) -> int:
     config = _jva_config(args)
     table = io_report.read_frame_table(args.frames)
-    for message in table.row_errors:
+    for message in table.row_errors[:MAX_ROW_WARNINGS]:
         print(f"warning: {args.frames}: {message}", file=sys.stderr)
+    if len(table.row_errors) > MAX_ROW_WARNINGS:
+        print(
+            f"warning: {args.frames}: {len(table.row_errors) - MAX_ROW_WARNINGS} more "
+            "rows skipped: gaze point outside the image",
+            file=sys.stderr,
+        )
     teams = io_report.load_teams(args.teams)
     report = io_report.analyze_table(table, teams, config)
     _emit(report, args)
@@ -145,8 +154,7 @@ def _cmd_stats(args) -> int:
         summaries, totals = io_report.load_summary_fixture(path)
         report = io_report.stats_report_from_summaries(summaries, totals)
     else:
-        rows = io_report.load_team_rows(path)
-        report = io_report.stats_report_from_team_rows(rows)
+        report = io_report.stats_report(io_report.load_team_rows(path))
     _emit(report, args)
     return 0
 

@@ -8,14 +8,17 @@ table reader starts with the table's path (``_names_file``).
 ``read_frame_table`` parses frame rows in chunks into numpy columns;
 ``analyze_table``, the one way from frames and teams to a report, scores
 them with ``jva.team_jva_counts``, and ``load_frames`` turns them into
-``FrameRecord`` objects for the reference ``jva.session_jva``.
+``FrameRecord`` objects for the reference ``jva.session_jva``. The team
+and per-team results tables are parsed the same way (``_TeamColumns``).
+``analyze_table`` and ``load_team_rows`` fill a ``TeamTable`` of per-team
+columns, and ``stats_report`` runs the statistics battery on it.
 Reports render the same content as machine-readable JSON, an aligned
-plain-text table, or a CSV bundle. Each kind of report row (team, group
-summary, ANOVA, pairwise comparison, correlation) is built once as a
-record of raw values; every format rounds a field to the decimals
-``_DECIMALS`` gives it (2 for M/SD/F/d, 3 for p, 4 for r) and writes
-missing and non-finite values by its own one rule, so output is
-byte-identical across runs.
+plain-text table, or a CSV bundle. Every emitter writes the teams a
+column at a time; each other kind of report row (group summary, ANOVA,
+pairwise comparison, correlation) is built once as a record of raw
+values. Every format rounds a field to the decimals ``_DECIMALS`` gives
+it (2 for M/SD/F/d, 3 for p, 4 for r) and writes missing and non-finite
+values by its own one rule, so output is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -23,12 +26,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import wraps
-from itertools import islice, zip_longest
+from itertools import compress, islice, zip_longest
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -42,6 +47,7 @@ from .model import (
     Point2D,
     TeamSession,
     group_for_condition,
+    team_post_test_score,
 )
 from .stats import (
     AnovaResult,
@@ -59,11 +65,14 @@ __all__ = [
     "FrameTable",
     "LoadResult",
     "Report",
+    "TeamRow",
+    "TeamTable",
     "read_frame_table",
     "load_frames",
     "load_teams",
     "build_sessions",
     "analyze_table",
+    "stats_report",
     "stats_report_from_team_rows",
     "stats_report_from_summaries",
     "load_summary_fixture",
@@ -174,9 +183,6 @@ def _names_file(read):
     def reader(path: Union[str, Path]):
         try:
             return read(path)
-        except UnicodeDecodeError:
-            line, problem = _undecodable(path)
-            raise ValueError(f"{path}: line {line}: {problem}") from None
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 
@@ -209,8 +215,9 @@ def _read_csv(path: Union[str, Path], columns: Sequence[str]) -> Iterator:
     physical line each ends on. Blank rows and comment rows (a first cell
     starting with ``#`` after leading spaces) are skipped; header names are
     stripped. A missing header or column, a comment row holding a quoted
-    line break and a cell over the csv module's field limit are errors
-    naming the line, raised after the rows before them are yielded.
+    line break, a cell over the csv module's field limit and a byte that is
+    not UTF-8 are errors naming the line, raised after the rows before them
+    are yielded.
     """
     header, error = None, None
     with open(path, newline="", encoding="utf-8") as fh:
@@ -220,11 +227,16 @@ def _read_csv(path: Union[str, Path], columns: Sequence[str]) -> Iterator:
             chunk: list = []
             try:
                 chunk.extend(islice(reader, _CHUNK_ROWS))
+                end = reader.line_num
             except csv.Error as exc:
-                error = ValueError(f"line {reader.line_num}: {exc}")
+                end, error = reader.line_num, ValueError(f"line {reader.line_num}: {exc}")
+            except UnicodeDecodeError:
+                # The decoder fails on a whole read buffer, before the csv
+                # module sees any row in it.
+                chunk, end, error = _rows_before_undecodable(path, line)
             if not chunk:
                 break
-            lines = _row_lines(chunk, line, reader.line_num)
+            lines = _row_lines(chunk, line, end)
             # csv.reader gives [] for a blank line.
             if not all(chunk) or "#" in "".join([row[0] for row in chunk]):
                 kept = []
@@ -239,7 +251,7 @@ def _read_csv(path: Union[str, Path], columns: Sequence[str]) -> Iterator:
                     elif row:
                         kept.append(i)
                 chunk, lines = [chunk[i] for i in kept], lines[kept]
-            line = reader.line_num
+            line = end
             if header is None and chunk:
                 header = [name.strip() for name in chunk[0]]
                 missing = [c for c in columns if c not in header]
@@ -253,6 +265,27 @@ def _read_csv(path: Union[str, Path], columns: Sequence[str]) -> Iterator:
         raise error
     if header is None:
         raise ValueError("empty file, header row required")
+
+
+def _rows_before_undecodable(path: Union[str, Path], done: int) -> tuple[list, int, ValueError]:
+    """The rows after line ``done`` that end before the file's first byte
+    that is not UTF-8, the line the last of them ends on, and the error to
+    raise after them: the byte's, or a csv error on an earlier line."""
+    bad_line, problem = _undecodable(path)
+    rows: list = []
+    end = done
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        reader = csv.reader(fh)
+        try:
+            for row in reader:
+                if reader.line_num >= bad_line:
+                    break
+                if reader.line_num > done:
+                    rows.append(row)
+                    end = reader.line_num
+        except csv.Error as exc:
+            return rows, end, ValueError(f"line {reader.line_num}: {exc}")
+    return rows, end, ValueError(f"line {bad_line}: {problem}")
 
 
 def _row_lines(chunk: list, before: int, after: int) -> np.ndarray:
@@ -534,8 +567,14 @@ def load_frames(path: Union[str, Path]) -> LoadResult:
     return LoadResult(frames_by_team=frames_by_team, row_errors=table.row_errors)
 
 
+def _check_new_key(first_line: dict, key, line: int, name: str) -> None:
+    """Record ``key``'s first line; a key seen on an earlier line is an error."""
+    if (first := first_line.setdefault(key, line)) != line:
+        raise ValueError(f"line {line}: duplicate {name} {key!r} (first on line {first})")
+
+
 def _table_rows(path, columns: Sequence[str], key: Sequence[str], name: str) -> Iterator:
-    """A team-level table's rows as ``(line, {header name: cell}, key)``.
+    """A table's rows as ``(line, {header name: cell}, key)``.
 
     A short row's missing cells are empty. ``key`` is the stripped cell of
     the one ``key`` column, else their tuple; a repeated key is an error.
@@ -548,11 +587,125 @@ def _table_rows(path, columns: Sequence[str], key: Sequence[str], name: str) -> 
             row = dict(zip_longest(header, cells, fillvalue=""))
             value = tuple(row[c].strip() for c in key)
             value = value[0] if len(key) == 1 else value
-            if (first := first_line.setdefault(value, line)) != line:
-                raise ValueError(
-                    f"line {line}: duplicate {name} {value!r} (first on line {first})"
-                )
+            _check_new_key(first_line, value, line, name)
             yield line, row, value
+
+
+# Condition, gender and group members by the code a TeamTable holds.
+_CONDITIONS = list(Condition)
+_GENDERS = list(GenderComposition)
+_GROUPS = list(Group)
+_CONDITION_GROUP = np.array([_GROUPS.index(group_for_condition(c)) for c in _CONDITIONS])
+
+# Each member's code by its token as written and lower-cased.
+_CONDITION_CODES = {t: i for i, c in enumerate(_CONDITIONS) for t in (c.value, c.value.lower())}
+_GENDER_CODES = {t: i for i, g in enumerate(_GENDERS) for t in (g.value, g.value.lower())}
+
+# The numbers of each team-level table as (column, high, optional), in the
+# order a row's cells are checked after team_id, condition and gender.
+_TEAM_NUMBERS = (("post_test_1", 5, False), ("post_test_2", 5, False))
+_TEAM_ROW_NUMBERS = (("jva_ratio_pct", 100, True), ("team_post_test", 5, False))
+
+
+def _codes(cells: Sequence[str], codes: dict[str, int]) -> np.ndarray:
+    """Each cell's code, looked up as written, else stripped and lower-cased."""
+    found = list(map(codes.get, cells))
+    if None in found:
+        found = [codes.get(cell.strip().lower()) for cell in cells]
+        if None in found:
+            raise ValueError("unknown token")
+    return np.array(found, dtype=np.int8)
+
+
+def _check_team_row(row: dict, line: int, first_line: dict, numbers) -> None:
+    """Raise the first error of one team-level row, checking cells in order."""
+    _check_new_key(first_line, row["team_id"].strip(), line, "team_id")
+    _parse_token(_CONDITION_TOKENS, row, "condition", line)
+    _parse_token(_GENDER_TOKENS, row, "gender", line)
+    for name, high, optional in numbers:
+        value = row.get(name, "")
+        if optional:
+            value = value.strip()
+            if not value:
+                continue
+        _parse_bounded(value, name, line, high)
+
+
+class _TeamColumns:
+    """The rows of a team-level table, parsed a chunk at a time into columns.
+
+    Each row holds a team_id (stripped, unique), a condition, a gender and
+    the ``numbers`` given as (column, high, optional): each lies in
+    [0, high], and an empty (stripped) cell of an optional column, or an
+    optional column the table lacks, reads as NaN. A short row's missing
+    cells are empty. As in ``_FrameRows``, a chunk is parsed with
+    whole-column operations; when one of them finds a bad cell,
+    ``_check_team_row`` walks the chunk's rows to name the first bad one.
+    """
+
+    def __init__(self, header: list[str], numbers):
+        self.header, self.numbers = header, numbers
+        # The last of two same-named columns wins, as in a dict of the row.
+        self.column = {name: i for i, name in enumerate(header)}
+        used = ["team_id", "condition", "gender"] + [n for n, _, _ in numbers]
+        self.width = 1 + max(self.column.get(name, -1) for name in used)
+        self.first_line: dict[str, int] = {}
+        self.team_ids: list[str] = []
+        # Condition codes, gender codes, then one array per number, per chunk.
+        self.columns: list[list[np.ndarray]] = [[] for _ in range(2 + len(numbers))]
+        self._parse([], np.arange(0))  # gives each column its dtype
+
+    def add(self, chunk: list, lines: np.ndarray) -> None:
+        try:
+            self._parse(chunk, lines)
+        except ValueError:
+            for cells, line in zip(chunk, lines.tolist()):
+                row = dict(zip_longest(self.header, cells, fillvalue=""))
+                _check_team_row(row, line, self.first_line, self.numbers)
+            raise
+
+    def _parse(self, chunk: list, lines: np.ndarray) -> None:
+        column, n = self.column, len(chunk)
+        if min(map(len, chunk), default=self.width) < self.width:
+            chunk = [row + [""] * (self.width - len(row)) for row in chunk]
+        cells = list(zip(*chunk)) or [()] * self.width
+        team_ids = list(map(str.strip, cells[column["team_id"]]))
+        # Each id's first line in the chunk: the last of the reversed pairs wins.
+        first = dict(zip(reversed(team_ids), reversed(lines.tolist())))
+        if len(first) < n or not self.first_line.keys().isdisjoint(first):
+            raise ValueError("duplicate team_id")
+        values = [
+            _codes(cells[column["condition"]], _CONDITION_CODES),
+            _codes(cells[column["gender"]], _GENDER_CODES),
+        ]
+        for name, high, optional in self.numbers:
+            if name not in column:
+                values.append(np.full(n, np.nan))
+                continue
+            raw = cells[column[name]]
+            if optional:
+                raw = list(map(str.strip, raw))
+                empty = np.fromiter(map(operator.not_, raw), bool, n)
+                raw = list(map({"": "nan"}.get, raw, raw))
+            numbers = np.fromiter(map(float, raw), float, n)
+            valid = (numbers >= 0) & (numbers <= high)
+            if not ((valid | empty) if optional else valid).all():
+                raise ValueError(f"{name} out of range")
+            values.append(numbers)
+        self.first_line.update(first)
+        self.team_ids.extend(team_ids)
+        for chunks, array in zip(self.columns, values):
+            chunks.append(array)
+
+
+def _read_team_columns(path, columns: Sequence[str], numbers) -> tuple:
+    """A team-level table's team ids, condition and gender codes and
+    ``numbers`` columns, in file order (see ``_TeamColumns``)."""
+    chunks = _read_csv(path, columns)
+    rows = _TeamColumns(next(chunks), numbers)
+    for lines, chunk in chunks:
+        rows.add(chunk, lines)
+    return (rows.team_ids, *(np.concatenate(arrays) for arrays in rows.columns))
 
 
 @_names_file
@@ -562,18 +715,15 @@ def load_teams(path: Union[str, Path]) -> dict[str, TeamSession]:
     Unknown condition/gender tokens, a post-test outside [0, 5] and a
     team_id that repeats are errors naming the line.
     """
-    out: dict[str, TeamSession] = {}
-    for line, row, team in _table_rows(path, TEAM_COLUMNS, ["team_id"], "team_id"):
-        out[team] = TeamSession(
-            team_id=team,
-            condition=_parse_token(_CONDITION_TOKENS, row, "condition", line),
-            gender_composition=_parse_token(_GENDER_TOKENS, row, "gender", line),
-            post_test_scores=(
-                _parse_bounded(row["post_test_1"], "post_test_1", line, 5),
-                _parse_bounded(row["post_test_2"], "post_test_2", line, 5),
-            ),
+    team_ids, condition, gender, score_1, score_2 = _read_team_columns(
+        path, TEAM_COLUMNS, _TEAM_NUMBERS
+    )
+    return {
+        team: TeamSession(team, _CONDITIONS[c], _GENDERS[g], (s1, s2))
+        for team, c, g, s1, s2 in zip(
+            team_ids, condition.tolist(), gender.tolist(), score_1.tolist(), score_2.tolist()
         )
-    return out
+    }
 
 
 def build_sessions(
@@ -603,33 +753,108 @@ class TeamRow:
 
 
 @dataclass
+class TeamTable:
+    """Per-team columns: what the stats battery and the emitters read.
+
+    ``condition`` and ``gender`` hold each team's index into ``Condition``
+    and ``GenderComposition``; a team's group follows from its condition.
+    A team without a JVA ratio has NaN in ``jva_ratio_pct``. The table has
+    ``len()`` and iterates as TeamRow records, a missing ratio as None.
+    """
+
+    team_ids: list[str]
+    condition: np.ndarray
+    gender: np.ndarray
+    jva_ratio_pct: np.ndarray
+    post_test: np.ndarray
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[TeamRow]) -> TeamTable:
+        """The table of TeamRow records; a None ratio becomes NaN."""
+        rows = list(rows)
+        return cls(
+            team_ids=[r.team_id for r in rows],
+            condition=np.array([_CONDITIONS.index(r.condition) for r in rows], np.int8),
+            gender=np.array([_GENDERS.index(r.gender) for r in rows], np.int8),
+            jva_ratio_pct=np.array(
+                [np.nan if r.jva_ratio_pct is None else r.jva_ratio_pct for r in rows], float
+            ),
+            post_test=np.array([r.team_post_test for r in rows], float),
+        )
+
+    def __len__(self) -> int:
+        return len(self.team_ids)
+
+    def __iter__(self) -> Iterator[TeamRow]:
+        for team_id, c, g, ratio, post_test in zip(
+            self.team_ids,
+            self.condition.tolist(),
+            self.gender.tolist(),
+            self.jva_ratio_pct.tolist(),
+            self.post_test.tolist(),
+        ):
+            yield TeamRow(
+                team_id, _CONDITIONS[c], _GROUPS[_CONDITION_GROUP[c]], _GENDERS[g],
+                None if ratio != ratio else ratio, post_test,
+            )
+
+    @property
+    def group(self) -> np.ndarray:
+        """Each team's index into ``Group``."""
+        return _CONDITION_GROUP[self.condition]
+
+    @property
+    def has_ratio(self) -> np.ndarray:
+        """Whether each team has a JVA ratio."""
+        return ~np.isnan(self.jva_ratio_pct)
+
+    def by_team_id(self) -> TeamTable:
+        """The table with its teams sorted by id, as Python sorts strings."""
+        order = sorted(range(len(self)), key=self.team_ids.__getitem__)
+        return TeamTable(
+            team_ids=[self.team_ids[i] for i in order],
+            condition=self.condition[order],
+            gender=self.gender[order],
+            jva_ratio_pct=self.jva_ratio_pct[order],
+            post_test=self.post_test[order],
+        )
+
+
+@dataclass
 class Report:
     """Everything the emitters render.
 
-    ``summaries`` maps grouping name -> measure -> list of GroupSummary;
-    ``anovas`` maps "<grouping>_<measure>" -> AnovaResult. Two-group
-    comparisons carry Cohen's d in ``effect_d`` (None when the pooled SD
-    is zero but the means differ); three-group ANOVAs carry uncorrected
-    pairwise comparisons in ``posthoc``.
+    ``teams`` holds the teams sorted by id. ``summaries`` maps grouping
+    name -> measure -> list of GroupSummary; ``anovas`` maps
+    "<grouping>_<measure>" -> AnovaResult. Two-group comparisons carry
+    Cohen's d in ``effect_d`` (None when the pooled SD is zero but the
+    means differ); three-group ANOVAs carry uncorrected pairwise
+    comparisons in ``posthoc``.
     """
 
-    teams: list[TeamRow] = field(default_factory=list)
+    teams: TeamTable = field(default_factory=lambda: TeamTable.from_rows(()))
     summaries: dict[str, dict[str, list[GroupSummary]]] = field(default_factory=dict)
     totals: dict[str, GroupSummary] = field(default_factory=dict)
     anovas: dict[str, AnovaResult] = field(default_factory=dict)
     effect_d: dict[str, Optional[float]] = field(default_factory=dict)
     posthoc: dict[str, list[dict]] = field(default_factory=dict)
     correlation: Optional[CorrelationResult] = None
-    scatter: list[tuple[float, float]] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
+    @property
+    def scatter(self) -> np.ndarray:
+        """(JVA ratio, post-test) of each team with a ratio, one row per team."""
+        kept = self.teams.has_ratio
+        return np.column_stack(
+            (self.teams.jva_ratio_pct[kept], self.teams.post_test[kept])
+        )
 
-# Each measure and the TeamRow field holding a team's value.
-_MEASURES = {"jva_ratio_pct": "jva_ratio_pct", "post_test": "team_post_test"}
+
+_MEASURES = ("jva_ratio_pct", "post_test")
 
 _MEASURE_HIGH = {"jva_ratio_pct": 100, "post_test": 5}
 
-# Each grouping is the TeamRow field holding a team's label.
+# The labels of each grouping, in the order of their codes.
 _GROUPING_LABELS = {
     "condition": [c.value for c in Condition],
     "group": [g.value for g in Group],
@@ -637,43 +862,48 @@ _GROUPING_LABELS = {
 }
 
 
-def stats_report_from_team_rows(rows: Sequence[TeamRow]) -> Report:
-    """Full inferential report from per-team JVA ratios and post-tests."""
-    report = Report(teams=sorted(rows, key=lambda r: r.team_id))
+def stats_report(teams: TeamTable) -> Report:
+    """Full inferential report from per-team JVA ratios and post-tests.
 
+    Each group summary sees its teams' values in table order; the report's
+    teams and the correlation take the teams sorted by id.
+    """
+    report = Report(teams=teams.by_team_id())
+    measures = {
+        "jva_ratio_pct": (teams.jva_ratio_pct, teams.has_ratio),
+        "post_test": (teams.post_test, np.ones(len(teams), bool)),
+    }
+    codes = {"condition": teams.condition, "group": teams.group, "gender": teams.gender}
     for grouping, labels in _GROUPING_LABELS.items():
         report.summaries[grouping] = {}
-        for measure, attr in _MEASURES.items():
-            # One pass over the rows; each group keeps row order.
-            values_by_label: dict[str, list[float]] = {label: [] for label in labels}
-            for row in rows:
-                if (v := getattr(row, attr)) is not None:
-                    values_by_label[getattr(row, grouping).value].append(v)
-            groups = [
-                summarize(values, label=label)
-                for label, values in values_by_label.items()
-                if len(values) >= 2
-            ]
+        for measure, (values, kept) in measures.items():
+            groups = []
+            for code, label in enumerate(labels):
+                group_values = values[kept & (codes[grouping] == code)]
+                if len(group_values) >= 2:
+                    groups.append(summarize(group_values, label=label))
             report.summaries[grouping][measure] = groups
             if len(groups) >= 2:
                 _add_anova(report, grouping, measure, groups)
 
-    for measure, attr in _MEASURES.items():
-        values = [v for row in rows if (v := getattr(row, attr)) is not None]
-        if len(values) >= 2:
-            report.totals[measure] = summarize(values, label="total")
+    for measure, (values, kept) in measures.items():
+        if kept.sum() >= 2:
+            report.totals[measure] = summarize(values[kept], label="total")
 
-    report.scatter = [
-        (row.jva_ratio_pct, row.team_post_test)
-        for row in report.teams
-        if row.jva_ratio_pct is not None
-    ]
-    if len(report.scatter) >= 3:
+    kept = report.teams.has_ratio
+    if kept.sum() >= 3:
         try:
-            report.correlation = pearson(*zip(*report.scatter))
+            report.correlation = pearson(
+                report.teams.jva_ratio_pct[kept], report.teams.post_test[kept]
+            )
         except ValueError as exc:
             report.notes.append(f"correlation skipped: {exc}")
     return report
+
+
+def stats_report_from_team_rows(rows: Iterable[TeamRow]) -> Report:
+    """``stats_report`` of TeamRow records."""
+    return stats_report(TeamTable.from_rows(rows))
 
 
 def stats_report_from_summaries(
@@ -734,25 +964,29 @@ def analyze_table(
         table.gaze_y,
         config,
     )
-    counts = dict(
-        zip(table.team_ids, zip(jva_frames.tolist(), denominator_frames.tolist()))
-    )
-    rows = []
-    for team_id in sorted(teams):
-        team = teams[team_id]
-        jva, denominator = counts.get(team_id, (0, 0))
-        rows.append(
-            TeamRow(
-                team_id=team_id,
-                condition=team.condition,
-                group=team.group,
-                gender=team.gender_composition,
-                jva_ratio_pct=100.0 * (jva / denominator) if denominator else None,
-                team_post_test=team.team_post_test,
-            )
+    team_ids = sorted(teams)
+    sessions = [teams[t] for t in team_ids]
+    # Each team's number in the frame table; -1, for a team without frames,
+    # picks the appended count of 0.
+    number = dict(zip(table.team_ids, range(len(table.team_ids))))
+    at = np.array([number.get(t, -1) for t in team_ids], dtype=np.intp)
+    jva = np.append(jva_frames, 0)[at]
+    denominator = np.append(denominator_frames, 0)[at]
+    ratio = np.full(len(team_ids), np.nan)
+    np.divide(jva, denominator, out=ratio, where=denominator > 0)
+    scores = np.array([s.post_test_scores for s in sessions], float).reshape(-1, 2)
+    report = stats_report(
+        TeamTable(
+            team_ids=team_ids,
+            condition=np.array([_CONDITIONS.index(s.condition) for s in sessions], np.int8),
+            gender=np.array(
+                [_GENDERS.index(s.gender_composition) for s in sessions], np.int8
+            ),
+            jva_ratio_pct=100.0 * ratio,
+            post_test=team_post_test_score(scores[:, 0], scores[:, 1]),
         )
-    report = stats_report_from_team_rows(rows)
-    no_frames = [r.team_id for r in rows if r.jva_ratio_pct is None]
+    )
+    no_frames = [team_ids[i] for i in np.flatnonzero(np.isnan(ratio)).tolist()]
     if no_frames:
         report.notes.append(f"no countable frames for teams: {no_frames}")
     return report
@@ -796,40 +1030,32 @@ def load_summary_fixture(
 
 
 @_names_file
-def load_team_rows(path: Union[str, Path]) -> list[TeamRow]:
+def load_team_rows(path: Union[str, Path]) -> TeamTable:
     """Read a per-team results table (the analyze output's teams.csv).
 
-    Unknown condition/gender tokens, a post-test outside [0, 5], a JVA
-    ratio outside [0, 100] and a team_id that repeats are errors naming
-    the line.
+    The teams keep the file's order; an empty or absent jva_ratio_pct is
+    a missing ratio. Unknown condition/gender tokens, a post-test outside
+    [0, 5], a JVA ratio outside [0, 100] and a team_id that repeats are
+    errors naming the line.
     """
-    out = []
-    for line, row, team in _table_rows(path, _TEAM_ROW_COLUMNS, ["team_id"], "team_id"):
-        cond = _parse_token(_CONDITION_TOKENS, row, "condition", line)
-        ratio_raw = row.get("jva_ratio_pct", "").strip()
-        out.append(
-            TeamRow(
-                team_id=team,
-                condition=cond,
-                group=group_for_condition(cond),
-                gender=_parse_token(_GENDER_TOKENS, row, "gender", line),
-                jva_ratio_pct=(
-                    _parse_bounded(ratio_raw, "jva_ratio_pct", line, 100)
-                    if ratio_raw
-                    else None
-                ),
-                team_post_test=_parse_bounded(
-                    row["team_post_test"], "team_post_test", line, 5
-                ),
-            )
-        )
-    return out
+    team_ids, condition, gender, ratio, post_test = _read_team_columns(
+        path, _TEAM_ROW_COLUMNS, _TEAM_ROW_NUMBERS
+    )
+    return TeamTable(team_ids, condition, gender, ratio, post_test)
 
 
 @_names_file
 def detect_table_kind(path: Union[str, Path]) -> str:
-    """'summary' or 'teams': the table whose columns the header has."""
-    header = set(next(_read_csv(path, ())))
+    """'summary' or 'teams': the table whose columns the header has.
+
+    It reads on past the rest of the header's chunk of rows, so that a
+    fault ``_read_csv`` finds there, such as a byte that is not UTF-8, is
+    raised before the table is dispatched.
+    """
+    chunks = _read_csv(path, ())
+    header = set(next(chunks))
+    for _ in islice(chunks, 2):  # the header chunk's rows, then its fault
+        pass
     if header.issuperset(_SUMMARY_COLUMNS):
         return "summary"
     if header.issuperset(_TEAM_ROW_COLUMNS):
@@ -880,15 +1106,35 @@ def _formatted(record: dict, value_rule) -> dict:
     }
 
 
-def _team_record(r: TeamRow) -> dict:
-    return {
-        "team_id": r.team_id,
-        "condition": r.condition.value,
-        "group": r.group.value,
-        "gender": r.gender.value,
-        "jva_ratio_pct": r.jva_ratio_pct,
-        "team_post_test": r.team_post_test,
-    }
+def _json_text(value, decimals: int) -> str:
+    """``_json_value`` as json.dumps writes it."""
+    if value is not None and math.isfinite(value):
+        return repr(round(value, decimals))
+    return json.dumps(_json_value(value, decimals))
+
+
+# The team fields in TeamRow order: the columns of teams.csv.
+_TEAM_FIELDS = [f.name for f in fields(TeamRow)]
+
+
+def _team_columns(teams: TeamTable, value_rule, text=str) -> list[list]:
+    """The cells of each team field, in TeamRow order: ``text`` of each id
+    and label, ``value_rule`` of each number (a missing ratio is None)."""
+    ratios = teams.jva_ratio_pct.tolist()
+    if np.isnan(teams.jva_ratio_pct).any():
+        ratios = [None if r != r else r for r in ratios]
+
+    def labels(codes: np.ndarray, members: list) -> list:
+        return list(map([text(m.value) for m in members].__getitem__, codes.tolist()))
+
+    return [
+        list(map(text, teams.team_ids)),
+        labels(teams.condition, _CONDITIONS),
+        labels(teams.group, _GROUPS),
+        labels(teams.gender, _GENDERS),
+        [value_rule(r, _DECIMALS["jva_ratio_pct"]) for r in ratios],
+        [value_rule(p, _DECIMALS["team_post_test"]) for p in teams.post_test.tolist()],
+    ]
 
 
 def _summary_record(g: GroupSummary, **labels) -> dict:
@@ -915,7 +1161,28 @@ def _posthoc_record(c: dict) -> dict:
     return {k: c[k] for k in ("a", "b", "f", "p", "cohens_d", "correction")}
 
 
-def _report_dict(report: Report) -> dict:
+# A team and a scatter point as json.dumps(indent=2, sort_keys=True) writes
+# them in the report's top-level object; fields by _team_columns' order.
+_JSON_TEAM = (
+    '    {{\n      "condition": {1},\n      "gender": {3},\n      "group": {2},\n'
+    '      "jva_ratio_pct": {4},\n      "team_id": {0},\n      "team_post_test": {5}\n    }}'
+)
+_JSON_POINT = "    [\n      {},\n      {}\n    ]"
+
+
+def _json_list(items) -> str:
+    """A list member of the top-level object from its items' text."""
+    body = ",\n".join(items)
+    return f"[\n{body}\n  ]" if body else "[]"
+
+
+def _render_json(report: Report) -> str:
+    """The report as ``json.dumps(..., indent=2, sort_keys=True)`` writes it.
+
+    ``teams`` and ``scatter`` are written a column at a time with one
+    template per row; every other member goes through json.dumps and is
+    indented one level.
+    """
     def js(record: dict) -> dict:
         return _formatted(record, _json_value)
 
@@ -923,8 +1190,7 @@ def _report_dict(report: Report) -> dict:
     for key in report.anovas:
         anovas[key] = record = js(_anova_record(report, key))
         record["df"] = [record.pop("df1"), record.pop("df2")]
-    data = {
-        "teams": [js(_team_record(r)) for r in report.teams],
+    members = {
         "summaries": {
             grouping: {
                 measure: [js(_summary_record(g, label=g.label)) for g in groups]
@@ -938,24 +1204,28 @@ def _report_dict(report: Report) -> dict:
             key: [js(_posthoc_record(c)) for c in comparisons]
             for key, comparisons in report.posthoc.items()
         },
-        "scatter": [
-            [_json_value(x, _DECIMALS["jva_ratio_pct"]),
-             _json_value(y, _DECIMALS["team_post_test"])]
-            for x, y in report.scatter
-        ],
         "notes": list(report.notes),
     }
     if report.correlation is not None:
-        data["correlation"] = js(asdict(report.correlation))
-    return data
+        members["correlation"] = js(asdict(report.correlation))
+    text = {
+        key: json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+        for key, value in members.items()
+    }
+    columns = _team_columns(report.teams, _json_text, encode_basestring_ascii)
+    text["teams"] = _json_list(map(_JSON_TEAM.format, *columns))
+    scored = report.teams.has_ratio.tolist()
+    text["scatter"] = _json_list(
+        map(_JSON_POINT.format, compress(columns[4], scored), compress(columns[5], scored))
+    )
+    body = ",\n".join(f'  "{key}": {text[key]}' for key in sorted(text))
+    return "{\n" + body + "\n}\n"
 
 
 _MEASURE_TITLES = {"jva_ratio_pct": "JVA ratio (%)", "post_test": "Post-test"}
 
-_TEXT_TEAM_LINE = (
-    "{team_id:<10}{condition:<12}{group:<12}{gender:<8}"
-    "{jva_ratio_pct:>14}{team_post_test:>11}"
-)
+# One line of the per-team text table; fields in TeamRow order.
+_TEXT_TEAM_LINE = "{:<10}{:<12}{:<12}{:<8}{:>14}{:>11}"
 
 
 def _render_text(report: Report) -> str:
@@ -968,11 +1238,10 @@ def _render_text(report: Report) -> str:
         lines.append("Per-team results")
         lines.append(
             _TEXT_TEAM_LINE.format(
-                team_id="team", condition="condition", group="group",
-                gender="gender", jva_ratio_pct="JVA ratio (%)", team_post_test="post-test",
+                "team", "condition", "group", "gender", "JVA ratio (%)", "post-test"
             )
         )
-        lines.extend(_TEXT_TEAM_LINE.format_map(txt(_team_record(r))) for r in report.teams)
+        lines.extend(map(_TEXT_TEAM_LINE.format, *_team_columns(report.teams, _text_value)))
         lines.append("")
 
     for grouping in sorted(report.summaries):
@@ -1057,7 +1326,7 @@ def emit_report(
     when there is a correlation, correlation.csv.
     """
     if fmt == "json":
-        text = json.dumps(_report_dict(report), indent=2, sort_keys=True) + "\n"
+        text = _render_json(report)
     elif fmt == "text":
         text = _render_text(report)
     elif fmt == "csv-bundle":
@@ -1073,22 +1342,27 @@ def emit_report(
     return text
 
 
-def _write_csv(path: Path, columns: Sequence[str], records) -> None:
-    """One CSV file; a field missing from a record is an empty cell."""
+def _write_csv(path: Path, columns: Sequence[str], rows) -> None:
+    """One CSV file: a header of ``columns``, then ``rows`` of cells."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for record in records:
-            record = _formatted(record, _csv_value)
-            writer.writerow([record.get(c) for c in columns])
+        writer.writerows(rows)
+
+
+def _csv_rows(columns: Sequence[str], records) -> Iterator[list]:
+    """Each record's cells; a field missing from a record is an empty cell."""
+    for record in records:
+        record = _formatted(record, _csv_value)
+        yield [record.get(c) for c in columns]
 
 
 def _write_csv_bundle(report: Report, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out_dir / "teams.csv",
-        [f.name for f in fields(TeamRow)],
-        map(_team_record, report.teams),
+        _TEAM_FIELDS,
+        zip(*_team_columns(report.teams, _csv_value)),
     )
     summaries = [
         _summary_record(g, grouping=grouping, label=g.label, measure=measure)
@@ -1100,21 +1374,19 @@ def _write_csv_bundle(report: Report, out_dir: Path) -> None:
         for m in _MEASURES
         if m in report.totals
     ]
-    _write_csv(
-        out_dir / "summaries.csv",
-        ["grouping", "label", "measure", "n", "mean", "sd"],
-        summaries,
-    )
-    _write_csv(
-        out_dir / "anovas.csv",
-        ["analysis", "f", "df1", "df2", "p", "eta_squared", "omega_squared", "cohens_d"],
-        ({"analysis": key, **_anova_record(report, key)} for key in sorted(report.anovas)),
-    )
+    columns = ["grouping", "label", "measure", "n", "mean", "sd"]
+    _write_csv(out_dir / "summaries.csv", columns, _csv_rows(columns, summaries))
+    columns = [
+        "analysis", "f", "df1", "df2", "p", "eta_squared", "omega_squared", "cohens_d"
+    ]
+    anovas = ({"analysis": key, **_anova_record(report, key)} for key in sorted(report.anovas))
+    _write_csv(out_dir / "anovas.csv", columns, _csv_rows(columns, anovas))
     if report.correlation is not None:
+        columns = [f.name for f in fields(CorrelationResult)]
         _write_csv(
             out_dir / "correlation.csv",
-            [f.name for f in fields(CorrelationResult)],
-            [asdict(report.correlation)],
+            columns,
+            _csv_rows(columns, [asdict(report.correlation)]),
         )
 
 

@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from teamgaze.cli import main
+from teamgaze.cli import MAX_ROW_WARNINGS, main
+from teamgaze.io_report import read_frame_table
 
 
 def run(capsys, argv):
@@ -35,6 +36,31 @@ def test_analyze_writes_report(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out.read_text())
     assert len(payload["teams"]) == 6
+
+
+@pytest.mark.parametrize("skipped", [MAX_ROW_WARNINGS, MAX_ROW_WARNINGS + 3])
+def test_analyze_warns_about_the_first_skipped_rows_then_counts_the_rest(
+    tmp_path, capsys, skipped
+):
+    frames = tmp_path / "frames.csv"
+    frames.write_text(
+        "team_id,frame_id,timestamp_s,image_w,image_h,person_id,gaze_x,gaze_y\n"
+        "t1,f0,0.0,100,100,p1,10,10\n"
+        + "".join(f"t1,f{i},{i}.0,100,100,p1,-1,10\n" for i in range(1, skipped + 1))
+    )
+    teams = tmp_path / "teams.csv"
+    teams.write_text("team_id,condition,gender,post_test_1,post_test_2\nt1,ar,FF,1,2\n")
+    code, _, err = run(capsys, ["analyze", "--frames", str(frames), "--teams", str(teams)])
+    assert code == 0
+    warnings = err.splitlines()
+    assert warnings[:MAX_ROW_WARNINGS] == [
+        f"warning: {frames}: line {i + 2}: gaze (-1.0, 10.0) outside 100x100 image, "
+        "row skipped"
+        for i in range(1, MAX_ROW_WARNINGS + 1)
+    ]
+    rest = [f"warning: {frames}: 3 more rows skipped: gaze point outside the image"]
+    assert warnings[MAX_ROW_WARNINGS:] == (rest if skipped > MAX_ROW_WARNINGS else [])
+    assert len(read_frame_table(frames).row_errors) == skipped
 
 
 def test_analyze_negative_threshold_is_usage_error(tmp_path, capsys):

@@ -401,6 +401,30 @@ def test_load_team_rows_rejects_bad_rows_with_line(tmp_path, row, message):
         load_team_rows(path)
 
 
+def team_rows_file(tmp_path, rows):
+    path = tmp_path / "teams.csv"
+    path.write_text(TEAM_ROWS_HEADER + "".join(row + "\n" for row in rows))
+    return path
+
+
+def test_load_team_rows_names_the_first_of_two_bad_rows_past_the_first_chunk(tmp_path):
+    # Lines 1,502 and 1,602 share the second chunk; the first has the error
+    # its row checks last, the second the error its row checks first.
+    rows = [f"t{i},ar,,FF,30,2" for i in range(2000)]
+    rows[1500] = "t1500,ar,,FF,30,9"
+    rows[1600] = "t1600,chalkboard,,FF,30,2"
+    with pytest.raises(ValueError, match=re.escape("line 1502: team_post_test '9' out of")):
+        load_team_rows(team_rows_file(tmp_path, rows))
+
+
+def test_load_team_rows_names_a_duplicate_first_seen_in_an_earlier_chunk(tmp_path):
+    rows = [f"t{i},ar,,FF,30,2" for i in range(2000)]
+    rows[1500] = " t5 ,ar,,FF,30,2"
+    message = "line 1502: duplicate team_id 't5' (first on line 7)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_team_rows(team_rows_file(tmp_path, rows))
+
+
 def test_team_rows_and_summary_errors_count_comment_lines(tmp_path):
     teams = tmp_path / "teams.csv"
     teams.write_text("# run 3\n# tuned\n" + TEAM_ROWS_HEADER + "t0,ar,,FF,,2\nt1,ar,,FF,30,9\n")
@@ -553,6 +577,31 @@ def test_non_utf8_byte_is_reported_at_its_line(tmp_path, load, header, good_row,
     assert str(raised.value) == (
         f"{path}: line 2003: byte 0xff is not UTF-8 (invalid start byte)"
     )
+
+
+@pytest.mark.parametrize("byte_line", [51, 2051], ids=["same chunk", "later chunk"])
+@pytest.mark.parametrize(
+    "load, header, good_row, bad_row, message",
+    [
+        (read_frame_table, FRAME_HEADER, "t1,f{},0.0,2560,1440,p1,1,1,,,1.0,0",
+         "t1,f1,x,2560,1440,p1,1,1,,,1.0,0",
+         "line 2: column 'timestamp_s' not numeric: 'x'"),
+        (load_teams, TEAMS_HEADER, "t{},ar,FF,1,2", "t1,ar,ZZ,1,2",
+         "line 2: unknown gender 'ZZ'"),
+        (load_team_rows, TEAM_ROWS_HEADER, "t{},ar,,FF,,2", "t1,ar,,ZZ,,2",
+         "line 2: unknown gender 'ZZ'"),
+    ],
+    ids=["frames", "teams", "team rows"],
+)
+def test_bad_row_before_a_non_utf8_byte_is_reported_first(
+    tmp_path, load, header, good_row, bad_row, message, byte_line
+):
+    rows = [bad_row] + [good_row.format(i) for i in range(2, byte_line - 1)]
+    path = tmp_path / "table.csv"
+    path.write_bytes((header + "".join(r + "\n" for r in rows)).encode() + b"\xff\n")
+    with pytest.raises(ValueError) as raised:
+        load(path)
+    assert str(raised.value).startswith(f"{path}: {message}")
 
 
 def test_load_team_rows_accepts_range_ends(tmp_path):

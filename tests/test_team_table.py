@@ -1,0 +1,132 @@
+"""The columnar team table against the per-row report it replaced.
+
+Reports are built from random TeamRow lists. The JSON emitter writes the
+per-team columns by hand, so its text is pinned to json.dumps; every
+format of the columnar report is pinned to the per-row reference in
+``oracles.per_row_stats_report``.
+"""
+
+import json
+import math
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import per_row_stats_report
+from teamgaze.io_report import (
+    TeamRow,
+    TeamTable,
+    emit_report,
+    load_team_rows,
+    stats_report,
+    stats_report_from_team_rows,
+)
+from teamgaze.model import Condition, GenderComposition, group_for_condition
+
+# Quotes, backslashes, separators, non-ASCII and control characters.
+TEAM_IDS = st.text(st.sampled_from('tA"\\,# \t\n\x00\x1f\x7fé中😀'), max_size=3)
+
+# Each table draws its ratios and post-tests from one of these pools: all
+# missing, all equal (zero variance), the range ends, or any value.
+RATIO_POOLS = [
+    st.none(),
+    st.just(40.0),
+    st.sampled_from([None, 0.0, 100.0, 40.0]),
+    st.one_of(st.none(), st.floats(0, 100)),
+]
+POST_TEST_POOLS = [st.just(2.5), st.sampled_from([0.0, 5.0, 2.5]), st.floats(0, 5)]
+
+
+@st.composite
+def team_rows(draw, team_ids=TEAM_IDS):
+    """TeamRows in random order, some conditions and genders left out so
+    that groups are empty or hold one team."""
+    conditions = draw(st.lists(st.sampled_from(list(Condition)), min_size=1, unique=True))
+    genders = draw(
+        st.lists(st.sampled_from(list(GenderComposition)), min_size=1, unique=True)
+    )
+    ratios = draw(st.sampled_from(RATIO_POOLS))
+    post_tests = draw(st.sampled_from(POST_TEST_POOLS))
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        condition = draw(st.sampled_from(conditions))
+        rows.append(
+            TeamRow(
+                draw(team_ids),
+                condition,
+                group_for_condition(condition),
+                draw(st.sampled_from(genders)),
+                draw(ratios),
+                draw(post_tests),
+            )
+        )
+    return draw(st.permutations(rows))
+
+
+def rendered(report) -> dict:
+    """The report's bytes in every format: JSON, text and each bundle file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        emit_report(report, "csv-bundle", Path(tmp))
+        out = {p.name: p.read_bytes() for p in sorted(Path(tmp).iterdir())}
+    out["json"] = emit_report(report, "json")
+    out["text"] = emit_report(report, "text")
+    return out
+
+
+@given(team_rows())
+@settings(max_examples=200, deadline=None)
+def test_json_report_is_what_json_dumps_writes(rows):
+    text = emit_report(stats_report_from_team_rows(rows), "json")
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def statistics(report) -> tuple:
+    """The report's raw statistics, compared exactly before rounding."""
+    return (report.summaries, report.totals, report.anovas, report.effect_d,
+            report.posthoc, report.correlation, report.notes)
+
+
+@given(team_rows())
+@settings(max_examples=200, deadline=None)
+def test_columnar_report_matches_the_per_row_reference(rows):
+    report, reference = stats_report_from_team_rows(rows), per_row_stats_report(rows)
+    assert statistics(report) == statistics(reference)
+    assert rendered(report) == rendered(reference)
+
+
+@given(team_rows(team_ids=st.just("")))
+@settings(max_examples=100, deadline=None)
+def test_loaded_team_table_matches_the_per_row_reference(rows):
+    rows = [replace(r, team_id=f"team{i:02d}") for i, r in enumerate(rows)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "teams.csv"
+        path.write_text(
+            "team_id,condition,group,gender,jva_ratio_pct,team_post_test\n"
+            + "".join(
+                f"{r.team_id},{r.condition.value},,{r.gender.value},"
+                f"{'' if r.jva_ratio_pct is None else repr(r.jva_ratio_pct)},"
+                f"{r.team_post_test!r}\n"
+                for r in rows
+            )
+        )
+        table = load_team_rows(path)
+    assert list(table) == rows
+    report, reference = stats_report(table), per_row_stats_report(rows)
+    assert statistics(report) == statistics(reference)
+    assert rendered(report) == rendered(reference)
+
+
+def test_team_table_keeps_missing_ratios_apart_from_zero():
+    rows = [
+        TeamRow("b", Condition.AR, group_for_condition(Condition.AR),
+                GenderComposition.MIXED, None, 1.0),
+        TeamRow("a", Condition.TEXTBOOK, group_for_condition(Condition.TEXTBOOK),
+                GenderComposition.FEMALES, 0.0, 2.0),
+    ]
+    table = TeamTable.from_rows(rows)
+    assert len(table) == 2 and list(table) == rows
+    assert math.isnan(table.jva_ratio_pct[0]) and table.jva_ratio_pct[1] == 0.0
+    assert [r.team_id for r in table.by_team_id()] == ["a", "b"]
