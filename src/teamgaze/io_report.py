@@ -3,8 +3,12 @@
 Four input tables drive the pipeline: a frame table (one row per frame
 and person), a team table (condition, gender and two post-test scores per
 team), and for ``teamgaze stats`` a per-team results or summary table.
-``_read_csv`` tokenizes all four under one contract, and each error of a
-table reader starts with the table's path (``_names_file``).
+``_read_csv`` tokenizes all four under one contract and yields their rows
+a chunk at a time in column form: a chunk of plain lines is split at every
+comma in one pass straight into columns, and only text csv.reader must
+interpret (quotes, lone CR, NUL, over-long cells, rows of another width,
+bytes that are not UTF-8) goes through csv.reader. Each error of a table
+reader starts with the table's path (``_names_file``).
 ``read_frame_table`` parses frame rows in chunks into numpy columns;
 ``analyze_table``, the one way from frames and teams to a report, scores
 them with ``jva.team_jva_counts``, and ``load_frames`` turns them into
@@ -30,7 +34,7 @@ import operator
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import wraps
-from itertools import compress, islice, zip_longest
+from itertools import chain, compress, islice, zip_longest
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -110,8 +114,8 @@ _NUMERIC_FRAME_COLUMNS = ("timestamp_s", "image_w", "image_h", "gaze_x", "gaze_y
 # Accepted ``discarded`` cells after stripping and lower-casing.
 _DISCARDED_TOKENS = {"": False, "0": False, "false": False, "1": True, "true": True}
 
-# Rows read per step. Small enough for one step's row lists to stay in
-# the CPU cache: steps of 16k frame rows parsed slower than 1k.
+# Lines or rows read per step. Small enough for one step's cells to stay
+# in the CPU cache: steps of 16k frame rows parsed slower than 1k.
 _CHUNK_ROWS = 1024
 
 _TEAM_ROW_COLUMNS = ("team_id", "condition", "gender", "team_post_test")
@@ -208,41 +212,130 @@ def _undecodable(path: Union[str, Path]) -> tuple[int, str]:
     return line, "not UTF-8"
 
 
-def _read_csv(path: Union[str, Path], columns: Sequence[str]) -> Iterator:
-    """Read an input table: yield its header, then ``(lines, rows)`` chunks.
+def _read_csv(
+    path: Union[str, Path], columns: Sequence[str], optional: Sequence[str] = ()
+) -> Iterator:
+    """Read an input table: yield its header, then ``(lines, cells, short)``
+    chunks of its rows in column form.
 
-    A chunk holds up to ``_CHUNK_ROWS`` rows (lists of cells) and the
-    physical line each ends on. Blank rows and comment rows (a first cell
+    A chunk holds up to ``_CHUNK_ROWS`` rows. ``cells`` maps each name of
+    ``columns``, and of ``optional`` that the header has, to that column's
+    cells, one per row; the last of two same-named columns wins, as in a
+    dict of the row. ``lines`` holds the physical line each row ends on.
+    ``short`` says whether a row lacks a cell of one of those columns; the
+    cells it lacks are None. Blank rows and comment rows (a first cell
     starting with ``#`` after leading spaces) are skipped; header names are
     stripped. A missing header or column, a comment row holding a quoted
     line break, a cell over the csv module's field limit and a byte that is
     not UTF-8 are errors naming the line, raised after the rows before them
     are yielded.
+
+    The cells are those ``csv.reader`` gives. A plain chunk (see
+    ``_text_chunks``) whose rows all have the header's width is split at
+    every comma in one pass; any other chunk goes through ``csv.reader``.
     """
-    header, error = None, None
+    header = None
+    for lines, rows in _text_chunks(path):
+        if header is None:
+            if isinstance(rows, str):
+                first, _, rows = rows.partition("\n")
+                first = first.split(",")
+            else:
+                first, rows = rows[0], rows[1:]
+            header = [name.strip() for name in first]
+            missing = [c for c in columns if c not in header]
+            if missing:
+                raise ValueError(f"missing mandatory columns {missing}")
+            yield header
+            width = len(header)
+            index = {name: i for i, name in enumerate(header)}
+            used = {name: index[name] for name in (*columns, *optional) if name in index}
+            lines = lines[1:]
+            if not len(lines):
+                continue
+        n = len(lines)
+        if isinstance(rows, str):
+            # A row of the header's width puts each LF cell at every
+            # (width + 1)-th place.
+            cells = rows.replace("\n", ",\n,").split(",")
+            if len(cells) == n * (width + 1) - 1 and (
+                cells[width :: width + 1].count("\n") == n - 1
+            ):
+                yield lines, {c: cells[i :: width + 1] for c, i in used.items()}, False
+                continue
+            rows = list(csv.reader(rows.split("\n")))
+        # A short row stays apart from an empty cell: zip_longest fills None.
+        by_column = list(zip_longest(*rows, fillvalue=None))
+        missing_cells = (None,) * n
+        cells = {
+            c: by_column[i] if i < len(by_column) else missing_cells for c, i in used.items()
+        }
+        yield lines, cells, min(map(len, rows)) <= max(used.values(), default=-1)
+    if header is None:
+        raise ValueError("empty file, header row required")
+
+
+def _text_chunks(path: Union[str, Path]) -> Iterator:
+    """A table's rows, without blank and comment rows, as ``(lines, rows)``
+    chunks of up to ``_CHUNK_ROWS`` physical lines or csv rows.
+
+    ``lines`` holds the physical line each row ends on. A plain chunk, one
+    holding no ``"``, lone CR, NUL or line over the csv field limit, gives
+    ``rows`` as its rows' text joined by LF (CR LF read as LF); csv.reader
+    would split each of its lines at every comma. Any other chunk gives the
+    rows csv.reader makes of its lines, and from the first chunk holding a
+    ``"`` on one csv.reader reads the rest of the file, since a quoted cell
+    may hold a line break. Errors are raised after the rows before them.
+    """
+    limit = csv.field_size_limit()
+    done, error = 0, None  # the last line read, and the error to raise
+    rest = False  # whether the reader reads the rest of the file
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        line = 0
         while error is None:
             chunk: list = []
             try:
+                if not rest:
+                    raw = list(islice(fh, _CHUNK_ROWS))
+                    if not raw:
+                        break
+                    text = "".join(raw)
+                    rest = '"' in text
+                    if "\r" in text:
+                        text = text.replace("\r\n", "\n")
+                    if not (
+                        rest
+                        or "\r" in text
+                        or "\0" in text
+                        or len(text) > limit and max(map(len, raw)) > limit
+                    ):
+                        lines = np.arange(done + 1, done + len(raw) + 1)
+                        done += len(raw)
+                        if "#" in text or "\n\n" in text or text[0] == "\n":
+                            lines, text = _plain_kept(text, lines)
+                        elif text[-1] == "\n":
+                            text = text[:-1]
+                        if len(lines):
+                            yield lines, text
+                        continue
+                    base, reader = done, csv.reader(chain(raw, fh) if rest else raw)
                 chunk.extend(islice(reader, _CHUNK_ROWS))
-                end = reader.line_num
+                end = base + reader.line_num
             except csv.Error as exc:
-                end, error = reader.line_num, ValueError(f"line {reader.line_num}: {exc}")
+                end = base + reader.line_num
+                error = ValueError(f"line {end}: {exc}")
             except UnicodeDecodeError:
-                # The decoder fails on a whole read buffer, before the csv
-                # module sees any row in it.
-                chunk, end, error = _rows_before_undecodable(path, line)
+                # The decoder fails on a whole read buffer, before any of its
+                # lines reach this reader.
+                chunk, end, error = _rows_before_undecodable(path, done)
             if not chunk:
                 break
-            lines = _row_lines(chunk, line, end)
+            lines = _row_lines(chunk, done, end)
             # csv.reader gives [] for a blank line.
             if not all(chunk) or "#" in "".join([row[0] for row in chunk]):
                 kept = []
                 for i, row in enumerate(chunk):
                     if row and row[0].lstrip().startswith("#"):
-                        start = lines[i - 1] + 1 if i else line + 1
+                        start = lines[i - 1] + 1 if i else done + 1
                         if lines[i] != start:
                             error = ValueError(
                                 f"line {start}: comment row holds a quoted line break"
@@ -251,20 +344,21 @@ def _read_csv(path: Union[str, Path], columns: Sequence[str]) -> Iterator:
                     elif row:
                         kept.append(i)
                 chunk, lines = [chunk[i] for i in kept], lines[kept]
-            line = end
-            if header is None and chunk:
-                header = [name.strip() for name in chunk[0]]
-                missing = [c for c in columns if c not in header]
-                if missing:
-                    raise ValueError(f"missing mandatory columns {missing}")
-                yield header
-                chunk, lines = chunk[1:], lines[1:]
+            done = end
             if chunk:
                 yield lines, chunk
     if error is not None:
         raise error
-    if header is None:
-        raise ValueError("empty file, header row required")
+
+
+def _plain_kept(text: str, lines: np.ndarray) -> tuple[np.ndarray, str]:
+    """The rows of plain ``text`` that are not blank or comments, joined by
+    LF, and their lines."""
+    rows = text.split("\n")
+    if text[-1] == "\n":
+        rows.pop()
+    kept = [i for i, row in enumerate(rows) if row and not row.lstrip().startswith("#")]
+    return lines[kept], "\n".join([rows[i] for i in kept])
 
 
 def _rows_before_undecodable(path: Union[str, Path], done: int) -> tuple[list, int, ValueError]:
@@ -313,12 +407,12 @@ def read_frame_table(path: Union[str, Path]) -> FrameTable:
     discarded flag. A row whose gaze point is outside the image or NaN is
     skipped and logged in ``row_errors``; it never creates a frame.
     """
-    chunks = _read_csv(path, _MANDATORY_FRAME_COLUMNS)
-    # The last of two same-named columns wins, as in csv.DictReader.
-    rows = _FrameRows({name: i for i, name in enumerate(next(chunks))})
+    chunks = _read_csv(path, _MANDATORY_FRAME_COLUMNS, ("discarded",))
+    next(chunks)
+    rows = _FrameRows()
     try:
-        for lines, chunk in chunks:
-            rows.add(chunk, lines)
+        for lines, cells, short in chunks:
+            rows.add(cells, lines, short)
     except ValueError:
         rows.table()  # a frame error on an earlier line comes first
         raise
@@ -332,22 +426,27 @@ def _parse_size(value: str, column: str, line: int) -> int:
     return int(number)
 
 
-def _check_frame_row(row: list, line: int, column: dict[str, int]) -> None:
-    """Raise the first error of one frame row, checking cells in column order."""
+def _rows(cells: dict) -> Iterator[dict]:
+    """Each row of a column chunk as a dict of its cells."""
+    return (dict(zip(cells, row)) for row in zip(*cells.values()))
+
+
+def _check_frame_row(row: dict, line: int) -> None:
+    """Raise the first error of one frame row (a lacking cell is None),
+    checking cells in column order."""
     for name in _MANDATORY_FRAME_COLUMNS:
-        if column[name] >= len(row):
+        if row[name] is None:
             raise ValueError(f"line {line}: short row, no {name} cell")
-    if not row[column["team_id"]].strip() or not row[column["frame_id"]].strip():
+    if not row["team_id"].strip() or not row["frame_id"].strip():
         raise ValueError(f"line {line}: empty team_id or frame_id")
-    _parse_float(row[column["timestamp_s"]], "timestamp_s", line)
-    w = _parse_size(row[column["image_w"]], "image_w", line)
-    h = _parse_size(row[column["image_h"]], "image_h", line)
+    _parse_float(row["timestamp_s"], "timestamp_s", line)
+    w = _parse_size(row["image_w"], "image_w", line)
+    h = _parse_size(row["image_h"], "image_h", line)
     if w <= 0 or h <= 0:
         raise ValueError(f"line {line}: non-positive image dimensions")
-    _parse_float(row[column["gaze_x"]], "gaze_x", line)
-    _parse_float(row[column["gaze_y"]], "gaze_y", line)
-    index = column.get("discarded", len(row))
-    token = row[index] if index < len(row) else ""
+    _parse_float(row["gaze_x"], "gaze_x", line)
+    _parse_float(row["gaze_y"], "gaze_y", line)
+    token = row.get("discarded") or ""
     if token.strip().lower() not in _DISCARDED_TOKENS:
         raise ValueError(
             f"line {line}: discarded {token!r} is not empty, 0, 1, true or false"
@@ -364,8 +463,9 @@ class _Ids:
         self._cell_number: dict[str, int] = {}
 
     def codes(self, cells: Sequence[str]) -> np.ndarray:
-        codes = list(map(self._cell_number.get, cells))
-        if None in codes:
+        try:
+            return np.fromiter(map(self._cell_number.__getitem__, cells), np.int64, len(cells))
+        except KeyError:
             for cell in cells:
                 if cell not in self._cell_number:
                     name = cell.strip()
@@ -373,8 +473,7 @@ class _Ids:
                         self.number[name] = len(self.names)
                         self.names.append(name)
                     self._cell_number[cell] = self.number[name]
-            codes = list(map(self._cell_number.get, cells))
-        return np.array(codes, dtype=np.int64)
+        return np.fromiter(map(self._cell_number.__getitem__, cells), np.int64, len(cells))
 
 
 def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -397,10 +496,7 @@ class _FrameRows:
     first bad one and its first error, the order a row-by-row reader has.
     """
 
-    def __init__(self, column: dict[str, int]):
-        self.column = column
-        self.need = 1 + max(column[c] for c in _MANDATORY_FRAME_COLUMNS)
-        self.width = max(self.need, 1 + column.get("discarded", -1))
+    def __init__(self):
         self.teams, self.frames, self.persons = _Ids(), _Ids(), _Ids()
         self.row_errors: list[str] = []
         # The kept rows' team, frame, person, timestamp, width, height,
@@ -408,49 +504,47 @@ class _FrameRows:
         self.columns: list[list[np.ndarray]] = [[] for _ in range(10)]
         # An empty first chunk gives each column its dtype, also for a file
         # without rows.
-        self._parse([], np.arange(0))
+        self._parse(dict.fromkeys(FRAME_COLUMNS, ()), np.arange(0), False)
 
-    def add(self, chunk: list, lines: np.ndarray) -> None:
+    def add(self, cells: dict, lines: np.ndarray, short: bool) -> None:
+        """Parse one ``_read_csv`` chunk."""
         try:
-            self._parse(chunk, lines)
+            self._parse(cells, lines, short)
         except ValueError:
-            for i, (row, line) in enumerate(zip(chunk, lines.tolist())):
+            for i, (row, line) in enumerate(zip(_rows(cells), lines.tolist())):
                 try:
-                    _check_frame_row(row, line, self.column)
+                    _check_frame_row(row, line)
                 except ValueError:
                     # Keep the rows before it for table()'s frame checks.
-                    self._parse(chunk[:i], lines[:i])
+                    self._parse({c: v[:i] for c, v in cells.items()}, lines[:i], short)
                     raise
             raise
 
-    def _parse(self, chunk: list, lines: np.ndarray) -> None:
-        column, n = self.column, len(chunk)
-        if min(map(len, chunk), default=self.width) < self.width:
-            if min(map(len, chunk)) < self.need:
-                raise ValueError("short row")
-            chunk = [row + [""] * (self.width - len(row)) for row in chunk]
-        cells = list(zip(*chunk)) or [()] * self.width
-        team = self.teams.codes(cells[column["team_id"]])
-        frame = self.frames.codes(cells[column["frame_id"]])
+    def _parse(self, cells: dict, lines: np.ndarray, short: bool) -> None:
+        n = len(lines)
+        if short and any(None in cells[c] for c in _MANDATORY_FRAME_COLUMNS):
+            raise ValueError("short row")
+        team = self.teams.codes(cells["team_id"])
+        frame = self.frames.codes(cells["frame_id"])
         for ids, codes in ((self.teams, team), (self.frames, frame)):
             if "" in ids.number and (codes == ids.number[""]).any():
                 raise ValueError("empty id")
         ts, w, h, gx, gy = (
-            np.fromiter(map(float, cells[column[c]]), float, n)
-            for c in _NUMERIC_FRAME_COLUMNS
+            np.fromiter(map(float, cells[c]), float, n) for c in _NUMERIC_FRAME_COLUMNS
         )
         if not (np.isfinite(w) & (w >= 1) & np.isfinite(h) & (h >= 1)).all():
             raise ValueError("image size")
         w, h = np.trunc(w), np.trunc(h)
         flags = [False] * n
-        if "discarded" in column:
-            tokens = cells[column["discarded"]]
+        if "discarded" in cells:
+            tokens = cells["discarded"]
             if None in (flags := list(map(_DISCARDED_TOKENS.get, tokens))):
-                flags = [_DISCARDED_TOKENS.get(t.strip().lower()) for t in tokens]
+                # A short row's lacking cell (None) reads as empty.
+                flags = [_DISCARDED_TOKENS.get((t or "").strip().lower()) for t in tokens]
                 if None in flags:
                     raise ValueError("discarded")
         discarded = np.array(flags, dtype=bool)
-        person = self.persons.codes(cells[column["person_id"]])
+        person = self.persons.codes(cells["person_id"])
 
         inside = (gx >= 0) & (gx <= w) & (gy >= 0) & (gy <= h)
         for i in np.flatnonzero(~inside).tolist():
@@ -574,17 +668,18 @@ def _check_new_key(first_line: dict, key, line: int, name: str) -> None:
 
 
 def _table_rows(path, columns: Sequence[str], key: Sequence[str], name: str) -> Iterator:
-    """A table's rows as ``(line, {header name: cell}, key)``.
+    """A table's rows as ``(line, {column: cell}, key)``, a cell for each
+    name of ``columns``.
 
     A short row's missing cells are empty. ``key`` is the stripped cell of
     the one ``key`` column, else their tuple; a repeated key is an error.
     """
     chunks = _read_csv(path, columns)
-    header = next(chunks)
+    next(chunks)
     first_line: dict = {}
-    for lines, chunk in chunks:
-        for line, cells in zip(lines.tolist(), chunk):
-            row = dict(zip_longest(header, cells, fillvalue=""))
+    for lines, cells, _ in chunks:
+        for line, row in zip(lines.tolist(), _rows(cells)):
+            row = {c: "" if v is None else v for c, v in row.items()}
             value = tuple(row[c].strip() for c in key)
             value = value[0] if len(key) == 1 else value
             _check_new_key(first_line, value, line, name)
@@ -643,46 +738,43 @@ class _TeamColumns:
     ``_check_team_row`` walks the chunk's rows to name the first bad one.
     """
 
-    def __init__(self, header: list[str], numbers):
-        self.header, self.numbers = header, numbers
-        # The last of two same-named columns wins, as in a dict of the row.
-        self.column = {name: i for i, name in enumerate(header)}
-        used = ["team_id", "condition", "gender"] + [n for n, _, _ in numbers]
-        self.width = 1 + max(self.column.get(name, -1) for name in used)
+    def __init__(self, numbers):
+        self.numbers = numbers
         self.first_line: dict[str, int] = {}
         self.team_ids: list[str] = []
         # Condition codes, gender codes, then one array per number, per chunk.
         self.columns: list[list[np.ndarray]] = [[] for _ in range(2 + len(numbers))]
-        self._parse([], np.arange(0))  # gives each column its dtype
+        # An empty chunk gives each column its dtype.
+        used = ["team_id", "condition", "gender"] + [name for name, _, _ in numbers]
+        self._parse(dict.fromkeys(used, ()), np.arange(0))
 
-    def add(self, chunk: list, lines: np.ndarray) -> None:
+    def add(self, cells: dict, lines: np.ndarray, short: bool) -> None:
+        """Parse one ``_read_csv`` chunk."""
+        if short:
+            cells = {c: ["" if v is None else v for v in values] for c, values in cells.items()}
         try:
-            self._parse(chunk, lines)
+            self._parse(cells, lines)
         except ValueError:
-            for cells, line in zip(chunk, lines.tolist()):
-                row = dict(zip_longest(self.header, cells, fillvalue=""))
+            for row, line in zip(_rows(cells), lines.tolist()):
                 _check_team_row(row, line, self.first_line, self.numbers)
             raise
 
-    def _parse(self, chunk: list, lines: np.ndarray) -> None:
-        column, n = self.column, len(chunk)
-        if min(map(len, chunk), default=self.width) < self.width:
-            chunk = [row + [""] * (self.width - len(row)) for row in chunk]
-        cells = list(zip(*chunk)) or [()] * self.width
-        team_ids = list(map(str.strip, cells[column["team_id"]]))
+    def _parse(self, cells: dict, lines: np.ndarray) -> None:
+        n = len(lines)
+        team_ids = list(map(str.strip, cells["team_id"]))
         # Each id's first line in the chunk: the last of the reversed pairs wins.
         first = dict(zip(reversed(team_ids), reversed(lines.tolist())))
         if len(first) < n or not self.first_line.keys().isdisjoint(first):
             raise ValueError("duplicate team_id")
         values = [
-            _codes(cells[column["condition"]], _CONDITION_CODES),
-            _codes(cells[column["gender"]], _GENDER_CODES),
+            _codes(cells["condition"], _CONDITION_CODES),
+            _codes(cells["gender"], _GENDER_CODES),
         ]
         for name, high, optional in self.numbers:
-            if name not in column:
+            if name not in cells:
                 values.append(np.full(n, np.nan))
                 continue
-            raw = cells[column[name]]
+            raw = cells[name]
             if optional:
                 raw = list(map(str.strip, raw))
                 empty = np.fromiter(map(operator.not_, raw), bool, n)
@@ -701,10 +793,12 @@ class _TeamColumns:
 def _read_team_columns(path, columns: Sequence[str], numbers) -> tuple:
     """A team-level table's team ids, condition and gender codes and
     ``numbers`` columns, in file order (see ``_TeamColumns``)."""
-    chunks = _read_csv(path, columns)
-    rows = _TeamColumns(next(chunks), numbers)
-    for lines, chunk in chunks:
-        rows.add(chunk, lines)
+    optional = [name for name, _, _ in numbers if name not in columns]
+    chunks = _read_csv(path, columns, optional)
+    next(chunks)
+    rows = _TeamColumns(numbers)
+    for lines, cells, short in chunks:
+        rows.add(cells, lines, short)
     return (rows.team_ids, *(np.concatenate(arrays) for arrays in rows.columns))
 
 
@@ -1048,14 +1142,10 @@ def load_team_rows(path: Union[str, Path]) -> TeamTable:
 def detect_table_kind(path: Union[str, Path]) -> str:
     """'summary' or 'teams': the table whose columns the header has.
 
-    It reads on past the rest of the header's chunk of rows, so that a
-    fault ``_read_csv`` finds there, such as a byte that is not UTF-8, is
-    raised before the table is dispatched.
+    Only the header is read, so a fault in a row, such as a byte that is not
+    UTF-8, is left for the table's loader to report in file order.
     """
-    chunks = _read_csv(path, ())
-    header = set(next(chunks))
-    for _ in islice(chunks, 2):  # the header chunk's rows, then its fault
-        pass
+    header = set(next(_read_csv(path, ())))
     if header.issuperset(_SUMMARY_COLUMNS):
         return "summary"
     if header.issuperset(_TEAM_ROW_COLUMNS):

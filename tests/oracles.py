@@ -2,14 +2,19 @@
 
 These deliberately avoid the library's own code paths: the F tail oracle
 integrates the density with adaptive quadrature, the brute-force JVA
-recount walks frames with plain math, and the per-row stats report groups
-TeamRow records one row at a time.
+recount walks frames with plain math, the per-row stats report groups
+TeamRow records one row at a time, and the row-form table reader hands
+every line to ``csv.reader``.
 """
 
+import csv
 import math
+from itertools import islice
 
+import numpy as np
 from scipy import integrate
 
+from teamgaze import io_report
 from teamgaze.io_report import Report, TeamTable, _add_anova
 from teamgaze.model import Condition, GenderComposition, Group
 from teamgaze.stats import pearson, summarize
@@ -103,3 +108,120 @@ def per_row_stats_report(rows) -> Report:
         except ValueError as exc:
             report.notes.append(f"correlation skipped: {exc}")
     return report
+
+
+def _undecodable(path) -> tuple:
+    """The physical line of the first byte of a file that is not UTF-8, and
+    the problem, counting LF, CR LF and a lone CR as line breaks."""
+    line = 1
+    with open(path, "rb") as fh:
+        for raw in fh:  # no UTF-8 sequence holds an LF byte
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line += raw.count(b"\r", 0, exc.start)
+                return line, f"byte 0x{raw[exc.start]:02x} is not UTF-8 ({exc.reason})"
+            line += raw.count(b"\n") + raw.count(b"\r") - raw.count(b"\r\n")
+    return line, "not UTF-8"
+
+
+def _rows_before_undecodable(path, done: int) -> tuple:
+    """The rows after line ``done`` that end before the file's first byte
+    that is not UTF-8, the line the last of them ends on, and the error to
+    raise after them: the byte's, or a csv error on an earlier line."""
+    bad_line, problem = _undecodable(path)
+    rows: list = []
+    end = done
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        reader = csv.reader(fh)
+        try:
+            for row in reader:
+                if reader.line_num >= bad_line:
+                    break
+                if reader.line_num > done:
+                    rows.append(row)
+                    end = reader.line_num
+        except csv.Error as exc:
+            return rows, end, ValueError(f"line {reader.line_num}: {exc}")
+    return rows, end, ValueError(f"line {bad_line}: {problem}")
+
+
+def _row_lines(chunk: list, before: int, after: int) -> np.ndarray:
+    """The physical line each row of ``chunk`` ends on (``reader.line_num``)."""
+    if after - before == len(chunk):
+        return np.arange(before + 1, after + 1)
+    spans = [
+        1 + sum(c.count("\n") + c.count("\r") - c.count("\r\n") for c in row)
+        for row in chunk
+    ]
+    return before + np.cumsum(spans)
+
+
+def read_csv_rows(path, columns):
+    """The row-form table reader ``io_report._read_csv`` replaced.
+
+    One ``csv.reader`` reads every line. It yields the header (stripped
+    names), then ``(lines, rows)`` chunks of up to ``io_report._CHUNK_ROWS``
+    rows (lists of cells) with the physical line each ends on. Blank and
+    comment rows are skipped; its errors are raised after the rows before
+    them are yielded.
+    """
+    header, error = None, None
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        line = 0
+        while error is None:
+            chunk: list = []
+            try:
+                chunk.extend(islice(reader, io_report._CHUNK_ROWS))
+                end = reader.line_num
+            except csv.Error as exc:
+                end, error = reader.line_num, ValueError(f"line {reader.line_num}: {exc}")
+            except UnicodeDecodeError:
+                chunk, end, error = _rows_before_undecodable(path, line)
+            if not chunk:
+                break
+            lines = _row_lines(chunk, line, end)
+            if not all(chunk) or "#" in "".join([row[0] for row in chunk]):
+                kept = []
+                for i, row in enumerate(chunk):
+                    if row and row[0].lstrip().startswith("#"):
+                        start = lines[i - 1] + 1 if i else line + 1
+                        if lines[i] != start:
+                            error = ValueError(
+                                f"line {start}: comment row holds a quoted line break"
+                            )
+                            break
+                    elif row:
+                        kept.append(i)
+                chunk, lines = [chunk[i] for i in kept], lines[kept]
+            line = end
+            if header is None and chunk:
+                header = [name.strip() for name in chunk[0]]
+                missing = [c for c in columns if c not in header]
+                if missing:
+                    raise ValueError(f"missing mandatory columns {missing}")
+                yield header
+                chunk, lines = chunk[1:], lines[1:]
+            if chunk:
+                yield lines, chunk
+    if error is not None:
+        raise error
+    if header is None:
+        raise ValueError("empty file, header row required")
+
+
+def read_csv_columns(path, columns, optional=()):
+    """``read_csv_rows`` in ``io_report._read_csv``'s column form, one row at
+    a time: a cell a row lacks is None."""
+    chunks = read_csv_rows(path, columns)
+    header = next(chunks)
+    yield header
+    index = {name: i for i, name in enumerate(header)}
+    used = {name: index[name] for name in (*columns, *optional) if name in index}
+    for lines, rows in chunks:
+        cells = {
+            name: [row[i] if i < len(row) else None for row in rows]
+            for name, i in used.items()
+        }
+        yield lines, cells, any(None in values for values in cells.values())

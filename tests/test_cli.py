@@ -187,6 +187,14 @@ def test_stats_bad_table_is_data_error_with_line(tmp_path, capsys, text, message
     assert run(capsys, ["stats", "--teams", str(table)]) == (1, "", expected)
 
 
+def test_stats_reports_a_bad_row_before_a_later_non_utf8_byte(tmp_path, capsys):
+    table = tmp_path / "teams.csv"
+    rows = ["t1,ar,,ZZ,,2"] + [f"t{i},ar,,FF,,2" for i in range(2, 50)]
+    table.write_bytes((TEAM_ROWS_HEADER + "".join(r + "\n" for r in rows)).encode() + b"\xff\n")
+    expected = f"error: {table}: line 2: unknown gender 'ZZ', expected FF | MM | MX\n"
+    assert run(capsys, ["stats", "--teams", str(table)]) == (1, "", expected)
+
+
 def test_stats_notes_an_anova_whose_n_overflows_a_float(tmp_path, capsys):
     table = tmp_path / "table.csv"
     huge_n = 10**400

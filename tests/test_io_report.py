@@ -1,13 +1,17 @@
+import csv
 import io
 import json
 import re
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import read_csv_columns
 
 from teamgaze import io_report
 from teamgaze.cli import main
@@ -141,6 +145,17 @@ GOOD_ROW = "t1,f1,0.0,2560,1440,p1,100,100,,,1.0,0"
             [GOOD_ROW, "t1,f2,1.0,2560,1440,p1,100,100,,,1.0,yes"],
             "line 3: discarded 'yes' is not empty, 0, 1, true or false",
         ),
+        # A long row, a row without a discarded cell and a short row.
+        (
+            [GOOD_ROW + ",extra", "t1,f2,1.0,2560,1440,p1,1,1", "t1,f3,2.0,2560"],
+            "line 4: short row, no image_h cell",
+        ),
+        # The csv module of Python 3.10 rejects a NUL; 3.11 reads it as a cell.
+        (
+            [GOOD_ROW, "t1,f2,1.0,2560,1440,p1,\0,1,,,1.0,0"],
+            "line 3: line contains NUL" if sys.version_info < (3, 11)
+            else "line 3: column 'gaze_x' not numeric: '\\x00'",
+        ),
     ],
 )
 def test_malformed_frame_rows_name_their_physical_line(tmp_path, load, rows, message):
@@ -180,6 +195,9 @@ def test_frame_checks_skip_out_of_bounds_rows(tmp_path):
          "line 3: person_id 'p1' already on line 2"),
         ([GOOD_ROW, GOOD_ROW, "t1,f2,1.0,2560,1440,p1,1,1,,,1.0,0", '#,"', GOOD_ROW],
          "line 3: person_id 'p1' already on line 2"),
+        # A quoted line break from one chunk into the next.
+        (['t1,f1,0.0,2560,1440,"p\n1",1,1,,,1.0,0', "t1,f2,1.0,2560,1440,p1,1,x,,,1.0,0"],
+         "line 4: column 'gaze_y' not numeric: 'x'"),
     ],
 )
 def test_first_bad_line_in_file_order_is_reported(tmp_path, monkeypatch, rows, message):
@@ -228,6 +246,9 @@ TEAMS_HEADER = "team_id,condition,gender,post_test_1,post_test_2\n"
         ("t1,ar,FF,1,2\nt2,ar,FF,1,2\nt1,tablet,MM,3,3\n",
          "line 4: duplicate team_id 't1' (first on line 2)"),
         ("t1,ar,FF,1,2\n\nt2,ar\n", "line 4: unknown gender '', expected FF"),
+        ("t1,ar,FF,1,2\nt2,ar,FF,1,9", "line 3: post_test_2 '9' out of [0,5]"),
+        ("t1,ar,FF,1,2\r\n\r\nt1,ar,FF,1,2\r\n",
+         "line 4: duplicate team_id 't1' (first on line 2)"),
     ],
 )
 def test_load_teams_rejects_bad_rows_with_physical_line(tmp_path, rows, message):
@@ -488,6 +509,16 @@ def test_cell_over_the_csv_field_limit_names_file_and_line(tmp_path, load, heade
         load(path)
 
 
+@pytest.fixture
+def field_limit():
+    """csv.field_size_limit, restored after the test."""
+    default = csv.field_size_limit()
+    yield csv.field_size_limit
+    csv.field_size_limit(default)
+
+
+@pytest.mark.parametrize("limit", [None, 1000], ids=["default limit", "limit 1000"])
+@pytest.mark.parametrize("chunk_rows", [1024, 1], ids=["same chunk", "later chunk"])
 @pytest.mark.parametrize(
     "load, header, bad_row, message",
     [
@@ -497,11 +528,18 @@ def test_cell_over_the_csv_field_limit_names_file_and_line(tmp_path, load, heade
     ],
 )
 def test_bad_row_before_an_over_long_cell_is_reported_first(
-    tmp_path, load, header, bad_row, message
+    tmp_path, monkeypatch, field_limit, load, header, bad_row, message, chunk_rows, limit
 ):
+    monkeypatch.setattr(io_report, "_CHUNK_ROWS", chunk_rows)
+    if limit:
+        field_limit(limit)  # the limit in force when the table is read
     path = tmp_path / "table.csv"
-    path.write_text(header + bad_row + "\n" + "x" * 140_000 + "," + bad_row + "\n")
+    long_cell = "x" * (field_limit() + 1)
+    path.write_text(header + bad_row + "\n" + long_cell + "," + bad_row + "\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        load(path)
+    path.write_text(header + long_cell + "," + bad_row + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: field larger than")):
         load(path)
 
 
@@ -522,6 +560,9 @@ def test_comment_row_with_a_quoted_line_break_is_rejected(tmp_path, load, header
         "# exported by tracker 2.1\n" + FRAME_HEADER + GOOD_ROW + '\n\n  # pause, "x"\n',
         # Header names with spaces.
         FRAME_HEADER.replace(",", ", ") + GOOD_ROW + "\n",
+        # CR LF and lone CR line ends.
+        (FRAME_HEADER + GOOD_ROW + "\n").replace("\n", "\r\n"),
+        (FRAME_HEADER + GOOD_ROW + "\n").replace("\n", "\r"),
     ],
 )
 def test_frame_table_follows_the_team_table_contract(tmp_path, text):
@@ -558,15 +599,23 @@ def test_every_table_error_names_its_file_once(tmp_path, load, data):
     assert message.startswith(f"{path}: ") and message.count(str(path)) == 1
 
 
+def stats_command(path):
+    """Run ``teamgaze stats --teams path``; raise its error as a ValueError."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["stats", "--teams", str(path)])
+    if code:
+        raise ValueError(err.getvalue().removeprefix("error: ").rstrip("\n"))
+
+
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
 @pytest.mark.parametrize(
     "load, header, good_row",
-    TABLES + [(detect_table_kind, TEAM_ROWS_HEADER, "t0,ar,,FF,,2")],
+    TABLES + [(stats_command, TEAM_ROWS_HEADER, "t0,ar,,FF,,2")],
 )
 def test_non_utf8_byte_is_reported_at_its_line(tmp_path, load, header, good_row, newline):
     # 2,000 comment lines (64 KB) carry the byte past the decoder's first
-    # read buffer and the first chunk of rows, where detect_table_kind
-    # finds the header.
+    # read buffer and the first chunk of rows, after the header.
     lines = ["# padding the first read buffer"] * 2000 + [header.strip(), good_row]
     path = tmp_path / "table.csv"
     path.write_bytes(
@@ -755,3 +804,103 @@ def test_loaders_raise_only_value_and_os_errors(data):
     if code == 0:
         ratios = [team["jva_ratio_pct"] for team in json.loads(out.getvalue())["teams"]]
         assert all(r is None or 0 <= r <= 100 for r in ratios)
+
+
+# What the tokenizer tables are made of: each character csv.reader or the
+# comment rule treats apart, and plain cell text.
+TOKENIZER_CHARS = [",", "\n", "\r", '"', "#", " ", "\0", "x", "1", ".", "é"]
+READ_CSV = io_report._read_csv
+# Every column an input table names.
+TABLE_COLUMNS = sorted(
+    {name for header, _ in FUZZ_TABLES[:4] for name in header.strip().split(",")}
+)
+
+
+@st.composite
+def tokenizer_files(draw):
+    """A table's header, then good rows, rows with a cell replaced, comment
+    rows and bare text drawn from TOKENIZER_CHARS, each ended by LF, CR LF,
+    CR or nothing; maybe with a byte that is not UTF-8."""
+    header, rows = draw(st.sampled_from(FUZZ_TABLES[:4]))
+    noise = st.text(TOKENIZER_CHARS, max_size=8)
+    end = st.sampled_from(["\n"] * 4 + ["\r\n", "\r", ""])
+    lines = [header.strip()]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["good", "edited", "comment", "noise"]))
+        line = draw(noise) if kind == "noise" else draw(st.sampled_from(rows))
+        if kind == "comment":
+            line = draw(st.sampled_from(["", " ", "\t "])) + "#" + draw(noise)
+        elif kind == "edited":
+            cells = line.split(",")
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(noise)
+            line = ",".join(cells[: draw(st.sampled_from([None, 1, 3, 20]))])
+        lines.append(line)
+    data = "".join(line + draw(end) for line in lines).encode()
+    if draw(st.integers(0, 4)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def drain(chunks) -> tuple:
+    """A column-form reader's header, each row's line and cells, and the
+    message of the error it ends with."""
+    header, rows, error = None, [], None
+    try:
+        header = next(chunks)
+        for lines, cells, short in chunks:
+            assert short == any(None in values for values in cells.values())
+            for i, line in enumerate(lines.tolist()):
+                rows.append((line, {name: values[i] for name, values in cells.items()}))
+    except ValueError as exc:
+        error = str(exc)
+    return header, rows, error
+
+
+def outcome(load, path) -> tuple:
+    """What a loader returns, as text that compares NaN equal, or its error."""
+    try:
+        result = load(path)
+    except ValueError as exc:
+        return "error", str(exc)
+    if isinstance(result, (io_report.FrameTable, io_report.TeamTable)):
+        return "ok", repr([
+            value.tolist() if hasattr(value, "tolist") else value
+            for value in vars(result).values()
+        ])
+    return "ok", repr(result)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3, 1024])
+@given(data=tokenizer_files(), limit=st.sampled_from([None, 4, 16]))
+@settings(max_examples=150, deadline=None)
+def test_column_chunks_match_the_row_form_reader(chunk_rows, data, limit):
+    """Every loader reads a table through the column-form reader as it does
+    through the row-form one it replaced: the same header, cells, lines and
+    error, at any chunk size and csv field limit."""
+    default_limit = csv.field_size_limit()
+    try:
+        if limit:
+            csv.field_size_limit(limit)
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(io_report, "_CHUNK_ROWS", chunk_rows):
+            path = Path(tmp) / "table.csv"
+            path.write_bytes(data)
+            for load in TABLE_READERS:
+                calls = []
+
+                def spy(*args):
+                    calls.append(args)
+                    return READ_CSV(*args)
+
+                with mock.patch.object(io_report, "_read_csv", spy):
+                    got = outcome(load, path)
+                with mock.patch.object(io_report, "_read_csv", read_csv_columns):
+                    assert got == outcome(load, path)
+                for _, columns, *_ in calls:
+                    # The cells of every column, read by the loader or not.
+                    assert drain(READ_CSV(path, columns, TABLE_COLUMNS)) == drain(
+                        read_csv_columns(path, columns, TABLE_COLUMNS)
+                    )
+    finally:
+        csv.field_size_limit(default_limit)
