@@ -159,13 +159,6 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _checked_probability(raw: str) -> float:
-    value = float(raw)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"probability must lie in [0, 1]: {raw}")
-    return value
-
-
 def _parse_probability_flags(raw_flags):
     if not raw_flags:
         return 0.4
@@ -174,9 +167,9 @@ def _parse_probability_flags(raw_flags):
     for raw in raw_flags:
         if "=" in raw:
             name, value = raw.split("=", 1)
-            mapping[name.strip()] = _checked_probability(value)
+            mapping[name.strip()] = float(value)
         else:
-            plain = _checked_probability(raw)
+            plain = float(raw)
     if mapping and plain is not None:
         raise ValueError("mix of plain and NAME=P probabilities")
     return mapping if mapping else plain

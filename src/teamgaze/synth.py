@@ -7,21 +7,24 @@ team's intended ratio. This is the end-to-end oracle for the pipeline: at
 zero noise the analysis must recover the generated labels and ratios
 exactly.
 
-Randomness comes from numpy's Philox counter-based generator, keyed by
-(seed, team index) through a SeedSequence, so output is reproducible
-across platforms and teams are independent streams: team k's rows are the
-same whatever the number of teams. Each stream gives the team's two
-post-test scores, then one array of uniforms for each frame quantity (JVA
-coin, target x, target y, partner angle) and, when the noise sigma is
-positive, one array of Gaussian offsets for each gaze coordinate. Frames
-are built with whole-array operations and written a block of teams at a
-time.
+Randomness comes from numpy's Philox counter-based generator. Team k
+draws the stream of ``Generator(Philox(SeedSequence(seed, spawn_key=(k,))))``,
+so output is reproducible across platforms and teams are independent
+streams: team k's rows are the same whatever the number of teams. The
+keys of a block of teams are derived at once, by SeedSequence's hash in
+array form (``_team_keys``), and one generator is re-keyed before each
+team's draws. Each stream gives the team's two post-test scores, then one
+array of uniforms for each frame quantity (JVA coin, target x, target y,
+partner angle) and, when the noise sigma is positive, one array of
+Gaussian offsets for each gaze coordinate. Frames are built with
+whole-array operations and written a block of teams at a time.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence, Union
@@ -41,12 +44,21 @@ SEPARATION_FACTOR = 3.0
 # Frame rows formatted and written at once, in whole teams; bounds memory.
 _BLOCK_ROWS = 1 << 16
 
+# Team indices are one-word (uint32) spawn keys.
+_MAX_TEAMS = 1 << 32
+
 _CONDITION_CYCLE = (Condition.TEXTBOOK, Condition.TABLET, Condition.AR)
 _GENDER_CYCLE = (
     GenderComposition.FEMALES,
     GenderComposition.MALES,
     GenderComposition.MIXED,
 )
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 JvaProbability = Union[float, Mapping[str, float]]
 
@@ -55,11 +67,14 @@ JvaProbability = Union[float, Mapping[str, float]]
 class SynthSpec:
     """Parameters for one synthetic study.
 
-    ``jva_probability`` is either a single probability, a mapping from
-    team_id (e.g. "team01") to probability, or a mapping from condition
-    value ("textbook"/"tablet"/"ar") to probability. Each image side must
+    ``jva_probability`` is either a single probability, or a mapping whose
+    keys are condition values ("textbook"/"tablet"/"ar") and team ids of
+    this spec ("team01", ...); a team takes its own id's probability, else
+    its condition's, and every team must be covered. Each image side must
     be at least ``2 * SEPARATION_FACTOR * threshold`` pixels, so that a
-    non-JVA partner point fits inside the image.
+    non-JVA partner point fits inside the image. The seed is a
+    non-negative integer. Every check runs here, before any file is
+    written.
     """
 
     teams: int = 30
@@ -73,10 +88,17 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer: {self.seed!r}")
         if self.teams <= 0 or self.frames_per_team <= 0:
             raise ValueError("counts must be positive")
+        if self.teams > _MAX_TEAMS:
+            raise ValueError(f"teams must be at most 2**32: {self.teams}")
         if self.image_w <= 0 or self.image_h <= 0:
             raise ValueError("image dimensions must be positive")
+        for name in ("gaze_noise_sigma", "threshold", "frame_interval_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite: {getattr(self, name)!r}")
         if self.gaze_noise_sigma < 0:
             raise ValueError("noise sigma must be non-negative")
         if self.threshold <= 0:
@@ -90,23 +112,18 @@ class SynthSpec:
                 f"{self.threshold:g}: each side must be at least "
                 f"2 * {SEPARATION_FACTOR:g} * threshold = {side:g} px"
             )
+        _probability_keys(self)
 
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Intended per-frame labels and per-team ratios."""
+    """Intended per-frame 0/1 labels and per-team ratios."""
 
-    frame_labels: dict[str, list[bool]]
+    frame_labels: dict[str, list[int]]
     team_ratios: dict[str, float]
 
     def to_json(self) -> str:
-        payload = {
-            "team_ratios": self.team_ratios,
-            "frame_labels": {
-                team: list(map(int, labels))
-                for team, labels in self.frame_labels.items()
-            },
-        }
+        payload = {"team_ratios": self.team_ratios, "frame_labels": self.frame_labels}
         # Without indent json uses its C encoder.
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
@@ -115,19 +132,98 @@ def _team_id(index: int) -> str:
     return f"team{index + 1:02d}"
 
 
-def _probability_for(spec: SynthSpec, team_id: str, condition: Condition) -> float:
+def _checked_probability(name: str, value) -> float:
+    value = float(value)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1]: {value:g}")
+    return value
+
+
+def _probability_keys(spec: SynthSpec) -> tuple[list[float], dict[int, float]]:
+    """``spec.jva_probability`` by condition position (NaN where no key
+    names the condition) and by team index.
+
+    Raises ValueError on a value outside [0, 1], a key that is neither a
+    condition value nor a team id of ``spec``, or a team no key covers.
+    Its cost grows with the number of keys, not of teams.
+    """
+    conditions = [c.value for c in _CONDITION_CYCLE]
     p = spec.jva_probability
-    if isinstance(p, Mapping):
-        if team_id in p:
-            p = p[team_id]
-        elif condition.value in p:
-            p = p[condition.value]
+    if not isinstance(p, Mapping):
+        return [_checked_probability("jva_probability", p)] * len(conditions), {}
+    by_condition = [math.nan] * len(conditions)
+    by_team = {}
+    for key, value in p.items():
+        value = _checked_probability(f"jva_probability[{key!r}]", value)
+        number = re.fullmatch(r"team([0-9]+)", str(key))
+        index = int(number[1]) - 1 if number else -1
+        if key in conditions:
+            by_condition[conditions.index(key)] = value
+        elif 0 <= index < spec.teams and _team_id(index) == key:
+            by_team[index] = value
         else:
-            raise KeyError(f"no jva_probability for {team_id} / {condition.value}")
-    p = float(p)
-    if not (0.0 <= p <= 1.0):
-        raise ValueError("jva_probability must lie in [0, 1]")
-    return p
+            raise ValueError(
+                f"jva_probability key {key!r} is neither a condition "
+                f"({', '.join(conditions)}) nor a team id of this spec "
+                f"({_team_id(0)}..{_team_id(spec.teams - 1)})"
+            )
+    # The first team of each unnamed condition that has no key of its own.
+    uncovered = [
+        next((i for i in range(c, spec.teams, len(conditions)) if i not in by_team), spec.teams)
+        for c, value in enumerate(by_condition)
+        if math.isnan(value)
+    ]
+    index = min(uncovered, default=spec.teams)
+    if index < spec.teams:
+        raise ValueError(
+            f"no jva_probability for {_team_id(index)} or its condition "
+            f"{conditions[index % len(conditions)]}"
+        )
+    return by_condition, by_team
+
+
+def _team_probabilities(spec: SynthSpec) -> np.ndarray:
+    """Each team's JVA probability, in team order."""
+    by_condition, by_team = _probability_keys(spec)
+    probability = np.array(by_condition)[np.arange(spec.teams) % len(by_condition)]
+    probability[list(by_team)] = list(by_team.values())
+    return probability
+
+
+def _team_keys(seed: int, indices: Sequence[int]) -> np.ndarray:
+    """Philox keys of every team index, shape (n, 2), dtype uint64.
+
+    Row i is ``SeedSequence(seed, spawn_key=(indices[i],)).generate_state(2,
+    np.uint64)``, the key ``Philox`` takes from that SeedSequence; indices
+    must lie below 2**32. The run entropy (``seed``, zero-padded to four
+    words) is mixed the same way for every team, into
+    ``SeedSequence(seed).pool``: padding words hash like absent ones. Only
+    the spawn word's mixing round and ``generate_state`` depend on the team,
+    and both are done here on uint32 arrays.
+    """
+    pool = [int(word) for word in np.random.SeedSequence(seed).pool]
+    run_words = max(1, -(-seed.bit_length() // 32))
+    # The hash constant after the four pool words, the 12 all-pairs mixes
+    # and four mixes for each run word past the fourth.
+    mix_const = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, run_words - 4), 1 << 32) & _MASK32
+    state_const = _INIT_B
+    spawn = np.asarray(indices, dtype=np.uint32)
+    words = []
+    for base in pool:
+        # hashmix(spawn word), then mix it into this pool word.
+        hashed = spawn ^ mix_const
+        mix_const = mix_const * _MULT_A & _MASK32
+        hashed *= mix_const
+        hashed ^= hashed >> 16
+        word = (_MIX_MULT_L * base & _MASK32) - _MIX_MULT_R * hashed
+        word ^= word >> 16
+        # generate_state's hash of this pool word.
+        word ^= state_const
+        state_const = state_const * _MULT_B & _MASK32
+        word *= state_const
+        word ^= word >> 16
+        words.append(word.astype(np.uint64))
+    return np.stack([words[0] | words[1] << 32, words[2] | words[3] << 32], axis=1)
 
 
 def _gaze(spec: SynthSpec, uniform: np.ndarray, noise, probability: np.ndarray):
@@ -182,9 +278,24 @@ def generate(
     for f in range(n_frames):
         cells = f"f{f:05d},{f * spec.frame_interval_s:.1f},{spec.image_w},{spec.image_h}"
         frame_rows.append(f"%s,{cells},p1,%.4f,%.4f,0\n%s,{cells},p2,%.4f,%.4f,0\n")
+    suffixes = [f",{c.value},{g.value}" for c, g in zip(_CONDITION_CYCLE, _GENDER_CYCLE)]
+    probability = _team_probabilities(spec)
     block = max(1, _BLOCK_ROWS // (2 * n_frames))
-    frame_labels: dict[str, list[bool]] = {}
+    frame_labels: dict[str, list[int]] = {}
     team_ratios: dict[str, float] = {}
+    # One generator, re-keyed before each team's draws with a zero counter
+    # and an empty output buffer: the state a fresh Philox has. Lists set
+    # the state about four times as fast as arrays.
+    philox = np.random.Philox(0)
+    rng = np.random.Generator(philox)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0] * 4, "key": None},
+        "buffer": [0] * 4,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
     with open(frames_path, "w", newline="", encoding="utf-8") as ff, open(
         teams_path, "w", newline="", encoding="utf-8"
@@ -196,39 +307,30 @@ def generate(
             scores = np.empty((len(indices), 2))
             uniform = np.empty((len(indices), 4, n_frames))
             noise = np.empty_like(uniform) if spec.gaze_noise_sigma > 0 else None
-            probability = np.empty(len(indices))
-            names, team_cells = [], []
-            for i, idx in enumerate(indices):
-                team = _team_id(idx)
-                condition = _CONDITION_CYCLE[idx % len(_CONDITION_CYCLE)]
-                gender = _GENDER_CYCLE[idx % len(_GENDER_CYCLE)]
-                rng = np.random.Generator(
-                    np.random.Philox(np.random.SeedSequence(spec.seed, spawn_key=(idx,)))
-                )
-                probability[i] = _probability_for(spec, team, condition)
+            for i, key in enumerate(_team_keys(spec.seed, indices).tolist()):
+                state["state"]["key"] = key
+                philox.state = state
                 # Post-test scores 0..5, as floor(6 u): rng.integers costs
                 # several times more per call.
                 rng.random(out=scores[i])
                 rng.random(out=uniform[i])
                 if noise is not None:
                     rng.standard_normal(out=noise[i])
-                names.append(team)
-                team_cells.append(f"{team},{condition.value},{gender.value}")
-            gaze, jva = _gaze(spec, uniform, noise, probability)
+            gaze, jva = _gaze(spec, uniform, noise, probability[start:indices.stop])
+            names = [_team_id(idx) for idx in indices]
             ff.write("".join([
                 row % (team, x1, y1, team, x2, y2)
                 for team, points in zip(names, gaze.tolist())
                 for row, x1, y1, x2, y2 in zip(frame_rows, *points)
             ]))
             tf.write("".join([
-                f"{cells},{a},{b}\n"
-                for cells, (a, b) in zip(team_cells, (6 * scores).astype(int).tolist())
+                f"{team}{suffixes[idx % len(suffixes)]},{a},{b}\n"
+                for idx, team, (a, b) in zip(
+                    indices, names, (6 * scores).astype(int).tolist()
+                )
             ]))
-            for team, labels, count in zip(
-                names, jva.tolist(), jva.sum(axis=1).tolist()
-            ):
-                frame_labels[team] = labels
-                team_ratios[team] = count / n_frames
+            frame_labels.update(zip(names, jva.view(np.uint8).tolist()))
+            team_ratios.update(zip(names, (jva.sum(axis=1) / n_frames).tolist()))
 
     truth = GroundTruth(frame_labels=frame_labels, team_ratios=team_ratios)
     truth_path.write_text(truth.to_json(), encoding="utf-8")

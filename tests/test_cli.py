@@ -288,6 +288,28 @@ def test_synth_image_too_small_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "d").exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--seed", "-1"], "seed must be a non-negative integer: -1"),
+        (["--noise-sigma", "nan"], "gaze_noise_sigma must be finite: nan"),
+        (["--jva-probability", "team01=0.5", "--teams", "3"],
+         "no jva_probability for team02 or its condition tablet"),
+        (["--jva-probability", "textbook=0.2", "--jva-probability", "tablet=0.3",
+          "--jva-probability", "ar=0.1", "--jva-probability", "tema02=0.3",
+          "--teams", "3"],
+         "jva_probability key 'tema02' is neither a condition (textbook, tablet, ar) "
+         "nor a team id of this spec (team01..team03)"),
+        (["--jva-probability", "ar=1.5"], "jva_probability['ar'] must lie in [0, 1]: 1.5"),
+    ],
+)
+def test_synth_bad_spec_is_usage_error_before_any_file(tmp_path, capsys, flags, message):
+    code, _, err = run(capsys, ["synth", "--out-dir", str(tmp_path / "d"), *flags])
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "d").exists()
+
+
 def test_analyze_config_not_utf8_names_file_and_line(tmp_path, capsys):
     config = tmp_path / "jva.conf"
     config.write_bytes(b"# tuned\nthreshold = 5 # \xff\n")

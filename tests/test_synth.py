@@ -1,7 +1,11 @@
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from teamgaze import synth
 from teamgaze.io_report import analyze_table, load_teams, read_frame_table
@@ -174,6 +178,101 @@ def test_image_smaller_than_two_separations_rejected(w, h, threshold):
 def test_image_of_two_separations_accepted():
     SynthSpec(image_w=600, image_h=600)
     SynthSpec(image_w=400, image_h=300, threshold=50.0)
+
+
+@given(
+    seed=st.one_of(
+        st.sampled_from([0, 2**32 - 1, 2**32, 2**96 - 1, 2**96, 2**256]),
+        st.integers(0, 2**256),
+    ),
+    indices=st.lists(
+        st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1)),
+        min_size=1, max_size=8,
+    ),
+)
+@example(seed=0, indices=[0, 2**32 - 1])
+@example(seed=2**128 - 1, indices=[1, 2, 3])
+@settings(max_examples=200, deadline=None)
+def test_team_keys_are_the_seed_sequence_philox_keys(seed, indices):
+    expected = [
+        np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64)
+        for i in indices
+    ]
+    keys = synth._team_keys(seed, indices)
+    assert keys.dtype == np.uint64 and keys.shape == (len(indices), 2)
+    assert keys.tolist() == np.array(expected).tolist()
+
+
+def output_sha256(spec, out_dir):
+    generate(spec, out_dir)
+    return hashlib.sha256(b"".join(
+        (out_dir / name).read_bytes()
+        for name in ("frames.csv", "teams.csv", "ground_truth.json")
+    )).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "spec, digest",
+    [
+        # The README's study.
+        (SynthSpec(teams=30, frames_per_team=155, seed=7,
+                   jva_probability={"textbook": 0.31, "tablet": 0.47, "ar": 0.45}),
+         "18d4f94288911ce191b06fa788d6dc205a6906a66d7c29986098fe5f5bce6eb1"),
+        # Two blocks of teams, a three-word seed and Gaussian noise.
+        (SynthSpec(teams=12000, frames_per_team=3, seed=2**64 + 5, gaze_noise_sigma=12.0),
+         "4e3d0e393b02c6526c06a6c40c4aae0ceecc95991b7106bcba8d44d746eb902f"),
+    ],
+)
+def test_output_bytes_are_pinned(tmp_path, spec, digest):
+    # Each team's stream is Generator(Philox(SeedSequence(seed, spawn_key=(index,)))):
+    # these digests were taken from a generator that built exactly that per team.
+    assert output_sha256(spec, tmp_path) == digest
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(seed=-1), "seed must be a non-negative integer: -1"),
+        (dict(seed=1.5), "seed must be a non-negative integer: 1.5"),
+        (dict(seed="7"), "seed must be a non-negative integer: '7'"),
+        (dict(teams=2**32 + 1), "teams must be at most 2**32: 4294967297"),
+        (dict(gaze_noise_sigma=math.nan), "gaze_noise_sigma must be finite: nan"),
+        (dict(gaze_noise_sigma=math.inf), "gaze_noise_sigma must be finite: inf"),
+        (dict(threshold=math.nan), "threshold must be finite: nan"),
+        (dict(frame_interval_s=-math.inf), "frame_interval_s must be finite: -inf"),
+        (dict(jva_probability=math.nan), "jva_probability must lie in [0, 1]: nan"),
+        (dict(jva_probability={"textbook": 0.2, "tablet": 1.5, "ar": 0.1}),
+         "jva_probability['tablet'] must lie in [0, 1]: 1.5"),
+        (dict(teams=3, jva_probability={"team01": 0.5}),
+         "no jva_probability for team02 or its condition tablet"),
+        (dict(teams=4, jva_probability={"team01": 0.5, "team03": 0.4, "tablet": 0.2}),
+         "no jva_probability for team04 or its condition textbook"),
+        (dict(teams=3, jva_probability={"textbook": 0.2, "tablet": 0.3, "ar": 0.1,
+                                        "tema02": 0.3}),
+         "jva_probability key 'tema02' is neither a condition (textbook, tablet, ar) "
+         "nor a team id of this spec (team01..team03)"),
+        (dict(teams=3, jva_probability={"textbook": 0.2, "tablet": 0.3, "ar": 0.1,
+                                        "team04": 0.3}),
+         "jva_probability key 'team04' is neither"),
+        (dict(teams=3, jva_probability={"textbook": 0.2, "tablet": 0.3, "ar": 0.1,
+                                        "team1": 0.3}),
+         "jva_probability key 'team1' is neither"),
+    ],
+)
+def test_bad_spec_is_rejected_naming_its_field(kwargs, message):
+    with pytest.raises(ValueError) as info:
+        SynthSpec(**kwargs)
+    assert str(info.value).startswith(message)
+
+
+def test_team_id_probability_wins_over_or_stands_in_for_its_condition(tmp_path):
+    # team02 is the only tablet team: its id covers it without a "tablet" key.
+    spec = SynthSpec(teams=4, frames_per_team=50, seed=2,
+                     jva_probability={"team01": 1.0, "team02": 1.0, "team03": 0.0,
+                                      "textbook": 0.0, "ar": 1.0})
+    assert synth._team_probabilities(spec).tolist() == [1.0, 1.0, 0.0, 0.0]
+    _, _, _, truth = generate(spec, tmp_path)
+    assert truth.team_ratios == {"team01": 1.0, "team02": 1.0, "team03": 0.0, "team04": 0.0}
 
 
 def test_moment_matching_is_exact():
