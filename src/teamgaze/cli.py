@@ -16,12 +16,9 @@ import argparse
 import csv
 import math
 import sys
-from pathlib import Path
 
 from . import io_report
-from .gazefield import decode_heatmap, load_heatmap_text
 from .jva import DenominatorPolicy, ScaleMode
-from .synth import SynthSpec, generate
 
 USAGE_ERROR = 2
 DATA_ERROR = 1
@@ -176,6 +173,8 @@ def _parse_probability_flags(raw_flags):
 
 
 def _cmd_synth(args) -> int:
+    from .synth import SynthSpec, generate
+
     try:
         probability = _parse_probability_flags(args.jva_probability)
         spec = SynthSpec(
@@ -196,6 +195,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_decode(args) -> int:
+    from .gazefield import decode_heatmap, load_heatmap_text
+
     rows = []
     for raw in args.heatmaps:
         heatmap = load_heatmap_text(raw)

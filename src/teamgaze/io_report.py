@@ -1207,24 +1207,52 @@ def _json_text(value, decimals: int) -> str:
 _TEAM_FIELDS = [f.name for f in fields(TeamRow)]
 
 
-def _team_columns(teams: TeamTable, value_rule, text=str) -> list[list]:
-    """The cells of each team field, in TeamRow order: ``text`` of each id
-    and label, ``value_rule`` of each number (a missing ratio is None)."""
-    ratios = teams.jva_ratio_pct.tolist()
-    if np.isnan(teams.jva_ratio_pct).any():
-        ratios = [None if r != r else r for r in ratios]
+def _distinct(values: np.ndarray, cell) -> tuple[list, np.ndarray]:
+    """``cell`` of each distinct float64 bit pattern in ``values``, and each
+    value's index into those cells.
 
-    def labels(codes: np.ndarray, members: list) -> list:
-        return list(map([text(m.value) for m in members].__getitem__, codes.tolist()))
+    Keyed on the bits, not the values: np.unique and a float-keyed dict
+    both merge -0.0 with 0.0, whose texts differ.
+    """
+    bits, index = np.unique(
+        np.asarray(values, np.float64).view(np.uint64), return_inverse=True
+    )
+    return list(map(cell, bits.view(np.float64).tolist())), index
 
-    return [
-        list(map(text, teams.team_ids)),
-        labels(teams.condition, _CONDITIONS),
-        labels(teams.group, _GROUPS),
-        labels(teams.gender, _GENDERS),
-        [value_rule(r, _DECIMALS["jva_ratio_pct"]) for r in ratios],
-        [value_rule(p, _DECIMALS["team_post_test"]) for p in teams.post_test.tolist()],
+
+def _team_cells(teams: TeamTable, value_rule, text=str) -> tuple[list, list, list]:
+    """Every team's cells, with each distinct label and number formatted once.
+
+    Returns ``text`` of each team id; the distinct rows of the other team
+    fields' cells, in TeamRow order (``text`` of each label, ``value_rule``
+    of each number, a missing ratio as None); and each team's index into
+    those rows. A cell depends only on its value's float bits.
+    """
+    def labels(members: list) -> list:
+        return [text(m.value) for m in members]
+
+    def ratio(r: float):
+        return value_rule(None if r != r else r, _DECIMALS["jva_ratio_pct"])
+
+    def post_test(p: float):
+        return value_rule(p, _DECIMALS["team_post_test"])
+
+    columns = [
+        (labels(_CONDITIONS), teams.condition),
+        (labels(_GROUPS), teams.group),
+        (labels(_GENDERS), teams.gender),
+        _distinct(teams.jva_ratio_pct, ratio),
+        _distinct(teams.post_test, post_test),
     ]
+    shape = [len(cells) for cells, _ in columns]
+    keys, inverse = np.unique(
+        np.ravel_multi_index([codes for _, codes in columns], shape), return_inverse=True
+    )
+    rows = [
+        [cells[i] for (cells, _), i in zip(columns, combination)]
+        for combination in zip(*(c.tolist() for c in np.unravel_index(keys, shape)))
+    ]
+    return list(map(text, teams.team_ids)), rows, inverse.tolist()
 
 
 def _summary_record(g: GroupSummary, **labels) -> dict:
@@ -1252,12 +1280,14 @@ def _posthoc_record(c: dict) -> dict:
 
 
 # A team and a scatter point as json.dumps(indent=2, sort_keys=True) writes
-# them in the report's top-level object; fields by _team_columns' order.
-_JSON_TEAM = (
-    '    {{\n      "condition": {1},\n      "gender": {3},\n      "group": {2},\n'
-    '      "jva_ratio_pct": {4},\n      "team_id": {0},\n      "team_post_test": {5}\n    }}'
+# them in the report's top-level object; fields by _team_cells' rows. A
+# team's text is its row's head, its id, then its row's tail.
+_JSON_TEAM_HEAD = (
+    '    {{\n      "condition": {0},\n      "gender": {2},\n      "group": {1},\n'
+    '      "jva_ratio_pct": {3},\n      "team_id": '
 )
-_JSON_POINT = "    [\n      {},\n      {}\n    ]"
+_JSON_TEAM_TAIL = ',\n      "team_post_test": {4}\n    }}'
+_JSON_POINT = "    [\n      {3},\n      {4}\n    ]"
 
 
 def _json_list(items) -> str:
@@ -1269,9 +1299,9 @@ def _json_list(items) -> str:
 def _render_json(report: Report) -> str:
     """The report as ``json.dumps(..., indent=2, sort_keys=True)`` writes it.
 
-    ``teams`` and ``scatter`` are written a column at a time with one
-    template per row; every other member goes through json.dumps and is
-    indented one level.
+    ``teams`` and ``scatter`` are written from templates filled once per
+    distinct row of team cells; every other member goes through json.dumps
+    and is indented one level.
     """
     def js(record: dict) -> dict:
         return _formatted(record, _json_value)
@@ -1302,11 +1332,16 @@ def _render_json(report: Report) -> str:
         key: json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
         for key, value in members.items()
     }
-    columns = _team_columns(report.teams, _json_text, encode_basestring_ascii)
-    text["teams"] = _json_list(map(_JSON_TEAM.format, *columns))
-    scored = report.teams.has_ratio.tolist()
+    ids, rows, inverse = _team_cells(report.teams, _json_text, encode_basestring_ascii)
+
+    def per_team(template: str):
+        return map([template.format(*row) for row in rows].__getitem__, inverse)
+
+    text["teams"] = _json_list(
+        map("".join, zip(per_team(_JSON_TEAM_HEAD), ids, per_team(_JSON_TEAM_TAIL)))
+    )
     text["scatter"] = _json_list(
-        map(_JSON_POINT.format, compress(columns[4], scored), compress(columns[5], scored))
+        compress(per_team(_JSON_POINT), report.teams.has_ratio.tolist())
     )
     body = ",\n".join(f'  "{key}": {text[key]}' for key in sorted(text))
     return "{\n" + body + "\n}\n"
@@ -1314,8 +1349,10 @@ def _render_json(report: Report) -> str:
 
 _MEASURE_TITLES = {"jva_ratio_pct": "JVA ratio (%)", "post_test": "Post-test"}
 
-# One line of the per-team text table; fields in TeamRow order.
-_TEXT_TEAM_LINE = "{:<10}{:<12}{:<12}{:<8}{:>14}{:>11}"
+# One line of the per-team text table: the team id, then the other fields
+# in TeamRow order.
+_TEXT_TEAM_LINE = "{:<10}{}"
+_TEXT_TEAM_CELLS = "{:<12}{:<12}{:<8}{:>14}{:>11}"
 
 
 def _render_text(report: Report) -> str:
@@ -1326,12 +1363,11 @@ def _render_text(report: Report) -> str:
 
     if report.teams:
         lines.append("Per-team results")
-        lines.append(
-            _TEXT_TEAM_LINE.format(
-                "team", "condition", "group", "gender", "JVA ratio (%)", "post-test"
-            )
-        )
-        lines.extend(map(_TEXT_TEAM_LINE.format, *_team_columns(report.teams, _text_value)))
+        header = ("condition", "group", "gender", "JVA ratio (%)", "post-test")
+        lines.append(_TEXT_TEAM_LINE.format("team", _TEXT_TEAM_CELLS.format(*header)))
+        ids, rows, inverse = _team_cells(report.teams, _text_value)
+        cells = [_TEXT_TEAM_CELLS.format(*row) for row in rows]
+        lines.extend(map(_TEXT_TEAM_LINE.format, ids, map(cells.__getitem__, inverse)))
         lines.append("")
 
     for grouping in sorted(report.summaries):
@@ -1449,10 +1485,11 @@ def _csv_rows(columns: Sequence[str], records) -> Iterator[list]:
 
 def _write_csv_bundle(report: Report, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
+    ids, rows, inverse = _team_cells(report.teams, _csv_value)
     _write_csv(
         out_dir / "teams.csv",
         _TEAM_FIELDS,
-        zip(*_team_columns(report.teams, _csv_value)),
+        ([team_id, *rows[k]] for team_id, k in zip(ids, inverse)),
     )
     summaries = [
         _summary_record(g, grouping=grouping, label=g.label, measure=measure)

@@ -3,7 +3,8 @@
 These deliberately avoid the library's own code paths: the F tail oracle
 integrates the density with adaptive quadrature, the brute-force JVA
 recount walks frames with plain math, the per-row stats report groups
-TeamRow records one row at a time, and the row-form table reader hands
+TeamRow records one row at a time, the per-value team cells format every
+team's numbers one value at a time, and the row-form table reader hands
 every line to ``csv.reader``.
 """
 
@@ -108,6 +109,36 @@ def per_row_stats_report(rows) -> Report:
         except ValueError as exc:
             report.notes.append(f"correlation skipped: {exc}")
     return report
+
+
+def per_value_team_columns(teams: TeamTable, value_rule, text=str) -> list[list]:
+    """The cells of each team field, in TeamRow order: ``text`` of each id
+    and label, ``value_rule`` of each number (a missing ratio is None),
+    one call per team."""
+    ratios = teams.jva_ratio_pct.tolist()
+    if np.isnan(teams.jva_ratio_pct).any():
+        ratios = [None if r != r else r for r in ratios]
+
+    def labels(codes: np.ndarray, members: list) -> list:
+        return list(map([text(m.value) for m in members].__getitem__, codes.tolist()))
+
+    decimals = io_report._DECIMALS
+    return [
+        list(map(text, teams.team_ids)),
+        labels(teams.condition, list(Condition)),
+        labels(teams.group, list(Group)),
+        labels(teams.gender, list(GenderComposition)),
+        [value_rule(r, decimals["jva_ratio_pct"]) for r in ratios],
+        [value_rule(p, decimals["team_post_test"]) for p in teams.post_test.tolist()],
+    ]
+
+
+def per_value_team_cells(teams: TeamTable, value_rule, text=str) -> tuple:
+    """``io_report._team_cells`` built from ``per_value_team_columns``: each
+    team's cells are a row of their own. Patched in for ``_team_cells``,
+    it makes every emitter format each team's numbers one at a time."""
+    ids, *columns = per_value_team_columns(teams, value_rule, text)
+    return ids, [list(row) for row in zip(*columns)], list(range(len(ids)))
 
 
 def _undecodable(path) -> tuple:

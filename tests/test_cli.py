@@ -1,6 +1,10 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -377,3 +381,76 @@ def test_config_naming_reference_diagonal_is_data_error(tmp_path, capsys):
         ["analyze", "--frames", str(frames), "--teams", str(teams), "--config", str(config)],
     )
     assert (code, out, err) == (1, "", f"error: {config}:1: unknown key 'reference_diagonal'\n")
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def fresh_python(code: str, *argv: str) -> str:
+    """Standard output of ``code`` run with ``argv`` in a new interpreter
+    that imports teamgaze from the source tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+# Runs one CLI command, then prints its exit code and the teamgaze modules
+# it imported.
+LOADED_MODULES = """
+import sys
+from teamgaze.cli import main
+code = main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("teamgaze")))
+"""
+
+
+@pytest.mark.parametrize("command", ["analyze", "stats-summary", "stats-per-team"])
+def test_analyze_and_stats_import_neither_synth_nor_gazefield(tmp_path, capsys, command):
+    frames, teams = synth_inputs(tmp_path, capsys)
+    per_team = tmp_path / "per_team"
+    run(capsys, ["analyze", "--frames", str(frames), "--teams", str(teams),
+                 "--format", "csv-bundle", "--out", str(per_team)])
+    argv = {
+        "analyze": ["analyze", "--frames", str(frames), "--teams", str(teams)],
+        "stats-summary": ["stats"],
+        "stats-per-team": ["stats", "--teams", str(per_team / "teams.csv")],
+    }[command]
+    out = fresh_python(
+        LOADED_MODULES, *argv, "--format", "json", "--out", str(tmp_path / "report.json")
+    )
+    assert out.split() == [
+        "0", "teamgaze", "teamgaze.cli", "teamgaze.io_report", "teamgaze.jva",
+        "teamgaze.model", "teamgaze.stats",
+    ]
+    assert json.loads((tmp_path / "report.json").read_text())["anovas"]
+
+
+def test_package_exports_are_imported_on_first_use():
+    out = fresh_python(
+        "import sys\n"
+        "import teamgaze\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('teamgaze')))\n"
+        "from teamgaze import SynthSpec, Heatmap, decode_heatmap, analyze_table, emit_report\n"
+        "from teamgaze import Point2D, multiscale_fields, synth\n"
+        "from teamgaze import gazefield, io_report, model\n"
+        "assert SynthSpec is synth.SynthSpec and emit_report is io_report.emit_report\n"
+        "assert (Heatmap, Point2D) == (model.Heatmap, model.Point2D)\n"
+        "assert (decode_heatmap, multiscale_fields) == "
+        "(gazefield.decode_heatmap, gazefield.multiscale_fields)\n"
+        "assert analyze_table is io_report.analyze_table\n"
+        "try:\n"
+        "    teamgaze.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert out.splitlines() == [
+        "teamgaze",
+        "module 'teamgaze' has no attribute 'no_such_name'",
+    ]

@@ -3,7 +3,9 @@
 Reports are built from random TeamRow lists. The JSON emitter writes the
 per-team columns by hand, so its text is pinned to json.dumps; every
 format of the columnar report is pinned to the per-row reference in
-``oracles.per_row_stats_report``.
+``oracles.per_row_stats_report``. The emitters format each distinct team
+value once; ``oracles.per_value_team_cells`` formats every team's values
+one at a time, and every format must come out the same.
 """
 
 import json
@@ -11,12 +13,16 @@ import math
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import per_row_stats_report
+from oracles import per_row_stats_report, per_value_team_cells
+from teamgaze import io_report
 from teamgaze.io_report import (
+    Report,
     TeamRow,
     TeamTable,
     emit_report,
@@ -130,3 +136,73 @@ def test_team_table_keeps_missing_ratios_apart_from_zero():
     assert len(table) == 2 and list(table) == rows
     assert math.isnan(table.jva_ratio_pct[0]) and table.jva_ratio_pct[1] == 0.0
     assert [r.team_id for r in table.by_team_id()] == ["a", "b"]
+
+
+def test_team_cells_keep_negative_zero_and_missing_apart(tmp_path):
+    path = tmp_path / "teams.csv"
+    path.write_text(
+        "team_id,condition,group,gender,jva_ratio_pct,team_post_test\n"
+        "t1,textbook,,FF,12.345,-0\n"
+        "t2,textbook,,FF,,0\n"
+        "t3,ar,,MX,12.345,0\n"
+        "t4,tablet,,MM,-0,-0\n"
+        "t5,ar,,MX,0,2.5\n"
+    )
+    out = rendered(Report(teams=load_team_rows(path)))
+
+    report = json.loads(out["json"], parse_float=str)
+    assert [(t["jva_ratio_pct"], t["team_post_test"]) for t in report["teams"]] == [
+        ("12.35", "-0.0"), (None, "0.0"), ("12.35", "0.0"), ("-0.0", "-0.0"), ("0.0", "2.5"),
+    ]
+    assert report["scatter"] == [
+        ["12.35", "-0.0"], ["12.35", "0.0"], ["-0.0", "-0.0"], ["0.0", "2.5"],
+    ]
+    assert out["text"].splitlines() == [
+        "Per-team results",
+        "team      condition   group       gender   JVA ratio (%)  post-test",
+        "t1        textbook    control     FF               12.35      -0.00",
+        "t2        textbook    control     FF                  NA       0.00",
+        "t3        ar          experiment  MX               12.35       0.00",
+        "t4        tablet      experiment  MM               -0.00      -0.00",
+        "t5        ar          experiment  MX                0.00       2.50",
+    ]
+    assert out["teams.csv"] == (
+        b"team_id,condition,group,gender,jva_ratio_pct,team_post_test\r\n"
+        b"t1,textbook,control,FF,12.35,-0.00\r\n"
+        b"t2,textbook,control,FF,,0.00\r\n"
+        b"t3,ar,experiment,MX,12.35,0.00\r\n"
+        b"t4,tablet,experiment,MM,-0.00,-0.00\r\n"
+        b"t5,ar,experiment,MX,0.00,2.50\r\n"
+    )
+
+
+# Values that tie after rounding (12.345, 12.355), differ only in sign
+# (0.0, -0.0, and two NaNs), or are not finite; drawn with repeats.
+POOLED_VALUES = st.sampled_from(
+    [0.0, -0.0, math.nan, -math.nan, 12.345, 12.355, 100 / 3, 2.5, math.inf]
+)
+
+
+@st.composite
+def pooled_team_tables(draw):
+    n = draw(st.integers(0, 12))
+
+    def column(elements, dtype):
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)), dtype)
+
+    return TeamTable(
+        team_ids=draw(st.lists(TEAM_IDS, min_size=n, max_size=n)),
+        condition=column(st.integers(0, len(Condition) - 1), np.int8),
+        gender=column(st.integers(0, len(GenderComposition) - 1), np.int8),
+        jva_ratio_pct=column(POOLED_VALUES, float),
+        post_test=column(POOLED_VALUES, float),
+    )
+
+
+@given(pooled_team_tables())
+@settings(max_examples=200, deadline=None)
+def test_distinct_value_cells_match_per_value_formatting(table):
+    report = Report(teams=table)
+    with mock.patch.object(io_report, "_team_cells", per_value_team_cells):
+        reference = rendered(report)
+    assert rendered(report) == reference
