@@ -225,6 +225,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "format", None) == "csv-bundle" and args.out is None:
+        print("error: --format csv-bundle needs --out, the bundle's directory", file=sys.stderr)
+        return USAGE_ERROR
     try:
         return _COMMANDS[args.command](args)
     except (OSError, ValueError, KeyError, RuntimeError) as exc:

@@ -1,28 +1,25 @@
 """Inference-side geometry of the gaze-following pipeline.
 
-Covers direction-field encoding, heatmap argmax decoding with rescaling to
-scene coordinates, and a synthetic predictor that is the test oracle used
-to exercise everything downstream.
+Covers direction-field encoding and heatmap argmax decoding with
+rescaling to scene coordinates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .model import GazeObservation, Heatmap, Point2D
+from .model import Heatmap, Point2D
 
 __all__ = [
     "DirectionField",
-    "SyntheticScene",
     "encode_direction_field",
     "direction_value",
     "multiscale_fields",
     "decode_heatmap",
-    "synthetic_predict",
     "load_heatmap_text",
     "DEFAULT_EXPONENTS",
 ]
@@ -157,37 +154,3 @@ def load_heatmap_text(path) -> Heatmap:
     """Read a heatmap from a plain-text grid (whitespace-separated rows)."""
     arr = np.loadtxt(path, dtype=float, ndmin=2)
     return Heatmap(values=arr)
-
-
-@dataclass(frozen=True)
-class SyntheticScene:
-    """Scene descriptor with known true gaze targets, for oracle testing."""
-
-    width: float
-    height: float
-    true_targets: Mapping[str, Point2D]
-
-
-def synthetic_predict(
-    scene: SyntheticScene, noise_sigma: float, seed: int
-) -> list[GazeObservation]:
-    """Oracle predictor: true target plus isotropic Gaussian noise.
-
-    Deterministic for a given seed (counter-based Philox generator), with
-    results clamped to scene bounds. Persons are processed in sorted id
-    order so the draw sequence is stable.
-    """
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be non-negative")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    observations = []
-    for person_id in sorted(scene.true_targets):
-        target = scene.true_targets[person_id]
-        if noise_sigma == 0:
-            x, y = target.x, target.y
-        else:
-            x, y = rng.normal((target.x, target.y), noise_sigma)
-        x = min(max(x, 0.0), scene.width)
-        y = min(max(y, 0.0), scene.height)
-        observations.append(GazeObservation(person_id=person_id, gaze=Point2D(x, y)))
-    return observations

@@ -11,11 +11,14 @@ bytes that are not UTF-8) goes through csv.reader. Each error of a table
 reader starts with the table's path (``_names_file``).
 ``read_frame_table`` parses frame rows in chunks into numpy columns;
 ``analyze_table``, the one way from frames and teams to a report, scores
-them with ``jva.team_jva_counts``, and ``load_frames`` turns them into
-``FrameRecord`` objects for the reference ``jva.session_jva``. The team
-and per-team results tables are parsed the same way (``_TeamColumns``).
-``analyze_table`` and ``load_team_rows`` fill a ``TeamTable`` of per-team
-columns, and ``stats_report`` runs the statistics battery on it.
+them with ``jva.team_jva_counts``. The team and per-team results tables
+are parsed the same way (``_TeamColumns``) into a ``TeamTable`` of
+per-team columns: ``load_teams`` fills it without JVA ratios,
+``analyze_table`` adds them, ``load_team_rows`` reads them from the
+file, and ``stats_report`` runs the statistics battery on it. Only the
+per-frame reference path builds objects: ``load_frames`` turns frame
+rows into ``FrameRecord``s and ``build_sessions`` joins them with a team
+table's rows into the ``TeamSession``s that ``jva.session_jva`` scores.
 Reports render the same content as machine-readable JSON, an aligned
 plain-text table, or a CSV bundle. Every emitter writes the teams a
 column at a time; each other kind of report row (group summary, ANOVA,
@@ -89,9 +92,6 @@ __all__ = [
 ]
 
 CONFIG_ENV_VAR = "TEAMGAZE_CONFIG"
-
-_CONDITION_TOKENS = {c.value: c for c in Condition}
-_GENDER_TOKENS = {g.value.lower(): g for g in GenderComposition}
 
 # The columns read from a frame table; ``discarded`` may be left out.
 FRAME_COLUMNS = [
@@ -167,17 +167,6 @@ def _parse_bounded(value: str, column: str, line: int, high: int) -> float:
     if not 0 <= number <= high:
         raise ValueError(f"line {line}: {column} {value!r} out of [0,{high}]")
     return number
-
-
-def _parse_token(tokens: dict, row: dict, column: str, line: int):
-    """The enum member named by ``row[column]``, case-insensitively."""
-    member = tokens.get(row[column].strip().lower())
-    if member is None:
-        allowed = " | ".join(m.value for m in tokens.values())
-        raise ValueError(
-            f"line {line}: unknown {column} {row[column]!r}, expected {allowed}"
-        )
-    return member
 
 
 def _names_file(read):
@@ -712,11 +701,18 @@ def _codes(cells: Sequence[str], codes: dict[str, int]) -> np.ndarray:
     return np.array(found, dtype=np.int8)
 
 
+def _check_token(row: dict, column: str, line: int, codes: dict[str, int], members: list) -> None:
+    """Raise unless ``row[column]``, stripped and lower-cased, is a token of ``codes``."""
+    if row[column].strip().lower() not in codes:
+        allowed = " | ".join(m.value for m in members)
+        raise ValueError(f"line {line}: unknown {column} {row[column]!r}, expected {allowed}")
+
+
 def _check_team_row(row: dict, line: int, first_line: dict, numbers) -> None:
     """Raise the first error of one team-level row, checking cells in order."""
     _check_new_key(first_line, row["team_id"].strip(), line, "team_id")
-    _parse_token(_CONDITION_TOKENS, row, "condition", line)
-    _parse_token(_GENDER_TOKENS, row, "gender", line)
+    _check_token(row, "condition", line, _CONDITION_CODES, _CONDITIONS)
+    _check_token(row, "gender", line, _GENDER_CODES, _GENDERS)
     for name, high, optional in numbers:
         value = row.get(name, "")
         if optional:
@@ -803,33 +799,36 @@ def _read_team_columns(path, columns: Sequence[str], numbers) -> tuple:
 
 
 @_names_file
-def load_teams(path: Union[str, Path]) -> dict[str, TeamSession]:
-    """Load the team table as frameless TeamSessions keyed by team_id.
+def load_teams(path: Union[str, Path]) -> TeamTable:
+    """Load the team table as a TeamTable in file order, without JVA ratios.
 
-    Unknown condition/gender tokens, a post-test outside [0, 5] and a
-    team_id that repeats are errors naming the line.
+    A team's post-test is the mean of its two members' scores. Unknown
+    condition/gender tokens, a post-test outside [0, 5] and a team_id that
+    repeats are errors naming the line.
     """
     team_ids, condition, gender, score_1, score_2 = _read_team_columns(
         path, TEAM_COLUMNS, _TEAM_NUMBERS
     )
-    return {
-        team: TeamSession(team, _CONDITIONS[c], _GENDERS[g], (s1, s2))
-        for team, c, g, s1, s2 in zip(
-            team_ids, condition.tolist(), gender.tolist(), score_1.tolist(), score_2.tolist()
-        )
-    }
+    no_ratio = np.full(len(team_ids), np.nan)
+    return TeamTable(
+        team_ids, condition, gender, no_ratio, team_post_test_score(score_1, score_2)
+    )
 
 
 def build_sessions(
-    frames_by_team: dict[str, list[FrameRecord]], teams: dict[str, TeamSession]
+    frames_by_team: dict[str, list[FrameRecord]], teams: TeamTable
 ) -> list[TeamSession]:
-    """Each team of ``load_teams`` with its frames; frames of others are an error."""
-    missing_meta = sorted(set(frames_by_team) - set(teams))
+    """One TeamSession per team of ``teams``, sorted by id, with its frames,
+    for the per-frame reference path; frames of other teams are an error."""
+    missing_meta = sorted(set(frames_by_team) - set(teams.team_ids))
     if missing_meta:
         raise ValueError(f"frames reference unknown teams: {missing_meta}")
     return [
-        replace(teams[team_id], frames=tuple(frames_by_team.get(team_id, [])))
-        for team_id in sorted(teams)
+        TeamSession(
+            team.team_id, team.condition, team.gender, team.team_post_test,
+            tuple(frames_by_team.get(team.team_id, [])),
+        )
+        for team in teams.by_team_id()
     ]
 
 
@@ -849,6 +848,10 @@ class TeamRow:
 @dataclass
 class TeamTable:
     """Per-team columns: what the stats battery and the emitters read.
+
+    ``load_teams`` fills one from a team table (every ratio NaN),
+    ``analyze_table`` adds the JVA ratios, and ``load_team_rows`` reads
+    one from a per-team results table.
 
     ``condition`` and ``gender`` hold each team's index into ``Condition``
     and ``GenderComposition``; a team's group follows from its condition.
@@ -1037,14 +1040,15 @@ def _add_anova(
 
 
 def analyze_table(
-    table: FrameTable, teams: dict[str, TeamSession], config: JvaConfig = JvaConfig()
+    table: FrameTable, teams: TeamTable, config: JvaConfig = JvaConfig()
 ) -> Report:
-    """Score each team of ``load_teams`` from a FrameTable and report on them.
+    """Score each team of ``teams`` (as ``load_teams`` reads them) from a
+    FrameTable and report on them.
 
     Frames of other teams are an error; a team without countable frames
     gets no ratio and a note.
     """
-    unknown = sorted(set(table.team_ids) - set(teams))
+    unknown = sorted(set(table.team_ids) - set(teams.team_ids))
     if unknown:
         raise ValueError(f"frames reference unknown teams: {unknown}")
     jva_frames, denominator_frames = team_jva_counts(
@@ -1058,29 +1062,17 @@ def analyze_table(
         table.gaze_y,
         config,
     )
-    team_ids = sorted(teams)
-    sessions = [teams[t] for t in team_ids]
+    teams = teams.by_team_id()
     # Each team's number in the frame table; -1, for a team without frames,
     # picks the appended count of 0.
     number = dict(zip(table.team_ids, range(len(table.team_ids))))
-    at = np.array([number.get(t, -1) for t in team_ids], dtype=np.intp)
+    at = np.array([number.get(t, -1) for t in teams.team_ids], dtype=np.intp)
     jva = np.append(jva_frames, 0)[at]
     denominator = np.append(denominator_frames, 0)[at]
-    ratio = np.full(len(team_ids), np.nan)
+    ratio = np.full(len(teams), np.nan)
     np.divide(jva, denominator, out=ratio, where=denominator > 0)
-    scores = np.array([s.post_test_scores for s in sessions], float).reshape(-1, 2)
-    report = stats_report(
-        TeamTable(
-            team_ids=team_ids,
-            condition=np.array([_CONDITIONS.index(s.condition) for s in sessions], np.int8),
-            gender=np.array(
-                [_GENDERS.index(s.gender_composition) for s in sessions], np.int8
-            ),
-            jva_ratio_pct=100.0 * ratio,
-            post_test=team_post_test_score(scores[:, 0], scores[:, 1]),
-        )
-    )
-    no_frames = [team_ids[i] for i in np.flatnonzero(np.isnan(ratio)).tolist()]
+    report = stats_report(replace(teams, jva_ratio_pct=100.0 * ratio))
+    no_frames = [teams.team_ids[i] for i in np.flatnonzero(np.isnan(ratio)).tolist()]
     if no_frames:
         report.notes.append(f"no countable frames for teams: {no_frames}")
     return report

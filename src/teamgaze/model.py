@@ -112,21 +112,21 @@ class FrameRecord:
 
 @dataclass(frozen=True)
 class TeamSession:
-    """Ordered frames for one two-person team plus study metadata."""
+    """Ordered frames for one two-person team plus study metadata.
+
+    The type of the per-frame reference path (``jva.session_jva``);
+    ``io_report.build_sessions`` builds them from a team table.
+    """
 
     team_id: str
     condition: Condition
     gender_composition: GenderComposition
-    post_test_scores: tuple[float, float]
+    team_post_test: float
     frames: tuple[FrameRecord, ...] = ()
 
     @property
     def group(self) -> Group:
         return group_for_condition(self.condition)
-
-    @property
-    def team_post_test(self) -> float:
-        return team_post_test_score(*self.post_test_scores)
 
 
 @dataclass(frozen=True)
@@ -164,11 +164,10 @@ def validate_session(session: TeamSession) -> list[str]:
     """
     violations: list[str] = []
 
-    for score in session.post_test_scores:
-        if not (0.0 <= score <= 5.0):
-            violations.append(
-                f"team {session.team_id}: score out of [0,5]: {score}"
-            )
+    if not (0.0 <= session.team_post_test <= 5.0):
+        violations.append(
+            f"team {session.team_id}: score out of [0,5]: {session.team_post_test}"
+        )
 
     person_ids: set[str] = set()
     prev_ts: Optional[float] = None

@@ -146,7 +146,7 @@ def _session(team_id, frames):
         team_id=team_id,
         condition=Condition.TABLET,
         gender_composition=GenderComposition.MIXED,
-        post_test_scores=(2.0, 3.0),
+        team_post_test=2.5,
         frames=tuple(frames),
     )
 

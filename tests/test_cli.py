@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from teamgaze import io_report
 from teamgaze.cli import MAX_ROW_WARNINGS, main
 from teamgaze.io_report import read_frame_table
 
@@ -91,6 +92,30 @@ def test_analyze_missing_file_is_data_error(tmp_path, capsys):
     )
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "stats"])
+def test_csv_bundle_without_out_is_usage_error_before_any_input(tmp_path, capsys, command):
+    missing = str(tmp_path / "nope.csv")
+    inputs = {"analyze": ["--frames", missing, "--teams", missing], "stats": ["--teams", missing]}
+    argv = [command, *inputs[command], "--format", "csv-bundle"]
+    assert run(capsys, argv) == (
+        2, "", "error: --format csv-bundle needs --out, the bundle's directory\n"
+    )
+
+
+def test_analyze_builds_no_team_session(tmp_path, capsys, monkeypatch):
+    frames, teams = synth_inputs(tmp_path, capsys)
+
+    def no_session(*args, **kwargs):
+        raise AssertionError("analyze built a TeamSession")
+
+    monkeypatch.setattr(io_report, "TeamSession", no_session)
+    code, out, _ = run(
+        capsys, ["analyze", "--frames", str(frames), "--teams", str(teams), "--format", "json"]
+    )
+    assert code == 0
+    assert len(json.loads(out)["teams"]) == 6
 
 
 @pytest.mark.parametrize(

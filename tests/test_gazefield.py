@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from teamgaze.gazefield import (
-    SyntheticScene,
     decode_heatmap,
     direction_value,
     encode_direction_field,
     load_heatmap_text,
     multiscale_fields,
-    synthetic_predict,
 )
 from teamgaze.model import Heatmap, Point2D
 
@@ -164,37 +162,3 @@ def test_heatmap_text_round_trip(tmp_path):
     heatmap = load_heatmap_text(path)
     np.testing.assert_allclose(heatmap.values, values)
     assert (heatmap.width, heatmap.height) == (4, 3)
-
-
-def test_synthetic_predict_zero_noise_is_exact():
-    scene = SyntheticScene(2560, 1440, {"a": Point2D(100, 200), "b": Point2D(5, 7)})
-    obs = synthetic_predict(scene, 0.0, seed=42)
-    assert [(o.gaze.x, o.gaze.y) for o in obs] == [(100, 200), (5, 7)]
-
-
-def test_synthetic_predict_deterministic_per_seed():
-    scene = SyntheticScene(2560, 1440, {"a": Point2D(100, 200), "b": Point2D(900, 700)})
-    first = synthetic_predict(scene, 15.0, seed=5)
-    second = synthetic_predict(scene, 15.0, seed=5)
-    assert [(o.gaze.x, o.gaze.y) for o in first] == [
-        (o.gaze.x, o.gaze.y) for o in second
-    ]
-
-
-def test_synthetic_predict_noise_scale_monte_carlo():
-    # Target far from the borders, so clamping cannot bias the spread.
-    scene = SyntheticScene(10000, 10000, {"a": Point2D(5000, 5000)})
-    xs, ys = [], []
-    for seed in range(10000):
-        (obs,) = synthetic_predict(scene, 20.0, seed=seed)
-        xs.append(obs.gaze.x)
-        ys.append(obs.gaze.y)
-    assert np.std(xs) == pytest.approx(20.0, rel=0.05)
-    assert np.std(ys) == pytest.approx(20.0, rel=0.05)
-
-
-def test_synthetic_predict_clamps_to_bounds():
-    scene = SyntheticScene(100, 100, {"a": Point2D(0.5, 99.5)})
-    for seed in range(50):
-        (obs,) = synthetic_predict(scene, 30.0, seed=seed)
-        assert 0 <= obs.gaze.x <= 100 and 0 <= obs.gaze.y <= 100

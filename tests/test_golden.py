@@ -19,7 +19,9 @@ from teamgaze.io_report import (
     Report,
     TeamRow,
     analyze_table,
+    build_sessions,
     emit_report,
+    load_frames,
     load_summary_fixture,
     load_teams,
     paper_fixture_path,
@@ -27,7 +29,7 @@ from teamgaze.io_report import (
     stats_report_from_summaries,
     stats_report_from_team_rows,
 )
-from teamgaze.model import Condition, GenderComposition, group_for_condition
+from teamgaze.model import Condition, GenderComposition, group_for_condition, validate_session
 from teamgaze.stats import correlation_from_r
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -153,6 +155,25 @@ def test_analyze_cli_matches_golden(fmt, tmp_path):
         assert rendered_files(tmp_path / name) == rendered_files(GOLDEN / "analyze" / name)
     else:
         assert (tmp_path / name).read_bytes() == (GOLDEN / "analyze" / name).read_bytes()
+
+
+def test_reference_sessions_of_golden_inputs_validate():
+    """The per-frame reference path's sessions carry the analyzed teams'
+    metadata, and ``validate_session`` flags only t03, whose frames hold a
+    single person (the team the report notes as without countable frames)."""
+    sessions = build_sessions(
+        load_frames(INPUTS / "frames.csv").frames_by_team, load_teams(INPUTS / "teams.csv")
+    )
+    assert [(s.team_id, s.condition, s.gender_composition, s.team_post_test)
+            for s in sessions] == [
+        (r.team_id, r.condition, r.gender, r.team_post_test)
+        for r in analyze_inputs_report().teams
+    ]
+    assert all(s.frames for s in sessions)
+    violations = {s.team_id: validate_session(s) for s in sessions}
+    assert {team: v for team, v in violations.items() if v} == {
+        "t03": ["team t03: team size != 2 (1 distinct persons in valid frames)"]
+    }
 
 
 def write_goldens():

@@ -16,6 +16,7 @@ from oracles import read_csv_columns
 from teamgaze import io_report
 from teamgaze.cli import main
 from teamgaze.io_report import (
+    TeamTable,
     analyze_table,
     build_sessions,
     detect_table_kind,
@@ -212,11 +213,12 @@ def test_load_teams_happy_path(tmp_path):
         "team_id,condition,gender,post_test_1,post_test_2\n"
         "t1,Tablet,mx,3,2\n"
     )
-    teams = load_teams(path)
-    meta = teams["t1"]
-    assert meta.condition is Condition.TABLET
-    assert meta.gender_composition is GenderComposition.MIXED
-    assert meta.post_test_scores == (3.0, 2.0)
+    (team,) = load_teams(path)
+    assert team.team_id == "t1"
+    assert team.condition is Condition.TABLET
+    assert team.gender is GenderComposition.MIXED
+    assert team.team_post_test == 2.5
+    assert team.jva_ratio_pct is None
 
 
 def test_load_teams_rejects_unknown_condition(tmp_path):
@@ -263,7 +265,7 @@ def test_build_sessions_requires_metadata(tmp_path):
         write_frames(tmp_path, ["tX,f1,0.0,2560,1440,p1,1,1,,,1.0,0"])
     )
     with pytest.raises(ValueError, match="unknown teams"):
-        build_sessions(frames.frames_by_team, {})
+        build_sessions(frames.frames_by_team, TeamTable.from_rows(()))
 
 
 def fixture_report():
@@ -676,8 +678,9 @@ def with_noise(draw, lines):
 
 @st.composite
 def frame_tables(draw):
-    """Frame-table rows (shuffled) and team-table rows for a few teams, each
-    also with blank and comment lines."""
+    """Frame-table rows (shuffled) and team-table rows (sorted by id) for a
+    few teams, each also with blank and comment lines; the noisy team rows
+    are shuffled too."""
     rows = []
     teams = [f"t{i}" for i in range(draw(st.integers(1, 4)))]
     for team in teams:
@@ -699,8 +702,9 @@ def frame_tables(draw):
         f"{draw(st.integers(0, 5))},{draw(st.integers(0, 5))}"
         for team in teams
     ]
+    shuffled_team_rows = draw(st.permutations(team_rows))
     noisy = [with_noise(draw, [header.strip()] + lines)
-             for header, lines in ((FRAME_HEADER, rows), (TEAMS_HEADER, team_rows))]
+             for header, lines in ((FRAME_HEADER, rows), (TEAMS_HEADER, shuffled_team_rows))]
     return rows, team_rows, noisy
 
 
@@ -730,8 +734,9 @@ def test_columnar_ratios_match_the_per_frame_reference(tables, threshold, scale,
     sessions = build_sessions(loaded.frames_by_team, teams)
     ratios = [(r.team_id, r.jva_ratio_pct) for r in report.teams]
     assert ratios == [(s.team_id, session_jva(s, config).jva_ratio_pct) for s in sessions]
-    # Blank and comment lines change no ratio.
+    # Blank and comment lines and the team table's row order change nothing.
     assert [(r.team_id, r.jva_ratio_pct) for r in noisy_report.teams] == ratios
+    assert emit_report(noisy_report, fmt="json") == emit_report(report, fmt="json")
 
 
 # Each table the loaders read: a header and rows to draw from.

@@ -44,7 +44,7 @@ def session_of(frames, team_id="t1"):
         team_id=team_id,
         condition=Condition.AR,
         gender_composition=GenderComposition.FEMALES,
-        post_test_scores=(2.0, 3.0),
+        team_post_test=2.5,
         frames=tuple(frames),
     )
 

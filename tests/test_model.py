@@ -33,12 +33,12 @@ def make_frame(frame_id, ts, gazes, w=2560, h=1440, discarded=False, reason=""):
     )
 
 
-def make_session(frames=(), scores=(3.0, 2.0), team_id="t1"):
+def make_session(frames=(), team_post_test=2.5, team_id="t1"):
     return TeamSession(
         team_id=team_id,
         condition=Condition.TABLET,
         gender_composition=GenderComposition.MIXED,
-        post_test_scores=scores,
+        team_post_test=team_post_test,
         frames=tuple(frames),
     )
 
@@ -49,7 +49,7 @@ def test_conforming_session_has_no_violations():
 
 
 def test_score_out_of_bounds_flagged():
-    session = make_session(scores=(6.0, 2.0))
+    session = make_session(team_post_test=6.0)
     violations = validate_session(session)
     assert any("score out of [0,5]" in v for v in violations)
 
