@@ -6,9 +6,12 @@ team), and for ``teamgaze stats`` a per-team results or summary table.
 ``_read_csv`` tokenizes all four under one contract and yields their rows
 a chunk at a time in column form: a chunk of plain lines is split at every
 comma in one pass straight into columns, and only text csv.reader must
-interpret (quotes, lone CR, NUL, over-long cells, rows of another width,
-bytes that are not UTF-8) goes through csv.reader. Each error of a table
-reader starts with the table's path (``_names_file``).
+interpret (quotes, lone CR, NUL, comment and blank lines, over-long cells,
+rows of another width, bytes that are not UTF-8) goes through csv.reader.
+The tokenizer names the line of a fault in the text; the column parsers
+(``_FrameRows``, ``_TeamColumns``) name the first bad cell's row
+themselves. Each error of a table reader starts with the table's path
+(``_names_file``).
 ``read_frame_table`` parses frame rows in chunks into numpy columns;
 ``analyze_table``, the one way from frames and teams to a report, scores
 them with ``jva.team_jva_counts``. The team and per-team results tables
@@ -108,9 +111,6 @@ FRAME_COLUMNS = [
 _MANDATORY_FRAME_COLUMNS = FRAME_COLUMNS[:-1]
 TEAM_COLUMNS = ["team_id", "condition", "gender", "post_test_1", "post_test_2"]
 
-# Frame columns read as numbers, in the order a row's cells are checked.
-_NUMERIC_FRAME_COLUMNS = ("timestamp_s", "image_w", "image_h", "gaze_x", "gaze_y")
-
 # Accepted ``discarded`` cells after stripping and lower-casing.
 _DISCARDED_TOKENS = {"": False, "0": False, "false": False, "1": True, "true": True}
 
@@ -167,6 +167,19 @@ def _parse_bounded(value: str, column: str, line: int, high: int) -> float:
     if not 0 <= number <= high:
         raise ValueError(f"line {line}: {column} {value!r} out of [0,{high}]")
     return number
+
+
+def _floats(cells: Sequence[str], column: str, lines: np.ndarray) -> np.ndarray:
+    """A column's cells as floats; the first that is not a number is an error."""
+    try:
+        return np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        return np.array([_parse_float(c, column, line) for c, line in zip(cells, lines.tolist())])
+
+
+def _first(bad: np.ndarray) -> int:
+    """The index of the first true entry of ``bad``, else -1."""
+    return int(bad.argmax()) if bad.any() else -1
 
 
 def _names_file(read):
@@ -269,12 +282,16 @@ def _text_chunks(path: Union[str, Path]) -> Iterator:
     chunks of up to ``_CHUNK_ROWS`` physical lines or csv rows.
 
     ``lines`` holds the physical line each row ends on. A plain chunk, one
-    holding no ``"``, lone CR, NUL or line over the csv field limit, gives
-    ``rows`` as its rows' text joined by LF (CR LF read as LF); csv.reader
-    would split each of its lines at every comma. Any other chunk gives the
-    rows csv.reader makes of its lines, and from the first chunk holding a
-    ``"`` on one csv.reader reads the rest of the file, since a quoted cell
-    may hold a line break. Errors are raised after the rows before them.
+    holding no ``"``, lone CR, NUL, ``#``, blank line or line over the csv
+    field limit, gives ``rows`` as its rows' text joined by LF (CR LF read
+    as LF); csv.reader would split each of its lines at every comma. Any
+    other chunk gives the rows csv.reader makes of its lines, less blank
+    and comment rows, and from the first chunk holding a ``"`` on one
+    csv.reader reads the rest of the file, since a quoted cell may hold a
+    line break. Only the errors of the text itself (a csv error, a comment
+    row holding a quoted line break, a byte that is not UTF-8) are named
+    here, each raised after the rows before it; a bad cell is named by the
+    table's parser.
     """
     limit = csv.field_size_limit()
     done, error = 0, None  # the last line read, and the error to raise
@@ -293,18 +310,12 @@ def _text_chunks(path: Union[str, Path]) -> Iterator:
                         text = text.replace("\r\n", "\n")
                     if not (
                         rest
-                        or "\r" in text
-                        or "\0" in text
+                        or any(mark in text for mark in ("\r", "\0", "#", "\n\n"))
+                        or text[0] == "\n"
                         or len(text) > limit and max(map(len, raw)) > limit
                     ):
-                        lines = np.arange(done + 1, done + len(raw) + 1)
+                        yield np.arange(done + 1, done + len(raw) + 1), text.removesuffix("\n")
                         done += len(raw)
-                        if "#" in text or "\n\n" in text or text[0] == "\n":
-                            lines, text = _plain_kept(text, lines)
-                        elif text[-1] == "\n":
-                            text = text[:-1]
-                        if len(lines):
-                            yield lines, text
                         continue
                     base, reader = done, csv.reader(chain(raw, fh) if rest else raw)
                 chunk.extend(islice(reader, _CHUNK_ROWS))
@@ -338,16 +349,6 @@ def _text_chunks(path: Union[str, Path]) -> Iterator:
                 yield lines, chunk
     if error is not None:
         raise error
-
-
-def _plain_kept(text: str, lines: np.ndarray) -> tuple[np.ndarray, str]:
-    """The rows of plain ``text`` that are not blank or comments, joined by
-    LF, and their lines."""
-    rows = text.split("\n")
-    if text[-1] == "\n":
-        rows.pop()
-    kept = [i for i, row in enumerate(rows) if row and not row.lstrip().startswith("#")]
-    return lines[kept], "\n".join([rows[i] for i in kept])
 
 
 def _rows_before_undecodable(path: Union[str, Path], done: int) -> tuple[list, int, ValueError]:
@@ -408,40 +409,6 @@ def read_frame_table(path: Union[str, Path]) -> FrameTable:
     return rows.table()
 
 
-def _parse_size(value: str, column: str, line: int) -> int:
-    number = _parse_float(value, column, line)
-    if not math.isfinite(number):
-        raise ValueError(f"line {line}: column {column!r} not finite: {value!r}")
-    return int(number)
-
-
-def _rows(cells: dict) -> Iterator[dict]:
-    """Each row of a column chunk as a dict of its cells."""
-    return (dict(zip(cells, row)) for row in zip(*cells.values()))
-
-
-def _check_frame_row(row: dict, line: int) -> None:
-    """Raise the first error of one frame row (a lacking cell is None),
-    checking cells in column order."""
-    for name in _MANDATORY_FRAME_COLUMNS:
-        if row[name] is None:
-            raise ValueError(f"line {line}: short row, no {name} cell")
-    if not row["team_id"].strip() or not row["frame_id"].strip():
-        raise ValueError(f"line {line}: empty team_id or frame_id")
-    _parse_float(row["timestamp_s"], "timestamp_s", line)
-    w = _parse_size(row["image_w"], "image_w", line)
-    h = _parse_size(row["image_h"], "image_h", line)
-    if w <= 0 or h <= 0:
-        raise ValueError(f"line {line}: non-positive image dimensions")
-    _parse_float(row["gaze_x"], "gaze_x", line)
-    _parse_float(row["gaze_y"], "gaze_y", line)
-    token = row.get("discarded") or ""
-    if token.strip().lower() not in _DISCARDED_TOKENS:
-        raise ValueError(
-            f"line {line}: discarded {token!r} is not empty, 0, 1, true or false"
-        )
-
-
 class _Ids:
     """Numbers ids (stripped cells) 0, 1, ... in the order they arrive."""
 
@@ -477,12 +444,36 @@ def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return number[inverse.reshape(-1)], first[order]
 
 
-class _FrameRows:
+class _ChunkParser:
+    """Parses a table's ``_read_csv`` chunks into columns with ``_parse``.
+
+    ``_parse`` checks a chunk with whole-column operations, in the order a
+    row's cells are checked, and raises the first failing check's message
+    for the first row that fails it. An earlier row may fail a later check,
+    so a failing chunk is parsed again a row at a time: the first bad row in
+    file order then raises its own first error, after the rows before it
+    are parsed.
+    """
+
+    def add(self, cells: dict, lines: np.ndarray, short: bool) -> None:
+        """Parse one ``_read_csv`` chunk."""
+        try:
+            self._parse(cells, lines, short)
+        except ValueError:
+            for i in range(len(lines)):
+                row = {c: values[i : i + 1] for c, values in cells.items()}
+                self._parse(row, lines[i : i + 1], short)
+            raise
+
+
+class _FrameRows(_ChunkParser):
     """The kept rows of a frame table, parsed a chunk at a time into columns.
 
-    A chunk is parsed with whole-column operations. When one of them finds
-    a bad cell, ``_check_frame_row`` walks the chunk's rows to name the
-    first bad one and its first error, the order a row-by-row reader has.
+    ``_parse`` names a bad row itself (see ``_ChunkParser``), checking a
+    row's cells in this order: a lacking cell, an empty team or frame id,
+    the timestamp, each image size (a number, then finite), a size that is
+    not positive, the gaze point and the ``discarded`` token. ``table()``
+    then names the first frame error among the kept rows.
     """
 
     def __init__(self):
@@ -495,35 +486,29 @@ class _FrameRows:
         # without rows.
         self._parse(dict.fromkeys(FRAME_COLUMNS, ()), np.arange(0), False)
 
-    def add(self, cells: dict, lines: np.ndarray, short: bool) -> None:
-        """Parse one ``_read_csv`` chunk."""
-        try:
-            self._parse(cells, lines, short)
-        except ValueError:
-            for i, (row, line) in enumerate(zip(_rows(cells), lines.tolist())):
-                try:
-                    _check_frame_row(row, line)
-                except ValueError:
-                    # Keep the rows before it for table()'s frame checks.
-                    self._parse({c: v[:i] for c, v in cells.items()}, lines[:i], short)
-                    raise
-            raise
-
     def _parse(self, cells: dict, lines: np.ndarray, short: bool) -> None:
         n = len(lines)
         if short and any(None in cells[c] for c in _MANDATORY_FRAME_COLUMNS):
-            raise ValueError("short row")
+            rows = list(zip(*(cells[c] for c in _MANDATORY_FRAME_COLUMNS)))
+            i = [None in row for row in rows].index(True)
+            name = _MANDATORY_FRAME_COLUMNS[rows[i].index(None)]
+            raise ValueError(f"line {lines[i]}: short row, no {name} cell")
         team = self.teams.codes(cells["team_id"])
         frame = self.frames.codes(cells["frame_id"])
-        for ids, codes in ((self.teams, team), (self.frames, frame)):
-            if "" in ids.number and (codes == ids.number[""]).any():
-                raise ValueError("empty id")
-        ts, w, h, gx, gy = (
-            np.fromiter(map(float, cells[c]), float, n) for c in _NUMERIC_FRAME_COLUMNS
-        )
-        if not (np.isfinite(w) & (w >= 1) & np.isfinite(h) & (h >= 1)).all():
-            raise ValueError("image size")
+        no_id = [ids.number.get("", -1) for ids in (self.teams, self.frames)]
+        if (i := _first((team == no_id[0]) | (frame == no_id[1]))) >= 0:
+            raise ValueError(f"line {lines[i]}: empty team_id or frame_id")
+        ts = _floats(cells["timestamp_s"], "timestamp_s", lines)
+        sizes = []
+        for c in ("image_w", "image_h"):
+            sizes.append(_floats(cells[c], c, lines))
+            if (i := _first(~np.isfinite(sizes[-1]))) >= 0:
+                raise ValueError(f"line {lines[i]}: column {c!r} not finite: {cells[c][i]!r}")
+        w, h = sizes
+        if (i := _first((w < 1) | (h < 1))) >= 0:  # a whole pixel is at least 1
+            raise ValueError(f"line {lines[i]}: non-positive image dimensions")
         w, h = np.trunc(w), np.trunc(h)
+        gx, gy = (_floats(cells[c], c, lines) for c in ("gaze_x", "gaze_y"))
         flags = [False] * n
         if "discarded" in cells:
             tokens = cells["discarded"]
@@ -531,7 +516,9 @@ class _FrameRows:
                 # A short row's lacking cell (None) reads as empty.
                 flags = [_DISCARDED_TOKENS.get((t or "").strip().lower()) for t in tokens]
                 if None in flags:
-                    raise ValueError("discarded")
+                    i = flags.index(None)
+                    raise ValueError(f"line {lines[i]}: discarded {tokens[i]!r} is not "
+                                     "empty, 0, 1, true or false")
         discarded = np.array(flags, dtype=bool)
         person = self.persons.codes(cells["person_id"])
 
@@ -667,8 +654,8 @@ def _table_rows(path, columns: Sequence[str], key: Sequence[str], name: str) -> 
     next(chunks)
     first_line: dict = {}
     for lines, cells, _ in chunks:
-        for line, row in zip(lines.tolist(), _rows(cells)):
-            row = {c: "" if v is None else v for c, v in row.items()}
+        for line, values in zip(lines.tolist(), zip(*cells.values())):
+            row = {c: "" if v is None else v for c, v in zip(cells, values)}
             value = tuple(row[c].strip() for c in key)
             value = value[0] if len(key) == 1 else value
             _check_new_key(first_line, value, line, name)
@@ -691,47 +678,32 @@ _TEAM_NUMBERS = (("post_test_1", 5, False), ("post_test_2", 5, False))
 _TEAM_ROW_NUMBERS = (("jva_ratio_pct", 100, True), ("team_post_test", 5, False))
 
 
-def _codes(cells: Sequence[str], codes: dict[str, int]) -> np.ndarray:
-    """Each cell's code, looked up as written, else stripped and lower-cased."""
-    found = list(map(codes.get, cells))
+def _codes(cells: dict, column: str, lines: np.ndarray, codes: dict, members: list) -> np.ndarray:
+    """Each cell's code, looked up as written, else stripped and lower-cased;
+    the first cell of no member is an error."""
+    found = list(map(codes.get, cells[column]))
     if None in found:
-        found = [codes.get(cell.strip().lower()) for cell in cells]
+        found = [codes.get(cell.strip().lower()) for cell in cells[column]]
         if None in found:
-            raise ValueError("unknown token")
+            i = found.index(None)
+            allowed = " | ".join(m.value for m in members)
+            raise ValueError(
+                f"line {lines[i]}: unknown {column} {cells[column][i]!r}, expected {allowed}"
+            )
     return np.array(found, dtype=np.int8)
 
 
-def _check_token(row: dict, column: str, line: int, codes: dict[str, int], members: list) -> None:
-    """Raise unless ``row[column]``, stripped and lower-cased, is a token of ``codes``."""
-    if row[column].strip().lower() not in codes:
-        allowed = " | ".join(m.value for m in members)
-        raise ValueError(f"line {line}: unknown {column} {row[column]!r}, expected {allowed}")
-
-
-def _check_team_row(row: dict, line: int, first_line: dict, numbers) -> None:
-    """Raise the first error of one team-level row, checking cells in order."""
-    _check_new_key(first_line, row["team_id"].strip(), line, "team_id")
-    _check_token(row, "condition", line, _CONDITION_CODES, _CONDITIONS)
-    _check_token(row, "gender", line, _GENDER_CODES, _GENDERS)
-    for name, high, optional in numbers:
-        value = row.get(name, "")
-        if optional:
-            value = value.strip()
-            if not value:
-                continue
-        _parse_bounded(value, name, line, high)
-
-
-class _TeamColumns:
+class _TeamColumns(_ChunkParser):
     """The rows of a team-level table, parsed a chunk at a time into columns.
 
     Each row holds a team_id (stripped, unique), a condition, a gender and
     the ``numbers`` given as (column, high, optional): each lies in
     [0, high], and an empty (stripped) cell of an optional column, or an
     optional column the table lacks, reads as NaN. A short row's missing
-    cells are empty. As in ``_FrameRows``, a chunk is parsed with
-    whole-column operations; when one of them finds a bad cell,
-    ``_check_team_row`` walks the chunk's rows to name the first bad one.
+    cells are empty. ``_parse`` names a bad row itself (see
+    ``_ChunkParser``), checking a row's cells in this order: a repeated
+    team_id, the condition, the gender, then each number (not a number,
+    then out of range).
     """
 
     def __init__(self, numbers):
@@ -742,43 +714,35 @@ class _TeamColumns:
         self.columns: list[list[np.ndarray]] = [[] for _ in range(2 + len(numbers))]
         # An empty chunk gives each column its dtype.
         used = ["team_id", "condition", "gender"] + [name for name, _, _ in numbers]
-        self._parse(dict.fromkeys(used, ()), np.arange(0))
+        self._parse(dict.fromkeys(used, ()), np.arange(0), False)
 
-    def add(self, cells: dict, lines: np.ndarray, short: bool) -> None:
-        """Parse one ``_read_csv`` chunk."""
+    def _parse(self, cells: dict, lines: np.ndarray, short: bool) -> None:
+        n = len(lines)
         if short:
             cells = {c: ["" if v is None else v for v in values] for c, values in cells.items()}
-        try:
-            self._parse(cells, lines)
-        except ValueError:
-            for row, line in zip(_rows(cells), lines.tolist()):
-                _check_team_row(row, line, self.first_line, self.numbers)
-            raise
-
-    def _parse(self, cells: dict, lines: np.ndarray) -> None:
-        n = len(lines)
         team_ids = list(map(str.strip, cells["team_id"]))
         # Each id's first line in the chunk: the last of the reversed pairs wins.
         first = dict(zip(reversed(team_ids), reversed(lines.tolist())))
         if len(first) < n or not self.first_line.keys().isdisjoint(first):
-            raise ValueError("duplicate team_id")
+            seen = dict(self.first_line)
+            for team_id, line in zip(team_ids, lines.tolist()):
+                _check_new_key(seen, team_id, line, "team_id")
         values = [
-            _codes(cells["condition"], _CONDITION_CODES),
-            _codes(cells["gender"], _GENDER_CODES),
+            _codes(cells, "condition", lines, _CONDITION_CODES, _CONDITIONS),
+            _codes(cells, "gender", lines, _GENDER_CODES, _GENDERS),
         ]
         for name, high, optional in self.numbers:
             if name not in cells:
                 values.append(np.full(n, np.nan))
                 continue
-            raw = cells[name]
+            raw, empty = cells[name], False
             if optional:
                 raw = list(map(str.strip, raw))
                 empty = np.fromiter(map(operator.not_, raw), bool, n)
-                raw = list(map({"": "nan"}.get, raw, raw))
-            numbers = np.fromiter(map(float, raw), float, n)
-            valid = (numbers >= 0) & (numbers <= high)
-            if not ((valid | empty) if optional else valid).all():
-                raise ValueError(f"{name} out of range")
+            text = list(map({"": "nan"}.get, raw, raw)) if optional else raw
+            numbers = _floats(text, name, lines)
+            if (i := _first(~((numbers >= 0) & (numbers <= high) | empty))) >= 0:
+                raise ValueError(f"line {lines[i]}: {name} {raw[i]!r} out of [0,{high}]")
             values.append(numbers)
         self.first_line.update(first)
         self.team_ids.extend(team_ids)
@@ -906,7 +870,10 @@ class TeamTable:
         return ~np.isnan(self.jva_ratio_pct)
 
     def by_team_id(self) -> TeamTable:
-        """The table with its teams sorted by id, as Python sorts strings."""
+        """The table with its teams sorted by id, as Python sorts strings:
+        the table itself when they already are."""
+        if all(map(operator.le, self.team_ids, islice(self.team_ids, 1, None))):
+            return self
         order = sorted(range(len(self)), key=self.team_ids.__getitem__)
         return TeamTable(
             team_ids=[self.team_ids[i] for i in order],
@@ -937,14 +904,6 @@ class Report:
     posthoc: dict[str, list[dict]] = field(default_factory=dict)
     correlation: Optional[CorrelationResult] = None
     notes: list[str] = field(default_factory=list)
-
-    @property
-    def scatter(self) -> np.ndarray:
-        """(JVA ratio, post-test) of each team with a ratio, one row per team."""
-        kept = self.teams.has_ratio
-        return np.column_stack(
-            (self.teams.jva_ratio_pct[kept], self.teams.post_test[kept])
-        )
 
 
 _MEASURES = ("jva_ratio_pct", "post_test")

@@ -146,6 +146,14 @@ GOOD_ROW = "t1,f1,0.0,2560,1440,p1,100,100,,,1.0,0"
             [GOOD_ROW, "t1,f2,1.0,2560,1440,p1,100,100,,,1.0,yes"],
             "line 3: discarded 'yes' is not empty, 0, 1, true or false",
         ),
+        # A later row fails a check before the one an earlier row fails.
+        (
+            [GOOD_ROW, "t1,f2,1.0,2560,1440,p1,100,100,,,1.0,yes",
+             "t1,f3,x,2560,1440,p1,100,100,,,1.0,0"],
+            "line 3: discarded 'yes' is not empty, 0, 1, true or false",
+        ),
+        # One row failing three checks names the first.
+        (["t1,f1,0.0,inf,1440,p1,x,1,,,1.0,yes"], "line 2: column 'image_w' not finite: 'inf'"),
         # A long row, a row without a discarded cell and a short row.
         (
             [GOOD_ROW + ",extra", "t1,f2,1.0,2560,1440,p1,1,1", "t1,f3,2.0,2560"],
@@ -249,6 +257,7 @@ TEAMS_HEADER = "team_id,condition,gender,post_test_1,post_test_2\n"
          "line 4: duplicate team_id 't1' (first on line 2)"),
         ("t1,ar,FF,1,2\n\nt2,ar\n", "line 4: unknown gender '', expected FF"),
         ("t1,ar,FF,1,2\nt2,ar,FF,1,9", "line 3: post_test_2 '9' out of [0,5]"),
+        ("t1,ar,FF,9,2\nt2,ar,ZZ,1,2", "line 2: post_test_1 '9' out of [0,5]"),
         ("t1,ar,FF,1,2\r\n\r\nt1,ar,FF,1,2\r\n",
          "line 4: duplicate team_id 't1' (first on line 2)"),
     ],
@@ -335,7 +344,7 @@ def test_analyze_report_correlation_present_with_enough_teams(tmp_path):
     report = stats_report_from_team_rows(rows)
     assert report.correlation is not None
     assert report.correlation.r == pytest.approx(1.0)
-    assert len(report.scatter) == 8
+    assert int(report.teams.has_ratio.sum()) == 8
 
 
 def test_config_precedence(tmp_path, monkeypatch):
@@ -780,6 +789,10 @@ fuzz_files = st.one_of(st.binary(max_size=64), fuzz_tables())
 
 TABLE_READERS = (load_teams, load_team_rows, load_summary_fixture, detect_table_kind,
                  read_frame_table)
+# What a table reader's error says after the path.
+TABLE_ERROR = re.compile(
+    r"line \d+: |missing mandatory columns |empty file, header row required"
+)
 
 
 @given(fuzz_files)
@@ -793,6 +806,9 @@ def test_loaders_raise_only_value_and_os_errors(data):
                 load(path)
             except ValueError as exc:
                 assert str(exc).startswith(f"{path}: ")
+                # Every row error names its line; none is a bare placeholder.
+                if load is not detect_table_kind:
+                    assert TABLE_ERROR.match(str(exc).removeprefix(f"{path}: "))
         try:
             load_config(path)
         except (ValueError, OSError):

@@ -138,6 +138,16 @@ def test_team_table_keeps_missing_ratios_apart_from_zero():
     assert [r.team_id for r in table.by_team_id()] == ["a", "b"]
 
 
+def test_a_table_sorted_by_id_is_its_own_sorted_table():
+    rows = [
+        TeamRow(team_id, Condition.AR, group_for_condition(Condition.AR),
+                GenderComposition.MIXED, None, 1.0)
+        for team_id in ("a", "b", "b", "c")
+    ]
+    table = TeamTable.from_rows(rows)
+    assert table.by_team_id() is table
+
+
 def test_team_cells_keep_negative_zero_and_missing_apart(tmp_path):
     path = tmp_path / "teams.csv"
     path.write_text(
