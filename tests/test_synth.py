@@ -111,11 +111,14 @@ def team_lines(path, team):
 
 
 @pytest.mark.parametrize("sigma", [0.0, 12.0])
-def test_team_rows_do_not_depend_on_team_count_or_block_size(tmp_path, monkeypatch, sigma):
+@pytest.mark.parametrize("block_rows", [1, 2 * 2 * 30])  # one, two teams per block
+def test_team_rows_do_not_depend_on_team_count_or_block_size(
+    tmp_path, monkeypatch, sigma, block_rows
+):
     base = dict(frames_per_team=30, jva_probability=0.5, seed=77, gaze_noise_sigma=sigma)
     generate(SynthSpec(teams=5, **base), tmp_path / "five")
     generate(SynthSpec(teams=9, **base), tmp_path / "nine")
-    monkeypatch.setattr(synth, "_BLOCK_ROWS", 2 * 2 * 30)  # two teams per block
+    monkeypatch.setattr(synth, "_BLOCK_ROWS", block_rows)
     generate(SynthSpec(teams=9, **base), tmp_path / "blocks")
     for name in ("frames.csv", "teams.csv", "ground_truth.json"):
         assert (tmp_path / "nine" / name).read_bytes() == (
@@ -221,12 +224,50 @@ def output_sha256(spec, out_dir):
         # Two blocks of teams, a three-word seed and Gaussian noise.
         (SynthSpec(teams=12000, frames_per_team=3, seed=2**64 + 5, gaze_noise_sigma=12.0),
          "4e3d0e393b02c6526c06a6c40c4aae0ceecc95991b7106bcba8d44d746eb902f"),
+        # Two blocks, noise and 5-digit integer parts (an image 20,000 px wide).
+        (SynthSpec(teams=70, frames_per_team=500, image_w=20000, image_h=600,
+                   gaze_noise_sigma=33.3, seed=2**33 + 1),
+         "7edd62232bed1e06c7c249c0864765277d97f95a003ba4fdb8791c718b48c3fc"),
     ],
 )
 def test_output_bytes_are_pinned(tmp_path, spec, digest):
     # Each team's stream is Generator(Philox(SeedSequence(seed, spawn_key=(index,)))):
     # these digests were taken from a generator that built exactly that per team.
     assert output_sha256(spec, tmp_path) == digest
+
+
+def with_neighbours(values):
+    return [
+        w for v in values
+        for w in (np.nextafter(v, 0.0), v, np.nextafter(v, math.inf))
+        if math.isfinite(w)
+    ]
+
+
+@given(values=st.lists(
+    st.one_of(
+        st.floats(0.0, 2e5),
+        # Halves between two fourth decimals: each v = (m + 0.5) / 1e4 is a
+        # near-tie, and the representable ones (odd multiples of 1/32) are
+        # exact ties.
+        st.integers(0, 2 * 10**9).map(lambda m: (m + 0.5) / 1e4),
+        st.integers(0, 2**40).map(lambda j: (2 * j + 1) / 32),
+        st.sampled_from([0.0, 5e-324, 9999.99995, 1e4, 1e8, 2.0**52 / 1e4, 2.0**63]),
+        st.floats(1e4, 1e12),
+        st.floats(1e8, 1e308),
+    ),
+    min_size=1, max_size=20,
+).map(with_neighbours))
+@example(values=[0.0, 5e-324, 9999.99995, 0.00005, 0.03125, 1e4, 1e8, 123456789.98765])
+@settings(max_examples=300, deadline=None)
+def test_value_text_is_percent_4f(values):
+    expected = [("%.4f" % v).encode() for v in values]
+    text = synth._value_text(np.array(values))
+    assert [row.tobytes().replace(b"\0", b"") for row in text] == expected
+    # Alone, each value sets its own group count and near-tie bound.
+    assert [
+        synth._value_text(np.array([v]))[0].tobytes().replace(b"\0", b"") for v in values
+    ] == expected
 
 
 @pytest.mark.parametrize(
