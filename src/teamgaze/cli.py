@@ -199,8 +199,11 @@ def _cmd_decode(args) -> int:
 
     rows = []
     for raw in args.heatmaps:
-        heatmap = load_heatmap_text(raw)
-        point = decode_heatmap(heatmap, args.scene_width, args.scene_height)
+        try:
+            heatmap = load_heatmap_text(raw)
+            point = decode_heatmap(heatmap, args.scene_width, args.scene_height)
+        except ValueError as exc:  # the grid's error, named by its file
+            raise ValueError(f"{raw}: {exc}") from None
         rows.append((raw, point.x, point.y))
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:

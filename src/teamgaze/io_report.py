@@ -8,6 +8,8 @@ a chunk at a time in column form: a chunk of plain lines is split at every
 comma in one pass straight into columns, and only text csv.reader must
 interpret (quotes, lone CR, NUL, comment and blank lines, over-long cells,
 rows of another width, bytes that are not UTF-8) goes through csv.reader.
+Each file is read once: a byte that is not UTF-8 is read as a lone
+surrogate, and found in the lines already read.
 The tokenizer names the line of a fault in the text; the column parsers
 (``_FrameRows``, ``_TeamColumns``) name the first bad cell's row
 themselves. Each error of a table reader starts with the table's path
@@ -38,6 +40,7 @@ import json
 import math
 import operator
 import os
+import re
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import wraps
 from itertools import chain, compress, islice, zip_longest
@@ -118,6 +121,9 @@ _DISCARDED_TOKENS = {"": False, "0": False, "false": False, "1": True, "true": T
 # in the CPU cache: steps of 16k frame rows parsed slower than 1k.
 _CHUNK_ROWS = 1024
 
+# A byte that is not UTF-8, as ``errors="surrogateescape"`` reads it.
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
+
 _TEAM_ROW_COLUMNS = ("team_id", "condition", "gender", "team_post_test")
 _SUMMARY_COLUMNS = ("grouping", "label", "measure", "n", "mean", "sd")
 
@@ -195,23 +201,18 @@ def _names_file(read):
     return reader
 
 
-def _undecodable(path: Union[str, Path]) -> tuple[int, str]:
-    """The physical line of the first byte of a file that is not UTF-8.
-
-    A decoding error reports an offset in the decoder's read buffer, which
-    does not locate the byte in the file. Line breaks are counted as the
-    csv module counts them: LF, CR LF and a lone CR.
-    """
-    line = 1
-    with open(path, "rb") as fh:
-        for raw in fh:  # no UTF-8 sequence holds an LF byte
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                line += raw.count(b"\r", 0, exc.start)
-                return line, f"byte 0x{raw[exc.start]:02x} is not UTF-8 ({exc.reason})"
-            line += raw.count(b"\n") + raw.count(b"\r") - raw.count(b"\r\n")
-    return line, "not UTF-8"
+def _undecoded(lines: list[str], text: str) -> Optional[tuple[int, str]]:
+    """The index of the first of ``lines`` (joined: ``text``) holding a byte
+    that is not UTF-8, which ``errors="surrogateescape"`` reads as a lone
+    surrogate, and what the strict decoder says of that byte; else None."""
+    if text.isascii() or not _NOT_UTF8.search(text):
+        return None
+    i = next(i for i, line in enumerate(lines) if _NOT_UTF8.search(line))
+    data = lines[i].encode("utf-8", "surrogateescape")  # the line's bytes as in the file
+    try:
+        data.decode("utf-8")
+    except ValueError as exc:  # the byte's UnicodeDecodeError
+        return i, f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
 
 
 def _read_csv(
@@ -281,35 +282,52 @@ def _text_chunks(path: Union[str, Path]) -> Iterator:
     """A table's rows, without blank and comment rows, as ``(lines, rows)``
     chunks of up to ``_CHUNK_ROWS`` physical lines or csv rows.
 
-    ``lines`` holds the physical line each row ends on. A plain chunk, one
-    holding no ``"``, lone CR, NUL, ``#``, blank line or line over the csv
-    field limit, gives ``rows`` as its rows' text joined by LF (CR LF read
-    as LF); csv.reader would split each of its lines at every comma. Any
-    other chunk gives the rows csv.reader makes of its lines, less blank
-    and comment rows, and from the first chunk holding a ``"`` on one
-    csv.reader reads the rest of the file, since a quoted cell may hold a
-    line break. Only the errors of the text itself (a csv error, a comment
-    row holding a quoted line break, a byte that is not UTF-8) are named
-    here, each raised after the rows before it; a bad cell is named by the
-    table's parser.
+    The file is read once, ``_CHUNK_ROWS`` lines at a time, and each block
+    of lines is searched as one text for a byte that is not UTF-8
+    (``_undecoded``). ``lines`` holds the physical line each row ends on. A
+    plain chunk, one holding no ``"``, lone CR, NUL, ``#``, blank line, line
+    over the csv field limit or byte that is not UTF-8, gives ``rows`` as
+    its rows' text joined by LF (CR LF read as LF); csv.reader would split
+    each of its lines at every comma. Any other chunk gives the rows
+    csv.reader makes of its lines, less blank and comment rows, and from the
+    first chunk holding a ``"`` on one csv.reader reads the rest of the
+    file, since a quoted cell may hold a line break. Only the errors of the
+    text itself (a csv error, a comment row holding a quoted line break, a
+    byte that is not UTF-8) are named here, each raised after the rows
+    before it, a csv error before a bad byte unless a row ends between them;
+    a bad cell is named by the table's parser.
     """
     limit = csv.field_size_limit()
     done, error = 0, None  # the last line read, and the error to raise
     rest = False  # whether the reader reads the rest of the file
-    with open(path, newline="", encoding="utf-8") as fh:
+    undecoded = None  # the first line with a byte that is not UTF-8, and its problem
+
+    def read_blocks(fh) -> Iterator[tuple[list, str]]:
+        """``fh``'s lines ``_CHUNK_ROWS`` at a time, and their joined text."""
+        nonlocal undecoded
+        start = 0
+        while raw := list(islice(fh, _CHUNK_ROWS)):
+            text = "".join(raw)
+            if undecoded is None and (found := _undecoded(raw, text)):
+                undecoded = start + found[0] + 1, found[1]
+            yield raw, text
+            start += len(raw)
+
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        blocks = read_blocks(fh)
         while error is None:
             chunk: list = []
             try:
                 if not rest:
-                    raw = list(islice(fh, _CHUNK_ROWS))
+                    raw, text = next(blocks, ((), ""))
                     if not raw:
                         break
-                    text = "".join(raw)
                     rest = '"' in text
                     if "\r" in text:
                         text = text.replace("\r\n", "\n")
                     if not (
                         rest
+                        or undecoded
                         or any(mark in text for mark in ("\r", "\0", "#", "\n\n"))
                         or text[0] == "\n"
                         or len(text) > limit and max(map(len, raw)) > limit
@@ -317,19 +335,22 @@ def _text_chunks(path: Union[str, Path]) -> Iterator:
                         yield np.arange(done + 1, done + len(raw) + 1), text.removesuffix("\n")
                         done += len(raw)
                         continue
-                    base, reader = done, csv.reader(chain(raw, fh) if rest else raw)
+                    if rest:
+                        raw = chain(raw, chain.from_iterable(block for block, _ in blocks))
+                    base, reader = done, csv.reader(raw)
                 chunk.extend(islice(reader, _CHUNK_ROWS))
                 end = base + reader.line_num
             except csv.Error as exc:
                 end = base + reader.line_num
                 error = ValueError(f"line {end}: {exc}")
-            except UnicodeDecodeError:
-                # The decoder fails on a whole read buffer, before any of its
-                # lines reach this reader.
-                chunk, end, error = _rows_before_undecodable(path, done)
+            lines = _row_lines(chunk, done, end)
+            if undecoded and undecoded[0] <= end:  # the reader is past the byte
+                clean = int(np.searchsorted(lines, undecoded[0]))  # rows ending before it
+                if clean < len(chunk) or error is None:
+                    chunk, lines = chunk[:clean], lines[:clean]
+                    error = ValueError(f"line {undecoded[0]}: {undecoded[1]}")
             if not chunk:
                 break
-            lines = _row_lines(chunk, done, end)
             # csv.reader gives [] for a blank line.
             if not all(chunk) or "#" in "".join([row[0] for row in chunk]):
                 kept = []
@@ -351,37 +372,17 @@ def _text_chunks(path: Union[str, Path]) -> Iterator:
         raise error
 
 
-def _rows_before_undecodable(path: Union[str, Path], done: int) -> tuple[list, int, ValueError]:
-    """The rows after line ``done`` that end before the file's first byte
-    that is not UTF-8, the line the last of them ends on, and the error to
-    raise after them: the byte's, or a csv error on an earlier line."""
-    bad_line, problem = _undecodable(path)
-    rows: list = []
-    end = done
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        reader = csv.reader(fh)
-        try:
-            for row in reader:
-                if reader.line_num >= bad_line:
-                    break
-                if reader.line_num > done:
-                    rows.append(row)
-                    end = reader.line_num
-        except csv.Error as exc:
-            return rows, end, ValueError(f"line {reader.line_num}: {exc}")
-    return rows, end, ValueError(f"line {bad_line}: {problem}")
-
-
 def _row_lines(chunk: list, before: int, after: int) -> np.ndarray:
     """The physical line each row of ``chunk`` ends on (``reader.line_num``)."""
     if after - before == len(chunk):
         return np.arange(before + 1, after + 1)
-    # A quoted cell holds a line break: count each row's breaks.
+    # A quoted cell holds a line break: count each row's breaks; a cell
+    # that runs to the end of the file ends on its last line.
     spans = [
         1 + sum(c.count("\n") + c.count("\r") - c.count("\r\n") for c in row)
         for row in chunk
     ]
-    return before + np.cumsum(spans)
+    return np.minimum(before + np.cumsum(spans), after)
 
 
 @_names_file
@@ -1486,17 +1487,16 @@ def config_path_from_env() -> Optional[Path]:
 def load_config(path: Optional[Union[str, Path]] = None, **overrides) -> JvaConfig:
     """Build a JvaConfig with standard precedence: defaults < file < overrides.
 
-    The file is simple key=value lines; '#' starts a comment. Recognized
-    keys: threshold, scale_mode, denominator_policy.
+    The file holds key=value lines, each ended by LF, CR LF or CR; '#'
+    starts a comment. Keys: threshold, scale_mode, denominator_policy.
     """
     values: dict = {}
     if path is not None:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except UnicodeDecodeError:
-            line_no, problem = _undecodable(path)
-            raise ValueError(f"{path}:{line_no}: {problem}") from None
-        for line_no, raw in enumerate(text.splitlines(), start=1):
+        with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+            lines = fh.readlines()
+        if bad := _undecoded(lines, "".join(lines)):
+            raise ValueError(f"{path}:{bad[0] + 1}: {bad[1]}")
+        for line_no, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

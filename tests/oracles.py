@@ -185,7 +185,7 @@ def _row_lines(chunk: list, before: int, after: int) -> np.ndarray:
         1 + sum(c.count("\n") + c.count("\r") - c.count("\r\n") for c in row)
         for row in chunk
     ]
-    return before + np.cumsum(spans)
+    return np.minimum(before + np.cumsum(spans), after)
 
 
 def read_csv_rows(path, columns):

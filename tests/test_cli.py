@@ -369,6 +369,27 @@ def test_decode_batch(tmp_path, capsys):
     assert float(rows[0]["gaze_y"]) == pytest.approx(13.5 * 1440 / 56, abs=1e-3)
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        (b"0 x\n1 2\n", "could not convert string 'x' to float64"),
+        (b"0 1\n\xff 2\n", "'utf-8' codec can't decode byte 0xff"),
+        (b"0 1 2\n1 2\n", "the number of columns changed from 3 to 2"),
+    ],
+    ids=["not a number", "not utf-8", "ragged"],
+)
+def test_decode_error_names_the_bad_heatmap(tmp_path, capsys, grid, message):
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    good.write_text("0 0\n0 5\n")
+    bad.write_bytes(grid)
+    code, out, err = run(
+        capsys,
+        ["decode", str(good), str(bad), "--scene-width", "100", "--scene-height", "100"],
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {bad}: {message}")
+
+
 def test_decode_all_zero_heatmap_is_data_error(tmp_path, capsys):
     grid = tmp_path / "z.txt"
     np.savetxt(grid, np.zeros((4, 4)))

@@ -389,6 +389,24 @@ def test_config_bad_value_names_file_and_line(tmp_path, line, message):
         load_config(config_file)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # str.splitlines would also break at the form feed and at U+0085.
+        ("threshold = 120\f\nfoo\n", "jva.conf:2: expected key=value"),
+        ("# note \u0085 x\nthreshold = 120\nbad line\n", "jva.conf:3: expected key=value"),
+        ("# tuned\r\nthreshold = 120\r\nbad line\r\n", "jva.conf:3: expected key=value"),
+        ("# tuned\rthreshold = 120\rbad line\r", "jva.conf:3: expected key=value"),
+    ],
+    ids=["form feed", "next line", "crlf", "cr"],
+)
+def test_config_lines_end_at_lf_crlf_and_cr_only(tmp_path, text, message):
+    config_file = tmp_path / "jva.conf"
+    config_file.write_bytes(text.encode())
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_config(config_file)
+
+
 def test_text_summary_shows_each_measures_own_n():
     from teamgaze.io_report import TeamRow
 
@@ -562,6 +580,41 @@ def test_comment_row_with_a_quoted_line_break_is_rejected(tmp_path, load, header
     message = f"{path}: line 3: comment row holds a quoted line break"
     with pytest.raises(ValueError, match=re.escape(message)):
         load(path)
+
+
+@pytest.mark.parametrize(
+    "load, header, good_row", TABLES, ids=["frames", "teams", "team rows", "summary"]
+)
+def test_quoted_cell_running_to_the_end_of_the_file_ends_on_its_last_line(
+    tmp_path, load, header, good_row
+):
+    path = tmp_path / "table.csv"
+    path.write_text(header + good_row.split(",")[0] + ',"ar\nFF\n')
+    with pytest.raises(ValueError) as raised:
+        load(path)
+    assert str(raised.value).startswith(f"{path}: line 3: ")
+
+
+@pytest.mark.parametrize(
+    "load, header, good_row",
+    TABLES + [(load_config, "# padding the first read buffer\n", "# tuned")],
+    ids=["frames", "teams", "team rows", "summary", "config"],
+)
+def test_each_loader_opens_its_file_once(tmp_path, load, header, good_row):
+    # The byte lies past the first 64 KB, and past the first chunk of rows.
+    lines = ["# padding the first read buffer"] * 2000 + [header.strip(), good_row]
+    path = tmp_path / "table.csv"
+    path.write_bytes("\n".join(lines + [""]).encode() + b"\xff\n")
+    opened, real_open = [], io.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    with mock.patch("builtins.open", counting_open), mock.patch("io.open", counting_open):
+        with pytest.raises(ValueError, match="2003: byte 0xff is not UTF-8"):
+            load(path)
+    assert [Path(f) for f in opened] == [path]
 
 
 @pytest.mark.parametrize(
@@ -837,11 +890,17 @@ TABLE_COLUMNS = sorted(
 )
 
 
+# Byte sequences that are not UTF-8, one for each reason the decoder gives:
+# an invalid start byte, 2-, 3- and 4-byte sequences cut short, a lone
+# continuation byte, an encoded surrogate and an overlong encoding.
+NOT_UTF8 = [b"\xff", b"\xe2\x82", b"\xf0\x9f\x98", b"\x80", b"\xed\xa0\x80", b"\xc0\x80"]
+
+
 @st.composite
 def tokenizer_files(draw):
     """A table's header, then good rows, rows with a cell replaced, comment
     rows and bare text drawn from TOKENIZER_CHARS, each ended by LF, CR LF,
-    CR or nothing; maybe with a byte that is not UTF-8."""
+    CR or nothing; maybe with one sequence of ``NOT_UTF8`` bytes."""
     header, rows = draw(st.sampled_from(FUZZ_TABLES[:4]))
     noise = st.text(TOKENIZER_CHARS, max_size=8)
     end = st.sampled_from(["\n"] * 4 + ["\r\n", "\r", ""])
@@ -859,7 +918,7 @@ def tokenizer_files(draw):
     data = "".join(line + draw(end) for line in lines).encode()
     if draw(st.integers(0, 4)) == 0:
         at = draw(st.integers(0, len(data)))
-        data = data[:at] + b"\xff" + data[at:]
+        data = data[:at] + draw(st.sampled_from(NOT_UTF8)) + data[at:]
     return data
 
 
