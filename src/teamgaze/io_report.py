@@ -175,9 +175,18 @@ def _parse_bounded(value: str, column: str, line: int, high: int) -> float:
     return number
 
 
+def _constant(cells: Sequence) -> bool:
+    """Whether every cell of a chunk's column is one string, so that it is
+    parsed once. Comparing the first and last cells turns most mixed
+    columns away at once; ``count`` compares in C and hashes nothing."""
+    return bool(cells) and cells[0] == cells[-1] and cells.count(cells[0]) == len(cells)
+
+
 def _floats(cells: Sequence[str], column: str, lines: np.ndarray) -> np.ndarray:
     """A column's cells as floats; the first that is not a number is an error."""
     try:
+        if _constant(cells):
+            return np.full(len(cells), float(cells[0]))
         return np.fromiter(map(float, cells), float, len(cells))
     except ValueError:
         return np.array([_parse_float(c, column, line) for c, line in zip(cells, lines.tolist())])
@@ -420,24 +429,37 @@ class _Ids:
         self._cell_number: dict[str, int] = {}
 
     def codes(self, cells: Sequence[str]) -> np.ndarray:
+        if _constant(cells):
+            self._add(cells[:1])
+            return np.full(len(cells), self._cell_number[cells[0]], np.int64)
         try:
             return np.fromiter(map(self._cell_number.__getitem__, cells), np.int64, len(cells))
         except KeyError:
-            for cell in cells:
-                if cell not in self._cell_number:
-                    name = cell.strip()
-                    if name not in self.number:
-                        self.number[name] = len(self.names)
-                        self.names.append(name)
-                    self._cell_number[cell] = self.number[name]
+            self._add(dict.fromkeys(cells))  # the chunk's distinct cells, in order
         return np.fromiter(map(self._cell_number.__getitem__, cells), np.int64, len(cells))
+
+    def _add(self, cells: Iterable[str]) -> None:
+        """Number each of ``cells`` not seen before."""
+        for cell in cells:
+            if cell not in self._cell_number:
+                name = cell.strip()
+                if name not in self.number:
+                    self.number[name] = len(self.names)
+                    self.names.append(name)
+                self._cell_number[cell] = self.number[name]
 
 
 def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Number the distinct keys 0, 1, ... in the order they first appear.
 
     Returns each key's number and, per number, where that key first appears.
+    Keys already in order (non-decreasing) are numbered where they change;
+    any others are sorted.
     """
+    if not (keys[1:] < keys[:-1]).any():
+        new = np.empty(len(keys), bool)
+        new[:1], new[1:] = True, keys[1:] != keys[:-1]
+        return np.cumsum(new) - 1, np.flatnonzero(new)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
     number = np.empty_like(order)
@@ -475,6 +497,14 @@ class _FrameRows(_ChunkParser):
     the timestamp, each image size (a number, then finite), a size that is
     not positive, the gaze point and the ``discarded`` token. ``table()``
     then names the first frame error among the kept rows.
+
+    Rows may come in any order. Two properties of real tables make their
+    reading cheaper, each checked on the data and skipped where it fails:
+    a chunk's column of one cell (``_constant``: image sizes and the
+    discarded flag in every chunk of the benchmark's clean workloads) is
+    parsed once, and ``table()`` sorts nothing for rows sorted by team
+    then frame, with a frame's rows next to each other and its persons in
+    the order the file first names them.
     """
 
     def __init__(self):
@@ -510,17 +540,18 @@ class _FrameRows(_ChunkParser):
             raise ValueError(f"line {lines[i]}: non-positive image dimensions")
         w, h = np.trunc(w), np.trunc(h)
         gx, gy = (_floats(cells[c], c, lines) for c in ("gaze_x", "gaze_y"))
-        flags = [False] * n
+        discarded = np.zeros(n, bool)
         if "discarded" in cells:
             tokens = cells["discarded"]
-            if None in (flags := list(map(_DISCARDED_TOKENS.get, tokens))):
+            read = tokens[:1] if _constant(tokens) else tokens
+            if None in (flags := list(map(_DISCARDED_TOKENS.get, read))):
                 # A short row's lacking cell (None) reads as empty.
                 flags = [_DISCARDED_TOKENS.get((t or "").strip().lower()) for t in tokens]
                 if None in flags:
                     i = flags.index(None)
                     raise ValueError(f"line {lines[i]}: discarded {tokens[i]!r} is not "
                                      "empty, 0, 1, true or false")
-        discarded = np.array(flags, dtype=bool)
+            discarded[:] = flags  # one flag fills the column
         person = self.persons.codes(cells["person_id"])
 
         inside = (gx >= 0) & (gx <= w) & (gy >= 0) & (gy <= h)
@@ -530,8 +561,9 @@ class _FrameRows(_ChunkParser):
                 f"{int(w[i])}x{int(h[i])} image, row skipped"
             )
         kept = (team, frame, person, ts, w, h, discarded, gx, gy, lines)
+        every = inside.all()
         for chunks, values in zip(self.columns, kept):
-            chunks.append(values[inside])
+            chunks.append(values if every else values[inside])
 
     def table(self) -> FrameTable:
         """The kept rows as a FrameTable; raises the first frame error."""
@@ -567,8 +599,11 @@ class _FrameRows(_ChunkParser):
                     f"{shown(values[ref[r]])} on line {line[ref[r]]} for {where(r)}"
                 )))
         pair_key = frame_no * len(self.persons.names) + person
-        order = np.argsort(pair_key, kind="stable")
-        repeat = np.flatnonzero(pair_key[order[1:]] == pair_key[order[:-1]])
+        # Keys in strictly increasing order hold no repeat.
+        repeat = ()
+        if not (pair_key[1:] > pair_key[:-1]).all():
+            order = np.argsort(pair_key, kind="stable")
+            repeat = np.flatnonzero(pair_key[order[1:]] == pair_key[order[:-1]])
         if len(repeat):
             k = int(np.argmin(order[1:][repeat]))
             r, earlier = int(order[1:][repeat][k]), int(order[:-1][repeat][k])
@@ -579,7 +614,9 @@ class _FrameRows(_ChunkParser):
         if problems:
             raise ValueError(min(problems, key=lambda p: p[0])[1])
 
-        by_frame = np.argsort(frame_no, kind="stable")
+        by_frame = slice(None)  # rows already grouped by frame stay as they are
+        if (frame_no[1:] < frame_no[:-1]).any():
+            by_frame = np.argsort(frame_no, kind="stable")
         counts = np.bincount(frame_no, minlength=len(first))
         return FrameTable(
             team_ids=[team_names[c] for c in team[first][team_first].tolist()],

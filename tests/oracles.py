@@ -4,8 +4,9 @@ These deliberately avoid the library's own code paths: the F tail oracle
 integrates the density with adaptive quadrature, the brute-force JVA
 recount walks frames with plain math, the per-row stats report groups
 TeamRow records one row at a time, the per-value team cells format every
-team's numbers one value at a time, and the row-form table reader hands
-every line to ``csv.reader``.
+team's numbers one value at a time, the row-form table reader hands
+every line to ``csv.reader``, and the reference frame table checks and
+groups frame rows one row at a time in dicts.
 """
 
 import csv
@@ -256,3 +257,115 @@ def read_csv_columns(path, columns, optional=()):
             for name, i in used.items()
         }
         yield lines, cells, any(None in values for values in cells.values())
+
+
+FRAME_TABLE_HEADER = (
+    "team_id,frame_id,timestamp_s,image_w,image_h,person_id,"
+    "gaze_x,gaze_y,head_x,head_y,confidence,discarded"
+)
+_DISCARDED = {"": False, "0": False, "false": False, "1": True, "true": True}
+
+
+def _row_error(line: int, cell) -> str | None:
+    """The first check a frame row fails, in the order a row is checked, or
+    None; ``cell`` gives a column's cell, None if the row lacks it."""
+    for name in FRAME_TABLE_HEADER.split(",")[:8]:
+        if cell(name) is None:
+            return f"line {line}: short row, no {name} cell"
+    if not cell("team_id").strip() or not cell("frame_id").strip():
+        return f"line {line}: empty team_id or frame_id"
+    for name in ("timestamp_s", "image_w", "image_h"):
+        try:
+            number = float(cell(name))
+        except ValueError:
+            return f"line {line}: column {name!r} not numeric: {cell(name)!r}"
+        if name != "timestamp_s" and not math.isfinite(number):
+            return f"line {line}: column {name!r} not finite: {cell(name)!r}"
+    if float(cell("image_w")) < 1 or float(cell("image_h")) < 1:
+        return f"line {line}: non-positive image dimensions"
+    for name in ("gaze_x", "gaze_y"):
+        try:
+            float(cell(name))
+        except ValueError:
+            return f"line {line}: column {name!r} not numeric: {cell(name)!r}"
+    token = cell("discarded")
+    if (token or "").strip().lower() not in _DISCARDED:
+        return f"line {line}: discarded {token!r} is not empty, 0, 1, true or false"
+    return None
+
+
+def reference_frame_table(rows) -> dict:
+    """What ``io_report.read_frame_table`` gives for a frame table whose
+    header is ``FRAME_TABLE_HEADER`` and whose data ``rows`` (plain text:
+    no quote, comment or blank line) follow it from line 2, field by field,
+    as lists; or the ``line N`` ValueError it raises, without the path.
+
+    One row at a time: a row failing a check, or repeating a person or
+    disagreeing with its frame's first kept row, raises; a row whose gaze
+    point is outside the image or NaN is logged and skipped. Teams, frames
+    and persons are numbered in dicts in the order they first appear.
+    """
+    columns = FRAME_TABLE_HEADER.split(",")
+    persons: dict = {}  # every row's person, kept or not
+    frames: dict = {}  # (team, frame) -> [first kept row, {person: line}, gaze rows]
+    row_errors = []
+    for line, text in enumerate(rows, start=2):
+        cells = text.split(",")
+
+        def cell(name):
+            i = columns.index(name)
+            return cells[i] if i < len(cells) else None
+
+        if error := _row_error(line, cell):
+            raise ValueError(error)
+        team, frame, person = (cell(c).strip() for c in ("team_id", "frame_id", "person_id"))
+        persons.setdefault(person, len(persons))
+        ts = float(cell("timestamp_s"))
+        w, h = (float(math.trunc(float(cell(c)))) for c in ("image_w", "image_h"))
+        x, y = float(cell("gaze_x")), float(cell("gaze_y"))
+        discarded = _DISCARDED[(cell("discarded") or "").strip().lower()]
+        if not (0 <= x <= w and 0 <= y <= h):
+            row_errors.append(
+                f"line {line}: gaze ({x}, {y}) outside {int(w)}x{int(h)} image, row skipped"
+            )
+            continue
+        row = (line, ts, w, h, discarded)
+        first, seen, gaze = frames.setdefault((team, frame), [row, {}, []])
+        where = f"team {team!r} frame {frame!r}"
+        for name, value, ref, shown in zip(
+            ("timestamp_s", "image_w", "image_h", "discarded"),
+            row[1:], first[1:], (float, int, int, bool),
+        ):
+            if value != ref and not (value != value and ref != ref):  # NaNs agree
+                raise ValueError(
+                    f"line {line}: {name} {shown(value)} differs from {shown(ref)} "
+                    f"on line {first[0]} for {where}"
+                )
+        if person in seen:
+            raise ValueError(
+                f"line {line}: person_id {person!r} already on line {seen[person]} for {where}"
+            )
+        seen[person] = line
+        gaze.append((persons[person], x, y))
+    teams: dict = {}
+    for team, _ in frames:
+        teams.setdefault(team, len(teams))
+    kept = [g for _, _, gaze in frames.values() for g in gaze]
+    offsets = [0]
+    for _, _, gaze in frames.values():
+        offsets.append(offsets[-1] + len(gaze))
+    return {
+        "team_ids": list(teams),
+        "frame_ids": [frame for _, frame in frames],
+        "frame_team": [teams[team] for team, _ in frames],
+        "timestamp": [first[1] for first, _, _ in frames.values()],
+        "width": [first[2] for first, _, _ in frames.values()],
+        "height": [first[3] for first, _, _ in frames.values()],
+        "discarded": [first[4] for first, _, _ in frames.values()],
+        "row_offsets": offsets,
+        "person_ids": list(persons),
+        "row_person": [p for p, _, _ in kept],
+        "gaze_x": [x for _, x, _ in kept],
+        "gaze_y": [y for _, _, y in kept],
+        "row_errors": row_errors,
+    }

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import re
 import sys
 import tempfile
@@ -11,7 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import read_csv_columns
+from oracles import read_csv_columns, reference_frame_table
 
 from teamgaze import io_report
 from teamgaze.cli import main
@@ -740,9 +741,9 @@ def with_noise(draw, lines):
 
 @st.composite
 def frame_tables(draw):
-    """Frame-table rows (shuffled) and team-table rows (sorted by id) for a
-    few teams, each also with blank and comment lines; the noisy team rows
-    are shuffled too."""
+    """Frame-table rows (sorted by team, frame and person, or shuffled) and
+    team-table rows (sorted by id) for a few teams, each also with blank and
+    comment lines; the noisy team rows are shuffled too."""
     rows = []
     teams = [f"t{i}" for i in range(draw(st.integers(1, 4)))]
     for team in teams:
@@ -757,7 +758,8 @@ def frame_tables(draw):
                 rows.append(
                     f"{team},f{f},{ts},{w},{h},p{person},{x},{y},,,1.0,{int(discarded)}"
                 )
-    rows = draw(st.permutations(rows))
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
     team_rows = [
         f"{team},{draw(st.sampled_from(['textbook', 'tablet', 'ar']))},"
         f"{draw(st.sampled_from(['FF', 'MM', 'MX']))},"
@@ -984,3 +986,115 @@ def test_column_chunks_match_the_row_form_reader(chunk_rows, data, limit):
                     )
     finally:
         csv.field_size_limit(default_limit)
+
+
+# Cells a frame row may hold in place of its own, by column: stripped
+# duplicates of other ids, and values each check of a row rejects.
+ODD_FRAME_CELLS = {
+    "team_id": ["  ", " t0", "t1 "],
+    "frame_id": ["", " f0", "f1 "],
+    "timestamp_s": ["x", "nan", "inf", "5.0"],
+    "image_w": ["x", "inf", "0", "0.5", "1280.7", "640"],
+    "image_h": ["nan", "-720", "720.9", "1e400"],
+    "person_id": ["p0", " p1", ""],
+    "gaze_x": ["-1", "nan", "x", "1e9", "0"],
+    "gaze_y": ["-0.25", "inf", ""],
+    "discarded": ["maybe", " TRUE", "", "1", "False"],
+}
+FRAME_TABLE_COLUMNS = FRAME_HEADER.strip().split(",")
+
+
+@st.composite
+def ordered_or_shuffled_frame_rows(draw):
+    """Frame-table rows of a few teams, sorted by team, frame and person or
+    shuffled, a few of them repeated or holding an odd cell
+    (``ODD_FRAME_CELLS``)."""
+    rows = []
+    for team in range(draw(st.integers(1, 3))):
+        w, h = draw(st.sampled_from(RESOLUTIONS))
+        for frame in draw(st.lists(st.integers(0, 3), max_size=4, unique=True)):
+            ts, discarded = draw(st.sampled_from(["0.0", "10.0"])), draw(st.booleans())
+            for person in sorted(draw(st.sets(st.integers(0, 2), min_size=1))):
+                x = draw(st.integers(-4, 4 * w + 4)) / 4
+                y = draw(st.integers(-4, 4 * h + 4)) / 4
+                rows.append([f"t{team}", f"f{frame}", ts, str(w), str(h), f"p{person}",
+                             str(x), str(y), "", "", "1.0", str(int(discarded))])
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2])) if rows else 0):
+        i = draw(st.integers(0, len(rows) - 1))
+        column = draw(st.sampled_from(["repeat", *sorted(ODD_FRAME_CELLS)]))
+        if column == "repeat":  # the row's person twice in its frame
+            rows.insert(i + 1, list(rows[i]))
+        else:
+            cell = draw(st.sampled_from(ODD_FRAME_CELLS[column]))
+            rows[i][FRAME_TABLE_COLUMNS.index(column)] = cell
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    return [",".join(row) for row in rows]
+
+
+def reference_outcome(rows, path) -> tuple:
+    """``outcome`` for the reference frame table of ``rows``, written at ``path``."""
+    try:
+        return "ok", repr(list(reference_frame_table(rows).values()))
+    except ValueError as exc:
+        return "error", f"{path}: {exc}"
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3, 1024])
+@given(rows=ordered_or_shuffled_frame_rows())
+@settings(max_examples=100, deadline=None)
+def test_frame_table_matches_the_row_at_a_time_reference(chunk_rows, rows):
+    """Ordered or not, with constant columns or not, at any chunk size, a
+    frame table reads as the reference groups it row by row, or raises the
+    reference's error."""
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(io_report, "_CHUNK_ROWS", chunk_rows):
+        path = write_frames(Path(tmp), rows)
+        assert outcome(read_frame_table, path) == reference_outcome(rows, path)
+
+
+def constant_rows(column: str, cell: str) -> list[str]:
+    """Four good rows of two frames, every one holding ``cell`` in ``column``."""
+    rows = [f"t1,f{f},{f}.0,1920,1080,p{p},{100 + p},{200 + p},,,1.0,0".split(",")
+            for f in (1, 2) for p in (1, 2)]
+    for row in rows:
+        row[FRAME_TABLE_COLUMNS.index(column)] = cell
+    return [",".join(row) for row in rows]
+
+
+@pytest.mark.parametrize("chunk_rows", [1024, 2], ids=["one chunk", "two chunks"])
+@pytest.mark.parametrize(
+    "column, cell, message",
+    [
+        ("image_w", "x", "line 2: column 'image_w' not numeric: 'x'"),
+        ("image_w", "inf", "line 2: column 'image_w' not finite: 'inf'"),
+        ("image_w", "0", "line 2: non-positive image dimensions"),
+        ("discarded", "maybe", "line 2: discarded 'maybe' is not empty, 0, 1, true or false"),
+        ("team_id", "  ", "line 2: empty team_id or frame_id"),
+    ],
+)
+def test_a_column_of_one_bad_cell_fails_at_its_first_row(
+    tmp_path, monkeypatch, chunk_rows, column, cell, message
+):
+    monkeypatch.setattr(io_report, "_CHUNK_ROWS", chunk_rows)
+    rows = constant_rows(column, cell)
+    path = write_frames(tmp_path, rows)
+    assert outcome(read_frame_table, path) == reference_outcome(rows, path) == (
+        "error", f"{path}: {message}"
+    )
+
+
+@pytest.mark.parametrize("chunk_rows", [1024, 2], ids=["one chunk", "two chunks"])
+def test_a_column_of_one_nan_timestamp_or_outside_gaze_loads(tmp_path, monkeypatch, chunk_rows):
+    monkeypatch.setattr(io_report, "_CHUNK_ROWS", chunk_rows)
+    rows = constant_rows("timestamp_s", "nan")
+    path = write_frames(tmp_path, rows)
+    assert outcome(read_frame_table, path) == reference_outcome(rows, path)
+    table = read_frame_table(path)
+    assert table.frame_ids == ["f1", "f2"] and all(map(math.isnan, table.timestamp.tolist()))
+    table = read_frame_table(write_frames(tmp_path, constant_rows("gaze_x", "-1")))
+    assert table.frame_ids == [] and table.gaze_x.tolist() == []
+    assert table.row_errors == [
+        f"line {line}: gaze (-1.0, {y}) outside 1920x1080 image, row skipped"
+        for line, y in zip(range(2, 6), (201.0, 202.0, 201.0, 202.0))
+    ]
