@@ -145,14 +145,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    path = args.teams or io_report.paper_fixture_path()
-    kind = io_report.detect_table_kind(path)
-    if kind == "summary":
-        summaries, totals = io_report.load_summary_fixture(path)
-        report = io_report.stats_report_from_summaries(summaries, totals)
-    else:
-        report = io_report.stats_report(io_report.load_team_rows(path))
-    _emit(report, args)
+    _emit(io_report.stats_report_from_table(args.teams or io_report.paper_fixture_path()), args)
     return 0
 
 

@@ -2,7 +2,8 @@
 
 Four input tables drive the pipeline: a frame table (one row per frame
 and person), a team table (condition, gender and two post-test scores per
-team), and for ``teamgaze stats`` a per-team results or summary table.
+team), and for ``teamgaze stats`` a per-team results or summary table
+(``stats_report_from_table`` tells them apart by the header it reads).
 ``_read_csv`` tokenizes all four under one contract and yields their rows
 a chunk at a time in column form: a chunk of plain lines is split at every
 comma in one pass straight into columns, and only text csv.reader must
@@ -88,6 +89,7 @@ __all__ = [
     "stats_report",
     "stats_report_from_team_rows",
     "stats_report_from_summaries",
+    "stats_report_from_table",
     "load_summary_fixture",
     "load_team_rows",
     "emit_report",
@@ -289,7 +291,8 @@ def _read_csv(
 
 def _text_chunks(path: Union[str, Path]) -> Iterator:
     """A table's rows, without blank and comment rows, as ``(lines, rows)``
-    chunks of up to ``_CHUNK_ROWS`` physical lines or csv rows.
+    chunks of up to ``_CHUNK_ROWS`` physical lines or csv rows. A UTF-8
+    byte-order mark at the start of the file is not part of its text.
 
     The file is read once, ``_CHUNK_ROWS`` lines at a time, and each block
     of lines is searched as one text for a byte that is not UTF-8
@@ -322,7 +325,7 @@ def _text_chunks(path: Union[str, Path]) -> Iterator:
             yield raw, text
             start += len(raw)
 
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         blocks = read_blocks(fh)
         while error is None:
             chunk: list = []
@@ -681,25 +684,6 @@ def _check_new_key(first_line: dict, key, line: int, name: str) -> None:
         raise ValueError(f"line {line}: duplicate {name} {key!r} (first on line {first})")
 
 
-def _table_rows(path, columns: Sequence[str], key: Sequence[str], name: str) -> Iterator:
-    """A table's rows as ``(line, {column: cell}, key)``, a cell for each
-    name of ``columns``.
-
-    A short row's missing cells are empty. ``key`` is the stripped cell of
-    the one ``key`` column, else their tuple; a repeated key is an error.
-    """
-    chunks = _read_csv(path, columns)
-    next(chunks)
-    first_line: dict = {}
-    for lines, cells, _ in chunks:
-        for line, values in zip(lines.tolist(), zip(*cells.values())):
-            row = {c: "" if v is None else v for c, v in zip(cells, values)}
-            value = tuple(row[c].strip() for c in key)
-            value = value[0] if len(key) == 1 else value
-            _check_new_key(first_line, value, line, name)
-            yield line, row, value
-
-
 # Condition, gender and group members by the code a TeamTable holds.
 _CONDITIONS = list(Condition)
 _GENDERS = list(GenderComposition)
@@ -788,12 +772,10 @@ class _TeamColumns(_ChunkParser):
             chunks.append(array)
 
 
-def _read_team_columns(path, columns: Sequence[str], numbers) -> tuple:
+def _team_columns(chunks: Iterator, numbers) -> tuple:
     """A team-level table's team ids, condition and gender codes and
-    ``numbers`` columns, in file order (see ``_TeamColumns``)."""
-    optional = [name for name, _, _ in numbers if name not in columns]
-    chunks = _read_csv(path, columns, optional)
-    next(chunks)
+    ``numbers`` columns, in file order (see ``_TeamColumns``), from its
+    ``_read_csv`` chunks after the header."""
     rows = _TeamColumns(numbers)
     for lines, cells, short in chunks:
         rows.add(cells, lines, short)
@@ -808,9 +790,9 @@ def load_teams(path: Union[str, Path]) -> TeamTable:
     condition/gender tokens, a post-test outside [0, 5] and a team_id that
     repeats are errors naming the line.
     """
-    team_ids, condition, gender, score_1, score_2 = _read_team_columns(
-        path, TEAM_COLUMNS, _TEAM_NUMBERS
-    )
+    chunks = _read_csv(path, TEAM_COLUMNS)
+    next(chunks)
+    team_ids, condition, gender, score_1, score_2 = _team_columns(chunks, _TEAM_NUMBERS)
     no_ratio = np.full(len(team_ids), np.nan)
     return TeamTable(
         team_ids, condition, gender, no_ratio, team_post_test_score(score_1, score_2)
@@ -977,12 +959,10 @@ def stats_report(teams: TeamTable) -> Report:
                 if len(group_values) >= 2:
                     groups.append(summarize(group_values, label=label))
             report.summaries[grouping][measure] = groups
-            if len(groups) >= 2:
-                _add_anova(report, grouping, measure, groups)
-
     for measure, (values, kept) in measures.items():
         if kept.sum() >= 2:
             report.totals[measure] = summarize(values[kept], label="total")
+    _add_anovas(report)
 
     kept = report.teams.has_ratio
     if kept.sum() >= 3:
@@ -1006,12 +986,17 @@ def stats_report_from_summaries(
 ) -> Report:
     """Inferential report when only (n, M, SD) group summaries are known."""
     report = Report(summaries=summaries, totals=dict(totals or {}))
-    for grouping, by_measure in summaries.items():
+    _add_anovas(report)
+    report.notes.append("built from summary statistics; no per-team rows")
+    return report
+
+
+def _add_anovas(report: Report) -> None:
+    """``_add_anova`` of each grouping and measure with two or more groups."""
+    for grouping, by_measure in report.summaries.items():
         for measure, groups in by_measure.items():
             if len(groups) >= 2:
                 _add_anova(report, grouping, measure, groups)
-    report.notes.append("built from summary statistics; no per-team rows")
-    return report
 
 
 def _add_anova(
@@ -1092,23 +1077,36 @@ def load_summary_fixture(
     A bad cell, a mean or SD outside its measure's range and a repeated
     (grouping, label, measure) are errors naming the line.
     """
+    chunks = _read_csv(path, _SUMMARY_COLUMNS)
+    next(chunks)
+    return _summaries(chunks)
+
+
+def _summaries(chunks: Iterator) -> tuple[dict, dict]:
+    """A summary table's group summaries and totals, from its ``_read_csv``
+    chunks after the header. A short row's missing cells are empty."""
     summaries: dict[str, dict[str, list[GroupSummary]]] = {}
     totals: dict[str, GroupSummary] = {}
-    rows = _table_rows(path, _SUMMARY_COLUMNS, _SUMMARY_COLUMNS[:3], "summary")
-    for line, row, (grouping, label, measure) in rows:
-        if measure not in _MEASURES:
-            raise ValueError(f"line {line}: unknown measure {measure!r}")
-        n = _parse_float(row["n"], "n", line, int)
-        mean = _parse_bounded(row["mean"], "mean", line, _MEASURE_HIGH[measure])
-        sd = _parse_bounded(row["sd"], "sd", line, _MEASURE_HIGH[measure])
-        try:
-            summary = GroupSummary(label=label, n=n, mean=mean, sd=sd)
-        except ValueError as exc:
-            raise ValueError(f"line {line}: {exc}") from None
-        if grouping == "total":
-            totals[measure] = summary
-        else:
-            summaries.setdefault(grouping, {}).setdefault(measure, []).append(summary)
+    first_line: dict = {}
+    for lines, cells, _ in chunks:
+        for line, row in zip(lines.tolist(), zip(*(cells[c] for c in _SUMMARY_COLUMNS))):
+            grouping, label, measure, n, mean, sd = ("" if v is None else v for v in row)
+            key = (grouping.strip(), label.strip(), measure.strip())
+            _check_new_key(first_line, key, line, "summary")
+            grouping, label, measure = key
+            if measure not in _MEASURES:
+                raise ValueError(f"line {line}: unknown measure {measure!r}")
+            n = _parse_float(n, "n", line, int)
+            mean = _parse_bounded(mean, "mean", line, _MEASURE_HIGH[measure])
+            sd = _parse_bounded(sd, "sd", line, _MEASURE_HIGH[measure])
+            try:
+                summary = GroupSummary(label=label, n=n, mean=mean, sd=sd)
+            except ValueError as exc:
+                raise ValueError(f"line {line}: {exc}") from None
+            if grouping == "total":
+                totals[measure] = summary
+            else:
+                summaries.setdefault(grouping, {}).setdefault(measure, []).append(summary)
     return summaries, totals
 
 
@@ -1121,24 +1119,23 @@ def load_team_rows(path: Union[str, Path]) -> TeamTable:
     [0, 5], a JVA ratio outside [0, 100] and a team_id that repeats are
     errors naming the line.
     """
-    team_ids, condition, gender, ratio, post_test = _read_team_columns(
-        path, _TEAM_ROW_COLUMNS, _TEAM_ROW_NUMBERS
-    )
-    return TeamTable(team_ids, condition, gender, ratio, post_test)
+    chunks = _read_csv(path, _TEAM_ROW_COLUMNS, ("jva_ratio_pct",))
+    next(chunks)
+    return TeamTable(*_team_columns(chunks, _TEAM_ROW_NUMBERS))
 
 
 @_names_file
-def detect_table_kind(path: Union[str, Path]) -> str:
-    """'summary' or 'teams': the table whose columns the header has.
-
-    Only the header is read, so a fault in a row, such as a byte that is not
-    UTF-8, is left for the table's loader to report in file order.
-    """
-    header = set(next(_read_csv(path, ())))
+def stats_report_from_table(path: Union[str, Path]) -> Report:
+    """The inferential report of a summary table, as ``load_summary_fixture``
+    reads it, or else of a per-team results table, as ``load_team_rows``
+    reads it: the kind is the one whose columns the header has, and the
+    file is read once."""
+    chunks = _read_csv(path, (), (*_SUMMARY_COLUMNS, *_TEAM_ROW_COLUMNS, "jva_ratio_pct"))
+    header = set(next(chunks))
     if header.issuperset(_SUMMARY_COLUMNS):
-        return "summary"
+        return stats_report_from_summaries(*_summaries(chunks))
     if header.issuperset(_TEAM_ROW_COLUMNS):
-        return "teams"
+        return stats_report(TeamTable(*_team_columns(chunks, _TEAM_ROW_NUMBERS)))
     raise ValueError(f"unrecognized table header {sorted(header)}")
 
 
@@ -1490,7 +1487,7 @@ def _write_csv_bundle(report: Report, out_dir: Path) -> None:
         for m in _MEASURES
         if m in report.totals
     ]
-    columns = ["grouping", "label", "measure", "n", "mean", "sd"]
+    columns = _SUMMARY_COLUMNS  # the columns load_summary_fixture reads
     _write_csv(out_dir / "summaries.csv", columns, _csv_rows(columns, summaries))
     columns = [
         "analysis", "f", "df1", "df2", "p", "eta_squared", "omega_squared", "cohens_d"
@@ -1529,7 +1526,7 @@ def load_config(path: Optional[Union[str, Path]] = None, **overrides) -> JvaConf
     """
     values: dict = {}
     if path is not None:
-        with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
             lines = fh.readlines()
         if bad := _undecoded(lines, "".join(lines)):
             raise ValueError(f"{path}:{bad[0] + 1}: {bad[1]}")

@@ -10,7 +10,7 @@ two-group and three-group F statistics only come out right from published
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -93,24 +93,18 @@ def _anova(ns, means, ssws, k: int) -> AnovaResult:
     ms_within = ss_within / df_within
     eta_squared = ss_between / ss_total
     if ss_within == 0:
-        # Distinct means with no within-group spread: F diverges.
-        return AnovaResult(
-            f=math.inf,
-            df_between=df_between,
-            df_within=df_within,
-            p=0.0,
-            ss_between=ss_between,
-            ss_within=0.0,
-            eta_squared=1.0,
-            omega_squared=1.0,
-        )
-    f = (ss_between / df_between) / ms_within
-    omega_squared = (ss_between - df_between * ms_within) / (ss_total + ms_within)
+        # Distinct means with no within-group spread: F diverges. Eta
+        # squared is set too: an n near 1e305 takes ss_between to inf.
+        f, p, eta_squared, omega_squared = math.inf, 0.0, 1.0, 1.0
+    else:
+        f = (ss_between / df_between) / ms_within
+        p = f_tail_p(f, df_between, df_within)
+        omega_squared = (ss_between - df_between * ms_within) / (ss_total + ms_within)
     return AnovaResult(
         f=f,
         df_between=df_between,
         df_within=df_within,
-        p=f_tail_p(f, df_between, df_within),
+        p=p,
         ss_between=ss_between,
         ss_within=ss_within,
         eta_squared=eta_squared,
@@ -171,16 +165,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     r = max(-1.0, min(1.0, r))
     slope = sxy / sxx
     intercept = float(ya.mean()) - slope * float(xa.mean())
-    base = correlation_from_r(r, n)
-    return CorrelationResult(
-        r=r,
-        r_squared=r * r,
-        n=n,
-        f_equivalent=base.f_equivalent,
-        p=base.p,
-        slope=slope,
-        intercept=intercept,
-    )
+    return replace(correlation_from_r(r, n), slope=slope, intercept=intercept)
 
 
 def correlation_from_r(r: float, n: int) -> CorrelationResult:

@@ -164,7 +164,7 @@ def _rows_before_undecodable(path, done: int) -> tuple:
     bad_line, problem = _undecodable(path)
     rows: list = []
     end = done
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         try:
             for row in reader:
@@ -199,7 +199,7 @@ def read_csv_rows(path, columns):
     them are yielded.
     """
     header, error = None, None
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         line = 0
         while error is None:

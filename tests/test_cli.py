@@ -432,19 +432,30 @@ def test_config_naming_reference_diagonal_is_data_error(tmp_path, capsys):
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def fresh_python(code: str, *argv: str) -> str:
+def fresh_python(code: str, *argv: str, stdin: str = "") -> str:
     """Standard output of ``code`` run with ``argv`` in a new interpreter
-    that imports teamgaze from the source tree."""
+    that imports teamgaze from the source tree, with ``stdin`` piped in."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     result = subprocess.run(
         [sys.executable, "-c", code, *argv],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=env, capture_output=True, text=True, timeout=120, input=stdin,
     )
     assert result.returncode == 0, result.stderr
     return result.stdout
+
+
+def test_stats_reads_a_table_piped_on_stdin(capsys):
+    # A pipe can be read only once, so the table's kind must come from the
+    # same read as its rows.
+    piped = fresh_python(
+        "import sys; from teamgaze.cli import main; sys.exit(main(sys.argv[1:]))",
+        "stats", "--teams", "/dev/stdin",
+        stdin=io_report.paper_fixture_path().read_text(encoding="utf-8"),
+    )
+    assert piped == run(capsys, ["stats"])[1]
 
 
 # Runs one CLI command, then prints its exit code and the teamgaze modules

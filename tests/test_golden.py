@@ -27,10 +27,11 @@ from teamgaze.io_report import (
     paper_fixture_path,
     read_frame_table,
     stats_report_from_summaries,
+    stats_report_from_table,
     stats_report_from_team_rows,
 )
 from teamgaze.model import Condition, GenderComposition, group_for_condition, validate_session
-from teamgaze.stats import correlation_from_r
+from teamgaze.stats import GroupSummary, anova_from_summary, correlation_from_r
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -155,6 +156,27 @@ def test_analyze_cli_matches_golden(fmt, tmp_path):
         assert rendered_files(tmp_path / name) == rendered_files(GOLDEN / "analyze" / name)
     else:
         assert (tmp_path / name).read_bytes() == (GOLDEN / "analyze" / name).read_bytes()
+
+
+def test_a_bundle_summaries_table_gives_the_anovas_of_its_rounded_summaries():
+    """A CSV bundle's summaries.csv is a summary table ``teamgaze stats``
+    reads: its ANOVAs have the per-team report's keys and degrees of
+    freedom, and each F is the ANOVA of the summaries as the bundle rounds
+    them (2 decimals), e.g. 7.933 from the rows and 7.984 from the bundle."""
+    report = analyze_inputs_report()
+    reloaded = stats_report_from_table(GOLDEN / "analyze" / "bundle" / "summaries.csv")
+    assert reloaded.anovas.keys() == report.anovas.keys()
+    for key, anova in report.anovas.items():
+        grouping, measure = key.split("_", 1)
+        rounded = [
+            GroupSummary(g.label, g.n, float(f"{g.mean:.2f}"), float(f"{g.sd:.2f}"))
+            for g in report.summaries[grouping][measure]
+        ]
+        again = reloaded.anovas[key]
+        assert (again.df_between, again.df_within) == (anova.df_between, anova.df_within)
+        assert again.f == pytest.approx(anova_from_summary(rounded).f, rel=1e-12)
+    assert report.anovas["group_post_test"].f == pytest.approx(7.933, abs=5e-4)
+    assert reloaded.anovas["group_post_test"].f == pytest.approx(7.984, abs=5e-4)
 
 
 def test_reference_sessions_of_golden_inputs_validate():

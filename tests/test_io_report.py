@@ -20,7 +20,6 @@ from teamgaze.io_report import (
     TeamTable,
     analyze_table,
     build_sessions,
-    detect_table_kind,
     emit_report,
     load_config,
     load_frames,
@@ -29,7 +28,9 @@ from teamgaze.io_report import (
     load_teams,
     paper_fixture_path,
     read_frame_table,
+    stats_report,
     stats_report_from_summaries,
+    stats_report_from_table,
     stats_report_from_team_rows,
 )
 from teamgaze.jva import DenominatorPolicy, JvaConfig, ScaleMode, session_jva
@@ -330,8 +331,13 @@ def test_csv_bundle_round_trip(tmp_path):
     emit_report(report, "csv-bundle", tmp_path / "bundle")
     reloaded = load_team_rows(tmp_path / "bundle" / "teams.csv")
     assert [r.team_id for r in reloaded] == ["t1", "t2", "t3"]
-    assert detect_table_kind(tmp_path / "bundle" / "teams.csv") == "teams"
-    assert detect_table_kind(paper_fixture_path()) == "summary"
+    fixture = paper_fixture_path()
+    for table, expected in [
+        (tmp_path / "bundle" / "teams.csv", stats_report(reloaded)),
+        (fixture, stats_report_from_summaries(*load_summary_fixture(fixture))),
+    ]:
+        for fmt in ("json", "text"):
+            assert emit_report(stats_report_from_table(table), fmt) == emit_report(expected, fmt)
 
 
 def test_analyze_report_correlation_present_with_enough_teams(tmp_path):
@@ -522,6 +528,15 @@ def test_load_summary_fixture_rejects_bad_rows_with_line(tmp_path, row, message)
         load_summary_fixture(path)
 
 
+def stats_command(path):
+    """Run ``teamgaze stats --teams path``; raise its error as a ValueError."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["stats", "--teams", str(path)])
+    if code:
+        raise ValueError(err.getvalue().removeprefix("error: ").rstrip("\n"))
+
+
 # Each input table's loader, header and a good row.
 TABLES = [
     (read_frame_table, FRAME_HEADER, GOOD_ROW),
@@ -598,8 +613,13 @@ def test_quoted_cell_running_to_the_end_of_the_file_ends_on_its_last_line(
 
 @pytest.mark.parametrize(
     "load, header, good_row",
-    TABLES + [(load_config, "# padding the first read buffer\n", "# tuned")],
-    ids=["frames", "teams", "team rows", "summary", "config"],
+    TABLES + [
+        (load_config, "# padding the first read buffer\n", "# tuned"),
+        (stats_command, TEAM_ROWS_HEADER, "t0,ar,,FF,,2"),
+        (stats_command, SUMMARY_HEADER, "group,textbook,jva_ratio_pct,5,1.5,0.5"),
+    ],
+    ids=["frames", "teams", "team rows", "summary", "config", "stats team rows",
+         "stats summary"],
 )
 def test_each_loader_opens_its_file_once(tmp_path, load, header, good_row):
     # The byte lies past the first 64 KB, and past the first chunk of rows.
@@ -616,6 +636,25 @@ def test_each_loader_opens_its_file_once(tmp_path, load, header, good_row):
         with pytest.raises(ValueError, match="2003: byte 0xff is not UTF-8"):
             load(path)
     assert [Path(f) for f in opened] == [path]
+
+
+@pytest.mark.parametrize(
+    "load, header, good_row",
+    TABLES + [
+        (stats_report_from_table, TEAM_ROWS_HEADER, "t0,ar,,FF,,2"),
+        (load_config, "threshold = 80\n", "scale_mode = absolute"),
+    ],
+    ids=["frames", "teams", "team rows", "summary", "stats team rows", "config"],
+)
+def test_a_byte_order_mark_is_not_part_of_the_first_name(tmp_path, load, header, good_row):
+    # Excel's "CSV UTF-8" starts the file with one.
+    text = header + good_row + "\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert outcome(load, marked) == outcome(load, plain)
+    assert outcome(load, plain)[0] == "ok"
 
 
 @pytest.mark.parametrize(
@@ -648,7 +687,7 @@ def test_frame_table_follows_the_team_table_contract(tmp_path, text):
 
 @pytest.mark.parametrize(
     "load", [read_frame_table, load_teams, load_team_rows, load_summary_fixture,
-             detect_table_kind],
+             stats_report_from_table],
 )
 @pytest.mark.parametrize(
     "data",
@@ -662,15 +701,6 @@ def test_every_table_error_names_its_file_once(tmp_path, load, data):
         load(path)
     message = str(raised.value)
     assert message.startswith(f"{path}: ") and message.count(str(path)) == 1
-
-
-def stats_command(path):
-    """Run ``teamgaze stats --teams path``; raise its error as a ValueError."""
-    err = io.StringIO()
-    with redirect_stdout(io.StringIO()), redirect_stderr(err):
-        code = main(["stats", "--teams", str(path)])
-    if code:
-        raise ValueError(err.getvalue().removeprefix("error: ").rstrip("\n"))
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
@@ -842,11 +872,12 @@ def fuzz_tables(draw):
 fuzz_files = st.one_of(st.binary(max_size=64), fuzz_tables())
 
 
-TABLE_READERS = (load_teams, load_team_rows, load_summary_fixture, detect_table_kind,
+TABLE_READERS = (load_teams, load_team_rows, load_summary_fixture, stats_report_from_table,
                  read_frame_table)
 # What a table reader's error says after the path.
 TABLE_ERROR = re.compile(
     r"line \d+: |missing mandatory columns |empty file, header row required"
+    r"|unrecognized table header "
 )
 
 
@@ -862,8 +893,7 @@ def test_loaders_raise_only_value_and_os_errors(data):
             except ValueError as exc:
                 assert str(exc).startswith(f"{path}: ")
                 # Every row error names its line; none is a bare placeholder.
-                if load is not detect_table_kind:
-                    assert TABLE_ERROR.match(str(exc).removeprefix(f"{path}: "))
+                assert TABLE_ERROR.match(str(exc).removeprefix(f"{path}: "))
         try:
             load_config(path)
         except (ValueError, OSError):

@@ -109,9 +109,13 @@ def test_raw_anova_agrees_with_summary_on_matched_samples():
 
 
 def test_zero_within_variance_reports_infinite_f():
-    result = anova_oneway([[1, 1, 1], [2, 2, 2]])
-    assert math.isinf(result.f)
-    assert result.p == 0.0
+    n = 10**305  # takes ss_between past the largest float
+    for result in (
+        anova_oneway([[1, 1, 1], [2, 2, 2]]),
+        anova_from_summary([GroupSummary("a", n, 0.0, 0.0), GroupSummary("b", n, 100.0, 0.0)]),
+    ):
+        assert math.isinf(result.f)
+        assert (result.p, result.eta_squared, result.omega_squared) == (0.0, 1.0, 1.0)
 
 
 def test_all_identical_values_degenerate():
