@@ -6,7 +6,9 @@ rescaling to scene coordinates.
 
 from __future__ import annotations
 
+import io
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -151,6 +153,17 @@ def decode_heatmap(
 
 
 def load_heatmap_text(path) -> Heatmap:
-    """Read a heatmap from a plain-text grid (whitespace-separated rows)."""
-    arr = np.loadtxt(path, dtype=float, ndmin=2)
-    return Heatmap(values=arr)
+    """Read a heatmap from a plain-text grid (whitespace-separated rows) in
+    UTF-8, after a byte order mark if there is one. A byte that is not UTF-8
+    is an error naming its line; LF, CR LF and a lone CR end a line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # exc.object is the data after a BOM
+        line = len(exc.object[: exc.start + 1].splitlines())
+        byte = exc.object[exc.start]
+        raise ValueError(f"line {line}: byte 0x{byte:02x} is not UTF-8 ({exc.reason})") from None
+    with warnings.catch_warnings():  # an empty grid is Heatmap's error, named by the caller
+        warnings.simplefilter("ignore")
+        return Heatmap(values=np.loadtxt(io.StringIO(text, newline=None), dtype=float, ndmin=2))

@@ -27,11 +27,12 @@ rows into ``FrameRecord``s and ``build_sessions`` joins them with a team
 table's rows into the ``TeamSession``s that ``jva.session_jva`` scores.
 Reports render the same content as machine-readable JSON, an aligned
 plain-text table, or a CSV bundle. Every emitter writes the teams a
-column at a time; each other kind of report row (group summary, ANOVA,
-pairwise comparison, correlation) is built once as a record of raw
-values. Every format rounds a field to the decimals ``_DECIMALS`` gives
-it (2 for M/SD/F/d, 3 for p, 4 for r) and writes missing and non-finite
-values by its own one rule, so output is byte-identical across runs.
+column at a time (``_team_cells``); every other section (group summaries
+and totals, ANOVAs, pairwise comparisons, correlation, notes) is built
+once by ``_sections`` as records, and each format only lays them out.
+Every format rounds a field to the decimals ``_DECIMALS`` gives it (2 for
+M/SD/F/d, 3 for p, 4 for r) and writes missing and non-finite values by
+its own one rule, so output is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -1174,23 +1175,55 @@ def _csv_value(value, decimals: int) -> str:
     return "" if value is None or value != value else _text_value(value, decimals)
 
 
-def _formatted(record: dict, value_rule) -> dict:
-    """``record`` with each field in ``_DECIMALS`` rendered by ``value_rule``."""
-    return {
-        k: value_rule(v, _DECIMALS[k]) if k in _DECIMALS else v
-        for k, v in record.items()
-    }
-
-
 def _json_text(value, decimals: int) -> str:
     """``_json_value`` as json.dumps writes it."""
-    if value is not None and math.isfinite(value):
-        return repr(round(value, decimals))
     return json.dumps(_json_value(value, decimals))
+
+
+def _sections(report: Report, value_rule) -> dict:
+    """Every section of ``report`` but its teams, as records whose fields in
+    ``_DECIMALS`` are written by ``value_rule``: ``summaries`` (grouping ->
+    measure -> records with their label) and ``totals`` (measure -> record)
+    in the report's order; ``anovas`` (``cohens_d`` only on two-group ones)
+    and ``posthoc`` (key -> comparisons) sorted by key; ``correlation``
+    (None when there is none); and ``notes``."""
+    def record(values: dict) -> dict:
+        return {
+            k: value_rule(v, _DECIMALS[k]) if k in _DECIMALS else v for k, v in values.items()
+        }
+
+    def summary(g: GroupSummary, **labels) -> dict:
+        return record({**labels, "n": g.n, "mean": g.mean, "sd": g.sd})
+
+    anovas = {}
+    for key in sorted(report.anovas):
+        a = report.anovas[key]
+        anovas[key] = record({
+            "f": a.f, "df1": a.df_between, "df2": a.df_within, "p": a.p,
+            "eta_squared": a.eta_squared, "omega_squared": a.omega_squared,
+            **({"cohens_d": report.effect_d[key]} if key in report.effect_d else {}),
+        })
+    return {
+        "summaries": {
+            grouping: {m: [summary(g, label=g.label) for g in groups] for m, groups in by.items()}
+            for grouping, by in report.summaries.items()
+        },
+        "totals": {m: summary(g) for m, g in report.totals.items()},
+        "anovas": anovas,
+        "posthoc": {
+            key: [record({k: c[k] for k in _POSTHOC_FIELDS}) for c in report.posthoc[key]]
+            for key in sorted(report.posthoc)
+        },
+        "correlation": None if report.correlation is None else record(asdict(report.correlation)),
+        "notes": list(report.notes),
+    }
 
 
 # The team fields in TeamRow order: the columns of teams.csv.
 _TEAM_FIELDS = [f.name for f in fields(TeamRow)]
+
+# The fields of a pairwise comparison that every format writes.
+_POSTHOC_FIELDS = ("a", "b", "f", "p", "cohens_d", "correction")
 
 
 def _distinct(values: np.ndarray, cell) -> tuple[list, np.ndarray]:
@@ -1241,30 +1274,6 @@ def _team_cells(teams: TeamTable, value_rule, text=str) -> tuple[list, list, lis
     return list(map(text, teams.team_ids)), rows, inverse.tolist()
 
 
-def _summary_record(g: GroupSummary, **labels) -> dict:
-    return {**labels, "n": g.n, "mean": g.mean, "sd": g.sd}
-
-
-def _anova_record(report: Report, key: str) -> dict:
-    """One ANOVA; ``cohens_d`` is present only for two-group comparisons."""
-    a = report.anovas[key]
-    record = {
-        "f": a.f,
-        "df1": a.df_between,
-        "df2": a.df_within,
-        "p": a.p,
-        "eta_squared": a.eta_squared,
-        "omega_squared": a.omega_squared,
-    }
-    if key in report.effect_d:
-        record["cohens_d"] = report.effect_d[key]
-    return record
-
-
-def _posthoc_record(c: dict) -> dict:
-    return {k: c[k] for k in ("a", "b", "f", "p", "cohens_d", "correction")}
-
-
 # A team and a scatter point as json.dumps(indent=2, sort_keys=True) writes
 # them in the report's top-level object; fields by _team_cells' rows. A
 # team's text is its row's head, its id, then its row's tail.
@@ -1289,31 +1298,9 @@ def _render_json(report: Report) -> str:
     distinct row of team cells; every other member goes through json.dumps
     and is indented one level.
     """
-    def js(record: dict) -> dict:
-        return _formatted(record, _json_value)
-
-    anovas = {}
-    for key in report.anovas:
-        anovas[key] = record = js(_anova_record(report, key))
+    members = {k: v for k, v in _sections(report, _json_value).items() if v is not None}
+    for record in members["anovas"].values():
         record["df"] = [record.pop("df1"), record.pop("df2")]
-    members = {
-        "summaries": {
-            grouping: {
-                measure: [js(_summary_record(g, label=g.label)) for g in groups]
-                for measure, groups in by_measure.items()
-            }
-            for grouping, by_measure in report.summaries.items()
-        },
-        "totals": {m: js(_summary_record(g)) for m, g in report.totals.items()},
-        "anovas": anovas,
-        "posthoc": {
-            key: [js(_posthoc_record(c)) for c in comparisons]
-            for key, comparisons in report.posthoc.items()
-        },
-        "notes": list(report.notes),
-    }
-    if report.correlation is not None:
-        members["correlation"] = js(asdict(report.correlation))
     text = {
         key: json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
         for key, value in members.items()
@@ -1342,9 +1329,7 @@ _TEXT_TEAM_CELLS = "{:<12}{:<12}{:<8}{:>14}{:>11}"
 
 
 def _render_text(report: Report) -> str:
-    def txt(record: dict) -> dict:
-        return _formatted(record, _text_value)
-
+    sections = _sections(report, _text_value)
     lines: list[str] = []
 
     if report.teams:
@@ -1356,18 +1341,16 @@ def _render_text(report: Report) -> str:
         lines.extend(map(_TEXT_TEAM_LINE.format, ids, map(cells.__getitem__, inverse)))
         lines.append("")
 
-    for grouping in sorted(report.summaries):
-        by_measure = report.summaries[grouping]
+    for grouping in sorted(sections["summaries"]):
+        by_measure = sections["summaries"][grouping]
         measures = [m for m in _MEASURES if m in by_measure]
         lines.append(f"Summary by {grouping}")
-        lines.append(
-            f"{'label':<14}"
-            + "".join(f"{'n':>4}{_MEASURE_TITLES[m]:>22}" for m in measures)
-        )
+        titles = "".join(f"{'n':>4}{_MEASURE_TITLES[m]:>22}" for m in measures)
+        lines.append(f"{'label':<14}{titles}")
         cells: dict[str, dict[str, dict]] = {}
         for m in measures:
-            for g in by_measure[m]:
-                cells.setdefault(g.label, {})[m] = txt(_summary_record(g))
+            for t in by_measure[m]:
+                cells.setdefault(t["label"], {})[m] = t
         for label, by_label in cells.items():
             line = f"{label:<14}"
             for m in measures:
@@ -1377,20 +1360,17 @@ def _render_text(report: Report) -> str:
             lines.append(line)
         lines.append("")
 
-    if report.totals:
+    totals = sections["totals"]
+    if totals:
         lines.append("Total")
-        for m in _MEASURES:
-            if m in report.totals:
-                t = txt(_summary_record(report.totals[m]))
-                lines.append(
-                    f"{_MEASURE_TITLES[m]:<16}n={t['n']:<4}{t['mean']} ± {t['sd']}"
-                )
+        for m in filter(totals.__contains__, _MEASURES):
+            t = totals[m]
+            lines.append(f"{_MEASURE_TITLES[m]:<16}n={t['n']:<4}{t['mean']} ± {t['sd']}")
         lines.append("")
 
-    if report.anovas:
+    if sections["anovas"]:
         lines.append("One-way ANOVA")
-        for key in sorted(report.anovas):
-            t = txt(_anova_record(report, key))
+        for key, t in sections["anovas"].items():
             line = (
                 f"{key:<26}F({t['df1']},{t['df2']}) = {t['f']}, p = {t['p']}, "
                 f"eta2 = {t['eta_squared']}, omega2 = {t['omega_squared']}"
@@ -1400,28 +1380,26 @@ def _render_text(report: Report) -> str:
             lines.append(line)
         lines.append("")
 
-    for key in sorted(report.posthoc):
+    for key, comparisons in sections["posthoc"].items():
         lines.append(f"Pairwise comparisons for {key} (uncorrected)")
-        for c in report.posthoc[key]:
-            t = txt(_posthoc_record(c))
+        for t in comparisons:
             lines.append(
                 f"  {t['a']} vs {t['b']}: F = {t['f']}, p = {t['p']}, d = {t['cohens_d']}"
             )
         lines.append("")
 
-    if report.correlation is not None:
-        c = report.correlation
-        t = txt(asdict(c))
+    c = sections["correlation"]
+    if c is not None:
         lines.append("Correlation (JVA ratio vs post-test)")
         lines.append(
-            f"r = {t['r']}, r2 = {t['r_squared']}, n = {c.n}, "
-            f"F(1,{c.n - 2}) = {t['f_equivalent']}, p = {t['p']}"
+            f"r = {c['r']}, r2 = {c['r_squared']}, n = {c['n']}, "
+            f"F(1,{c['n'] - 2}) = {c['f_equivalent']}, p = {c['p']}"
         )
-        if math.isfinite(c.slope):
-            lines.append(f"fit: post_test = {t['slope']} * jva_pct + {t['intercept']}")
+        if c["slope"] not in ("NA", "inf"):  # a finite slope
+            lines.append(f"fit: post_test = {c['slope']} * jva_pct + {c['intercept']}")
         lines.append("")
 
-    for note in report.notes:
+    for note in sections["notes"]:
         lines.append(f"note: {note}")
     return "\n".join(lines).rstrip() + "\n"
 
@@ -1435,7 +1413,7 @@ def emit_report(
 
     ``csv-bundle`` needs ``out`` to be a directory; it returns the
     directory path and writes teams.csv, summaries.csv, anovas.csv and,
-    when there is a correlation, correlation.csv.
+    when the report has them, posthoc.csv, notes.csv and correlation.csv.
     """
     if fmt == "json":
         text = _render_json(report)
@@ -1462,13 +1440,6 @@ def _write_csv(path: Path, columns: Sequence[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _csv_rows(columns: Sequence[str], records) -> Iterator[list]:
-    """Each record's cells; a field missing from a record is an empty cell."""
-    for record in records:
-        record = _formatted(record, _csv_value)
-        yield [record.get(c) for c in columns]
-
-
 def _write_csv_bundle(report: Report, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     ids, rows, inverse = _team_cells(report.teams, _csv_value)
@@ -1477,30 +1448,37 @@ def _write_csv_bundle(report: Report, out_dir: Path) -> None:
         _TEAM_FIELDS,
         ([team_id, *rows[k]] for team_id, k in zip(ids, inverse)),
     )
-    summaries = [
-        _summary_record(g, grouping=grouping, label=g.label, measure=measure)
-        for grouping in sorted(report.summaries)
-        for measure in _MEASURES
-        for g in report.summaries[grouping].get(measure, [])
-    ] + [
-        _summary_record(report.totals[m], grouping="total", label="total", measure=m)
-        for m in _MEASURES
-        if m in report.totals
-    ]
-    columns = _SUMMARY_COLUMNS  # the columns load_summary_fixture reads
-    _write_csv(out_dir / "summaries.csv", columns, _csv_rows(columns, summaries))
-    columns = [
-        "analysis", "f", "df1", "df2", "p", "eta_squared", "omega_squared", "cohens_d"
-    ]
-    anovas = ({"analysis": key, **_anova_record(report, key)} for key in sorted(report.anovas))
-    _write_csv(out_dir / "anovas.csv", columns, _csv_rows(columns, anovas))
-    if report.correlation is not None:
-        columns = [f.name for f in fields(CorrelationResult)]
-        _write_csv(
-            out_dir / "correlation.csv",
-            columns,
-            _csv_rows(columns, [asdict(report.correlation)]),
-        )
+    sections = _sections(report, _csv_value)
+    summaries, totals, correlation = (sections[k] for k in ("summaries", "totals", "correlation"))
+    tables = {  # each file's columns and records; a field a record lacks is an empty cell
+        "summaries.csv": (
+            _SUMMARY_COLUMNS,  # the columns load_summary_fixture reads
+            [
+                {"grouping": grouping, "measure": m, **t}
+                for grouping in sorted(summaries)
+                for m in _MEASURES
+                for t in summaries[grouping].get(m, [])
+            ] + [
+                {"grouping": "total", "label": "total", "measure": m, **totals[m]}
+                for m in _MEASURES
+                if m in totals
+            ],
+        ),
+        "anovas.csv": (
+            ("analysis", "f", "df1", "df2", "p", "eta_squared", "omega_squared", "cohens_d"),
+            [{"analysis": key, **t} for key, t in sections["anovas"].items()],
+        ),
+        "posthoc.csv": (
+            ("analysis", *_POSTHOC_FIELDS),
+            [{"analysis": key, **t} for key, ts in sections["posthoc"].items() for t in ts],
+        ),
+        "notes.csv": (("note",), [{"note": note} for note in sections["notes"]]),
+        # A correlation's columns are its record's fields, in CorrelationResult order.
+        "correlation.csv": (list(correlation or ()), [correlation] if correlation else []),
+    }
+    for name, (columns, records) in tables.items():
+        if records or name in ("summaries.csv", "anovas.csv"):  # the others when not empty
+            _write_csv(out_dir / name, columns, ([r.get(c) for c in columns] for r in records))
 
 
 # --- configuration ---------------------------------------------------------

@@ -373,10 +373,19 @@ def test_decode_batch(tmp_path, capsys):
     "grid, message",
     [
         (b"0 x\n1 2\n", "could not convert string 'x' to float64"),
-        (b"0 1\n\xff 2\n", "'utf-8' codec can't decode byte 0xff"),
+        (b"0 1\n\xff 2\n", "line 2: byte 0xff is not UTF-8 (invalid start byte)"),
+        (
+            b"0 1\n" * 30_000 + b"\xff 2\n",
+            "line 30001: byte 0xff is not UTF-8 (invalid start byte)",
+        ),
+        (
+            b"\xef\xbb\xbf0 1\r\n1 2\r0 \xe2\x82\n",
+            "line 3: byte 0xe2 is not UTF-8 (invalid continuation byte)",
+        ),
         (b"0 1 2\n1 2\n", "the number of columns changed from 3 to 2"),
     ],
-    ids=["not a number", "not utf-8", "ragged"],
+    ids=["not a number", "not utf-8", "not utf-8 on line 30001", "not utf-8 after a bom",
+         "ragged"],
 )
 def test_decode_error_names_the_bad_heatmap(tmp_path, capsys, grid, message):
     good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
@@ -388,6 +397,16 @@ def test_decode_error_names_the_bad_heatmap(tmp_path, capsys, grid, message):
     )
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {bad}: {message}")
+
+
+def test_decode_reads_a_heatmap_after_a_byte_order_mark(tmp_path, capsys):
+    """A UTF-8 byte order mark is not part of the first cell."""
+    grid = tmp_path / "bom.txt"
+    grid.write_bytes(b"\xef\xbb\xbf0 0\r\n0 5\r\n")
+    code, out, _ = run(
+        capsys, ["decode", str(grid), "--scene-width", "100", "--scene-height", "100"]
+    )
+    assert (code, out) == (0, f"file,gaze_x,gaze_y\r\n{grid},75.0000,75.0000\r\n")
 
 
 def test_decode_all_zero_heatmap_is_data_error(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -162,3 +163,19 @@ def test_heatmap_text_round_trip(tmp_path):
     heatmap = load_heatmap_text(path)
     np.testing.assert_allclose(heatmap.values, values)
     assert (heatmap.width, heatmap.height) == (4, 3)
+
+
+def test_heatmap_text_ends_lines_at_lf_cr_lf_and_cr(tmp_path):
+    path = tmp_path / "grid.txt"
+    path.write_bytes(b"0 1\r\n2 3\r4 5\n")
+    np.testing.assert_array_equal(load_heatmap_text(path).values, [[0, 1], [2, 3], [4, 5]])
+
+
+def test_empty_heatmap_text_is_an_error_without_a_warning(tmp_path):
+    """The grid's error names it; numpy's no-data warning would not."""
+    path = tmp_path / "grid.txt"
+    path.write_text("# no rows\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-empty 2-D grid"):
+            load_heatmap_text(path)
