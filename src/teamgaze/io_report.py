@@ -301,18 +301,19 @@ def _text_chunks(path: Union[str, Path]) -> Iterator:
     plain chunk, one holding no ``"``, lone CR, NUL, ``#``, blank line, line
     over the csv field limit or byte that is not UTF-8, gives ``rows`` as
     its rows' text joined by LF (CR LF read as LF); csv.reader would split
-    each of its lines at every comma. Any other chunk gives the rows
-    csv.reader makes of its lines, less blank and comment rows, and from the
-    first chunk holding a ``"`` on one csv.reader reads the rest of the
+    each of its lines at every comma. Any other block goes through
+    csv.reader in one pass that keeps each row with its line, the reader's
+    own count (``reader.line_num``), and skips blank and comment rows; from
+    the first block holding a ``"`` on, one csv.reader reads the rest of the
     file, since a quoted cell may hold a line break. Only the errors of the
     text itself (a csv error, a comment row holding a quoted line break, a
     byte that is not UTF-8) are named here, each raised after the rows
-    before it, a csv error before a bad byte unless a row ends between them;
-    a bad cell is named by the table's parser.
+    before it: a row ending on or past a bad byte's line stops the pass, so
+    a csv error in the row that holds the byte comes first. A bad cell is
+    named by the table's parser.
     """
     limit = csv.field_size_limit()
     done, error = 0, None  # the last line read, and the error to raise
-    rest = False  # whether the reader reads the rest of the file
     undecoded = None  # the first line with a byte that is not UTF-8, and its problem
 
     def read_blocks(fh) -> Iterator[tuple[list, str]]:
@@ -328,74 +329,49 @@ def _text_chunks(path: Union[str, Path]) -> Iterator:
 
     with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         blocks = read_blocks(fh)
-        while error is None:
-            chunk: list = []
+        for raw, text in blocks:
+            rest = '"' in text
+            if "\r" in text:
+                text = text.replace("\r\n", "\n")
+            if not (
+                rest
+                or undecoded
+                or any(mark in text for mark in ("\r", "\0", "#", "\n\n"))
+                or text[0] == "\n"
+                or len(text) > limit and max(map(len, raw)) > limit
+            ):
+                yield np.arange(done + 1, done + len(raw) + 1), text.removesuffix("\n")
+                done += len(raw)
+                continue
+            if rest:
+                raw = chain(raw, chain.from_iterable(block for block, _ in blocks))
+            base, reader = done, csv.reader(raw)
+            lines, chunk = [], []
             try:
-                if not rest:
-                    raw, text = next(blocks, ((), ""))
-                    if not raw:
+                for row in reader:
+                    line = base + reader.line_num  # the line the row ends on
+                    if undecoded and undecoded[0] <= line:
+                        error = ValueError(f"line {undecoded[0]}: {undecoded[1]}")
                         break
-                    rest = '"' in text
-                    if "\r" in text:
-                        text = text.replace("\r\n", "\n")
-                    if not (
-                        rest
-                        or undecoded
-                        or any(mark in text for mark in ("\r", "\0", "#", "\n\n"))
-                        or text[0] == "\n"
-                        or len(text) > limit and max(map(len, raw)) > limit
-                    ):
-                        yield np.arange(done + 1, done + len(raw) + 1), text.removesuffix("\n")
-                        done += len(raw)
-                        continue
-                    if rest:
-                        raw = chain(raw, chain.from_iterable(block for block, _ in blocks))
-                    base, reader = done, csv.reader(raw)
-                chunk.extend(islice(reader, _CHUNK_ROWS))
-                end = base + reader.line_num
-            except csv.Error as exc:
-                end = base + reader.line_num
-                error = ValueError(f"line {end}: {exc}")
-            lines = _row_lines(chunk, done, end)
-            if undecoded and undecoded[0] <= end:  # the reader is past the byte
-                clean = int(np.searchsorted(lines, undecoded[0]))  # rows ending before it
-                if clean < len(chunk) or error is None:
-                    chunk, lines = chunk[:clean], lines[:clean]
-                    error = ValueError(f"line {undecoded[0]}: {undecoded[1]}")
-            if not chunk:
-                break
-            # csv.reader gives [] for a blank line.
-            if not all(chunk) or "#" in "".join([row[0] for row in chunk]):
-                kept = []
-                for i, row in enumerate(chunk):
-                    if row and row[0].lstrip().startswith("#"):
-                        start = lines[i - 1] + 1 if i else done + 1
-                        if lines[i] != start:
+                    if row and "#" in row[0] and row[0].lstrip().startswith("#"):
+                        if line != done + 1:
                             error = ValueError(
-                                f"line {start}: comment row holds a quoted line break"
+                                f"line {done + 1}: comment row holds a quoted line break"
                             )
                             break
-                    elif row:
-                        kept.append(i)
-                chunk, lines = [chunk[i] for i in kept], lines[kept]
-            done = end
+                    elif row:  # csv.reader gives [] for a blank line
+                        lines.append(line)
+                        chunk.append(row)
+                        if len(chunk) == _CHUNK_ROWS:
+                            yield np.array(lines), chunk
+                            lines, chunk = [], []
+                    done = line
+            except csv.Error as exc:
+                error = ValueError(f"line {base + reader.line_num}: {exc}")
             if chunk:
-                yield lines, chunk
-    if error is not None:
-        raise error
-
-
-def _row_lines(chunk: list, before: int, after: int) -> np.ndarray:
-    """The physical line each row of ``chunk`` ends on (``reader.line_num``)."""
-    if after - before == len(chunk):
-        return np.arange(before + 1, after + 1)
-    # A quoted cell holds a line break: count each row's breaks; a cell
-    # that runs to the end of the file ends on its last line.
-    spans = [
-        1 + sum(c.count("\n") + c.count("\r") - c.count("\r\n") for c in row)
-        for row in chunk
-    ]
-    return np.minimum(before + np.cumsum(spans), after)
+                yield np.array(lines), chunk
+            if error is not None:
+                raise error
 
 
 @_names_file
@@ -407,8 +383,9 @@ def read_frame_table(path: Union[str, Path]) -> FrameTable:
     row, an empty team or frame id, a cell that is not a number, an image
     size that is not finite or not positive, a ``discarded`` cell other
     than empty, 0, 1, true or false (any case), a person twice in one
-    frame, and rows of one frame that disagree on timestamp, image size or
-    discarded flag. A row whose gaze point is outside the image or NaN is
+    frame, rows of one frame that disagree on timestamp, image size or
+    discarded flag, and a third person of a team in frames not flagged
+    discarded. A row whose gaze point is outside the image or NaN is
     skipped and logged in ``row_errors``; it never creates a frame.
     """
     chunks = _read_csv(path, _MANDATORY_FRAME_COLUMNS, ("discarded",))
@@ -500,7 +477,9 @@ class _FrameRows(_ChunkParser):
     row's cells in this order: a lacking cell, an empty team or frame id,
     the timestamp, each image size (a number, then finite), a size that is
     not positive, the gaze point and the ``discarded`` token. ``table()``
-    then names the first frame error among the kept rows.
+    then names the first frame error among the kept rows: a row that
+    disagrees with its frame's first, a person twice in one frame, or, among
+    the rows of frames not flagged discarded, a team's third person.
 
     Rows may come in any order. Two properties of real tables make their
     reading cheaper, each checked on the data and skipped where it fails:
@@ -615,6 +594,19 @@ class _FrameRows(_ChunkParser):
                 f"line {line[r]}: person_id {self.persons.names[person[r]]!r} "
                 f"already on line {line[earlier]} for {where(r)}"
             )))
+        if len(self.persons.names) > 2:  # a table of two person ids names no third
+            counted = np.flatnonzero(~discarded)
+            team_person = team[counted] * len(self.persons.names) + person[counted]
+            pair_rows = counted[_first_appearance(team_person)[1]]  # each pair's first row
+            order = np.argsort(team[pair_rows], kind="stable")
+            by_team = team[pair_rows][order]
+            rank = np.arange(len(order)) - np.searchsorted(by_team, by_team)  # in its team
+            if (third := order[rank == 2]).size:
+                r = int(pair_rows[third.min()])
+                problems.append((r, (
+                    f"line {line[r]}: person_id {self.persons.names[person[r]]!r} is a third "
+                    f"person of team {team_names[team[r]]!r} (a team is two people)"
+                )))
         if problems:
             raise ValueError(min(problems, key=lambda p: p[0])[1])
 
@@ -1195,6 +1187,10 @@ def _sections(report: Report, value_rule) -> dict:
     def summary(g: GroupSummary, **labels) -> dict:
         return record({**labels, "n": g.n, "mean": g.mean, "sd": g.sd})
 
+    def comparison(c: dict) -> dict:
+        values = dict(c, df1=c["df"][0], df2=c["df"][1])
+        return record({k: values[k] for k in _POSTHOC_FIELDS})
+
     anovas = {}
     for key in sorted(report.anovas):
         a = report.anovas[key]
@@ -1211,8 +1207,7 @@ def _sections(report: Report, value_rule) -> dict:
         "totals": {m: summary(g) for m, g in report.totals.items()},
         "anovas": anovas,
         "posthoc": {
-            key: [record({k: c[k] for k in _POSTHOC_FIELDS}) for c in report.posthoc[key]]
-            for key in sorted(report.posthoc)
+            key: list(map(comparison, report.posthoc[key])) for key in sorted(report.posthoc)
         },
         "correlation": None if report.correlation is None else record(asdict(report.correlation)),
         "notes": list(report.notes),
@@ -1222,8 +1217,9 @@ def _sections(report: Report, value_rule) -> dict:
 # The team fields in TeamRow order: the columns of teams.csv.
 _TEAM_FIELDS = [f.name for f in fields(TeamRow)]
 
-# The fields of a pairwise comparison that every format writes.
-_POSTHOC_FIELDS = ("a", "b", "f", "p", "cohens_d", "correction")
+# The fields of a pairwise comparison that every format writes, in
+# posthoc.csv's order; JSON writes the degrees of freedom as "df": [df1, df2].
+_POSTHOC_FIELDS = ("a", "b", "f", "df1", "df2", "p", "cohens_d", "correction")
 
 
 def _distinct(values: np.ndarray, cell) -> tuple[list, np.ndarray]:
@@ -1299,7 +1295,8 @@ def _render_json(report: Report) -> str:
     and is indented one level.
     """
     members = {k: v for k, v in _sections(report, _json_value).items() if v is not None}
-    for record in members["anovas"].values():
+    posthoc = chain.from_iterable(members["posthoc"].values())
+    for record in chain(members["anovas"].values(), posthoc):
         record["df"] = [record.pop("df1"), record.pop("df2")]
     text = {
         key: json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
@@ -1384,7 +1381,8 @@ def _render_text(report: Report) -> str:
         lines.append(f"Pairwise comparisons for {key} (uncorrected)")
         for t in comparisons:
             lines.append(
-                f"  {t['a']} vs {t['b']}: F = {t['f']}, p = {t['p']}, d = {t['cohens_d']}"
+                f"  {t['a']} vs {t['b']}: F({t['df1']},{t['df2']}) = {t['f']}, "
+                f"p = {t['p']}, d = {t['cohens_d']}"
             )
         lines.append("")
 

@@ -48,6 +48,9 @@ __all__ = ["SynthSpec", "GroundTruth", "generate", "moment_matched_groups"]
 # on each side of the decision boundary.
 SEPARATION_FACTOR = 3.0
 
+# Seconds between two frames of a team; no result depends on timestamps.
+_FRAME_INTERVAL_S = 10.0
+
 # Frame rows formatted and written at once, in whole teams; bounds memory.
 _BLOCK_ROWS = 1 << 16
 
@@ -108,7 +111,6 @@ class SynthSpec:
     jva_probability: JvaProbability = 0.4
     gaze_noise_sigma: float = 0.0
     threshold: float = 100.0
-    frame_interval_s: float = 10.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -120,7 +122,7 @@ class SynthSpec:
             raise ValueError(f"teams must be at most 2**32: {self.teams}")
         if self.image_w <= 0 or self.image_h <= 0:
             raise ValueError("image dimensions must be positive")
-        for name in ("gaze_noise_sigma", "threshold", "frame_interval_s"):
+        for name in ("gaze_noise_sigma", "threshold"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite: {getattr(self, name)!r}")
         if self.gaze_noise_sigma < 0:
@@ -350,7 +352,7 @@ def generate(
     # The cells between the team id and the gaze points of each frame's
     # two rows, with both commas, as NUL-padded bytes.
     cells = np.array([
-        f",f{f:05d},{f * spec.frame_interval_s:.1f},{spec.image_w},{spec.image_h},{person},"
+        f",f{f:05d},{f * _FRAME_INTERVAL_S:.1f},{spec.image_w},{spec.image_h},{person},"
         for f in range(n_frames)
         for person in ("p1", "p2")
     ], dtype=bytes)

@@ -300,14 +300,17 @@ def reference_frame_table(rows) -> dict:
     no quote, comment or blank line) follow it from line 2, field by field,
     as lists; or the ``line N`` ValueError it raises, without the path.
 
-    One row at a time: a row failing a check, or repeating a person or
-    disagreeing with its frame's first kept row, raises; a row whose gaze
-    point is outside the image or NaN is logged and skipped. Teams, frames
-    and persons are numbered in dicts in the order they first appear.
+    One row at a time: a row failing a check, disagreeing with its frame's
+    first kept row, repeating a person in its frame, or, in a frame not
+    flagged discarded, naming a third person of its team, raises; a row
+    whose gaze point is outside the image or NaN is logged and skipped.
+    Teams, frames and persons are numbered in dicts in the order they first
+    appear.
     """
     columns = FRAME_TABLE_HEADER.split(",")
     persons: dict = {}  # every row's person, kept or not
     frames: dict = {}  # (team, frame) -> [first kept row, {person: line}, gaze rows]
+    team_persons: dict = {}  # team -> its persons in kept rows of frames not discarded
     row_errors = []
     for line, text in enumerate(rows, start=2):
         cells = text.split(",")
@@ -346,6 +349,14 @@ def reference_frame_table(rows) -> dict:
                 f"line {line}: person_id {person!r} already on line {seen[person]} for {where}"
             )
         seen[person] = line
+        if not discarded:
+            pair = team_persons.setdefault(team, set())
+            if person not in pair and len(pair) == 2:
+                raise ValueError(
+                    f"line {line}: person_id {person!r} is a third person of team {team!r} "
+                    "(a team is two people)"
+                )
+            pair.add(person)
         gaze.append((persons[person], x, y))
     teams: dict = {}
     for team, _ in frames:

@@ -138,6 +138,26 @@ def test_analyze_malformed_frame_row_is_data_error(tmp_path, capsys, row, messag
     )
 
 
+def test_analyze_rejects_a_team_that_names_a_third_person(tmp_path, capsys):
+    """p1/p2 in f0, p3/p4 in f1 and p1/p2/p3 in f2: the team's first row of a
+    third person is an error, not a ratio."""
+    frames = tmp_path / "frames.csv"
+    frames.write_text(
+        "team_id,frame_id,timestamp_s,image_w,image_h,person_id,gaze_x,gaze_y\n"
+        + "".join(
+            f"t1,{frame},{frame[1]}.0,100,100,{person},10,10\n"
+            for frame, persons in (("f0", "p1 p2"), ("f1", "p3 p4"), ("f2", "p1 p2 p3"))
+            for person in persons.split()
+        )
+    )
+    teams = tmp_path / "teams.csv"
+    teams.write_text("team_id,condition,gender,post_test_1,post_test_2\nt1,ar,FF,1,2\n")
+    assert run(capsys, ["analyze", "--frames", str(frames), "--teams", str(teams)]) == (
+        1, "", f"error: {frames}: line 4: person_id 'p3' is a third person of team 't1' "
+        "(a team is two people)\n"
+    )
+
+
 def test_stats_on_bundled_fixture_prints_published_f_values(capsys):
     code, out, _ = run(capsys, ["stats"])
     assert code == 0

@@ -187,6 +187,23 @@ def test_frame_checks_skip_out_of_bounds_rows(tmp_path):
     assert [o.person_id for o in frame.observations] == ["p1"]
 
 
+def test_a_third_person_counts_in_kept_rows_of_frames_not_discarded(tmp_path):
+    rows = [
+        "t1,f1,0.0,100,100,p1,1,1,,,1.0,0",
+        "t1,f1,0.0,100,100,p2,1,1,,,1.0,0",
+        "t1,f2,1.0,100,100,p3,1,1,,,1.0,1",  # a discarded frame may hold anyone
+        "t1,f3,2.0,100,100,p4,-1,1,,,1.0,0",  # a row skipped for its gaze point
+        "t2,f1,0.0,100,100,p3,1,1,,,1.0,0",
+    ]
+    assert read_frame_table(write_frames(tmp_path, rows)).person_ids == ["p1", "p2", "p3", "p4"]
+    # Team t1's third person comes first in the file, team t2's after it.
+    rows += ["t1,f4,3.0,100,100,p4,1,1,,,1.0,0", "t2,f1,0.0,100,100,p1,1,1,,,1.0,0",
+             "t2,f1,0.0,100,100,p2,1,1,,,1.0,0"]
+    message = "line 7: person_id 'p4' is a third person of team 't1' (a team is two people)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_frame_table(write_frames(tmp_path, rows))
+
+
 @pytest.mark.parametrize(
     "rows, message",
     [
@@ -773,15 +790,18 @@ def with_noise(draw, lines):
 def frame_tables(draw):
     """Frame-table rows (sorted by team, frame and person, or shuffled) and
     team-table rows (sorted by id) for a few teams, each also with blank and
-    comment lines; the noisy team rows are shuffled too."""
+    comment lines; the noisy team rows are shuffled too. A team is two
+    persons, and a third in its discarded frames; one team in four, which
+    the reader rejects, names a third in any frame."""
     rows = []
     teams = [f"t{i}" for i in range(draw(st.integers(1, 4)))]
     for team in teams:
+        third = draw(st.sampled_from([False, False, False, True]))
         for f in range(draw(st.integers(0, 6))):
             w, h = draw(st.sampled_from(RESOLUTIONS))
             ts = draw(st.sampled_from([0.0, 10.0, 20.0]))
             discarded = draw(st.booleans())
-            for person in range(draw(st.integers(1, 3))):
+            for person in range(draw(st.integers(1, 3 if third or discarded else 2))):
                 # Quarter-pixel gaze points; some lie outside the image.
                 x = draw(st.integers(-40, 4 * w + 40)) / 4
                 y = draw(st.integers(-40, 4 * h + 40)) / 4
@@ -817,6 +837,11 @@ def test_columnar_ratios_match_the_per_frame_reference(tables, threshold, scale,
         teams_path = Path(tmp) / "teams.csv"
         teams_path.write_text(TEAMS_HEADER + "".join(r + "\n" for r in team_rows))
         teams = load_teams(teams_path)
+        rejected = outcome(read_frame_table, frames_path)
+        if rejected[0] == "error":  # a team names a third person
+            assert "is a third person of team" in rejected[1]
+            assert outcome(load_frames, frames_path) == rejected
+            return
         table = read_frame_table(frames_path)
         loaded = load_frames(frames_path)
         frames_path.write_text("\n".join(noisy_frame_lines) + "\n")
@@ -1038,13 +1063,16 @@ FRAME_TABLE_COLUMNS = FRAME_HEADER.strip().split(",")
 def ordered_or_shuffled_frame_rows(draw):
     """Frame-table rows of a few teams, sorted by team, frame and person or
     shuffled, a few of them repeated or holding an odd cell
-    (``ODD_FRAME_CELLS``)."""
+    (``ODD_FRAME_CELLS``). A team is two persons, and a third in its
+    discarded frames; one team in four names a third in any frame."""
     rows = []
     for team in range(draw(st.integers(1, 3))):
         w, h = draw(st.sampled_from(RESOLUTIONS))
+        third = draw(st.sampled_from([False, False, False, True]))
         for frame in draw(st.lists(st.integers(0, 3), max_size=4, unique=True)):
             ts, discarded = draw(st.sampled_from(["0.0", "10.0"])), draw(st.booleans())
-            for person in sorted(draw(st.sets(st.integers(0, 2), min_size=1))):
+            persons = st.integers(0, 2 if third or discarded else 1)
+            for person in sorted(draw(st.sets(persons, min_size=1))):
                 x = draw(st.integers(-4, 4 * w + 4)) / 4
                 y = draw(st.integers(-4, 4 * h + 4)) / 4
                 rows.append([f"t{team}", f"f{frame}", ts, str(w), str(h), f"p{person}",

@@ -4,8 +4,9 @@ Reports built from random group summaries (two or three groups, n from 2
 to 50, SD 0 included, so F may be infinite and Cohen's d missing), with
 notes and a correlation, are rendered as JSON, text and a CSV bundle. Each
 summary, total, ANOVA, pairwise comparison, correlation and note in the
-JSON must be its bundle cell under README's mapping, and each ANOVA's text
-line must show the same F and p.
+JSON must be its bundle cell under README's mapping, and each ANOVA's and
+pairwise comparison's text line must show the same degrees of freedom, F
+and p.
 """
 
 import csv
@@ -122,10 +123,12 @@ def test_json_bundle_and_text_carry_the_same_values(report):
             expected.append(csv_cells({"cohens_d": None, **record}, analysis=key))
         assert read_csv(bundle / "anovas.csv") == expected
 
-        comparisons = [
-            csv_cells(c, analysis=key) for key in sorted(payload["posthoc"])
-            for c in payload["posthoc"][key]
-        ]
+        comparisons = []
+        for key in sorted(payload["posthoc"]):
+            for c in payload["posthoc"][key]:
+                record = dict(c)
+                record["df1"], record["df2"] = record.pop("df")
+                comparisons.append(csv_cells(record, analysis=key))
         assert read_csv(bundle / "posthoc.csv") == (comparisons or None)
 
         notes = [{"note": note} for note in payload["notes"]]
@@ -145,3 +148,12 @@ def test_json_bundle_and_text_carry_the_same_values(report):
                 text_cell(anova["f"], 2),
                 text_cell(anova["p"], 3),
             )
+
+        for key, pairs in payload["posthoc"].items():
+            section = text.split(f"Pairwise comparisons for {key} (uncorrected)\n")[1]
+            assert section.split("\n\n")[0].splitlines() == [
+                f"  {c['a']} vs {c['b']}: F({c['df'][0]},{c['df'][1]}) = "
+                f"{text_cell(c['f'], 2)}, p = {text_cell(c['p'], 3)}, "
+                f"d = {text_cell(c['cohens_d'], 2)}"
+                for c in pairs
+            ]

@@ -280,7 +280,6 @@ def test_value_text_is_percent_4f(values):
         (dict(gaze_noise_sigma=math.nan), "gaze_noise_sigma must be finite: nan"),
         (dict(gaze_noise_sigma=math.inf), "gaze_noise_sigma must be finite: inf"),
         (dict(threshold=math.nan), "threshold must be finite: nan"),
-        (dict(frame_interval_s=-math.inf), "frame_interval_s must be finite: -inf"),
         (dict(jva_probability=math.nan), "jva_probability must lie in [0, 1]: nan"),
         (dict(jva_probability={"textbook": 0.2, "tablet": 1.5, "ar": 0.1}),
          "jva_probability['tablet'] must lie in [0, 1]: 1.5"),
