@@ -6,9 +6,7 @@ path, and the analysis recovers the ground-truth JVA ratios. With zero
 gaze noise recovery is exact.
 """
 
-import json
 import tempfile
-from pathlib import Path
 
 from teamgaze import SynthSpec, analyze_table, emit_report
 from teamgaze.io_report import load_teams, read_frame_table

@@ -12,7 +12,7 @@ from teamgaze.io_report import (
     paper_fixture_path,
     stats_report_from_summaries,
 )
-from teamgaze.stats import GroupSummary, anova_oneway
+from teamgaze.stats import anova_oneway
 from teamgaze.synth import moment_matched_groups
 
 summaries, totals = load_summary_fixture(paper_fixture_path())

@@ -4,13 +4,15 @@ Four input tables drive the pipeline: a frame table (one row per frame
 and person), a team table (condition, gender and two post-test scores per
 team), and for ``teamgaze stats`` a per-team results or summary table
 (``stats_report_from_table`` tells them apart by the header it reads).
-``_read_csv`` tokenizes all four under one contract and yields their rows
-a chunk at a time in column form: a chunk of plain lines is split at every
-comma in one pass straight into columns, and only text csv.reader must
-interpret (quotes, lone CR, NUL, comment and blank lines, over-long cells,
-rows of another width, bytes that are not UTF-8) goes through csv.reader.
-Each file is read once: a byte that is not UTF-8 is read as a lone
-surrogate, and found in the lines already read.
+One reader, ``_read_csv``, tokenizes all four under one contract and
+yields their rows a chunk at a time in column form. It reads each file
+once, a block of lines at a time: a plain block is split at every comma in
+one pass straight into columns, and every other block (the header's, and
+any holding quotes, lone CR, NUL, comment or blank lines, over-long cells,
+rows of another width or bytes that are not UTF-8) goes through one
+csv.reader loop, which reads on into the next blocks only while a quoted
+cell is open. A byte that is not UTF-8 is read as a lone surrogate, and
+found in the lines already read.
 The tokenizer names the line of a fault in the text; the column parsers
 (``_FrameRows``, ``_TeamColumns``) name the first bad cell's row
 themselves. Each error of a table reader starts with the table's path
@@ -240,113 +242,76 @@ def _read_csv(
     ``short`` says whether a row lacks a cell of one of those columns; the
     cells it lacks are None. Blank rows and comment rows (a first cell
     starting with ``#`` after leading spaces) are skipped; header names are
-    stripped. A missing header or column, a comment row holding a quoted
-    line break, a cell over the csv module's field limit and a byte that is
-    not UTF-8 are errors naming the line, raised after the rows before them
-    are yielded.
+    stripped. A UTF-8 byte-order mark at the start of the file is not part
+    of its text. A missing header or column, a csv error, a comment row
+    holding a quoted line break and a byte that is not UTF-8 are errors
+    naming the line, raised after the rows before them are yielded; a row
+    ending on or past a bad byte's line stops the read, so a csv error in
+    the row that holds the byte comes first. A bad cell is named by the
+    table's parser.
 
-    The cells are those ``csv.reader`` gives. A plain chunk (see
-    ``_text_chunks``) whose rows all have the header's width is split at
-    every comma in one pass; any other chunk goes through ``csv.reader``.
-    """
-    header = None
-    for lines, rows in _text_chunks(path):
-        if header is None:
-            if isinstance(rows, str):
-                first, _, rows = rows.partition("\n")
-                first = first.split(",")
-            else:
-                first, rows = rows[0], rows[1:]
-            header = [name.strip() for name in first]
-            missing = [c for c in columns if c not in header]
-            if missing:
-                raise ValueError(f"missing mandatory columns {missing}")
-            yield header
-            width = len(header)
-            index = {name: i for i, name in enumerate(header)}
-            used = {name: index[name] for name in (*columns, *optional) if name in index}
-            lines = lines[1:]
-            if not len(lines):
-                continue
-        n = len(lines)
-        if isinstance(rows, str):
-            # A row of the header's width puts each LF cell at every
-            # (width + 1)-th place.
-            cells = rows.replace("\n", ",\n,").split(",")
-            if len(cells) == n * (width + 1) - 1 and (
-                cells[width :: width + 1].count("\n") == n - 1
-            ):
-                yield lines, {c: cells[i :: width + 1] for c, i in used.items()}, False
-                continue
-            rows = list(csv.reader(rows.split("\n")))
-        # A short row stays apart from an empty cell: zip_longest fills None.
-        by_column = list(zip_longest(*rows, fillvalue=None))
-        missing_cells = (None,) * n
-        cells = {
-            c: by_column[i] if i < len(by_column) else missing_cells for c, i in used.items()
-        }
-        yield lines, cells, min(map(len, rows)) <= max(used.values(), default=-1)
-    if header is None:
-        raise ValueError("empty file, header row required")
-
-
-def _text_chunks(path: Union[str, Path]) -> Iterator:
-    """A table's rows, without blank and comment rows, as ``(lines, rows)``
-    chunks of up to ``_CHUNK_ROWS`` physical lines or csv rows. A UTF-8
-    byte-order mark at the start of the file is not part of its text.
-
-    The file is read once, ``_CHUNK_ROWS`` lines at a time, and each block
-    of lines is searched as one text for a byte that is not UTF-8
-    (``_undecoded``). ``lines`` holds the physical line each row ends on. A
-    plain chunk, one holding no ``"``, lone CR, NUL, ``#``, blank line, line
-    over the csv field limit or byte that is not UTF-8, gives ``rows`` as
-    its rows' text joined by LF (CR LF read as LF); csv.reader would split
-    each of its lines at every comma. Any other block goes through
-    csv.reader in one pass that keeps each row with its line, the reader's
-    own count (``reader.line_num``), and skips blank and comment rows; from
-    the first block holding a ``"`` on, one csv.reader reads the rest of the
-    file, since a quoted cell may hold a line break. Only the errors of the
-    text itself (a csv error, a comment row holding a quoted line break, a
-    byte that is not UTF-8) are named here, each raised after the rows
-    before it: a row ending on or past a bad byte's line stops the pass, so
-    a csv error in the row that holds the byte comes first. A bad cell is
-    named by the table's parser.
+    The file is read once, its first line alone and then ``_CHUNK_ROWS``
+    lines at a time, and each block is searched as one text for a byte that
+    is not UTF-8 (``_undecoded``). The cells are those ``csv.reader`` gives.
+    A plain block after the header's, one holding no ``"``, lone CR, NUL,
+    ``#``, blank line, line over the csv field limit or byte that is not
+    UTF-8, whose rows all have the header's width, is split at every comma
+    in one pass. Every other block goes through one csv.reader loop that
+    keeps each row with its line, the reader's own count. A quoted cell may
+    hold a line break, so the loop reads on into the next blocks while one
+    is open, and hands back at the first row ending on a block's last line.
     """
     limit = csv.field_size_limit()
-    done, error = 0, None  # the last line read, and the error to raise
+    header, error = None, None
+    done = read = 0  # the last line of a row, and the last line read
     undecoded = None  # the first line with a byte that is not UTF-8, and its problem
 
     def read_blocks(fh) -> Iterator[tuple[list, str]]:
-        """``fh``'s lines ``_CHUNK_ROWS`` at a time, and their joined text."""
-        nonlocal undecoded
-        start = 0
-        while raw := list(islice(fh, _CHUNK_ROWS)):
+        """``fh``'s first line, then ``_CHUNK_ROWS`` lines at a time, with their text."""
+        nonlocal read, undecoded
+        size = 1  # a header on the first line leaves the rows after it a plain block
+        while raw := list(islice(fh, size)):
             text = "".join(raw)
             if undecoded is None and (found := _undecoded(raw, text)):
-                undecoded = start + found[0] + 1, found[1]
+                undecoded = read + found[0] + 1, found[1]
+            read += len(raw)
+            size = _CHUNK_ROWS
             yield raw, text
-            start += len(raw)
+
+    def column_chunk(lines: list, rows: list) -> tuple:
+        # A short row stays apart from an empty cell: zip_longest fills None.
+        by_column = list(zip_longest(*rows, fillvalue=None))
+        missing_cells = (None,) * len(rows)
+        cells = {
+            c: by_column[i] if i < len(by_column) else missing_cells for c, i in used.items()
+        }
+        return np.array(lines), cells, min(map(len, rows)) <= max(used.values(), default=-1)
 
     with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         blocks = read_blocks(fh)
         for raw, text in blocks:
-            rest = '"' in text
             if "\r" in text:
                 text = text.replace("\r\n", "\n")
-            if not (
-                rest
-                or undecoded
-                or any(mark in text for mark in ("\r", "\0", "#", "\n\n"))
+            if header is not None and not (
+                undecoded
+                or any(mark in text for mark in ('"', "\r", "\0", "#", "\n\n"))
                 or text[0] == "\n"
                 or len(text) > limit and max(map(len, raw)) > limit
             ):
-                yield np.arange(done + 1, done + len(raw) + 1), text.removesuffix("\n")
-                done += len(raw)
-                continue
-            if rest:
-                raw = chain(raw, chain.from_iterable(block for block, _ in blocks))
-            base, reader = done, csv.reader(raw)
-            lines, chunk = [], []
+                # A row of the header's width puts each LF cell at every
+                # (width + 1)-th place.
+                n = len(raw)
+                cells = text.removesuffix("\n").replace("\n", ",\n,").split(",")
+                if len(cells) == n * (width + 1) - 1 and (
+                    cells[width :: width + 1].count("\n") == n - 1
+                ):
+                    lines = np.arange(done + 1, done + n + 1)
+                    yield lines, {c: cells[i :: width + 1] for c, i in used.items()}, False
+                    done += n
+                    continue
+            base = done
+            reader = csv.reader(chain(raw, chain.from_iterable(more for more, _ in blocks)))
+            lines, rows = [], []
             try:
                 for row in reader:
                     line = base + reader.line_num  # the line the row ends on
@@ -359,19 +324,32 @@ def _text_chunks(path: Union[str, Path]) -> Iterator:
                                 f"line {done + 1}: comment row holds a quoted line break"
                             )
                             break
-                    elif row:  # csv.reader gives [] for a blank line
+                    elif row and header is None:  # csv.reader gives [] for a blank line
+                        header = [name.strip() for name in row]
+                        missing = [c for c in columns if c not in header]
+                        if missing:
+                            raise ValueError(f"missing mandatory columns {missing}")
+                        yield header
+                        width = len(header)
+                        index = {name: i for i, name in enumerate(header)}
+                        used = {c: index[c] for c in (*columns, *optional) if c in index}
+                    elif row:
                         lines.append(line)
-                        chunk.append(row)
-                        if len(chunk) == _CHUNK_ROWS:
-                            yield np.array(lines), chunk
-                            lines, chunk = [], []
+                        rows.append(row)
+                        if len(rows) == _CHUNK_ROWS:
+                            yield column_chunk(lines, rows)
+                            lines, rows = [], []
                     done = line
+                    if line == read:  # no quoted cell open: back to the plain path
+                        break
             except csv.Error as exc:
                 error = ValueError(f"line {base + reader.line_num}: {exc}")
-            if chunk:
-                yield np.array(lines), chunk
+            if rows:
+                yield column_chunk(lines, rows)
             if error is not None:
                 raise error
+    if header is None:
+        raise ValueError("empty file, header row required")
 
 
 @_names_file

@@ -39,6 +39,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .io_report import FRAME_COLUMNS, TEAM_COLUMNS
+from .jva import JvaConfig
 from .model import Condition, GenderComposition
 
 __all__ = ["SynthSpec", "GroundTruth", "generate", "moment_matched_groups"]
@@ -47,6 +48,9 @@ __all__ = ["SynthSpec", "GroundTruth", "generate", "moment_matched_groups"]
 # Gaussian noise up to sigma = threshold/3 leaves roughly a 3-sigma margin
 # on each side of the decision boundary.
 SEPARATION_FACTOR = 3.0
+
+# The JVA threshold the study is laid out for: the analysis's default.
+_THRESHOLD = JvaConfig().threshold
 
 # Seconds between two frames of a team; no result depends on timestamps.
 _FRAME_INTERVAL_S = 10.0
@@ -98,10 +102,10 @@ class SynthSpec:
     keys are condition values ("textbook"/"tablet"/"ar") and team ids of
     this spec ("team01", ...); a team takes its own id's probability, else
     its condition's, and every team must be covered. Each image side must
-    be at least ``2 * SEPARATION_FACTOR * threshold`` pixels, so that a
-    non-JVA partner point fits inside the image. The seed is a
-    non-negative integer. Every check runs here, before any file is
-    written.
+    be at least ``2 * SEPARATION_FACTOR`` times the default JVA threshold
+    in pixels, so that a non-JVA partner point fits inside the image. The
+    seed is a non-negative integer. Every check runs here, before any file
+    is written.
     """
 
     teams: int = 30
@@ -110,7 +114,6 @@ class SynthSpec:
     image_h: int = 1440
     jva_probability: JvaProbability = 0.4
     gaze_noise_sigma: float = 0.0
-    threshold: float = 100.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -122,20 +125,17 @@ class SynthSpec:
             raise ValueError(f"teams must be at most 2**32: {self.teams}")
         if self.image_w <= 0 or self.image_h <= 0:
             raise ValueError("image dimensions must be positive")
-        for name in ("gaze_noise_sigma", "threshold"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite: {getattr(self, name)!r}")
+        if not math.isfinite(self.gaze_noise_sigma):
+            raise ValueError(f"gaze_noise_sigma must be finite: {self.gaze_noise_sigma!r}")
         if self.gaze_noise_sigma < 0:
             raise ValueError("noise sigma must be non-negative")
-        if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
         # Below this, a partner point can leave the image on both sides of
         # its target and clipping would pull it within the threshold.
-        side = 2 * SEPARATION_FACTOR * self.threshold
+        side = 2 * SEPARATION_FACTOR * _THRESHOLD
         if min(self.image_w, self.image_h) < side:
             raise ValueError(
                 f"image {self.image_w}x{self.image_h} too small for threshold "
-                f"{self.threshold:g}: each side must be at least "
+                f"{_THRESHOLD:g}: each side must be at least "
                 f"2 * {SEPARATION_FACTOR:g} * threshold = {side:g} px"
             )
         _probability_keys(self)
@@ -262,7 +262,7 @@ def _gaze(spec: SynthSpec, uniform: np.ndarray, noise, probability: np.ndarray):
     labels, shape (teams, frames).
     """
     w, h = float(spec.image_w), float(spec.image_h)
-    sep = SEPARATION_FACTOR * spec.threshold
+    sep = SEPARATION_FACTOR * _THRESHOLD
     # Targets live inside an inner box one separation-length away from each
     # border (a quarter side on a small image). A partner point outside the
     # image is reflected through the target, which keeps it in bounds on

@@ -13,7 +13,6 @@ from scipy import stats as scipy_stats
 from teamgaze.gazefield import (
     decode_heatmap,
     direction_value,
-    encode_direction_field,
     multiscale_fields,
 )
 from teamgaze.io_report import analyze_table, load_teams, read_frame_table

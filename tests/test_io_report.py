@@ -226,6 +226,11 @@ def test_a_third_person_counts_in_kept_rows_of_frames_not_discarded(tmp_path):
         # A quoted line break from one chunk into the next.
         (['t1,f1,0.0,2560,1440,"p\n1",1,1,,,1.0,0', "t1,f2,1.0,2560,1440,p1,1,x,,,1.0,0"],
          "line 4: column 'gaze_y' not numeric: 'x'"),
+        # A quote opening on a chunk's last line and closing two chunks later.
+        ([GOOD_ROW, "t1,f2,1.0,2560,1440,p1,1,1,,,1.0,0", "t1,f3,2.0,2560,1440,p1,1,1,,,1.0,0",
+          't1,f4,3.0,2560,1440,"p\n\n\n1",1,1,,,1.0,0', "t1,f5,4.0,2560,1440,p1,1,1,,,1.0,0",
+          "t1,f6,5.0,2560,1440,p1,1,x,,,1.0,0"],
+         "line 10: column 'gaze_y' not numeric: 'x'"),
     ],
 )
 def test_first_bad_line_in_file_order_is_reported(tmp_path, monkeypatch, rows, message):
@@ -1041,6 +1046,56 @@ def test_column_chunks_match_the_row_form_reader(chunk_rows, data, limit):
                     )
     finally:
         csv.field_size_limit(default_limit)
+
+
+def csv_reader_spy(fed: list):
+    """``csv.reader``, noting in ``fed`` each line it is fed."""
+    real = csv.reader
+
+    def reader(lines, *args, **kwargs):
+        def feed():
+            for line in lines:
+                fed.append(line)
+                yield line
+
+        return real(feed(), *args, **kwargs)
+
+    return reader
+
+
+# A team table of 24 lines, read as line 1, then 4 lines at a time (2-5,
+# 6-9, ...), and each test's edits of it.
+QUOTE_TABLE = [TEAMS_HEADER.strip()] + [f"t{i},ar,FF,1,2" for i in range(1, 24)]
+CROSSING_QUOTE = {9: 't8,"ar', **{line: "x" for line in range(10, 15)}, 15: 'MX",FF,1,2'}
+
+
+@pytest.mark.parametrize(
+    "edits, fed, last_row",
+    [
+        ({8: '"t7",ar,FF,1,2'}, [1, *range(6, 10)], 24),
+        (CROSSING_QUOTE, [1, *range(6, 18)], 24),
+        # The read stops at the bad byte's row.
+        ({**CROSSING_QUOTE, 23: "t22,\xff,FF,1,2"}, [1, *range(6, 18), 22, 23], 22),
+    ],
+    ids=["quote closing on its line", "quote across two blocks", "then a bad byte"],
+)
+def test_csv_reader_reads_only_the_blocks_a_quote_spans(
+    tmp_path, monkeypatch, edits, fed, last_row
+):
+    """Past the header's block, csv.reader reads only the blocks a quoted
+    cell spans (``fed``: line numbers); the blocks after it go back to the
+    comma split. Rows, lines and errors are the row-form reader's."""
+    monkeypatch.setattr(io_report, "_CHUNK_ROWS", 4)
+    lines = [edits.get(number, line) for number, line in enumerate(QUOTE_TABLE, 1)]
+    path = tmp_path / "teams.csv"
+    path.write_bytes("".join(line + "\n" for line in lines).encode("latin-1"))
+    read = []
+    with mock.patch.object(csv, "reader", csv_reader_spy(read)):
+        got = drain(READ_CSV(path, io_report.TEAM_COLUMNS))
+    assert got == drain(read_csv_columns(path, io_report.TEAM_COLUMNS))
+    assert got[1][-1][0] == last_row
+    text = path.read_text(encoding="utf-8", errors="surrogateescape").splitlines(True)
+    assert read == [text[number - 1] for number in fed]
 
 
 # Cells a frame row may hold in place of its own, by column: stripped

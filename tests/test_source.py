@@ -1,8 +1,9 @@
 """Source checks a linter would make, with the standard library only.
 
-Every module-level import in the package is used in its module or named
-in its ``__all__``, and no line of the package or the tests is longer than
-98 characters.
+Every module-level import in the package, the tests and the demos is
+used in its module or named in its ``__all__``; every private module-level
+name of the package is read in its module; and no line of the package or
+the tests is longer than 98 characters.
 """
 
 import ast
@@ -12,6 +13,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "teamgaze").glob("*.py"))
+SOURCES = [*PACKAGE, *sorted(ROOT.glob("tests/*.py")), *sorted(ROOT.glob("demos/*.py"))]
 LONGEST_LINE = 98
 
 
@@ -54,7 +56,30 @@ def _unused_imports(tree: ast.Module) -> list[str]:
     )
 
 
-@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def _unread_private_names(tree: ast.Module) -> list[str]:
+    """``line N: name`` of each private name (one leading underscore) the
+    module defines at its top level and never reads."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.setdefault(node.name, node.lineno)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for name in (n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                defined.setdefault(name.id, node.lineno)
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        f"line {line}: {name}"
+        for name, line in defined.items()
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_module_import_is_used(path):
     unused = _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
     assert not unused, f"{path.name} imports names it never uses: {unused}"
@@ -67,6 +92,25 @@ def test_the_import_check_names_an_unused_import():
         "x: Optional[int] = np.zeros(1)\n"
     )
     assert _unused_imports(tree) == ["line 4: Sequence"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_every_private_name_is_read(path):
+    unread = _unread_private_names(ast.parse(path.read_text(encoding="utf-8")))
+    assert not unread, f"{path.name} defines private names it never reads: {unread}"
+
+
+def test_the_private_name_check_names_an_unread_helper():
+    tree = ast.parse(
+        "__all__ = ['f']\n_LIMIT = 3\n_left, _over = 1, 2\n"
+        "def _helper():\n    return _LIMIT\n"
+        "def _leftover():\n    return _helper()\n"
+        "class _Unused:\n    pass\n"
+        "def f(_arg=_left):\n    _local = 1\n    return _arg\n"
+    )
+    assert _unread_private_names(tree) == [
+        "line 3: _over", "line 6: _leftover", "line 8: _Unused"
+    ]
 
 
 def test_no_line_is_longer_than_the_limit():

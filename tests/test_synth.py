@@ -18,7 +18,7 @@ def run_pipeline(tmp_path, spec):
     table = read_frame_table(frames_path)
     assert table.row_errors == []
     teams = load_teams(teams_path)
-    report = analyze_table(table, teams, JvaConfig(threshold=spec.threshold))
+    report = analyze_table(table, teams, JvaConfig())
     return report, truth
 
 
@@ -161,7 +161,7 @@ def test_zero_noise_recovers_every_frame_label(tmp_path, teams, frames, w, h, p)
     jva, counted = team_jva_counts(
         np.arange(n), n, table.width, table.height, table.discarded,
         table.row_offsets, table.gaze_x, table.gaze_y,
-        JvaConfig(threshold=spec.threshold),
+        JvaConfig(),
     )
     assert counted.tolist() == [1] * n
     assert jva.tolist() == [v for name in names for v in truth["frame_labels"][name]]
@@ -169,18 +169,14 @@ def test_zero_noise_recovers_every_frame_label(tmp_path, teams, frames, w, h, p)
         assert truth["team_ratios"][name] == jva[i * frames:(i + 1) * frames].sum() / frames
 
 
-@pytest.mark.parametrize(
-    "w, h, threshold",
-    [(400, 300, 100.0), (599, 1440, 100.0), (2560, 599, 100.0), (1000, 1000, 200.0)],
-)
-def test_image_smaller_than_two_separations_rejected(w, h, threshold):
+@pytest.mark.parametrize("w, h", [(400, 300), (599, 1440), (2560, 599)])
+def test_image_smaller_than_two_separations_rejected(w, h):
     with pytest.raises(ValueError, match=f"image {w}x{h} too small"):
-        SynthSpec(image_w=w, image_h=h, threshold=threshold)
+        SynthSpec(image_w=w, image_h=h)
 
 
 def test_image_of_two_separations_accepted():
     SynthSpec(image_w=600, image_h=600)
-    SynthSpec(image_w=400, image_h=300, threshold=50.0)
 
 
 @given(
@@ -279,7 +275,6 @@ def test_value_text_is_percent_4f(values):
         (dict(teams=2**32 + 1), "teams must be at most 2**32: 4294967297"),
         (dict(gaze_noise_sigma=math.nan), "gaze_noise_sigma must be finite: nan"),
         (dict(gaze_noise_sigma=math.inf), "gaze_noise_sigma must be finite: inf"),
-        (dict(threshold=math.nan), "threshold must be finite: nan"),
         (dict(jva_probability=math.nan), "jva_probability must lie in [0, 1]: nan"),
         (dict(jva_probability={"textbook": 0.2, "tablet": 1.5, "ar": 0.1}),
          "jva_probability['tablet'] must lie in [0, 1]: 1.5"),
