@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Heatmap, Point2D
+from .model import Heatmap, Point2D, input_text
 
 __all__ = [
     "DirectionField",
@@ -153,17 +153,13 @@ def decode_heatmap(
 
 
 def load_heatmap_text(path) -> Heatmap:
-    """Read a heatmap from a plain-text grid (whitespace-separated rows) in
-    UTF-8, after a byte order mark if there is one. A byte that is not UTF-8
-    is an error naming its line; LF, CR LF and a lone CR end a line."""
+    """Read a heatmap from a plain-text grid (whitespace-separated rows),
+    text as ``model.input_text`` reads it; a byte that is not UTF-8 is an
+    error naming its line."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:  # exc.object is the data after a BOM
-        line = len(exc.object[: exc.start + 1].splitlines())
-        byte = exc.object[exc.start]
-        raise ValueError(f"line {line}: byte 0x{byte:02x} is not UTF-8 ({exc.reason})") from None
+        text, bad = input_text(fh.read())
+    if bad:
+        raise ValueError(f"line {bad[0]}: {bad[1]}")
     with warnings.catch_warnings():  # an empty grid is Heatmap's error, named by the caller
         warnings.simplefilter("ignore")
         return Heatmap(values=np.loadtxt(io.StringIO(text, newline=None), dtype=float, ndmin=2))

@@ -6,13 +6,13 @@ team), and for ``teamgaze stats`` a per-team results or summary table
 (``stats_report_from_table`` tells them apart by the header it reads).
 One reader, ``_read_csv``, tokenizes all four under one contract and
 yields their rows a chunk at a time in column form. It reads each file
-once, a block of lines at a time: a plain block is split at every comma in
-one pass straight into columns, and every other block (the header's, and
-any holding quotes, lone CR, NUL, comment or blank lines, over-long cells,
+once as bytes, a block of lines at a time, each block decoded once by
+``model.input_text``: a plain block is split at every comma in one pass
+straight into columns, and every other block (the header's, and any
+holding quotes, lone CR, NUL, comment or blank lines, over-long cells,
 rows of another width or bytes that are not UTF-8) goes through one
 csv.reader loop, which reads on into the next blocks only while a quoted
-cell is open. A byte that is not UTF-8 is read as a lone surrogate, and
-found in the lines already read.
+cell is open.
 The tokenizer names the line of a fault in the text; the column parsers
 (``_FrameRows``, ``_TeamColumns``) name the first bad cell's row
 themselves. Each error of a table reader starts with the table's path
@@ -44,9 +44,9 @@ import json
 import math
 import operator
 import os
-import re
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import wraps
+from io import StringIO
 from itertools import chain, compress, islice, zip_longest
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -64,6 +64,7 @@ from .model import (
     Point2D,
     TeamSession,
     group_for_condition,
+    input_text,
     team_post_test_score,
 )
 from .stats import (
@@ -125,9 +126,6 @@ _DISCARDED_TOKENS = {"": False, "0": False, "false": False, "1": True, "true": T
 # Lines or rows read per step. Small enough for one step's cells to stay
 # in the CPU cache: steps of 16k frame rows parsed slower than 1k.
 _CHUNK_ROWS = 1024
-
-# A byte that is not UTF-8, as ``errors="surrogateescape"`` reads it.
-_NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
 _TEAM_ROW_COLUMNS = ("team_id", "condition", "gender", "team_post_test")
 _SUMMARY_COLUMNS = ("grouping", "label", "measure", "n", "mean", "sd")
@@ -215,20 +213,6 @@ def _names_file(read):
     return reader
 
 
-def _undecoded(lines: list[str], text: str) -> Optional[tuple[int, str]]:
-    """The index of the first of ``lines`` (joined: ``text``) holding a byte
-    that is not UTF-8, which ``errors="surrogateescape"`` reads as a lone
-    surrogate, and what the strict decoder says of that byte; else None."""
-    if text.isascii() or not _NOT_UTF8.search(text):
-        return None
-    i = next(i for i, line in enumerate(lines) if _NOT_UTF8.search(line))
-    data = lines[i].encode("utf-8", "surrogateescape")  # the line's bytes as in the file
-    try:
-        data.decode("utf-8")
-    except ValueError as exc:  # the byte's UnicodeDecodeError
-        return i, f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
-
-
 def _read_csv(
     path: Union[str, Path], columns: Sequence[str], optional: Sequence[str] = ()
 ) -> Iterator:
@@ -242,41 +226,41 @@ def _read_csv(
     ``short`` says whether a row lacks a cell of one of those columns; the
     cells it lacks are None. Blank rows and comment rows (a first cell
     starting with ``#`` after leading spaces) are skipped; header names are
-    stripped. A UTF-8 byte-order mark at the start of the file is not part
-    of its text. A missing header or column, a csv error, a comment row
-    holding a quoted line break and a byte that is not UTF-8 are errors
-    naming the line, raised after the rows before them are yielded; a row
-    ending on or past a bad byte's line stops the read, so a csv error in
-    the row that holds the byte comes first. A bad cell is named by the
-    table's parser.
+    stripped. The text is ``model.input_text``'s. A missing header or
+    column, a csv error, a comment row holding a quoted line break and a
+    byte that is not UTF-8 are errors naming the line, raised after the rows
+    before them are yielded; a row ending on or past a bad byte's line stops
+    the read, so a csv error in the row that holds the byte comes first. A
+    bad cell is named by the table's parser.
 
-    The file is read once, its first line alone and then ``_CHUNK_ROWS``
-    lines at a time, and each block is searched as one text for a byte that
-    is not UTF-8 (``_undecoded``). The cells are those ``csv.reader`` gives.
-    A plain block after the header's, one holding no ``"``, lone CR, NUL,
-    ``#``, blank line, line over the csv field limit or byte that is not
-    UTF-8, whose rows all have the header's width, is split at every comma
-    in one pass. Every other block goes through one csv.reader loop that
-    keeps each row with its line, the reader's own count. A quoted cell may
-    hold a line break, so the loop reads on into the next blocks while one
-    is open, and hands back at the first row ending on a block's last line.
+    The file is read once as bytes, its first line alone and then
+    ``_CHUNK_ROWS`` LF-ended lines at a time, each block decoded once. The
+    cells are those ``csv.reader`` gives. A plain block after the header's,
+    one holding no ``"``, lone CR, NUL, ``#``, blank line, line over the
+    csv field limit or byte that is not UTF-8, whose rows all have the
+    header's width, is split at every comma in one pass. Every other block
+    goes through one csv.reader loop that keeps each row with its line, the
+    reader's own count. A quoted cell may hold a line break, so the loop
+    reads on into the next blocks while one is open, and hands back at the
+    first row ending on a block's last line.
     """
     limit = csv.field_size_limit()
     header, error = None, None
     done = read = 0  # the last line of a row, and the last line read
     undecoded = None  # the first line with a byte that is not UTF-8, and its problem
 
-    def read_blocks(fh) -> Iterator[tuple[list, str]]:
-        """``fh``'s first line, then ``_CHUNK_ROWS`` lines at a time, with their text."""
+    def read_blocks(fh) -> Iterator[str]:
+        """The text of ``fh``'s first line, then of ``_CHUNK_ROWS`` LF-ended lines at a time."""
         nonlocal read, undecoded
         size = 1  # a header on the first line leaves the rows after it a plain block
         while raw := list(islice(fh, size)):
-            text = "".join(raw)
-            if undecoded is None and (found := _undecoded(raw, text)):
-                undecoded = read + found[0] + 1, found[1]
-            read += len(raw)
+            data = b"".join(raw)
+            text, bad = input_text(data, file_start=not read)
+            if undecoded is None and bad:
+                undecoded = read + bad[0], bad[1]
+            read += len(data.splitlines()) if b"\r" in data else len(raw)
             size = _CHUNK_ROWS
-            yield raw, text
+            yield text
 
     def column_chunk(lines: list, rows: list) -> tuple:
         # A short row stays apart from an empty cell: zip_longest fills None.
@@ -287,21 +271,20 @@ def _read_csv(
         }
         return np.array(lines), cells, min(map(len, rows)) <= max(used.values(), default=-1)
 
-    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
+    with open(path, "rb") as fh:
         blocks = read_blocks(fh)
-        for raw, text in blocks:
-            if "\r" in text:
-                text = text.replace("\r\n", "\n")
+        for text in blocks:
+            plain = text.replace("\r\n", "\n") if "\r" in text else text
             if header is not None and not (
                 undecoded
-                or any(mark in text for mark in ('"', "\r", "\0", "#", "\n\n"))
-                or text[0] == "\n"
-                or len(text) > limit and max(map(len, raw)) > limit
+                or any(mark in plain for mark in ('"', "\r", "\0", "#", "\n\n"))
+                or plain[0] == "\n"
+                or len(plain) > limit and max(map(len, plain.split("\n"))) > limit
             ):
                 # A row of the header's width puts each LF cell at every
                 # (width + 1)-th place.
-                n = len(raw)
-                cells = text.removesuffix("\n").replace("\n", ",\n,").split(",")
+                n = read - done  # each block before it ended on a row's last line
+                cells = plain.removesuffix("\n").replace("\n", ",\n,").split(",")
                 if len(cells) == n * (width + 1) - 1 and (
                     cells[width :: width + 1].count("\n") == n - 1
                 ):
@@ -310,7 +293,8 @@ def _read_csv(
                     done += n
                     continue
             base = done
-            reader = csv.reader(chain(raw, chain.from_iterable(more for more, _ in blocks)))
+            texts = chain([text], blocks)
+            reader = csv.reader(chain.from_iterable(StringIO(t, newline="") for t in texts))
             lines, rows = [], []
             try:
                 for row in reader:
@@ -1475,16 +1459,15 @@ def config_path_from_env() -> Optional[Path]:
 def load_config(path: Optional[Union[str, Path]] = None, **overrides) -> JvaConfig:
     """Build a JvaConfig with standard precedence: defaults < file < overrides.
 
-    The file holds key=value lines, each ended by LF, CR LF or CR; '#'
-    starts a comment. Keys: threshold, scale_mode, denominator_policy.
+    The file is text as ``model.input_text`` reads it, key=value lines;
+    '#' starts a comment. Keys: threshold, scale_mode, denominator_policy.
     """
     values: dict = {}
     if path is not None:
-        with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
-            lines = fh.readlines()
-        if bad := _undecoded(lines, "".join(lines)):
-            raise ValueError(f"{path}:{bad[0] + 1}: {bad[1]}")
-        for line_no, raw in enumerate(lines, start=1):
+        text, bad = input_text(Path(path).read_bytes())
+        if bad:
+            raise ValueError(f"{path}:{bad[0]}: {bad[1]}")
+        for line_no, raw in enumerate(StringIO(text, newline=""), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

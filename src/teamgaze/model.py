@@ -1,6 +1,7 @@
-"""Domain types shared across the pipeline.
+"""Domain types shared across the pipeline, and the one rule that turns an
+input file's bytes into text (``input_text``).
 
-Everything here is an immutable value object: frames, observations and
+Every type here is an immutable value object: frames, observations and
 sessions are frozen after construction and safe to share between threads.
 Validation is collected as data (lists of violation strings) rather than
 raised, so callers can report every problem in a file at once.
@@ -8,6 +9,7 @@ raised, so callers can report every problem in a file at once.
 
 from __future__ import annotations
 
+import codecs
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -27,6 +29,7 @@ __all__ = [
     "group_for_condition",
     "team_post_test_score",
     "validate_session",
+    "input_text",
 ]
 
 
@@ -201,3 +204,19 @@ def validate_session(session: TeamSession) -> list[str]:
         )
 
     return violations
+
+
+def input_text(data: bytes, file_start: bool = True) -> tuple[str, Optional[tuple[int, str]]]:
+    """The UTF-8 text of an input file's bytes, without the byte order mark
+    that may open the file (if ``data`` is its start), and None; or, at a
+    byte that is not UTF-8, the text with each such byte as a lone surrogate
+    and ``(line, "byte 0x.. is not UTF-8 (reason)")``, the line counted in
+    ``data`` as LF, CR LF and a lone CR end lines."""
+    if file_start:
+        data = data.removeprefix(codecs.BOM_UTF8)
+    try:
+        return data.decode("utf-8"), None
+    except UnicodeDecodeError as exc:
+        line = len(data[: exc.start + 1].splitlines())
+        problem = f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        return data.decode("utf-8", "surrogateescape"), (line, problem)

@@ -43,28 +43,46 @@ def test_analyze_writes_report(tmp_path, capsys):
     assert len(payload["teams"]) == 6
 
 
-@pytest.mark.parametrize("skipped", [MAX_ROW_WARNINGS, MAX_ROW_WARNINGS + 3])
+OUTSIDE, NAN = ("-1", "10"), ("5", "nan")  # gaze cells of a skipped row
+
+
+@pytest.mark.parametrize(
+    "skipped, gaze, chunk_rows",
+    [
+        pytest.param(MAX_ROW_WARNINGS, [OUTSIDE], None, id=str(MAX_ROW_WARNINGS)),
+        pytest.param(MAX_ROW_WARNINGS + 3, [OUTSIDE], None, id=str(MAX_ROW_WARNINGS + 3)),
+        pytest.param(MAX_ROW_WARNINGS + 3, [OUTSIDE, NAN], None, id="nan gaze among them"),
+        # Blocks of 3 lines: the skipped rows span 8 chunks.
+        pytest.param(MAX_ROW_WARNINGS + 3, [OUTSIDE], 3, id="across chunk edges"),
+    ],
+)
 def test_analyze_warns_about_the_first_skipped_rows_then_counts_the_rest(
-    tmp_path, capsys, skipped
+    tmp_path, capsys, monkeypatch, skipped, gaze, chunk_rows
 ):
+    """stderr, byte for byte: the first skipped rows' warnings (row ``i``'s
+    gaze cells are ``gaze[i % len(gaze)]``), then one line counting the rest."""
+    if chunk_rows:
+        monkeypatch.setattr(io_report, "_CHUNK_ROWS", chunk_rows)
+    cells = [gaze[i % len(gaze)] for i in range(skipped + 1)]
     frames = tmp_path / "frames.csv"
     frames.write_text(
         "team_id,frame_id,timestamp_s,image_w,image_h,person_id,gaze_x,gaze_y\n"
         "t1,f0,0.0,100,100,p1,10,10\n"
-        + "".join(f"t1,f{i},{i}.0,100,100,p1,-1,10\n" for i in range(1, skipped + 1))
+        + "".join(f"t1,f{i},{i}.0,100,100,p1,{x},{y}\n" for i, (x, y) in enumerate(cells) if i)
     )
     teams = tmp_path / "teams.csv"
     teams.write_text("team_id,condition,gender,post_test_1,post_test_2\nt1,ar,FF,1,2\n")
     code, _, err = run(capsys, ["analyze", "--frames", str(frames), "--teams", str(teams)])
     assert code == 0
-    warnings = err.splitlines()
-    assert warnings[:MAX_ROW_WARNINGS] == [
-        f"warning: {frames}: line {i + 2}: gaze (-1.0, 10.0) outside 100x100 image, "
-        "row skipped"
+    assert err == "".join(
+        f"warning: {frames}: line {i + 2}: gaze ({float(cells[i][0])}, {float(cells[i][1])}) "
+        "outside 100x100 image, row skipped\n"
         for i in range(1, MAX_ROW_WARNINGS + 1)
-    ]
-    rest = [f"warning: {frames}: 3 more rows skipped: gaze point outside the image"]
-    assert warnings[MAX_ROW_WARNINGS:] == (rest if skipped > MAX_ROW_WARNINGS else [])
+    ) + (
+        f"warning: {frames}: 3 more rows skipped: gaze point outside the image\n"
+        if skipped > MAX_ROW_WARNINGS
+        else ""
+    )
     assert len(read_frame_table(frames).row_errors) == skipped
 
 

@@ -2,8 +2,10 @@
 
 Every module-level import in the package, the tests and the demos is
 used in its module or named in its ``__all__``; every private module-level
-name of the package is read in its module; and no line of the package or
-the tests is longer than 98 characters.
+name of the package is read in its module; the package reads no file in
+text mode, so that ``model.input_text`` stays the one way from an input
+file's bytes to text; and no line of the package or the tests is longer
+than 98 characters.
 """
 
 import ast
@@ -110,6 +112,46 @@ def test_the_private_name_check_names_an_unread_helper():
     )
     assert _unread_private_names(tree) == [
         "line 3: _over", "line 6: _leftover", "line 8: _Unused"
+    ]
+
+
+def _text_reads(tree: ast.Module) -> list[str]:
+    """``line N: call`` of each file read in text mode: ``read_text``, or
+    ``open`` (the builtin, or a method such as ``Path.open``) in a mode that
+    reads and has no ``b``. A mode that is not a string literal counts."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        if name == "open":
+            at = 1 if isinstance(node.func, ast.Name) else 0  # open(file, mode), p.open(mode)
+            mode = next((k.value for k in node.keywords if k.arg == "mode"), None)
+            if mode is None and len(node.args) > at:
+                mode = node.args[at]
+            text = "r" if mode is None else getattr(mode, "value", None)
+            if isinstance(text, str) and ("b" in text or not {"r", "+"} & set(text)):
+                continue
+        elif name != "read_text":
+            continue
+        found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_file_is_read_as_text(path):
+    reads = _text_reads(ast.parse(path.read_text(encoding="utf-8")))
+    assert not reads, f"{path.name} reads files in text mode: {reads}"
+
+
+def test_the_text_read_check_names_each_text_mode_read():
+    tree = ast.parse(
+        "open(p)\nopen(p, 'rb')\nopen(p, 'w')\nopen(p, mode='r+')\n"
+        "Path(p).read_text()\nPath(p).read_bytes()\nPath(p).open()\n"
+        "Path(p).open('rb')\nopen(p, m)\nopen(p, 'wb')\n"
+    )
+    assert _text_reads(tree) == [
+        "line 1: open", "line 4: open", "line 5: read_text", "line 7: open", "line 9: open"
     ]
 
 
