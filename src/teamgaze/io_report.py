@@ -7,12 +7,12 @@ team), and for ``teamgaze stats`` a per-team results or summary table
 One reader, ``_read_csv``, tokenizes all four under one contract and
 yields their rows a chunk at a time in column form. It reads each file
 once as bytes, a block of lines at a time, each block decoded once by
-``model.input_text``: a plain block is split at every comma in one pass
-straight into columns, and every other block (the header's, and any
-holding quotes, lone CR, NUL, comment or blank lines, over-long cells,
-rows of another width or bytes that are not UTF-8) goes through one
-csv.reader loop, which reads on into the next blocks only while a quoted
-cell is open.
+``model.input_text``; a block ends at any line end (LF, CR LF or a lone
+CR). A plain block is split at every comma in one pass straight into
+columns, and every other block (the header's, and any holding quotes,
+NUL, comment or blank lines, over-long cells, rows of another width or
+bytes that are not UTF-8) goes through one csv.reader loop, which reads
+on into the next blocks only while a quoted cell is open.
 The tokenizer names the line of a fault in the text; the column parsers
 (``_FrameRows``, ``_TeamColumns``) name the first bad cell's row
 themselves. Each error of a table reader starts with the table's path
@@ -234,15 +234,16 @@ def _read_csv(
     bad cell is named by the table's parser.
 
     The file is read once as bytes, its first line alone and then
-    ``_CHUNK_ROWS`` LF-ended lines at a time, each block decoded once. The
-    cells are those ``csv.reader`` gives. A plain block after the header's,
-    one holding no ``"``, lone CR, NUL, ``#``, blank line, line over the
-    csv field limit or byte that is not UTF-8, whose rows all have the
-    header's width, is split at every comma in one pass. Every other block
-    goes through one csv.reader loop that keeps each row with its line, the
-    reader's own count. A quoted cell may hold a line break, so the loop
-    reads on into the next blocks while one is open, and hands back at the
-    first row ending on a block's last line.
+    ``_CHUNK_ROWS`` lines at a time, each ending at LF, CR LF or a lone CR,
+    each block decoded once. The cells are those ``csv.reader`` gives. A
+    plain block after the header's, one holding no ``"``, NUL, ``#``, blank
+    line, line over the csv field limit or byte that is not UTF-8, whose
+    rows all have the header's width, is split at every comma in one pass;
+    its lines may end in a lone CR, where csv.reader ends an unquoted row
+    too. Every other block goes through one csv.reader loop that keeps each
+    row with its line, the reader's own count. A quoted cell may hold a line
+    break, so the loop reads on into the next blocks while one is open, and
+    hands back at the first row ending on a block's last line.
     """
     limit = csv.field_size_limit()
     header, error = None, None
@@ -250,15 +251,20 @@ def _read_csv(
     undecoded = None  # the first line with a byte that is not UTF-8, and its problem
 
     def read_blocks(fh) -> Iterator[str]:
-        """The text of ``fh``'s first line, then of ``_CHUNK_ROWS`` LF-ended lines at a time."""
+        """The text of ``fh``'s first line, then of ``_CHUNK_ROWS`` lines at a time."""
         nonlocal read, undecoded
         size = 1  # a header on the first line leaves the rows after it a plain block
-        while raw := list(islice(fh, size)):
+        pending = iter(())  # the lines of a read from ``fh`` past its block
+        while raw := list(islice(pending, size)) or list(islice(fh, size)):
             data = b"".join(raw)
+            if b"\r" in data and len(split := data.splitlines(keepends=True)) > len(raw):
+                # Lone CRs in a read from ``fh``, which splits at LF only.
+                raw, pending = split[:size], iter(split[size:])
+                data = b"".join(raw)
             text, bad = input_text(data, file_start=not read)
             if undecoded is None and bad:
                 undecoded = read + bad[0], bad[1]
-            read += len(data.splitlines()) if b"\r" in data else len(raw)
+            read += len(raw)
             size = _CHUNK_ROWS
             yield text
 
@@ -274,10 +280,10 @@ def _read_csv(
     with open(path, "rb") as fh:
         blocks = read_blocks(fh)
         for text in blocks:
-            plain = text.replace("\r\n", "\n") if "\r" in text else text
+            plain = text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
             if header is not None and not (
                 undecoded
-                or any(mark in plain for mark in ('"', "\r", "\0", "#", "\n\n"))
+                or any(mark in plain for mark in ('"', "\0", "#", "\n\n"))
                 or plain[0] == "\n"
                 or len(plain) > limit and max(map(len, plain.split("\n"))) > limit
             ):

@@ -238,38 +238,27 @@ _BETA_MAX_ITER = 500
 _TINY = 1e-300
 
 
+def _guard(v: float) -> float:
+    """``v``, or ``_TINY`` where ``|v|`` is below it."""
+    return _TINY if abs(v) < _TINY else v
+
+
 def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta, modified Lentz method."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
+    """Continued fraction for the incomplete beta, modified Lentz method: step
+    m adds the even term m(b-m)x / ((a-1+2m)(a+2m)), then the odd term
+    -(a+m)(a+b+m)x / ((a+2m)(a+1+2m)), and convergence is checked after it."""
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
-        d = _TINY
-    d = 1.0 / d
+    d = 1.0 / _guard(1.0 - (a + b) * x / (a + 1.0))
     h = d
     for m in range(1, _BETA_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        even = m * (b - m) * x / ((a - 1.0 + m2) * (a + m2))
+        odd = -(a + m) * (a + b + m) * x / ((a + m2) * (a + 1.0 + m2))
+        for aa in (even, odd):
+            d = 1.0 / _guard(1.0 + aa * d)
+            c = _guard(1.0 + aa / c)
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _BETA_TOL:
             return h
     raise RuntimeError(

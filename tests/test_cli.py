@@ -176,6 +176,19 @@ def test_analyze_rejects_a_team_that_names_a_third_person(tmp_path, capsys):
     )
 
 
+def test_analyze_rejects_frames_of_a_team_the_team_table_lacks(tmp_path, capsys):
+    frames = tmp_path / "frames.csv"
+    frames.write_text(
+        "team_id,frame_id,timestamp_s,image_w,image_h,person_id,gaze_x,gaze_y\n"
+        "tX,f0,0.0,100,100,p1,10,10\ntX,f0,0.0,100,100,p2,10,10\n"
+    )
+    teams = tmp_path / "teams.csv"
+    teams.write_text("team_id,condition,gender,post_test_1,post_test_2\nt1,ar,FF,1,2\n")
+    assert run(capsys, ["analyze", "--frames", str(frames), "--teams", str(teams)]) == (
+        1, "", "error: frames reference unknown teams: ['tX']\n"
+    )
+
+
 def test_stats_on_bundled_fixture_prints_published_f_values(capsys):
     code, out, _ = run(capsys, ["stats"])
     assert code == 0
@@ -368,6 +381,8 @@ def test_synth_image_too_small_is_usage_error(tmp_path, capsys):
          "jva_probability key 'tema02' is neither a condition (textbook, tablet, ar) "
          "nor a team id of this spec (team01..team03)"),
         (["--jva-probability", "ar=1.5"], "jva_probability['ar'] must lie in [0, 1]: 1.5"),
+        (["--jva-probability", "0.5", "--jva-probability", "ar=0.2"],
+         "mix of plain and NAME=P probabilities"),
     ],
 )
 def test_synth_bad_spec_is_usage_error_before_any_file(tmp_path, capsys, flags, message):

@@ -66,6 +66,32 @@ def test_degenerate_direction_rejected():
         encode_direction_field(Point2D(5, 5), (1e-9, 0), 1.0, 16, 16)
 
 
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        (encode_direction_field, (Point2D(1, 1), (1, 0), 0.0, 4, 4),
+         "exponent must be positive"),
+        (encode_direction_field, (Point2D(0, 0), (1, 0), 2.0, 0, 4),
+         "field dimensions must be positive"),
+        (encode_direction_field, (Point2D(0, 0), (1, 0), 2.0, 4, -1),
+         "field dimensions must be positive"),
+        (encode_direction_field, (Point2D(1, -1), (1, 0), 2.0, 4, 4),
+         "head must lie inside the field"),
+        (decode_heatmap, (Heatmap(np.ones((2, 2))), 0.0, 10.0),
+         "scene dimensions must be positive"),
+        (Heatmap, ([[1.0, -0.5]],), "heatmap values must be finite and non-negative"),
+        (Heatmap, ([[math.nan, 1.0]],), "heatmap values must be finite and non-negative"),
+        (Heatmap, ([[1.0], [math.inf]],), "heatmap values must be finite and non-negative"),
+    ],
+    ids=["exponent zero", "width zero", "height negative", "head outside", "scene width zero",
+         "negative cell", "nan cell", "infinite cell"],
+)
+def test_bad_field_heatmap_or_scene_is_rejected(call, args, message):
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    assert str(info.value) == message
+
+
 def test_non_unit_direction_normalized():
     a = encode_direction_field(Point2D(5, 5), (2, 0), 2.0, 16, 16)
     b = encode_direction_field(Point2D(5, 5), (1, 0), 2.0, 16, 16)

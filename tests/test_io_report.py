@@ -10,7 +10,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import read_csv_columns, reference_frame_table
 
@@ -304,6 +304,17 @@ def test_build_sessions_requires_metadata(tmp_path):
 def fixture_report():
     summaries, totals = load_summary_fixture(paper_fixture_path())
     return stats_report_from_summaries(summaries, totals)
+
+
+@pytest.mark.parametrize(
+    "fmt, message",
+    [("csv-bundle", "csv-bundle format needs an output directory"),
+     ("xml", "unknown report format 'xml'")],
+)
+def test_emit_report_rejects_a_bundle_without_a_directory_or_an_unknown_format(fmt, message):
+    with pytest.raises(ValueError) as info:
+        emit_report(fixture_report(), fmt)
+    assert str(info.value) == message
 
 
 def test_fixture_reproduces_published_f_values():
@@ -1013,9 +1024,26 @@ def outcome(load, path) -> tuple:
     return "ok", repr(result)
 
 
+# Team tables whose lines end in a lone CR: plain, with a quoted cell
+# holding a CR across chunk edges, with a bad byte, and with LF-ended lines
+# that each hold several CR-ended ones.
+CR_TEAM_ROWS = [f"t{i},ar,FF,1,2" for i in range(1, 9)]
+CR_TABLES = [
+    "\r".join([TEAMS_HEADER.strip(), *CR_TEAM_ROWS, ""]).encode(),
+    "\r".join([TEAMS_HEADER.strip(), *CR_TEAM_ROWS[:3], 't4,"a\rr\r",FF,1,2', ""]).encode(),
+    "\r".join([TEAMS_HEADER.strip(), *CR_TEAM_ROWS, ""]).encode().replace(b"t7", b"t\xff"),
+    ("\r".join([TEAMS_HEADER.strip(), *CR_TEAM_ROWS[:3]]) + "\n"
+     + "\r".join(CR_TEAM_ROWS[3:]) + "\r\n").encode(),
+]
+
+
 @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 1024])
 @given(data=tokenizer_files(), limit=st.sampled_from([None, 4, 16]))
 @settings(max_examples=150, deadline=None)
+@example(data=CR_TABLES[0], limit=None)
+@example(data=CR_TABLES[1], limit=None)
+@example(data=CR_TABLES[2], limit=None)
+@example(data=CR_TABLES[3], limit=None)
 def test_column_chunks_match_the_row_form_reader(chunk_rows, data, limit):
     """Every loader reads a table through the column-form reader as it does
     through the row-form one it replaced: the same header, cells, lines and
@@ -1069,32 +1097,40 @@ QUOTE_TABLE = [TEAMS_HEADER.strip()] + [f"t{i},ar,FF,1,2" for i in range(1, 24)]
 CROSSING_QUOTE = {9: 't8,"ar', **{line: "x" for line in range(10, 15)}, 15: 'MX",FF,1,2'}
 
 
+QUOTE_CASES = {
+    "no quote": ({}, [1], 24),
+    "quote closing on its line": ({8: '"t7",ar,FF,1,2'}, [1, *range(6, 10)], 24),
+    "quote across two blocks": (CROSSING_QUOTE, [1, *range(6, 18)], 24),
+    # The read stops at the bad byte's row.
+    "then a bad byte": (
+        {**CROSSING_QUOTE, 23: "t22,\xff,FF,1,2"}, [1, *range(6, 18), 22, 23], 22
+    ),
+}
+
+
 @pytest.mark.parametrize(
-    "edits, fed, last_row",
-    [
-        ({8: '"t7",ar,FF,1,2'}, [1, *range(6, 10)], 24),
-        (CROSSING_QUOTE, [1, *range(6, 18)], 24),
-        # The read stops at the bad byte's row.
-        ({**CROSSING_QUOTE, 23: "t22,\xff,FF,1,2"}, [1, *range(6, 18), 22, 23], 22),
-    ],
-    ids=["quote closing on its line", "quote across two blocks", "then a bad byte"],
+    "edits, fed, last_row, newline",
+    [(*case, "\n") for case in QUOTE_CASES.values()]
+    + [(*case, "\r") for case in QUOTE_CASES.values()],
+    ids=[*QUOTE_CASES, *(f"{name}, lone CR" for name in QUOTE_CASES)],
 )
 def test_csv_reader_reads_only_the_blocks_a_quote_spans(
-    tmp_path, monkeypatch, edits, fed, last_row
+    tmp_path, monkeypatch, edits, fed, last_row, newline
 ):
     """Past the header's block, csv.reader reads only the blocks a quoted
     cell spans (``fed``: line numbers); the blocks after it go back to the
-    comma split. Rows, lines and errors are the row-form reader's."""
+    comma split, whether lines end in LF or a lone CR. Rows, lines and
+    errors are the row-form reader's."""
     monkeypatch.setattr(io_report, "_CHUNK_ROWS", 4)
     lines = [edits.get(number, line) for number, line in enumerate(QUOTE_TABLE, 1)]
     path = tmp_path / "teams.csv"
-    path.write_bytes("".join(line + "\n" for line in lines).encode("latin-1"))
+    path.write_bytes("".join(line + newline for line in lines).encode("latin-1"))
     read = []
     with mock.patch.object(csv, "reader", csv_reader_spy(read)):
         got = drain(READ_CSV(path, io_report.TEAM_COLUMNS))
     assert got == drain(read_csv_columns(path, io_report.TEAM_COLUMNS))
     assert got[1][-1][0] == last_row
-    text = path.read_text(encoding="utf-8", errors="surrogateescape").splitlines(True)
+    text = path.read_bytes().decode("utf-8", "surrogateescape").splitlines(True)
     assert read == [text[number - 1] for number in fed]
 
 

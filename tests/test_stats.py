@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from oracles import f_tail_by_quadrature
+from teamgaze import stats
 from teamgaze.stats import (
     GroupSummary,
     anova_from_summary,
@@ -129,8 +130,9 @@ def test_cohens_d_matches_published_values():
 
 
 def test_cohens_d_identical_groups_is_zero():
-    group = GroupSummary("a", 10, 5.0, 2.0)
-    assert cohens_d(group, group) == 0.0
+    for sd in (2.0, 0.0):  # a zero pooled SD with equal means too
+        group = GroupSummary("a", 10, 5.0, sd)
+        assert cohens_d(group, group) == 0.0
 
 
 def test_cohens_d_degenerate_pooled_sd():
@@ -252,6 +254,10 @@ def test_f_tail_at_zero_is_one():
     assert f_tail_p(0.0, 2, 27) == 1.0
 
 
+def test_f_tail_at_infinity_is_zero():
+    assert f_tail_p(math.inf, 1, 28) == 0.0
+
+
 def test_f_tail_published_p_value():
     assert f_tail_p(3.26, 2, 27) == pytest.approx(0.054, abs=0.001)
 
@@ -290,6 +296,53 @@ def test_incomplete_beta_edge_cases():
     assert regularized_incomplete_beta(2.5, 4.5, 0.3) == pytest.approx(
         scipy_stats.beta.cdf(0.3, 2.5, 4.5), abs=1e-12
     )
+
+
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        (GroupSummary, ("a", 5, 1.0, -0.1), "standard deviation must be non-negative"),
+        (anova_oneway, ([[1.0, 2.0, 3.0]],), "need at least two groups"),
+        (anova_oneway, ([[1.0], [2.0, 3.0]],), "insufficient data: every group needs n >= 2"),
+        (anova_from_summary, ([JVA_CONTROL],), "need at least two groups"),
+        (pearson, ([1.0, 2.0, 3.0], [1.0, 2.0]), "x and y must have equal length"),
+        # Constant x: without the size check, the constant-variable error.
+        (pearson, ([1.0, 1.0], [1.0, 2.0]), "insufficient data: need n >= 3"),
+        (correlation_from_r, (1.5, 10), "r must lie in [-1, 1]"),
+        (correlation_from_r, (0.5, 2), "insufficient data: need n >= 3"),
+        (regularized_incomplete_beta, (0.0, 1.0, 0.5), "a and b must be positive"),
+        (regularized_incomplete_beta, (1.0, -1.0, 0.5), "a and b must be positive"),
+        (f_tail_p, (-1.0, 1, 28), "f must be non-negative"),
+        (f_tail_p, (1.0, 0, 28), "degrees of freedom must be >= 1"),
+        (f_tail_p, (1.0, 1, 0), "degrees of freedom must be >= 1"),
+    ],
+    ids=["negative sd", "one group", "one-value group", "one summary",
+         "unequal lengths", "two points", "r over 1", "r of two points",
+         "a zero", "b negative", "negative f", "df1 zero", "df2 zero"],
+)
+def test_bad_input_is_rejected_naming_its_fault(call, args, message):
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    assert str(info.value) == message
+
+
+def test_incomplete_beta_that_does_not_converge_names_its_last_step(monkeypatch):
+    """The message gives the fraction's arguments and its last odd-term
+    update, so it also pins the first step of the continued fraction."""
+    monkeypatch.setattr(stats, "_BETA_MAX_ITER", 1)
+    with pytest.raises(RuntimeError) as info:
+        f_tail_p(6.65, 1, 28)
+    assert str(info.value) == (
+        "incomplete beta did not converge: a=14.0, b=0.5, x=0.8080808080808081, "
+        "iterations=1, last delta=1.379e-02"
+    )
+
+
+def test_continued_fraction_steps_over_a_zero_denominator():
+    """At a=1, b=3, x=0.5 the fraction's first denominator is 0; the guard
+    carries it through to I_0.5(1, 3) = 1 - 0.5**3, over the front factor
+    x**a (1-x)**b / (a B(a, b)) = 0.1875."""
+    assert stats._betacf(1.0, 3.0, 0.5) * 0.1875 == pytest.approx(0.875, rel=1e-12)
 
 
 def test_grand_mean_reconstruction_of_totals():

@@ -292,6 +292,11 @@ def test_value_text_is_percent_4f(values):
         (dict(teams=3, jva_probability={"textbook": 0.2, "tablet": 0.3, "ar": 0.1,
                                         "team1": 0.3}),
          "jva_probability key 'team1' is neither"),
+        (dict(teams=0), "counts must be positive"),
+        (dict(frames_per_team=0), "counts must be positive"),
+        (dict(image_w=0), "image dimensions must be positive"),
+        (dict(image_h=-1), "image dimensions must be positive"),
+        (dict(gaze_noise_sigma=-1.0), "noise sigma must be non-negative"),
     ],
 )
 def test_bad_spec_is_rejected_naming_its_field(kwargs, message):
