@@ -6,13 +6,15 @@ team), and for ``teamgaze stats`` a per-team results or summary table
 (``stats_report_from_table`` tells them apart by the header it reads).
 One reader, ``_read_csv``, tokenizes all four under one contract and
 yields their rows a chunk at a time in column form. It reads each file
-once as bytes, a block of lines at a time, each block decoded once by
-``model.input_text``; a block ends at any line end (LF, CR LF or a lone
-CR). A plain block is split at every comma in one pass straight into
-columns, and every other block (the header's, and any holding quotes,
-NUL, comment or blank lines, over-long cells, rows of another width or
-bytes that are not UTF-8) goes through one csv.reader loop, which reads
-on into the next blocks only while a quoted cell is open.
+once as bytes, a block of lines at a time; a block ends at any line end
+(LF, CR LF or a lone CR). A plain block is split as bytes at every comma
+in one pass straight into columns of ``bytes`` cells. Every other block
+(the header's, and any holding quotes, NUL, comment or blank lines,
+over-long cells, rows of another width or bytes that are not UTF-8) is
+decoded by ``model.input_text`` and goes through one csv.reader loop,
+which reads on into the next blocks only while a quoted cell is open;
+its cells are ``str``. The column parsers read either type by one rule
+(see ``_read_csv``).
 The tokenizer names the line of a fault in the text; the column parsers
 (``_FrameRows``, ``_TeamColumns``) name the first bad cell's row
 themselves. Each error of a table reader starts with the table's path
@@ -120,8 +122,13 @@ FRAME_COLUMNS = [
 _MANDATORY_FRAME_COLUMNS = FRAME_COLUMNS[:-1]
 TEAM_COLUMNS = ["team_id", "condition", "gender", "post_test_1", "post_test_2"]
 
-# Accepted ``discarded`` cells after stripping and lower-casing.
-_DISCARDED_TOKENS = {"": False, "0": False, "false": False, "1": True, "true": True}
+# Accepted ``discarded`` cells after stripping and lower-casing, as text
+# and as bytes.
+_DISCARDED_TOKENS = {
+    t: flag
+    for token, flag in {"": False, "0": False, "false": False, "1": True, "true": True}.items()
+    for t in (token, token.encode())
+}
 
 # Lines or rows read per step. Small enough for one step's cells to stay
 # in the CPU cache: steps of 16k frame rows parsed slower than 1k.
@@ -163,6 +170,16 @@ class LoadResult:
     row_errors: list[str] = field(default_factory=list)
 
 
+def _str(cell):
+    """A cell as text: a plain block's cells are bytes (see ``_read_csv``)."""
+    return cell.decode() if isinstance(cell, bytes) else cell
+
+
+def _text(cells: Sequence) -> Sequence:
+    """A chunk's column as text; its cells are all bytes or all not."""
+    return list(map(bytes.decode, cells)) if cells and isinstance(cells[0], bytes) else cells
+
+
 def _parse_float(value: str, column: str, line: int, kind=float) -> float:
     try:
         return kind(value)
@@ -185,14 +202,19 @@ def _constant(cells: Sequence) -> bool:
     return bool(cells) and cells[0] == cells[-1] and cells.count(cells[0]) == len(cells)
 
 
-def _floats(cells: Sequence[str], column: str, lines: np.ndarray) -> np.ndarray:
-    """A column's cells as floats; the first that is not a number is an error."""
+def _floats(cells: Sequence, column: str, lines: np.ndarray) -> np.ndarray:
+    """A column's cells as floats; the first that is not a number is an error.
+
+    ``float`` reads bytes as ASCII only, so a column it fails on is read
+    again as text, where U+00A0 is a space and "١" a digit."""
     try:
         if _constant(cells):
             return np.full(len(cells), float(cells[0]))
         return np.fromiter(map(float, cells), float, len(cells))
     except ValueError:
-        return np.array([_parse_float(c, column, line) for c, line in zip(cells, lines.tolist())])
+        return np.array(
+            [_parse_float(c, column, line) for c, line in zip(_text(cells), lines.tolist())]
+        )
 
 
 def _first(bad: np.ndarray) -> int:
@@ -234,39 +256,58 @@ def _read_csv(
     bad cell is named by the table's parser.
 
     The file is read once as bytes, its first line alone and then
-    ``_CHUNK_ROWS`` lines at a time, each ending at LF, CR LF or a lone CR,
-    each block decoded once. The cells are those ``csv.reader`` gives. A
-    plain block after the header's, one holding no ``"``, NUL, ``#``, blank
-    line, line over the csv field limit or byte that is not UTF-8, whose
-    rows all have the header's width, is split at every comma in one pass;
-    its lines may end in a lone CR, where csv.reader ends an unquoted row
-    too. Every other block goes through one csv.reader loop that keeps each
-    row with its line, the reader's own count. A quoted cell may hold a line
-    break, so the loop reads on into the next blocks while one is open, and
-    hands back at the first row ending on a block's last line.
+    ``_CHUNK_ROWS`` lines at a time, each ending at LF, CR LF or a lone CR.
+    The cells are those ``csv.reader`` gives, as text or as that text's
+    UTF-8 bytes. A plain block after the header's, one holding no ``"``,
+    NUL, ``#``, line over the csv field limit or byte that is not UTF-8,
+    whose rows all have the header's width, is split as bytes at every
+    comma in one pass, so its cells are ``bytes``; its lines may end in a
+    lone CR, where csv.reader ends an unquoted row too. A blank line, a
+    row of one empty cell, fails the width check: each caller's header has
+    at least four columns before its rows are read. A block that is not
+    ASCII is decoded as it is read, to find a bad byte. Every other block
+    is decoded by ``model.input_text`` and goes through one csv.reader loop
+    that keeps each row with its line, the reader's own count; its cells
+    are ``str``. A quoted cell may hold a line break, so the loop reads on
+    into the next blocks while one is open, and hands back at the first
+    row ending on a block's last line.
+
+    A parser takes either cell type by one rule: ``float()`` and lookups
+    of exact tokens read a cell as it is, and a cell is decoded (``_str``,
+    or a column at a time by ``_text``) before any ``strip``, ``lower``,
+    non-ASCII number or message, so bytes and text give the same values
+    and errors.
     """
     limit = csv.field_size_limit()
     header, error = None, None
     done = read = 0  # the last line of a row, and the last line read
     undecoded = None  # the first line with a byte that is not UTF-8, and its problem
 
-    def read_blocks(fh) -> Iterator[str]:
-        """The text of ``fh``'s first line, then of ``_CHUNK_ROWS`` lines at a time."""
+    def read_blocks(fh) -> Iterator[tuple]:
+        """``fh``'s first line, then ``_CHUNK_ROWS`` lines at a time, each
+        block as its bytes and, if they are not all ASCII, its text."""
         nonlocal read, undecoded
         size = 1  # a header on the first line leaves the rows after it a plain block
-        pending = iter(())  # the lines of a read from ``fh`` past its block
-        while raw := list(islice(pending, size)) or list(islice(fh, size)):
-            data = b"".join(raw)
-            if b"\r" in data and len(split := data.splitlines(keepends=True)) > len(raw):
-                # Lone CRs in a read from ``fh``, which splits at LF only.
-                raw, pending = split[:size], iter(split[size:])
+        pending = iter(())  # the lines of a read from ``fh`` past its block, split
+        while True:
+            if raw := list(islice(pending, size)):
                 data = b"".join(raw)
-            text, bad = input_text(data, file_start=not read)
-            if undecoded is None and bad:
-                undecoded = read + bad[0], bad[1]
+            elif raw := list(islice(fh, size)):
+                data = b"".join(raw)
+                if b"\r" in data and len(split := data.splitlines(keepends=True)) > len(raw):
+                    # Lone CRs in a read from ``fh``, which splits at LF only.
+                    raw, pending = split[:size], iter(split[size:])
+                    data = b"".join(raw)
+            else:
+                return
+            text = None
+            if not data.isascii():
+                text, bad = input_text(data, file_start=not read)
+                if undecoded is None and bad:
+                    undecoded = read + bad[0], bad[1]
             read += len(raw)
             size = _CHUNK_ROWS
-            yield text
+            yield data, text
 
     def column_chunk(lines: list, rows: list) -> tuple:
         # A short row stays apart from an empty cell: zip_longest fills None.
@@ -279,27 +320,30 @@ def _read_csv(
 
     with open(path, "rb") as fh:
         blocks = read_blocks(fh)
-        for text in blocks:
-            plain = text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+        for data, text in blocks:
+            plain = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
             if header is not None and not (
                 undecoded
-                or any(mark in plain for mark in ('"', "\0", "#", "\n\n"))
-                or plain[0] == "\n"
-                or len(plain) > limit and max(map(len, plain.split("\n"))) > limit
+                or any(mark in plain for mark in (b'"', b"\0", b"#"))
+                or len(plain) > limit and max(map(len, plain.split(b"\n"))) > limit
             ):
                 # A row of the header's width puts each LF cell at every
-                # (width + 1)-th place.
+                # (width + 1)-th place. A blank line is a row of one cell, and
+                # a table whose rows are read has at least four columns.
                 n = read - done  # each block before it ended on a row's last line
-                cells = plain.removesuffix("\n").replace("\n", ",\n,").split(",")
+                cells = plain.removesuffix(b"\n").replace(b"\n", b",\n,").split(b",")
                 if len(cells) == n * (width + 1) - 1 and (
-                    cells[width :: width + 1].count("\n") == n - 1
+                    cells[width :: width + 1].count(b"\n") == n - 1
                 ):
                     lines = np.arange(done + 1, done + n + 1)
                     yield lines, {c: cells[i :: width + 1] for c, i in used.items()}, False
                     done += n
                     continue
             base = done
-            texts = chain([text], blocks)
+            texts = (
+                raw.decode() if decoded is None else decoded
+                for raw, decoded in chain([(data, text)], blocks)
+            )
             reader = csv.reader(chain.from_iterable(StringIO(t, newline="") for t in texts))
             lines, rows = [], []
             try:
@@ -369,15 +413,15 @@ def read_frame_table(path: Union[str, Path]) -> FrameTable:
 
 
 class _Ids:
-    """Numbers ids (stripped cells) 0, 1, ... in the order they arrive."""
+    """Numbers ids (stripped text of cells) 0, 1, ... in the order they arrive."""
 
     def __init__(self):
         self.names: list[str] = []
         self.number: dict[str, int] = {}
-        # Every raw cell seen so far, so most cells cost one lookup.
-        self._cell_number: dict[str, int] = {}
+        # Every raw cell (str or bytes) seen so far, so most cells cost one lookup.
+        self._cell_number: dict = {}
 
-    def codes(self, cells: Sequence[str]) -> np.ndarray:
+    def codes(self, cells: Sequence) -> np.ndarray:
         if _constant(cells):
             self._add(cells[:1])
             return np.full(len(cells), self._cell_number[cells[0]], np.int64)
@@ -387,11 +431,11 @@ class _Ids:
             self._add(dict.fromkeys(cells))  # the chunk's distinct cells, in order
         return np.fromiter(map(self._cell_number.__getitem__, cells), np.int64, len(cells))
 
-    def _add(self, cells: Iterable[str]) -> None:
+    def _add(self, cells: Iterable) -> None:
         """Number each of ``cells`` not seen before."""
         for cell in cells:
             if cell not in self._cell_number:
-                name = cell.strip()
+                name = _str(cell).strip()
                 if name not in self.number:
                     self.number[name] = len(self.names)
                     self.names.append(name)
@@ -485,7 +529,9 @@ class _FrameRows(_ChunkParser):
         for c in ("image_w", "image_h"):
             sizes.append(_floats(cells[c], c, lines))
             if (i := _first(~np.isfinite(sizes[-1]))) >= 0:
-                raise ValueError(f"line {lines[i]}: column {c!r} not finite: {cells[c][i]!r}")
+                raise ValueError(
+                    f"line {lines[i]}: column {c!r} not finite: {_str(cells[c][i])!r}"
+                )
         w, h = sizes
         if (i := _first((w < 1) | (h < 1))) >= 0:  # a whole pixel is at least 1
             raise ValueError(f"line {lines[i]}: non-positive image dimensions")
@@ -497,6 +543,7 @@ class _FrameRows(_ChunkParser):
             read = tokens[:1] if _constant(tokens) else tokens
             if None in (flags := list(map(_DISCARDED_TOKENS.get, read))):
                 # A short row's lacking cell (None) reads as empty.
+                tokens = _text(tokens)
                 flags = [_DISCARDED_TOKENS.get((t or "").strip().lower()) for t in tokens]
                 if None in flags:
                     i = flags.index(None)
@@ -539,15 +586,15 @@ class _FrameRows(_ChunkParser):
             ("image_h", h, int),
             ("discarded", discarded, bool),
         ):
+            at_ref = values[ref]
+            differ = np.flatnonzero(values != at_ref)
             # NaN timestamps agree with each other.
-            same = (values == values[ref]) | (
-                (values != values) & (values[ref] != values[ref])
-            )
-            if not same.all():
-                r = int(np.argmin(same))
+            v, v_ref = values[differ], at_ref[differ]
+            if (differ := differ[(v == v) | (v_ref == v_ref)]).size:
+                r = int(differ[0])
                 problems.append((r, (
                     f"line {line[r]}: {name} {shown(values[r])} differs from "
-                    f"{shown(values[ref[r]])} on line {line[ref[r]]} for {where(r)}"
+                    f"{shown(at_ref[r])} on line {line[ref[r]]} for {where(r)}"
                 )))
         pair_key = frame_no * len(self.persons.names) + person
         # Keys in strictly increasing order hold no repeat.
@@ -651,9 +698,12 @@ _GENDERS = list(GenderComposition)
 _GROUPS = list(Group)
 _CONDITION_GROUP = np.array([_GROUPS.index(group_for_condition(c)) for c in _CONDITIONS])
 
-# Each member's code by its token as written and lower-cased.
-_CONDITION_CODES = {t: i for i, c in enumerate(_CONDITIONS) for t in (c.value, c.value.lower())}
-_GENDER_CODES = {t: i for i, g in enumerate(_GENDERS) for t in (g.value, g.value.lower())}
+# Each member's code by its token as written and lower-cased, as text and as bytes.
+_CONDITION_CODES, _GENDER_CODES = (
+    {t: i for i, m in enumerate(members) for v in (m.value, m.value.lower())
+     for t in (v, v.encode())}
+    for members in (_CONDITIONS, _GENDERS)
+)
 
 # The numbers of each team-level table as (column, high, optional), in the
 # order a row's cells are checked after team_id, condition and gender.
@@ -662,16 +712,17 @@ _TEAM_ROW_NUMBERS = (("jva_ratio_pct", 100, True), ("team_post_test", 5, False))
 
 
 def _codes(cells: dict, column: str, lines: np.ndarray, codes: dict, members: list) -> np.ndarray:
-    """Each cell's code, looked up as written, else stripped and lower-cased;
-    the first cell of no member is an error."""
+    """Each cell's code, looked up as written, else as text stripped and
+    lower-cased; the first cell of no member is an error."""
     found = list(map(codes.get, cells[column]))
     if None in found:
-        found = [codes.get(cell.strip().lower()) for cell in cells[column]]
+        text = _text(cells[column])
+        found = [codes.get(cell.strip().lower()) for cell in text]
         if None in found:
             i = found.index(None)
             allowed = " | ".join(m.value for m in members)
             raise ValueError(
-                f"line {lines[i]}: unknown {column} {cells[column][i]!r}, expected {allowed}"
+                f"line {lines[i]}: unknown {column} {text[i]!r}, expected {allowed}"
             )
     return np.array(found, dtype=np.int8)
 
@@ -703,7 +754,7 @@ class _TeamColumns(_ChunkParser):
         n = len(lines)
         if short:
             cells = {c: ["" if v is None else v for v in values] for c, values in cells.items()}
-        team_ids = list(map(str.strip, cells["team_id"]))
+        team_ids = list(map(str.strip, _text(cells["team_id"])))
         # Each id's first line in the chunk: the last of the reversed pairs wins.
         first = dict(zip(reversed(team_ids), reversed(lines.tolist())))
         if len(first) < n or not self.first_line.keys().isdisjoint(first):
@@ -720,12 +771,12 @@ class _TeamColumns(_ChunkParser):
                 continue
             raw, empty = cells[name], False
             if optional:
-                raw = list(map(str.strip, raw))
+                raw = list(map(str.strip, _text(raw)))
                 empty = np.fromiter(map(operator.not_, raw), bool, n)
             text = list(map({"": "nan"}.get, raw, raw)) if optional else raw
             numbers = _floats(text, name, lines)
             if (i := _first(~((numbers >= 0) & (numbers <= high) | empty))) >= 0:
-                raise ValueError(f"line {lines[i]}: {name} {raw[i]!r} out of [0,{high}]")
+                raise ValueError(f"line {lines[i]}: {name} {_str(raw[i])!r} out of [0,{high}]")
             values.append(numbers)
         self.first_line.update(first)
         self.team_ids.extend(team_ids)
@@ -1051,7 +1102,7 @@ def _summaries(chunks: Iterator) -> tuple[dict, dict]:
     first_line: dict = {}
     for lines, cells, _ in chunks:
         for line, row in zip(lines.tolist(), zip(*(cells[c] for c in _SUMMARY_COLUMNS))):
-            grouping, label, measure, n, mean, sd = ("" if v is None else v for v in row)
+            grouping, label, measure, n, mean, sd = ("" if v is None else _str(v) for v in row)
             key = (grouping.strip(), label.strip(), measure.strip())
             _check_new_key(first_line, key, line, "summary")
             grouping, label, measure = key

@@ -166,15 +166,17 @@ def team_jva_counts(
     else:
         counted = ~discarded
     scored = np.flatnonzero(valid_pair & ~discarded)
-    # Distinct (width, height) pairs, as complex numbers: np.unique sorts
-    # those far faster than rows of a 2-column array.
-    sizes, size_of = np.unique(
-        width[scored] + 1j * height[scored], return_inverse=True
-    )
+    # Frames come in runs of one size: the distinct (width, height) pairs
+    # are those of the runs' heads, as complex numbers (np.unique sorts
+    # those far faster than rows of a 2-column array).
+    size = width[scored] + 1j * height[scored]
+    head = np.ones(len(size), bool)
+    head[1:] = size[1:] != size[:-1]
+    sizes, size_of = np.unique(size[head], return_inverse=True)
     threshold = np.array(
         [config.effective_threshold(int(s.real), int(s.imag)) for s in sizes.tolist()],
         dtype=float,
-    )[size_of]
+    )[size_of.reshape(-1)[np.cumsum(head) - 1]]
     first = row_offsets[scored]
     dx = gaze_x[first] - gaze_x[first + 1]
     dy = gaze_y[first] - gaze_y[first + 1]

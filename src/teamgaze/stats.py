@@ -296,7 +296,5 @@ def f_tail_p(f: float, df1: int, df2: int) -> float:
         raise ValueError("degrees of freedom must be >= 1")
     if f == 0:
         return 1.0
-    if math.isinf(f):
-        return 0.0
     x = df2 / (df2 + df1 * f)
     return regularized_incomplete_beta(df2 / 2.0, df1 / 2.0, x)

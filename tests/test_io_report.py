@@ -888,6 +888,9 @@ FUZZ_TABLES = [
 ODD_CELLS = st.one_of(
     st.sampled_from(["-1", "0", "1", "2.5", "1e200", "1e400", "nan", "inf"]),
     st.sampled_from(["", " ", "#", '"', "\r", "\n", "\x00"]),
+    # Spellings that read apart as text and as bytes: U+00A0 and U+001F
+    # strip as text only, and float() reads "١" (Arabic-Indic one) as text only.
+    st.sampled_from(["\xa0t1", "\x1ft2", "\xa0ar", "\x1fFF", "\xa03", "١", "\xa0", "\x1f"]),
     st.text(max_size=3),
 )
 
@@ -996,15 +999,19 @@ def tokenizer_files(draw):
 
 
 def drain(chunks) -> tuple:
-    """A column-form reader's header, each row's line and cells, and the
-    message of the error it ends with."""
+    """A column-form reader's header, each row's line and cells as text (a
+    plain block's cells are bytes), and the message of the error it ends
+    with."""
     header, rows, error = None, [], None
     try:
         header = next(chunks)
         for lines, cells, short in chunks:
             assert short == any(None in values for values in cells.values())
             for i, line in enumerate(lines.tolist()):
-                rows.append((line, {name: values[i] for name, values in cells.items()}))
+                rows.append((line, {
+                    name: values[i].decode() if isinstance(values[i], bytes) else values[i]
+                    for name, values in cells.items()
+                }))
     except ValueError as exc:
         error = str(exc)
     return header, rows, error
@@ -1076,6 +1083,31 @@ def test_column_chunks_match_the_row_form_reader(chunk_rows, data, limit):
         csv.field_size_limit(default_limit)
 
 
+# Spellings of a cell that read apart as text and as bytes: U+00A0, U+3000
+# and U+001F strip as text only, and float() reads U+00A0 and U+3000 as
+# spaces and Arabic-Indic digits ("١") as digits as text only.
+TEXT_ONLY_SPELLINGS = ["\xa0{}", "\x1f{}", "{}　", "١", "\xa0١　", "\xa0"]
+
+
+@pytest.mark.parametrize("spelling", TEXT_ONLY_SPELLINGS)
+@pytest.mark.parametrize("table", range(4), ids=["frames", "teams", "team rows", "summary"])
+def test_a_plain_block_s_bytes_read_as_its_text(tmp_path, table, spelling):
+    """A plain block's cells are bytes; each loader reads them as the text
+    the row-form reader gives, in a column of one cell and among others."""
+    header, rows = FUZZ_TABLES[table]
+    path = tmp_path / "table.csv"
+    for column in range(len(header.split(","))):
+        for edited in ([0], range(len(rows))):
+            lines = [line.split(",") for line in rows]
+            for i in edited:
+                lines[i][column] = spelling.format(lines[i][column])
+            path.write_text(header.strip() + "\n" + "".join(",".join(c) + "\n" for c in lines))
+            for load in TABLE_READERS:
+                got = outcome(load, path)
+                with mock.patch.object(io_report, "_read_csv", read_csv_columns):
+                    assert got == outcome(load, path)
+
+
 def csv_reader_spy(fed: list):
     """``csv.reader``, noting in ``fed`` each line it is fed."""
     real = csv.reader
@@ -1101,6 +1133,7 @@ QUOTE_CASES = {
     "no quote": ({}, [1], 24),
     "quote closing on its line": ({8: '"t7",ar,FF,1,2'}, [1, *range(6, 10)], 24),
     "quote across two blocks": (CROSSING_QUOTE, [1, *range(6, 18)], 24),
+    "blank line mid-block": ({7: ""}, [1, *range(6, 10)], 24),
     # The read stops at the bad byte's row.
     "then a bad byte": (
         {**CROSSING_QUOTE, 23: "t22,\xff,FF,1,2"}, [1, *range(6, 18), 22, 23], 22
@@ -1135,17 +1168,19 @@ def test_csv_reader_reads_only_the_blocks_a_quote_spans(
 
 
 # Cells a frame row may hold in place of its own, by column: stripped
-# duplicates of other ids, and values each check of a row rejects.
+# duplicates of other ids, values each check of a row rejects, and
+# spellings that read apart as text and as bytes (U+00A0 and U+001F strip
+# as text only; float() reads U+00A0 and Arabic-Indic digits as text only).
 ODD_FRAME_CELLS = {
-    "team_id": ["  ", " t0", "t1 "],
+    "team_id": ["  ", " t0", "t1 ", "\xa0t0", "\x1ft1"],
     "frame_id": ["", " f0", "f1 "],
-    "timestamp_s": ["x", "nan", "inf", "5.0"],
+    "timestamp_s": ["x", "nan", "inf", "5.0", "\xa05.0", "١٠"],
     "image_w": ["x", "inf", "0", "0.5", "1280.7", "640"],
     "image_h": ["nan", "-720", "720.9", "1e400"],
     "person_id": ["p0", " p1", ""],
     "gaze_x": ["-1", "nan", "x", "1e9", "0"],
     "gaze_y": ["-0.25", "inf", ""],
-    "discarded": ["maybe", " TRUE", "", "1", "False"],
+    "discarded": ["maybe", " TRUE", "", "1", "False", "\xa01"],
 }
 FRAME_TABLE_COLUMNS = FRAME_HEADER.strip().split(",")
 
