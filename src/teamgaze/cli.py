@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="append",
         default=None,
         help="either a probability, or NAME=P where NAME is a team id or a "
-        "condition (textbook/tablet/ar); repeatable",
+        "condition (textbook/tablet/ar); repeatable, once per NAME",
     )
     synth.add_argument("--noise-sigma", type=float, default=0.0)
     synth.add_argument("--seed", type=int, default=0)
@@ -157,7 +157,12 @@ def _parse_probability_flags(raw_flags):
     for raw in raw_flags:
         if "=" in raw:
             name, value = raw.split("=", 1)
-            mapping[name.strip()] = float(value)
+            name = name.strip()
+            if name in mapping:
+                raise ValueError(f"--jva-probability {name} given more than once")
+            mapping[name] = float(value)
+        elif plain is not None:
+            raise ValueError("--jva-probability: more than one plain probability")
         else:
             plain = float(raw)
     if mapping and plain is not None:

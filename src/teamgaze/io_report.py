@@ -1520,6 +1520,7 @@ def load_config(path: Optional[Union[str, Path]] = None, **overrides) -> JvaConf
     '#' starts a comment. Keys: threshold, scale_mode, denominator_policy.
     """
     values: dict = {}
+    first_line: dict = {}
     if path is not None:
         text, bad = input_text(Path(path).read_bytes())
         if bad:
@@ -1534,6 +1535,11 @@ def load_config(path: Optional[Union[str, Path]] = None, **overrides) -> JvaConf
             parse = _CONFIG_KEYS.get(key)
             if parse is None:
                 raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
+            if key in first_line:
+                raise ValueError(
+                    f"{path}:{line_no}: duplicate key {key!r} (first on line {first_line[key]})"
+                )
+            first_line[key] = line_no
             try:
                 values[key] = parse(value)
                 JvaConfig(**{key: values[key]})  # range check of this one value

@@ -13,18 +13,22 @@ so output is reproducible across platforms and teams are independent
 streams: team k's rows are the same whatever the number of teams. The
 keys of a block of teams are derived at once, by SeedSequence's hash in
 array form (``_team_keys``), and one generator is re-keyed before each
-team's draws. Each stream gives the team's two post-test scores, then one
-array of uniforms for each frame quantity (JVA coin, target x, target y,
-partner angle) and, when the noise sigma is positive, one array of
-Gaussian offsets for each gaze coordinate. Frames are built with
+team's draws. Each stream gives, in one draw into the team's row of a
+block buffer, the team's two post-test uniforms, then one array of
+uniforms for each frame quantity (JVA coin, target x, target y, partner
+angle); when the noise sigma is positive, one more draw gives the
+Gaussian offsets of each gaze coordinate. Frames are built with
 whole-array operations and written a block of teams at a time.
 
-Frame rows are built as bytes, a block at a time, with no per-row Python
-work. Each row is a record of fixed-width byte fields (team id, the
-frame/person cells, then each gaze coordinate's ``"%.4f"`` text and its
-comma), shorter texts padded with NULs, and the block is written with the
-NULs taken out. A coordinate's text comes from its 4-digit groups through
-small digit tables (``_value_text``).
+Rows are built as bytes, a block at a time, with no per-row Python work.
+Each row is a record of fixed-width byte fields (for a frame row: team
+id, the frame/person cells, then each gaze coordinate's ``"%.4f"`` text
+and its comma), shorter texts padded with NULs, and the block is written
+with the NULs taken out (``_records``). A coordinate's text comes from
+its 4-digit groups through small digit tables (``_value_text``). The
+ground truth is written the same way from the label arrays, teams in
+sorted id order (``_truth_json``); ``GroundTruth.to_json`` gives the same
+bytes through ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -77,6 +81,9 @@ _GROUP_TEXT = _group_text()
 
 # Team indices are one-word (uint32) spawn keys.
 _MAX_TEAMS = 1 << 32
+
+# The id of the team at index i, formatted with i + 1: "team01", ..., "team100".
+_TEAM_ID = "team%02d"
 
 _CONDITION_CYCLE = (Condition.TEXTBOOK, Condition.TABLET, Condition.AR)
 _GENDER_CYCLE = (
@@ -154,8 +161,10 @@ class GroundTruth:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _team_id(index: int) -> str:
-    return f"team{index + 1:02d}"
+def _team_ids(indices: range) -> list[str]:
+    """The ids of the teams at ``indices``, built by one format call."""
+    numbers = tuple(range(indices.start + 1, indices.stop + 1))
+    return ((_TEAM_ID + " ") * len(numbers) % numbers).split()
 
 
 def _checked_probability(name: str, value) -> float:
@@ -185,13 +194,13 @@ def _probability_keys(spec: SynthSpec) -> tuple[list[float], dict[int, float]]:
         index = int(number[1]) - 1 if number else -1
         if key in conditions:
             by_condition[conditions.index(key)] = value
-        elif 0 <= index < spec.teams and _team_id(index) == key:
+        elif 0 <= index < spec.teams and _TEAM_ID % (index + 1) == key:
             by_team[index] = value
         else:
             raise ValueError(
                 f"jva_probability key {key!r} is neither a condition "
                 f"({', '.join(conditions)}) nor a team id of this spec "
-                f"({_team_id(0)}..{_team_id(spec.teams - 1)})"
+                f"({_TEAM_ID % 1}..{_TEAM_ID % spec.teams})"
             )
     # The first team of each unnamed condition that has no key of its own.
     uncovered = [
@@ -202,7 +211,7 @@ def _probability_keys(spec: SynthSpec) -> tuple[list[float], dict[int, float]]:
     index = min(uncovered, default=spec.teams)
     if index < spec.teams:
         raise ValueError(
-            f"no jva_probability for {_team_id(index)} or its condition "
+            f"no jva_probability for {_TEAM_ID % (index + 1)} or its condition "
             f"{conditions[index % len(conditions)]}"
         )
     return by_condition, by_team
@@ -334,6 +343,52 @@ def _value_text(values: np.ndarray) -> np.ndarray:
     return text
 
 
+def _records(shape: tuple, fields: Sequence) -> np.ndarray:
+    """Records of byte fields side by side, a uint8 array of ``shape`` plus
+    the record width; their text is its bytes with the NULs taken out.
+
+    Each field is ``bytes`` or a uint8 array of NUL-padded texts that
+    broadcasts to ``shape`` plus its own width.
+    """
+    fields = [np.frombuffer(f, dtype=np.uint8) if isinstance(f, bytes) else f for f in fields]
+    rec = np.empty(shape + (sum(f.shape[-1] for f in fields),), dtype=np.uint8)
+    at = 0
+    for field in fields:
+        rec[..., at:at + field.shape[-1]] = field
+        at += field.shape[-1]
+    return rec
+
+
+def _texts(texts: Sequence) -> np.ndarray:
+    """``texts`` as rows of NUL-padded ASCII bytes, shape (len, widest)."""
+    array = np.array(texts, dtype=bytes)
+    return array.view(np.uint8).reshape(len(texts), array.itemsize)
+
+
+def _truth_json(names: Sequence[str], jva: np.ndarray) -> bytes:
+    """``GroundTruth.to_json()`` of the teams ``names`` with frame labels
+    ``jva`` (bool, shape (teams, frames)).
+
+    Teams go in ``sorted(names)`` order. Each team's label list is laid out
+    whole, "[" and ","-separated digits and "]"; each ratio's JSON text is
+    formatted once per count of JVA frames.
+    """
+    ids = np.array(names, dtype=bytes)
+    order = np.argsort(ids)
+    ids, jva = _texts(ids[order]), jva[order]
+    n_frames = jva.shape[1]
+    labels = np.full((len(jva), 2 * n_frames + 1), ord(","), dtype=np.uint8)
+    labels[:, 0], labels[:, -1] = ord("["), ord("]")
+    labels[:, 1::2] = jva.view(np.uint8) + ord("0")
+    counts, which = np.unique(jva.sum(axis=1), return_inverse=True)
+    ratios = _texts([json.dumps(k / n_frames) for k in counts.tolist()])[which]
+    members = [
+        _records((len(jva),), [b'"', ids, b'":', values, b","]).tobytes().replace(b"\0", b"")
+        for values in (labels, ratios)
+    ]
+    return b'{"frame_labels":{%s},"team_ratios":{%s}}' % (members[0][:-1], members[1][:-1])
+
+
 def generate(
     spec: SynthSpec, out_dir: Union[str, Path]
 ) -> tuple[Path, Path, Path, GroundTruth]:
@@ -350,19 +405,18 @@ def generate(
 
     n_frames = spec.frames_per_team
     # The cells between the team id and the gaze points of each frame's
-    # two rows, with both commas, as NUL-padded bytes.
-    cells = np.array([
+    # two rows, with both commas.
+    cells = _texts([
         f",f{f:05d},{f * _FRAME_INTERVAL_S:.1f},{spec.image_w},{spec.image_h},{person},"
         for f in range(n_frames)
         for person in ("p1", "p2")
-    ], dtype=bytes)
-    cells = cells.view(np.uint8).reshape(2 * n_frames, cells.itemsize)
-    row_end = np.frombuffer(b",0\n", dtype=np.uint8)
-    suffixes = [f",{c.value},{g.value}" for c, g in zip(_CONDITION_CYCLE, _GENDER_CYCLE)]
+    ])
+    suffixes = _texts([f",{c.value},{g.value}," for c, g in zip(_CONDITION_CYCLE, _GENDER_CYCLE)])
     probability = _team_probabilities(spec)
     block = max(1, _BLOCK_ROWS // (2 * n_frames))
     frame_labels: dict[str, list[int]] = {}
     team_ratios: dict[str, float] = {}
+    block_jva = []
     # One generator, re-keyed before each team's draws with a zero counter
     # and an empty output buffer: the state a fresh Philox has. Lists set
     # the state about four times as fast as arrays.
@@ -377,55 +431,49 @@ def generate(
         "uinteger": 0,
     }
 
-    with open(frames_path, "wb") as ff, open(
-        teams_path, "w", newline="", encoding="utf-8"
-    ) as tf:
+    with open(frames_path, "wb") as ff, open(teams_path, "wb") as tf:
         ff.write((",".join(FRAME_COLUMNS) + "\n").encode())
-        tf.write(",".join(TEAM_COLUMNS) + "\n")
+        tf.write((",".join(TEAM_COLUMNS) + "\n").encode())
         for start in range(0, spec.teams, block):
             indices = range(start, min(start + block, spec.teams))
-            scores = np.empty((len(indices), 2))
-            uniform = np.empty((len(indices), 4, n_frames))
-            noise = np.empty_like(uniform) if spec.gaze_noise_sigma > 0 else None
+            # Per team, one draw: the two post-test uniforms, then the JVA
+            # coin, target x, target y and partner angle uniforms of every
+            # frame.
+            draws = np.empty((len(indices), 2 + 4 * n_frames))
+            noise = np.empty((len(indices), 4, n_frames)) if spec.gaze_noise_sigma > 0 else None
             for i, key in enumerate(_team_keys(spec.seed, indices).tolist()):
                 state["state"]["key"] = key
                 philox.state = state
-                # Post-test scores 0..5, as floor(6 u): rng.integers costs
-                # several times more per call.
-                rng.random(out=scores[i])
-                rng.random(out=uniform[i])
+                rng.random(out=draws[i])
                 if noise is not None:
                     rng.standard_normal(out=noise[i])
+            uniform = draws[:, 2:].reshape(len(indices), 4, n_frames)
             gaze, jva = _gaze(spec, uniform, noise, probability[start:indices.stop])
-            names = [_team_id(idx) for idx in indices]
-            ids = np.array(names, dtype=bytes)
-            ids = ids.view(np.uint8).reshape(len(names), 1, ids.itemsize)
+            names = _team_ids(indices)
+            ids = _texts(names)
             # Each row's (x, y), in row order: (teams, frames, p1/p2, x/y).
             text = _value_text(gaze.transpose(0, 2, 1).ravel())
-            width = text.shape[1]
-            text = text.reshape(len(names), 2 * n_frames, 2, width)
-            # One record per row: id | cells | x | "," | y | ",0\n".
-            x = ids.shape[2] + cells.shape[1]
-            y = x + width + 1
-            rec = np.empty((len(names), 2 * n_frames, y + width + 3), dtype=np.uint8)
-            rec[:, :, :ids.shape[2]] = ids
-            rec[:, :, ids.shape[2]:x] = cells
-            rec[:, :, x:y - 1] = text[:, :, 0]
-            rec[:, :, y - 1] = ord(",")
-            rec[:, :, y:-3] = text[:, :, 1]
-            rec[:, :, -3:] = row_end
+            text = text.reshape(len(names), 2 * n_frames, 2, text.shape[1])
+            # rec lives until the next block's is built: freed here with the
+            # two copies of its bytes, its pages would go back to the system
+            # and fault in again on every block.
+            rec = _records((len(names), 2 * n_frames), [
+                ids[:, None], cells, text[:, :, 0], b",", text[:, :, 1], b",0\n",
+            ])
             ff.write(rec.tobytes().replace(b"\0", b""))
-            tf.write("".join([
-                f"{team}{suffixes[idx % len(suffixes)]},{a},{b}\n"
-                for idx, team, (a, b) in zip(
-                    indices, names, (6 * scores).astype(int).tolist()
-                )
-            ]))
+            # Post-test scores 0..5, as floor(6 u): rng.integers costs
+            # several times more per call.
+            scores = (6 * draws[:, :2]).astype(np.uint8) + ord("0")
+            tf.write(_records((len(names),), [
+                ids, suffixes[np.arange(start, indices.stop) % len(suffixes)],
+                scores[:, :1], b",", scores[:, 1:], b"\n",
+            ]).tobytes().replace(b"\0", b""))
             frame_labels.update(zip(names, jva.view(np.uint8).tolist()))
             team_ratios.update(zip(names, (jva.sum(axis=1) / n_frames).tolist()))
+            block_jva.append(jva)
 
     truth = GroundTruth(frame_labels=frame_labels, team_ratios=team_ratios)
-    truth_path.write_text(truth.to_json(), encoding="utf-8")
+    truth_path.write_bytes(_truth_json(list(frame_labels), np.concatenate(block_jva)))
     return frames_path, teams_path, truth_path, truth
 
 

@@ -383,6 +383,16 @@ def test_synth_image_too_small_is_usage_error(tmp_path, capsys):
         (["--jva-probability", "ar=1.5"], "jva_probability['ar'] must lie in [0, 1]: 1.5"),
         (["--jva-probability", "0.5", "--jva-probability", "ar=0.2"],
          "mix of plain and NAME=P probabilities"),
+        (["--jva-probability", "ar=0.2", "--jva-probability", "textbook=0.1",
+          "--jva-probability", "tablet=0.3", "--jva-probability", "ar=1.0"],
+         "--jva-probability ar given more than once"),
+        (["--jva-probability", "team01=0.2", "--jva-probability", " team01 =0.2",
+          "--teams", "1"],
+         "--jva-probability team01 given more than once"),
+        (["--jva-probability", "0.0", "--jva-probability", "1.0"],
+         "--jva-probability: more than one plain probability"),
+        (["--jva-probability", "0.5", "--jva-probability", "0.5"],
+         "--jva-probability: more than one plain probability"),
     ],
 )
 def test_synth_bad_spec_is_usage_error_before_any_file(tmp_path, capsys, flags, message):
@@ -499,6 +509,18 @@ def test_config_naming_reference_diagonal_is_data_error(tmp_path, capsys):
         ["analyze", "--frames", str(frames), "--teams", str(teams), "--config", str(config)],
     )
     assert (code, out, err) == (1, "", f"error: {config}:1: unknown key 'reference_diagonal'\n")
+
+
+def test_config_duplicate_key_is_data_error(tmp_path, capsys):
+    config = tmp_path / "jva.conf"
+    config.write_text("threshold = 50\nthreshold = 80\n")
+    frames, teams = synth_inputs(tmp_path, capsys)
+    code, out, err = run(
+        capsys,
+        ["analyze", "--frames", str(frames), "--teams", str(teams), "--config", str(config)],
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: {config}:2: duplicate key 'threshold' (first on line 1)\n"
 
 
 ROOT = Path(__file__).resolve().parent.parent

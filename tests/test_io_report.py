@@ -412,6 +412,18 @@ def test_config_unknown_key_rejected(tmp_path):
         load_config(config_file)
 
 
+def test_config_duplicate_key_rejected(tmp_path):
+    config_file = tmp_path / "jva.conf"
+    config_file.write_text("threshold = 50\n# tuned\nscale_mode = absolute\nthreshold = 80\n")
+    with pytest.raises(ValueError) as info:
+        load_config(config_file)
+    assert str(info.value) == f"{config_file}:4: duplicate key 'threshold' (first on line 1)"
+    # The same value twice is still two settings of one key.
+    config_file.write_text("scale_mode = absolute\nscale_mode = absolute\n")
+    with pytest.raises(ValueError, match=":2: duplicate key 'scale_mode' .first on line 1.$"):
+        load_config(config_file)
+
+
 @pytest.mark.parametrize(
     "line, message",
     [

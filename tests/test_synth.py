@@ -224,12 +224,39 @@ def output_sha256(spec, out_dir):
         (SynthSpec(teams=70, frames_per_team=500, image_w=20000, image_h=600,
                    gaze_noise_sigma=33.3, seed=2**33 + 1),
          "7edd62232bed1e06c7c249c0864765277d97f95a003ba4fdb8791c718b48c3fc"),
+        # Cohort-shaped: two blocks of teams, ids from team01 to team6000.
+        (SynthSpec(teams=6000, frames_per_team=6, seed=5),
+         "dad9b8fdd940312fe8ef4a3a3ca0f84e147cb44cc1de48cb39e71b9171bdea78"),
     ],
 )
 def test_output_bytes_are_pinned(tmp_path, spec, digest):
     # Each team's stream is Generator(Philox(SeedSequence(seed, spawn_key=(index,)))):
     # these digests were taken from a generator that built exactly that per team.
     assert output_sha256(spec, tmp_path) == digest
+
+
+@pytest.mark.parametrize(
+    "spec, block_rows",
+    [
+        (SynthSpec(teams=1, frames_per_team=1, seed=1), None),
+        # team100 and team101 sort before team11.
+        (SynthSpec(teams=101, frames_per_team=7, seed=2), None),
+        (SynthSpec(teams=5, frames_per_team=9, jva_probability=1.0, seed=3), None),
+        (SynthSpec(teams=5, frames_per_team=9, jva_probability=0.0, seed=3), None),
+        (SynthSpec(teams=12000, frames_per_team=3, seed=2**64 + 5, gaze_noise_sigma=12.0),
+         None),
+        # One team per block.
+        (SynthSpec(teams=12, frames_per_team=11, seed=4), 1),
+    ],
+)
+def test_ground_truth_file_is_the_json_dumps_of_the_truth(tmp_path, monkeypatch, spec,
+                                                         block_rows):
+    if block_rows:
+        monkeypatch.setattr(synth, "_BLOCK_ROWS", block_rows)
+    _, _, truth_path, truth = generate(spec, tmp_path)
+    assert truth_path.read_bytes() == truth.to_json().encode()
+    names = [f"team{i + 1:02d}" for i in range(spec.teams)]
+    assert list(truth.frame_labels) == list(truth.team_ratios) == names
 
 
 def with_neighbours(values):
