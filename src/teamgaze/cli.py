@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import sys
 
 from . import io_report
-from .jva import DenominatorPolicy, ScaleMode
 
 USAGE_ERROR = 2
 DATA_ERROR = 1
@@ -50,58 +50,53 @@ def _build_parser() -> argparse.ArgumentParser:
     stats = sub.add_parser("stats", help="inferential report from a table")
     stats.add_argument(
         "--teams",
-        default=None,
         help="per-team results table or summary-statistics table "
         "(default: bundled summary fixture)",
     )
     _add_output_flags(stats)
 
     synth = sub.add_parser("synth", help="generate synthetic sessions")
+    # Each flag left out takes SynthSpec's default.
     synth.add_argument("--out-dir", required=True)
-    synth.add_argument("--teams", type=int, default=30)
-    synth.add_argument("--frames-per-team", type=int, default=155)
-    synth.add_argument("--image-w", type=int, default=2560)
-    synth.add_argument("--image-h", type=int, default=1440)
+    synth.add_argument("--teams", type=int)
+    synth.add_argument("--frames-per-team", type=int)
+    synth.add_argument("--image-w", type=int)
+    synth.add_argument("--image-h", type=int)
     synth.add_argument(
         "--jva-probability",
         action="append",
-        default=None,
         help="either a probability, or NAME=P where NAME is a team id or a "
         "condition (textbook/tablet/ar); repeatable, once per NAME",
     )
-    synth.add_argument("--noise-sigma", type=float, default=0.0)
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument(
+        "--noise-sigma", type=float, dest="gaze_noise_sigma", metavar="NOISE_SIGMA"
+    )
+    synth.add_argument("--seed", type=int)
 
     decode = sub.add_parser("decode", help="decode heatmap grids to gaze points")
     decode.add_argument("heatmaps", nargs="+", help="plain-text heatmap grid files")
     decode.add_argument("--scene-width", type=_positive_float, required=True)
     decode.add_argument("--scene-height", type=_positive_float, required=True)
-    decode.add_argument("--out", default=None, help="output CSV (default stdout)")
+    decode.add_argument("--out", help="output CSV (default stdout)")
 
     return parser
 
 
 def _add_jva_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--threshold", type=_positive_float, default=None)
-    parser.add_argument(
-        "--scale-mode",
-        choices=[m.value for m in ScaleMode],
-        default=None,
-    )
-    parser.add_argument(
-        "--denominator-policy",
-        choices=[p.value for p in DenominatorPolicy],
-        default=None,
-    )
+    for key, parse in io_report.CONFIG_KEYS.items():
+        flag = "--" + key.replace("_", "-")
+        if parse is float:
+            parser.add_argument(flag, type=_positive_float)
+        else:
+            parser.add_argument(flag, choices=[m.value for m in parse])
     parser.add_argument(
         "--config",
-        default=None,
         help=f"key=value config file (also via ${io_report.CONFIG_ENV_VAR})",
     )
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", default=None, help="output path (default stdout)")
+    parser.add_argument("--out", help="output path (default stdout)")
     parser.add_argument(
         "--format", choices=["json", "text", "csv-bundle"], default="text"
     )
@@ -109,16 +104,8 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
 
 def _jva_config(args):
     config_path = args.config or io_report.config_path_from_env()
-    return io_report.load_config(
-        config_path,
-        threshold=args.threshold,
-        scale_mode=ScaleMode(args.scale_mode) if args.scale_mode else None,
-        denominator_policy=(
-            DenominatorPolicy(args.denominator_policy)
-            if args.denominator_policy
-            else None
-        ),
-    )
+    overrides = {key: getattr(args, key) for key in io_report.CONFIG_KEYS}
+    return io_report.load_config(config_path, **overrides)
 
 
 def _emit(report, args) -> None:
@@ -150,8 +137,9 @@ def _cmd_stats(args) -> int:
 
 
 def _parse_probability_flags(raw_flags):
+    """The flags' text, or NAME -> text mapping, for SynthSpec; None if none is given."""
     if not raw_flags:
-        return 0.4
+        return None
     mapping = {}
     plain = None
     for raw in raw_flags:
@@ -160,11 +148,11 @@ def _parse_probability_flags(raw_flags):
             name = name.strip()
             if name in mapping:
                 raise ValueError(f"--jva-probability {name} given more than once")
-            mapping[name] = float(value)
+            mapping[name] = value
         elif plain is not None:
             raise ValueError("--jva-probability: more than one plain probability")
         else:
-            plain = float(raw)
+            plain = raw
     if mapping and plain is not None:
         raise ValueError("mix of plain and NAME=P probabilities")
     return mapping if mapping else plain
@@ -174,16 +162,9 @@ def _cmd_synth(args) -> int:
     from .synth import SynthSpec, generate
 
     try:
-        probability = _parse_probability_flags(args.jva_probability)
-        spec = SynthSpec(
-            teams=args.teams,
-            frames_per_team=args.frames_per_team,
-            image_w=args.image_w,
-            image_h=args.image_h,
-            jva_probability=probability,
-            gaze_noise_sigma=args.noise_sigma,
-            seed=args.seed,
-        )
+        given = dict(vars(args), jva_probability=_parse_probability_flags(args.jva_probability))
+        names = [field.name for field in dataclasses.fields(SynthSpec)]
+        spec = SynthSpec(**{name: given[name] for name in names if given[name] is not None})
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

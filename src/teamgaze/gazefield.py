@@ -47,14 +47,6 @@ class DirectionField:
     exponent: float
     values: np.ndarray = field(repr=False)
 
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
 
 def _normalize_direction(direction: Sequence[float]) -> tuple[float, float]:
     dx, dy = float(direction[0]), float(direction[1])

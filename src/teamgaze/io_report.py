@@ -103,6 +103,7 @@ __all__ = [
     "config_path_from_env",
     "paper_fixture_path",
     "CONFIG_ENV_VAR",
+    "CONFIG_KEYS",
 ]
 
 CONFIG_ENV_VAR = "TEAMGAZE_CONFIG"
@@ -121,14 +122,6 @@ FRAME_COLUMNS = [
 ]
 _MANDATORY_FRAME_COLUMNS = FRAME_COLUMNS[:-1]
 TEAM_COLUMNS = ["team_id", "condition", "gender", "post_test_1", "post_test_2"]
-
-# Accepted ``discarded`` cells after stripping and lower-casing, as text
-# and as bytes.
-_DISCARDED_TOKENS = {
-    t: flag
-    for token, flag in {"": False, "0": False, "false": False, "1": True, "true": True}.items()
-    for t in (token, token.encode())
-}
 
 # Lines or rows read per step. Small enough for one step's cells to stay
 # in the CPU cache: steps of 16k frame rows parsed slower than 1k.
@@ -539,17 +532,7 @@ class _FrameRows(_ChunkParser):
         gx, gy = (_floats(cells[c], c, lines) for c in ("gaze_x", "gaze_y"))
         discarded = np.zeros(n, bool)
         if "discarded" in cells:
-            tokens = cells["discarded"]
-            read = tokens[:1] if _constant(tokens) else tokens
-            if None in (flags := list(map(_DISCARDED_TOKENS.get, read))):
-                # A short row's lacking cell (None) reads as empty.
-                tokens = _text(tokens)
-                flags = [_DISCARDED_TOKENS.get((t or "").strip().lower()) for t in tokens]
-                if None in flags:
-                    i = flags.index(None)
-                    raise ValueError(f"line {lines[i]}: discarded {tokens[i]!r} is not "
-                                     "empty, 0, 1, true or false")
-            discarded[:] = flags  # one flag fills the column
+            discarded[:] = _codes(cells, "discarded", lines)
         person = self.persons.codes(cells["person_id"])
 
         inside = (gx >= 0) & (gx <= w) & (gy >= 0) & (gy <= h)
@@ -698,12 +681,23 @@ _GENDERS = list(GenderComposition)
 _GROUPS = list(Group)
 _CONDITION_GROUP = np.array([_GROUPS.index(group_for_condition(c)) for c in _CONDITIONS])
 
-# Each member's code by its token as written and lower-cased, as text and as bytes.
-_CONDITION_CODES, _GENDER_CODES = (
-    {t: i for i, m in enumerate(members) for v in (m.value, m.value.lower())
-     for t in (v, v.encode())}
-    for members in (_CONDITIONS, _GENDERS)
-)
+
+def _token_codes(codes: dict) -> dict:
+    """``codes`` by each token as written and lower-cased, as text and as bytes."""
+    cased = {**codes, **{token.lower(): code for token, code in codes.items()}}
+    return {**cased, **{token.encode(): code for token, code in cased.items()}}
+
+
+# Each closed-token column's codes (see ``_token_codes``) and its error
+# for a cell that is no token ({!r} is the cell).
+_TOKEN_COLUMNS = {
+    "condition": (_token_codes({m.value: i for i, m in enumerate(_CONDITIONS)}),
+                  "unknown condition {!r}, expected " + " | ".join(m.value for m in _CONDITIONS)),
+    "gender": (_token_codes({m.value: i for i, m in enumerate(_GENDERS)}),
+               "unknown gender {!r}, expected " + " | ".join(m.value for m in _GENDERS)),
+    "discarded": (_token_codes({"": 0, "0": 0, "false": 0, "1": 1, "true": 1}),
+                  "discarded {!r} is not empty, 0, 1, true or false"),
+}
 
 # The numbers of each team-level table as (column, high, optional), in the
 # order a row's cells are checked after team_id, condition and gender.
@@ -711,20 +705,23 @@ _TEAM_NUMBERS = (("post_test_1", 5, False), ("post_test_2", 5, False))
 _TEAM_ROW_NUMBERS = (("jva_ratio_pct", 100, True), ("team_post_test", 5, False))
 
 
-def _codes(cells: dict, column: str, lines: np.ndarray, codes: dict, members: list) -> np.ndarray:
-    """Each cell's code, looked up as written, else as text stripped and
-    lower-cased; the first cell of no member is an error."""
-    found = list(map(codes.get, cells[column]))
+def _codes(cells: dict, column: str, lines: np.ndarray) -> np.ndarray:
+    """Each cell's code in the ``_TOKEN_COLUMNS`` column: looked up as
+    written (once for a constant column), else as text stripped and
+    lower-cased, a lacking cell read as empty; the first cell of no token
+    is an error."""
+    codes, error = _TOKEN_COLUMNS[column]
+    raw = cells[column]
+    found = list(map(codes.get, raw[:1] if _constant(raw) else raw))
     if None in found:
-        text = _text(cells[column])
-        found = [codes.get(cell.strip().lower()) for cell in text]
+        text = _text(raw)
+        found = [codes.get((cell or "").strip().lower()) for cell in text]
         if None in found:
             i = found.index(None)
-            allowed = " | ".join(m.value for m in members)
-            raise ValueError(
-                f"line {lines[i]}: unknown {column} {text[i]!r}, expected {allowed}"
-            )
-    return np.array(found, dtype=np.int8)
+            raise ValueError(f"line {lines[i]}: " + error.format(text[i]))
+    if len(found) < len(lines):  # one code fills a constant column
+        return np.full(len(lines), found[0], np.int8)
+    return np.array(found, np.int8)
 
 
 class _TeamColumns(_ChunkParser):
@@ -762,8 +759,8 @@ class _TeamColumns(_ChunkParser):
             for team_id, line in zip(team_ids, lines.tolist()):
                 _check_new_key(seen, team_id, line, "team_id")
         values = [
-            _codes(cells, "condition", lines, _CONDITION_CODES, _CONDITIONS),
-            _codes(cells, "gender", lines, _GENDER_CODES, _GENDERS),
+            _codes(cells, "condition", lines),
+            _codes(cells, "gender", lines),
         ]
         for name, high, optional in self.numbers:
             if name not in cells:
@@ -1501,7 +1498,8 @@ def _write_csv_bundle(report: Report, out_dir: Path) -> None:
 # --- configuration ---------------------------------------------------------
 
 # Parser of each config key's value: float or the enum of allowed tokens.
-_CONFIG_KEYS = {
+# The CLI's JVA flags are built from it.
+CONFIG_KEYS = {
     "threshold": float,
     "scale_mode": ScaleMode,
     "denominator_policy": DenominatorPolicy,
@@ -1517,7 +1515,9 @@ def load_config(path: Optional[Union[str, Path]] = None, **overrides) -> JvaConf
     """Build a JvaConfig with standard precedence: defaults < file < overrides.
 
     The file is text as ``model.input_text`` reads it, key=value lines;
-    '#' starts a comment. Keys: threshold, scale_mode, denominator_policy.
+    '#' starts a comment. Keys: those of ``CONFIG_KEYS``. An override is
+    a key's value as a flag gives it (a number, or an enum value's text) or
+    an enum member; None leaves the key as the file or default has it.
     """
     values: dict = {}
     first_line: dict = {}
@@ -1532,7 +1532,7 @@ def load_config(path: Optional[Union[str, Path]] = None, **overrides) -> JvaConf
             if "=" not in line:
                 raise ValueError(f"{path}:{line_no}: expected key=value")
             key, value = (part.strip() for part in line.split("=", 1))
-            parse = _CONFIG_KEYS.get(key)
+            parse = CONFIG_KEYS.get(key)
             if parse is None:
                 raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
             if key in first_line:
@@ -1554,5 +1554,5 @@ def load_config(path: Optional[Union[str, Path]] = None, **overrides) -> JvaConf
                 ) from None
     for key, value in overrides.items():
         if value is not None:
-            values[key] = value
+            values[key] = CONFIG_KEYS[key](value) if key in CONFIG_KEYS else value
     return JvaConfig(**values)

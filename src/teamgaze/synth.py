@@ -85,12 +85,9 @@ _MAX_TEAMS = 1 << 32
 # The id of the team at index i, formatted with i + 1: "team01", ..., "team100".
 _TEAM_ID = "team%02d"
 
-_CONDITION_CYCLE = (Condition.TEXTBOOK, Condition.TABLET, Condition.AR)
-_GENDER_CYCLE = (
-    GenderComposition.FEMALES,
-    GenderComposition.MALES,
-    GenderComposition.MIXED,
-)
+# Team i takes member i mod 3 of each enum, in the order the enum declares them.
+_CONDITION_CYCLE = tuple(Condition)
+_GENDER_CYCLE = tuple(GenderComposition)
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
 _MASK32 = 0xFFFFFFFF
@@ -108,7 +105,8 @@ class SynthSpec:
     ``jva_probability`` is either a single probability, or a mapping whose
     keys are condition values ("textbook"/"tablet"/"ar") and team ids of
     this spec ("team01", ...); a team takes its own id's probability, else
-    its condition's, and every team must be covered. Each image side must
+    its condition's, and every team must be covered; a probability may be
+    text that ``float`` reads. Each image side must
     be at least ``2 * SEPARATION_FACTOR`` times the default JVA threshold
     in pixels, so that a non-JVA partner point fits inside the image. The
     seed is a non-negative integer. Every check runs here, before any file
@@ -126,16 +124,15 @@ class SynthSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer: {self.seed!r}")
-        if self.teams <= 0 or self.frames_per_team <= 0:
-            raise ValueError("counts must be positive")
+        for name in ("teams", "frames_per_team", "image_w", "image_h"):
+            if (value := getattr(self, name)) <= 0:
+                raise ValueError(f"{name} must be positive: {value!r}")
         if self.teams > _MAX_TEAMS:
             raise ValueError(f"teams must be at most 2**32: {self.teams}")
-        if self.image_w <= 0 or self.image_h <= 0:
-            raise ValueError("image dimensions must be positive")
         if not math.isfinite(self.gaze_noise_sigma):
             raise ValueError(f"gaze_noise_sigma must be finite: {self.gaze_noise_sigma!r}")
         if self.gaze_noise_sigma < 0:
-            raise ValueError("noise sigma must be non-negative")
+            raise ValueError(f"gaze_noise_sigma must be non-negative: {self.gaze_noise_sigma!r}")
         # Below this, a partner point can leave the image on both sides of
         # its target and clipping would pull it within the threshold.
         side = 2 * SEPARATION_FACTOR * _THRESHOLD
@@ -168,7 +165,10 @@ def _team_ids(indices: range) -> list[str]:
 
 
 def _checked_probability(name: str, value) -> float:
-    value = float(value)
+    try:
+        value = float(value)
+    except ValueError:
+        raise ValueError(f"{name} is not a number: {value!r}") from None
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1]: {value:g}")
     return value

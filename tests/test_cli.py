@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from teamgaze import io_report
-from teamgaze.cli import MAX_ROW_WARNINGS, main
+from teamgaze.cli import MAX_ROW_WARNINGS, _build_parser, main
 from teamgaze.io_report import read_frame_table
+from teamgaze.jva import DenominatorPolicy, ScaleMode
+from teamgaze.synth import SynthSpec, generate
 
 
 def run(capsys, argv):
@@ -93,7 +95,14 @@ def test_analyze_negative_threshold_is_usage_error(tmp_path, capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_analyze_jva_flag_choices_are_the_enum_values():
+    commands = next(a for a in _build_parser()._actions if a.dest == "command")
+    choices = {a.dest: a.choices for a in commands.choices["analyze"]._actions}
+    assert choices["scale_mode"] == [m.value for m in ScaleMode]
+    assert choices["denominator_policy"] == [p.value for p in DenominatorPolicy]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0"])
 def test_analyze_non_finite_threshold_is_usage_error(value, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "--frames", "f.csv", "--teams", "t.csv",
@@ -368,6 +377,13 @@ def test_synth_image_too_small_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "d").exists()
 
 
+def test_synth_without_flags_writes_the_default_spec(tmp_path, capsys):
+    code, _, _ = run(capsys, ["synth", "--out-dir", str(tmp_path / "cli")])
+    assert code == 0
+    for path in generate(SynthSpec(), tmp_path / "api")[:3]:
+        assert (tmp_path / "cli" / path.name).read_bytes() == path.read_bytes()
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
@@ -393,6 +409,12 @@ def test_synth_image_too_small_is_usage_error(tmp_path, capsys):
          "--jva-probability: more than one plain probability"),
         (["--jva-probability", "0.5", "--jva-probability", "0.5"],
          "--jva-probability: more than one plain probability"),
+        (["--jva-probability", "abc"], "jva_probability is not a number: 'abc'"),
+        (["--jva-probability", "ar=abc"], "jva_probability['ar'] is not a number: 'abc'"),
+        (["--teams", "0"], "teams must be positive: 0"),
+        (["--frames-per-team", "-1"], "frames_per_team must be positive: -1"),
+        (["--image-w", "0"], "image_w must be positive: 0"),
+        (["--noise-sigma", "-1"], "gaze_noise_sigma must be non-negative: -1.0"),
     ],
 )
 def test_synth_bad_spec_is_usage_error_before_any_file(tmp_path, capsys, flags, message):

@@ -47,6 +47,11 @@ def test_sixty_degrees_off_axis_squared():
     assert value == pytest.approx(0.25, abs=1e-12)
 
 
+def test_value_at_the_head_is_zero():
+    head = Point2D(3.5, -2.0)
+    assert direction_value(head, (1, 0), 1.0, Point2D(3.5, -2.0)) == 0.0
+
+
 def test_field_matches_brute_force_oracle():
     head = Point2D(7.3, 4.1)
     direction = (0.6, -0.8)

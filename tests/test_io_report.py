@@ -405,6 +405,19 @@ def test_config_precedence(tmp_path, monkeypatch):
     assert default.denominator_policy is DenominatorPolicy.VALID_PAIR_FRAMES
 
 
+def test_config_override_is_a_flag_value_or_an_enum_member(tmp_path):
+    config_file = tmp_path / "jva.conf"
+    config_file.write_text("scale_mode = diagonal-normalized\nthreshold = 80\n")
+    by_text = load_config(config_file, scale_mode="absolute",
+                          denominator_policy="all-captured-frames", threshold=None)
+    by_member = load_config(config_file, scale_mode=ScaleMode.ABSOLUTE,
+                            denominator_policy=DenominatorPolicy.ALL_CAPTURED_FRAMES)
+    expected = JvaConfig(80.0, ScaleMode.ABSOLUTE, DenominatorPolicy.ALL_CAPTURED_FRAMES)
+    assert by_text == by_member == expected
+    with pytest.raises(TypeError, match="thresold"):  # JvaConfig names an unknown keyword
+        load_config(None, thresold=5.0)
+
+
 def test_config_unknown_key_rejected(tmp_path):
     config_file = tmp_path / "jva.conf"
     config_file.write_text("thresold = 80\n")

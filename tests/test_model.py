@@ -79,6 +79,21 @@ def test_gaze_outside_frame_flagged():
     assert any("out of image bounds" in v for v in violations)
 
 
+def test_non_positive_image_size_flagged_and_frame_not_checked_further():
+    session = make_session([make_frame("f1", 0.0, [(-5, 100), (200, 200)], w=0)])
+    assert validate_session(session) == ["team t1 frame f1: non-positive image dimensions"]
+
+
+def test_non_finite_gaze_flagged():
+    session = make_session([make_frame("f1", 0.0, [(math.nan, 100), (200, 200)])])
+    assert "team t1 frame f1: non-finite gaze for p1" in validate_session(session)
+
+
+def test_valid_observations_skip_non_finite_gaze():
+    frame = make_frame("f1", 0.0, [(math.inf, 100), (200, math.nan), (300, 300)])
+    assert [o.person_id for o in frame.valid_observations()] == ["p3"]
+
+
 def test_decreasing_timestamps_flagged():
     session = make_session(
         [

@@ -319,11 +319,11 @@ def test_value_text_is_percent_4f(values):
         (dict(teams=3, jva_probability={"textbook": 0.2, "tablet": 0.3, "ar": 0.1,
                                         "team1": 0.3}),
          "jva_probability key 'team1' is neither"),
-        (dict(teams=0), "counts must be positive"),
-        (dict(frames_per_team=0), "counts must be positive"),
-        (dict(image_w=0), "image dimensions must be positive"),
-        (dict(image_h=-1), "image dimensions must be positive"),
-        (dict(gaze_noise_sigma=-1.0), "noise sigma must be non-negative"),
+        (dict(teams=0), "teams must be positive: 0"),
+        (dict(frames_per_team=0), "frames_per_team must be positive: 0"),
+        (dict(image_w=0), "image_w must be positive: 0"),
+        (dict(image_h=-1), "image_h must be positive: -1"),
+        (dict(gaze_noise_sigma=-1.0), "gaze_noise_sigma must be non-negative: -1.0"),
     ],
 )
 def test_bad_spec_is_rejected_naming_its_field(kwargs, message):
