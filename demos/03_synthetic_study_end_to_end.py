@@ -6,6 +6,7 @@ path, and the analysis recovers the ground-truth JVA ratios. With zero
 gaze noise recovery is exact.
 """
 
+import json
 import tempfile
 
 from teamgaze import SynthSpec, analyze_table, emit_report
@@ -21,12 +22,13 @@ spec = SynthSpec(
 )
 
 with tempfile.TemporaryDirectory() as tmp:
-    frames_path, teams_path, truth_path, truth = generate(spec, tmp)
+    frames_path, teams_path, truth_path = generate(spec, tmp)
+    truth = json.loads(truth_path.read_text(encoding="utf-8"))
     report = analyze_table(read_frame_table(frames_path), load_teams(teams_path))
 
     print("ground truth vs recovered JVA ratio (%):")
     for row in report.teams:
-        expected = 100.0 * truth.team_ratios[row.team_id]
+        expected = 100.0 * truth["team_ratios"][row.team_id]
         print(f"  {row.team_id}  {expected:6.2f}  ->  {row.jva_ratio_pct:6.2f}")
 
     print()

@@ -98,7 +98,7 @@ def _add_jva_flags(parser: argparse.ArgumentParser) -> None:
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output path (default stdout)")
     parser.add_argument(
-        "--format", choices=["json", "text", "csv-bundle"], default="text"
+        "--format", choices=[*io_report.REPORT_FORMATS], default=io_report.DEFAULT_REPORT_FORMAT
     )
 
 
@@ -168,8 +168,7 @@ def _cmd_synth(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    frames_path, teams_path, truth_path, _ = generate(spec, args.out_dir)
-    print(f"wrote {frames_path}, {teams_path}, {truth_path}", file=sys.stderr)
+    print("wrote", ", ".join(map(str, generate(spec, args.out_dir))), file=sys.stderr)
     return 0
 
 
@@ -205,16 +204,16 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "format", None) == "csv-bundle" and args.out is None:
-        print("error: --format csv-bundle needs --out, the bundle's directory", file=sys.stderr)
-        return USAGE_ERROR
+    args = _build_parser().parse_args(argv)
+    code = USAGE_ERROR  # a report's target is checked before any input is read
     try:
+        if "format" in args:
+            io_report.check_report_out(args.format, args.out)
+        code = DATA_ERROR
         return _COMMANDS[args.command](args)
     except (OSError, ValueError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return DATA_ERROR
+        return code
 
 
 if __name__ == "__main__":

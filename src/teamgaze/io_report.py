@@ -99,11 +99,14 @@ __all__ = [
     "load_summary_fixture",
     "load_team_rows",
     "emit_report",
+    "check_report_out",
     "load_config",
     "config_path_from_env",
     "paper_fixture_path",
     "CONFIG_ENV_VAR",
     "CONFIG_KEYS",
+    "REPORT_FORMATS",
+    "DEFAULT_REPORT_FORMAT",
 ]
 
 CONFIG_ENV_VAR = "TEAMGAZE_CONFIG"
@@ -228,6 +231,21 @@ def _names_file(read):
     return reader
 
 
+def _check_header(header: list, reads: Sequence[str], line: int) -> None:
+    """A column the table ``reads`` that ``header`` names twice, or a name
+    that is none of them but one of them after ``casefold``, is an error at
+    the header's ``line``; other names may repeat."""
+    folded = {c.casefold(): c for c in reads}
+    for name in header:
+        if name in reads and header.count(name) > 1:
+            raise ValueError(f"line {line}: header names column {name!r} more than once")
+        if name not in reads and name.casefold() in folded:
+            raise ValueError(
+                f"line {line}: header column {name!r} is not {folded[name.casefold()]!r}: "
+                "column names are case-sensitive"
+            )
+
+
 def _read_csv(
     path: Union[str, Path], columns: Sequence[str], optional: Sequence[str] = ()
 ) -> Iterator:
@@ -236,13 +254,14 @@ def _read_csv(
 
     A chunk holds up to ``_CHUNK_ROWS`` rows. ``cells`` maps each name of
     ``columns``, and of ``optional`` that the header has, to that column's
-    cells, one per row; the last of two same-named columns wins, as in a
-    dict of the row. ``lines`` holds the physical line each row ends on.
+    cells, one per row. ``lines`` holds the physical line each row ends on.
     ``short`` says whether a row lacks a cell of one of those columns; the
     cells it lacks are None. Blank rows and comment rows (a first cell
     starting with ``#`` after leading spaces) are skipped; header names are
     stripped. The text is ``model.input_text``'s. A missing header or
-    column, a csv error, a comment row holding a quoted line break and a
+    column, a header naming one of those columns twice or a name that is
+    not one of them but equals one after ``casefold`` (``_check_header``;
+    other names may repeat), a csv error, a comment row holding a quoted line break and a
     byte that is not UTF-8 are errors naming the line, raised after the rows
     before them are yielded; a row ending on or past a bad byte's line stops
     the read, so a csv error in the row that holds the byte comes first. A
@@ -356,6 +375,7 @@ def _read_csv(
                         missing = [c for c in columns if c not in header]
                         if missing:
                             raise ValueError(f"missing mandatory columns {missing}")
+                        _check_header(header, (*columns, *optional), line)
                         yield header
                         width = len(header)
                         index = {name: i for i, name in enumerate(header)}
@@ -385,7 +405,7 @@ def read_frame_table(path: Union[str, Path]) -> FrameTable:
 
     Rows for the same (team_id, frame_id) form one frame. Besides
     ``_read_csv``'s, errors name the first bad row in file order: a short
-    row, an empty team or frame id, a cell that is not a number, an image
+    row, an empty team, frame or person id, a cell that is not a number, an image
     size that is not finite or not positive, a ``discarded`` cell other
     than empty, 0, 1, true or false (any case), a person twice in one
     frame, rows of one frame that disagree on timestamp, image size or
@@ -480,7 +500,7 @@ class _FrameRows(_ChunkParser):
 
     ``_parse`` names a bad row itself (see ``_ChunkParser``), checking a
     row's cells in this order: a lacking cell, an empty team or frame id,
-    the timestamp, each image size (a number, then finite), a size that is
+    an empty person id, the timestamp, each image size (a number, then finite), a size that is
     not positive, the gaze point and the ``discarded`` token. ``table()``
     then names the first frame error among the kept rows: a row that
     disagrees with its frame's first, a person twice in one frame, or, among
@@ -517,6 +537,9 @@ class _FrameRows(_ChunkParser):
         no_id = [ids.number.get("", -1) for ids in (self.teams, self.frames)]
         if (i := _first((team == no_id[0]) | (frame == no_id[1]))) >= 0:
             raise ValueError(f"line {lines[i]}: empty team_id or frame_id")
+        person = self.persons.codes(cells["person_id"])
+        if (i := _first(person == self.persons.number.get("", -1))) >= 0:
+            raise ValueError(f"line {lines[i]}: empty person_id")
         ts = _floats(cells["timestamp_s"], "timestamp_s", lines)
         sizes = []
         for c in ("image_w", "image_h"):
@@ -533,7 +556,6 @@ class _FrameRows(_ChunkParser):
         discarded = np.zeros(n, bool)
         if "discarded" in cells:
             discarded[:] = _codes(cells, "discarded", lines)
-        person = self.persons.codes(cells["person_id"])
 
         inside = (gx >= 0) & (gx <= w) & (gy >= 0) & (gy <= h)
         for i in np.flatnonzero(~inside).tolist():
@@ -1418,34 +1440,6 @@ def _render_text(report: Report) -> str:
     return "\n".join(lines).rstrip() + "\n"
 
 
-def emit_report(
-    report: Report,
-    fmt: str = "text",
-    out: Optional[Union[str, Path]] = None,
-) -> str:
-    """Render a report; write to ``out`` when given, return the text.
-
-    ``csv-bundle`` needs ``out`` to be a directory; it returns the
-    directory path and writes teams.csv, summaries.csv, anovas.csv and,
-    when the report has them, posthoc.csv, notes.csv and correlation.csv.
-    """
-    if fmt == "json":
-        text = _render_json(report)
-    elif fmt == "text":
-        text = _render_text(report)
-    elif fmt == "csv-bundle":
-        if out is None:
-            raise ValueError("csv-bundle format needs an output directory")
-        _write_csv_bundle(report, Path(out))
-        return str(out)
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
-
-    if out is not None:
-        Path(out).write_text(text, encoding="utf-8")
-    return text
-
-
 def _write_csv(path: Path, columns: Sequence[str], rows) -> None:
     """One CSV file: a header of ``columns``, then ``rows`` of cells."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -1493,6 +1487,45 @@ def _write_csv_bundle(report: Report, out_dir: Path) -> None:
     for name, (columns, records) in tables.items():
         if records or name in ("summaries.csv", "anovas.csv"):  # the others when not empty
             _write_csv(out_dir / name, columns, ([r.get(c) for c in columns] for r in records))
+
+
+REPORT_FORMATS = {  # in --format's order: emitter, and whether it writes a directory
+    "json": (_render_json, False),
+    "text": (_render_text, False),
+    "csv-bundle": (_write_csv_bundle, True),
+}
+DEFAULT_REPORT_FORMAT = "text"
+
+
+def check_report_out(fmt: str, out: Optional[Union[str, Path]]) -> None:
+    """Raise ValueError for an unknown ``fmt``, or one that writes a
+    directory when ``out`` names none (the CLI's check before any input)."""
+    if fmt not in REPORT_FORMATS:
+        raise ValueError(f"unknown report format {fmt!r}")
+    if REPORT_FORMATS[fmt][1] and out is None:
+        raise ValueError(f"--format {fmt} needs --out, the bundle's directory")
+
+
+def emit_report(
+    report: Report,
+    fmt: str = DEFAULT_REPORT_FORMAT,
+    out: Optional[Union[str, Path]] = None,
+) -> str:
+    """Render a report; write to ``out`` when given, return the text.
+
+    ``csv-bundle`` needs ``out`` to be a directory; it returns the
+    directory path and writes teams.csv, summaries.csv, anovas.csv and,
+    when the report has them, posthoc.csv, notes.csv and correlation.csv.
+    """
+    check_report_out(fmt, out)
+    emit, writes_directory = REPORT_FORMATS[fmt]
+    if writes_directory:
+        emit(report, Path(out))
+        return str(out)
+    text = emit(report)
+    if out is not None:
+        Path(out).write_text(text, encoding="utf-8")
+    return text
 
 
 # --- configuration ---------------------------------------------------------

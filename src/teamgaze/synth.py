@@ -27,8 +27,8 @@ and its comma), shorter texts padded with NULs, and the block is written
 with the NULs taken out (``_records``). A coordinate's text comes from
 its 4-digit groups through small digit tables (``_value_text``). The
 ground truth is written the same way from the label arrays, teams in
-sorted id order (``_truth_json``); ``GroundTruth.to_json`` gives the same
-bytes through ``json.dumps``.
+sorted id order (``_truth_json``): the bytes ``json.dumps`` gives with
+sorted keys and no spaces.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .io_report import FRAME_COLUMNS, TEAM_COLUMNS
 from .jva import JvaConfig
 from .model import Condition, GenderComposition
 
-__all__ = ["SynthSpec", "GroundTruth", "generate", "moment_matched_groups"]
+__all__ = ["SynthSpec", "generate", "moment_matched_groups"]
 
 # Non-JVA gaze targets are separated by this multiple of the threshold, so
 # Gaussian noise up to sigma = threshold/3 leaves roughly a 3-sigma margin
@@ -143,19 +143,6 @@ class SynthSpec:
                 f"2 * {SEPARATION_FACTOR:g} * threshold = {side:g} px"
             )
         _probability_keys(self)
-
-
-@dataclass(frozen=True)
-class GroundTruth:
-    """Intended per-frame 0/1 labels and per-team ratios."""
-
-    frame_labels: dict[str, list[int]]
-    team_ratios: dict[str, float]
-
-    def to_json(self) -> str:
-        payload = {"team_ratios": self.team_ratios, "frame_labels": self.frame_labels}
-        # Without indent json uses its C encoder.
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def _team_ids(indices: range) -> list[str]:
@@ -366,8 +353,10 @@ def _texts(texts: Sequence) -> np.ndarray:
 
 
 def _truth_json(names: Sequence[str], jva: np.ndarray) -> bytes:
-    """``GroundTruth.to_json()`` of the teams ``names`` with frame labels
-    ``jva`` (bool, shape (teams, frames)).
+    """The ground truth of the teams ``names`` with frame labels ``jva``
+    (bool, shape (teams, frames)): ``json.dumps`` of ``{"frame_labels":
+    {id: [0/1, ...]}, "team_ratios": {id: sum / len}}`` with sorted keys
+    and no spaces.
 
     Teams go in ``sorted(names)`` order. Each team's label list is laid out
     whole, "[" and ","-separated digits and "]"; each ratio's JSON text is
@@ -389,13 +378,12 @@ def _truth_json(names: Sequence[str], jva: np.ndarray) -> bytes:
     return b'{"frame_labels":{%s},"team_ratios":{%s}}' % (members[0][:-1], members[1][:-1])
 
 
-def generate(
-    spec: SynthSpec, out_dir: Union[str, Path]
-) -> tuple[Path, Path, Path, GroundTruth]:
+def generate(spec: SynthSpec, out_dir: Union[str, Path]) -> tuple[Path, Path, Path]:
     """Write frames.csv, teams.csv and ground_truth.json under ``out_dir``.
 
     Files rather than in-memory records: the generator exercises the real
-    ingestion path. Returns the three paths and the ground truth.
+    ingestion path, and ground_truth.json is the only form of the truth.
+    Returns the three paths.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -414,8 +402,6 @@ def generate(
     suffixes = _texts([f",{c.value},{g.value}," for c, g in zip(_CONDITION_CYCLE, _GENDER_CYCLE)])
     probability = _team_probabilities(spec)
     block = max(1, _BLOCK_ROWS // (2 * n_frames))
-    frame_labels: dict[str, list[int]] = {}
-    team_ratios: dict[str, float] = {}
     block_jva = []
     # One generator, re-keyed before each team's draws with a zero counter
     # and an empty output buffer: the state a fresh Philox has. Lists set
@@ -468,13 +454,10 @@ def generate(
                 ids, suffixes[np.arange(start, indices.stop) % len(suffixes)],
                 scores[:, :1], b",", scores[:, 1:], b"\n",
             ]).tobytes().replace(b"\0", b""))
-            frame_labels.update(zip(names, jva.view(np.uint8).tolist()))
-            team_ratios.update(zip(names, (jva.sum(axis=1) / n_frames).tolist()))
             block_jva.append(jva)
 
-    truth = GroundTruth(frame_labels=frame_labels, team_ratios=team_ratios)
-    truth_path.write_bytes(_truth_json(list(frame_labels), np.concatenate(block_jva)))
-    return frames_path, teams_path, truth_path, truth
+    truth_path.write_bytes(_truth_json(_team_ids(range(spec.teams)), np.concatenate(block_jva)))
+    return frames_path, teams_path, truth_path
 
 
 def moment_matched_groups(

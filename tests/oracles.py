@@ -189,12 +189,14 @@ def _row_lines(chunk: list, before: int, after: int) -> np.ndarray:
     return np.minimum(before + np.cumsum(spans), after)
 
 
-def read_csv_rows(path, columns):
+def read_csv_rows(path, columns, optional=()):
     """The row-form table reader ``io_report._read_csv`` replaced.
 
     One ``csv.reader`` reads every line. It yields the header (stripped
-    names), then ``(lines, rows)`` chunks of up to ``io_report._CHUNK_ROWS``
-    rows (lists of cells) with the physical line each ends on. Blank and
+    names; one that repeats a name of ``columns`` or ``optional``, or is
+    none of them but matches one after ``casefold``, is an error), then
+    ``(lines, rows)`` chunks of up to ``io_report._CHUNK_ROWS`` rows (lists
+    of cells) with the physical line each ends on. Blank and
     comment rows are skipped; its errors are raised after the rows before
     them are yielded.
     """
@@ -233,6 +235,18 @@ def read_csv_rows(path, columns):
                 missing = [c for c in columns if c not in header]
                 if missing:
                     raise ValueError(f"missing mandatory columns {missing}")
+                reads = [*columns, *optional]
+                for name in header:
+                    if name in reads and header.count(name) > 1:
+                        raise ValueError(
+                            f"line {lines[0]}: header names column {name!r} more than once"
+                        )
+                    same = [c for c in reads if c.casefold() == name.casefold() != c]
+                    if same and name not in reads:
+                        raise ValueError(
+                            f"line {lines[0]}: header column {name!r} is not {same[0]!r}: "
+                            "column names are case-sensitive"
+                        )
                 yield header
                 chunk, lines = chunk[1:], lines[1:]
             if chunk:
@@ -246,7 +260,7 @@ def read_csv_rows(path, columns):
 def read_csv_columns(path, columns, optional=()):
     """``read_csv_rows`` in ``io_report._read_csv``'s column form, one row at
     a time: a cell a row lacks is None."""
-    chunks = read_csv_rows(path, columns)
+    chunks = read_csv_rows(path, columns, optional)
     header = next(chunks)
     yield header
     index = {name: i for i, name in enumerate(header)}
@@ -274,6 +288,8 @@ def _row_error(line: int, cell) -> str | None:
             return f"line {line}: short row, no {name} cell"
     if not cell("team_id").strip() or not cell("frame_id").strip():
         return f"line {line}: empty team_id or frame_id"
+    if not cell("person_id").strip():
+        return f"line {line}: empty person_id"
     for name in ("timestamp_s", "image_w", "image_h"):
         try:
             number = float(cell(name))

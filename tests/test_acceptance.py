@@ -2,6 +2,7 @@
 pass/fail line. Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import json
 import math
 
 import numpy as np
@@ -155,22 +156,24 @@ def test_criterion_08_end_to_end_round_trip(tmp_path):
     spec = SynthSpec(
         teams=9, frames_per_team=200, jva_probability=probabilities, seed=11
     )
-    frames_path, teams_path, _, truth = generate(spec, tmp_path / "exact")
+    frames_path, teams_path, truth_path = generate(spec, tmp_path / "exact")
+    truth = json.loads(truth_path.read_text())
     result = analyze_table(read_frame_table(frames_path), load_teams(teams_path))
     for row in result.teams:
         assert row.jva_ratio_pct == pytest.approx(
-            100.0 * truth.team_ratios[row.team_id], abs=1e-12
+            100.0 * truth["team_ratios"][row.team_id], abs=1e-12
         )
 
     noisy = SynthSpec(
         teams=9, frames_per_team=1000, jva_probability=probabilities,
         gaze_noise_sigma=20.0, seed=12,
     )
-    frames_path, teams_path, _, truth = generate(noisy, tmp_path / "noisy")
+    frames_path, teams_path, truth_path = generate(noisy, tmp_path / "noisy")
+    truth = json.loads(truth_path.read_text())
     result = analyze_table(read_frame_table(frames_path), load_teams(teams_path))
     for row in result.teams:
         assert row.jva_ratio_pct == pytest.approx(
-            100.0 * truth.team_ratios[row.team_id], abs=2.0
+            100.0 * truth["team_ratios"][row.team_id], abs=2.0
         )
     report("criterion 8: synth round trip exact at zero noise, ±2 pp at sigma=20")
 

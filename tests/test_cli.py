@@ -102,6 +102,15 @@ def test_analyze_jva_flag_choices_are_the_enum_values():
     assert choices["denominator_policy"] == [p.value for p in DenominatorPolicy]
 
 
+@pytest.mark.parametrize("command", ["analyze", "stats"])
+def test_format_choices_are_the_report_format_table(command):
+    commands = next(a for a in _build_parser()._actions if a.dest == "command")
+    fmt = next(a for a in commands.choices[command]._actions if a.dest == "format")
+    assert fmt.choices == list(io_report.REPORT_FORMATS)
+    assert fmt.choices == ["json", "text", "csv-bundle"]
+    assert fmt.default == io_report.DEFAULT_REPORT_FORMAT == "text"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "0"])
 def test_analyze_non_finite_threshold_is_usage_error(value, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -163,6 +172,38 @@ def test_analyze_malformed_frame_row_is_data_error(tmp_path, capsys, row, messag
     assert run(capsys, ["analyze", "--frames", str(frames), "--teams", str(teams)]) == (
         1, "", f"error: {frames}: {message}\n"
     )
+
+
+FRAME_COLUMNS_HEAD = "team_id,frame_id,timestamp_s,image_w,image_h,person_id"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # Read from the second gaze_x, the team would score 0% at --threshold 50.
+        ("# capture 3\n" + FRAME_COLUMNS_HEAD + ",gaze_x,gaze_y,gaze_x\n"
+         "t1,f1,0.0,100,100,p1,10,10,90\nt1,f1,0.0,100,100,p2,10,10,10\n",
+         "line 2: header names column 'gaze_x' more than once"),
+        # Ignored, the column would leave the flagged frame counted: 50%, not 100%.
+        (FRAME_COLUMNS_HEAD + ",gaze_x,gaze_y,Discarded\n"
+         "t1,f1,0.0,100,100,p1,10,10,0\nt1,f1,0.0,100,100,p2,10,10,0\n"
+         "t1,f2,1.0,100,100,p1,10,10,1\nt1,f2,1.0,100,100,p2,90,90,1\n",
+         "line 1: header column 'Discarded' is not 'discarded': "
+         "column names are case-sensitive"),
+        # An empty person would make a pair with p1.
+        (FRAME_COLUMNS_HEAD + ",gaze_x,gaze_y\n"
+         "t1,f1,0.0,100,100,p1,10,10\nt1,f1,0.0,100,100, ,10,10\n",
+         "line 3: empty person_id"),
+    ],
+    ids=["gaze_x twice", "Discarded", "empty person_id"],
+)
+def test_analyze_rejects_a_misleading_header_or_person(tmp_path, capsys, text, message):
+    frames = tmp_path / "frames.csv"
+    frames.write_text(text)
+    teams = tmp_path / "teams.csv"
+    teams.write_text("team_id,condition,gender,post_test_1,post_test_2\nt1,ar,FF,1,2\n")
+    argv = ["analyze", "--frames", str(frames), "--teams", str(teams), "--threshold", "50"]
+    assert run(capsys, argv) == (1, "", f"error: {frames}: {message}\n")
 
 
 def test_analyze_rejects_a_team_that_names_a_third_person(tmp_path, capsys):
@@ -276,6 +317,21 @@ def test_stats_bad_table_is_data_error_with_line(tmp_path, capsys, text, message
     assert run(capsys, ["stats", "--teams", str(table)]) == (1, "", expected)
 
 
+def test_stats_rejects_a_ratio_column_named_in_another_case(tmp_path, capsys):
+    # Read as a table without ratios, it would drop the JVA ANOVAs and the
+    # correlation without a note.
+    table = tmp_path / "teams.csv"
+    table.write_text(
+        TEAM_ROWS_HEADER.replace("jva_ratio_pct", "JVA_ratio_pct")
+        + "".join(f"t{i},{c},,FF,{10 * i},{i % 5}\n" for i, c in enumerate(["ar", "tablet"] * 3))
+    )
+    expected = (
+        f"error: {table}: line 1: header column 'JVA_ratio_pct' is not 'jva_ratio_pct': "
+        "column names are case-sensitive\n"
+    )
+    assert run(capsys, ["stats", "--teams", str(table)]) == (1, "", expected)
+
+
 def test_stats_reports_a_bad_row_before_a_later_non_utf8_byte(tmp_path, capsys):
     table = tmp_path / "teams.csv"
     rows = ["t1,ar,,ZZ,,2"] + [f"t{i},ar,,FF,,2" for i in range(2, 50)]
@@ -380,7 +436,7 @@ def test_synth_image_too_small_is_usage_error(tmp_path, capsys):
 def test_synth_without_flags_writes_the_default_spec(tmp_path, capsys):
     code, _, _ = run(capsys, ["synth", "--out-dir", str(tmp_path / "cli")])
     assert code == 0
-    for path in generate(SynthSpec(), tmp_path / "api")[:3]:
+    for path in generate(SynthSpec(), tmp_path / "api"):
         assert (tmp_path / "cli" / path.name).read_bytes() == path.read_bytes()
 
 

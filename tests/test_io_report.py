@@ -87,6 +87,20 @@ def test_missing_header_is_hard_error(tmp_path):
         load_frames(path)
 
 
+def test_a_column_no_reader_uses_may_repeat(tmp_path):
+    path = tmp_path / "frames.csv"
+    path.write_text(
+        "team_id,frame_id,timestamp_s,image_w,image_h,person_id,gaze_x,gaze_y,"
+        "head_x,head_x,confidence,Confidence,,\n"
+        "t1,f1,0.0,2560,1440,p1,100,100,1,2,1.0,1.0,,\n"
+    )
+    table = read_frame_table(path)
+    assert (table.gaze_x.tolist(), table.gaze_y.tolist()) == ([100.0], [100.0])
+    teams = tmp_path / "teams.csv"
+    teams.write_text("team_id,condition,group,group,gender,team_post_test\nt1,ar,,x,FF,2\n")
+    assert load_team_rows(teams).team_ids == ["t1"]
+
+
 def test_unparseable_column_is_hard_error(tmp_path):
     path = write_frames(tmp_path, ["t1,f1,abc,2560,1440,p1,100,100,,,1.0,0"])
     with pytest.raises(ValueError, match="timestamp_s"):
@@ -308,7 +322,7 @@ def fixture_report():
 
 @pytest.mark.parametrize(
     "fmt, message",
-    [("csv-bundle", "csv-bundle format needs an output directory"),
+    [("csv-bundle", "--format csv-bundle needs --out, the bundle's directory"),
      ("xml", "unknown report format 'xml'")],
 )
 def test_emit_report_rejects_a_bundle_without_a_directory_or_an_unknown_format(fmt, message):

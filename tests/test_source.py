@@ -4,14 +4,17 @@ Every module-level import in the package, the tests and the demos is
 used in its module or named in its ``__all__``; every private module-level
 name of the package is read in its module; the package reads no file in
 text mode, so that ``model.input_text`` stays the one way from an input
-file's bytes to text; and no line of the package or the tests is longer
-than 98 characters.
+file's bytes to text; the CLI names no report format itself, and synth
+keeps its truth only in ``ground_truth.json``; and no line of the package
+or the tests is longer than 98 characters.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from teamgaze import io_report
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "teamgaze").glob("*.py"))
@@ -142,6 +145,19 @@ def _text_reads(tree: ast.Module) -> list[str]:
 def test_no_file_is_read_as_text(path):
     reads = _text_reads(ast.parse(path.read_text(encoding="utf-8")))
     assert not reads, f"{path.name} reads files in text mode: {reads}"
+
+
+def test_report_formats_and_synth_truth_are_stated_once():
+    """The CLI takes the report format names from ``io_report.REPORT_FORMATS``,
+    and ``ground_truth.json`` is synth's only form of the truth."""
+    cli = ast.parse((ROOT / "src" / "teamgaze" / "cli.py").read_text(encoding="utf-8"))
+    literals = {
+        node.value for node in ast.walk(cli)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    assert not literals & set(io_report.REPORT_FORMATS)
+    named = [path.name for path in PACKAGE if "GroundTruth" in path.read_text(encoding="utf-8")]
+    assert not named
 
 
 def test_the_text_read_check_names_each_text_mode_read():

@@ -14,12 +14,12 @@ from teamgaze.synth import SynthSpec, generate, moment_matched_groups
 
 
 def run_pipeline(tmp_path, spec):
-    frames_path, teams_path, truth_path, truth = generate(spec, tmp_path)
+    frames_path, teams_path, truth_path = generate(spec, tmp_path)
     table = read_frame_table(frames_path)
     assert table.row_errors == []
     teams = load_teams(teams_path)
     report = analyze_table(table, teams, JvaConfig())
-    return report, truth
+    return report, json.loads(truth_path.read_text())
 
 
 def test_probability_one_gives_full_jva(tmp_path):
@@ -39,14 +39,14 @@ def test_zero_noise_recovers_ground_truth_exactly(tmp_path):
     report, truth = run_pipeline(tmp_path, spec)
     for row in report.teams:
         assert row.jva_ratio_pct == pytest.approx(
-            100.0 * truth.team_ratios[row.team_id], abs=1e-12
+            100.0 * truth["team_ratios"][row.team_id], abs=1e-12
         )
 
 
 def test_long_session_ratio_concentrates_near_probability(tmp_path):
     spec = SynthSpec(teams=1, frames_per_team=10000, jva_probability=0.313, seed=4)
     _, truth = run_pipeline(tmp_path, spec)
-    assert truth.team_ratios["team01"] == pytest.approx(0.313, abs=0.015)
+    assert truth["team_ratios"]["team01"] == pytest.approx(0.313, abs=0.015)
 
 
 def test_generation_deterministic_per_seed(tmp_path):
@@ -86,10 +86,16 @@ def test_per_condition_probabilities(tmp_path):
 
 def test_ground_truth_sidecar_is_valid_json(tmp_path):
     spec = SynthSpec(teams=2, frames_per_team=10, jva_probability=0.5, seed=0)
-    _, _, truth_path, truth = generate(spec, tmp_path)
+    _, _, truth_path = generate(spec, tmp_path)
     payload = json.loads(truth_path.read_text())
     assert set(payload["team_ratios"]) == {"team01", "team02"}
-    assert payload["team_ratios"]["team01"] == truth.team_ratios["team01"]
+    assert payload["team_ratios"]["team01"] == sum(payload["frame_labels"]["team01"]) / 10
+
+
+def test_generate_returns_the_three_paths(tmp_path):
+    paths = generate(SynthSpec(teams=2, frames_per_team=3), tmp_path)
+    assert paths == tuple(tmp_path / name for name in ("frames.csv", "teams.csv",
+                                                       "ground_truth.json"))
 
 
 def test_noise_with_separation_margin_keeps_labels(tmp_path):
@@ -102,7 +108,7 @@ def test_noise_with_separation_margin_keeps_labels(tmp_path):
     report, truth = run_pipeline(tmp_path, spec)
     for row in report.teams:
         assert row.jva_ratio_pct == pytest.approx(
-            100.0 * truth.team_ratios[row.team_id], abs=2.0
+            100.0 * truth["team_ratios"][row.team_id], abs=2.0
         )
 
 
@@ -147,7 +153,7 @@ def test_team_rows_do_not_depend_on_team_count_or_block_size(
 def test_zero_noise_recovers_every_frame_label(tmp_path, teams, frames, w, h, p):
     spec = SynthSpec(teams=teams, frames_per_team=frames, image_w=w, image_h=h,
                      jva_probability=p, seed=5)
-    frames_path, _, truth_path, _ = generate(spec, tmp_path)
+    frames_path, _, truth_path = generate(spec, tmp_path)
     truth = json.loads(truth_path.read_text())
     table = read_frame_table(frames_path)
     assert table.row_errors == []
@@ -253,10 +259,15 @@ def test_ground_truth_file_is_the_json_dumps_of_the_truth(tmp_path, monkeypatch,
                                                          block_rows):
     if block_rows:
         monkeypatch.setattr(synth, "_BLOCK_ROWS", block_rows)
-    _, _, truth_path, truth = generate(spec, tmp_path)
-    assert truth_path.read_bytes() == truth.to_json().encode()
-    names = [f"team{i + 1:02d}" for i in range(spec.teams)]
-    assert list(truth.frame_labels) == list(truth.team_ratios) == names
+    _, _, truth_path = generate(spec, tmp_path)
+    data = truth_path.read_bytes()
+    truth = json.loads(data)
+    assert data == json.dumps(truth, sort_keys=True, separators=(",", ":")).encode()
+    names = {f"team{i + 1:02d}" for i in range(spec.teams)}
+    assert set(truth["frame_labels"]) == set(truth["team_ratios"]) == names
+    for name, labels in truth["frame_labels"].items():
+        assert len(labels) == spec.frames_per_team and set(labels) <= {0, 1}
+        assert truth["team_ratios"][name] == sum(labels) / len(labels)
 
 
 def with_neighbours(values):
@@ -338,8 +349,9 @@ def test_team_id_probability_wins_over_or_stands_in_for_its_condition(tmp_path):
                      jva_probability={"team01": 1.0, "team02": 1.0, "team03": 0.0,
                                       "textbook": 0.0, "ar": 1.0})
     assert synth._team_probabilities(spec).tolist() == [1.0, 1.0, 0.0, 0.0]
-    _, _, _, truth = generate(spec, tmp_path)
-    assert truth.team_ratios == {"team01": 1.0, "team02": 1.0, "team03": 0.0, "team04": 0.0}
+    _, _, truth_path = generate(spec, tmp_path)
+    truth = json.loads(truth_path.read_text())
+    assert truth["team_ratios"] == {"team01": 1.0, "team02": 1.0, "team03": 0.0, "team04": 0.0}
 
 
 def test_moment_matching_is_exact():
