@@ -27,9 +27,9 @@ with tempfile.TemporaryDirectory() as tmp:
     report = analyze_table(read_frame_table(frames_path), load_teams(teams_path))
 
     print("ground truth vs recovered JVA ratio (%):")
-    for row in report.teams:
-        expected = 100.0 * truth["team_ratios"][row.team_id]
-        print(f"  {row.team_id}  {expected:6.2f}  ->  {row.jva_ratio_pct:6.2f}")
+    for team_id, ratio in zip(report.teams.team_ids, report.teams.jva_ratio_pct.tolist()):
+        expected = 100.0 * truth["team_ratios"][team_id]
+        print(f"  {team_id}  {expected:6.2f}  ->  {ratio:6.2f}")
 
     print()
     print(emit_report(report, fmt="text"))

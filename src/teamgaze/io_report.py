@@ -25,10 +25,10 @@ them with ``jva.team_jva_counts``. The team and per-team results tables
 are parsed the same way (``_TeamColumns``) into a ``TeamTable`` of
 per-team columns: ``load_teams`` fills it without JVA ratios,
 ``analyze_table`` adds them, ``load_team_rows`` reads them from the
-file, and ``stats_report`` runs the statistics battery on it. Only the
-per-frame reference path builds objects: ``load_frames`` turns frame
-rows into ``FrameRecord``s and ``build_sessions`` joins them with a team
-table's rows into the ``TeamSession``s that ``jva.session_jva`` scores.
+file, and ``stats_report`` runs the statistics battery on it. No command
+builds objects per frame: ``load_frames``, ``build_sessions`` and
+``TeamRow`` are kept only for ``perfbench/traced.py`` until ROADMAP
+item 1, and the tests' reference is ``tests/oracles.py``.
 Reports render the same content as machine-readable JSON, an aligned
 plain-text table, or a CSV bundle. Every emitter writes the teams a
 column at a time (``_team_cells``); every other section (group summaries
@@ -258,14 +258,16 @@ def _read_csv(
     ``short`` says whether a row lacks a cell of one of those columns; the
     cells it lacks are None. Blank rows and comment rows (a first cell
     starting with ``#`` after leading spaces) are skipped; header names are
-    stripped. The text is ``model.input_text``'s. A missing header or
-    column, a header naming one of those columns twice or a name that is
-    not one of them but equals one after ``casefold`` (``_check_header``;
-    other names may repeat), a csv error, a comment row holding a quoted line break and a
-    byte that is not UTF-8 are errors naming the line, raised after the rows
-    before them are yielded; a row ending on or past a bad byte's line stops
-    the read, so a csv error in the row that holds the byte comes first. A
-    bad cell is named by the table's parser.
+    stripped. ``columns`` may be a function of the header names that gives
+    ``(columns, optional)``. The text is ``model.input_text``'s. A missing
+    header or column, a header naming one of those columns twice or a name
+    that is not one of them but equals one after ``casefold``
+    (``_check_header``; other names may repeat), a csv error, a comment row
+    holding a quoted line break and a byte that is not UTF-8 are errors
+    naming the line, raised after the rows before them are yielded; a row
+    ending on or past a bad byte's line stops the read, so a csv error in
+    the row that holds the byte comes first. A bad cell is named by the
+    table's parser.
 
     The file is read once as bytes, its first line alone and then
     ``_CHUNK_ROWS`` lines at a time, each ending at LF, CR LF or a lone CR.
@@ -372,6 +374,8 @@ def _read_csv(
                             break
                     elif row and header is None:  # csv.reader gives [] for a blank line
                         header = [name.strip() for name in row]
+                        if callable(columns):
+                            columns, optional = columns(header)
                         missing = [c for c in columns if c not in header]
                         if missing:
                             raise ValueError(f"missing mandatory columns {missing}")
@@ -833,8 +837,9 @@ def load_teams(path: Union[str, Path]) -> TeamTable:
 def build_sessions(
     frames_by_team: dict[str, list[FrameRecord]], teams: TeamTable
 ) -> list[TeamSession]:
-    """One TeamSession per team of ``teams``, sorted by id, with its frames,
-    for the per-frame reference path; frames of other teams are an error."""
+    """One TeamSession per team of ``teams``, sorted by id, with its frames;
+    frames of other teams are an error. Kept only for ``perfbench/traced.py``
+    until ROADMAP item 1; the tests' reference is ``tests/oracles.py``."""
     missing_meta = sorted(set(frames_by_team) - set(teams.team_ids))
     if missing_meta:
         raise ValueError(f"frames reference unknown teams: {missing_meta}")
@@ -947,7 +952,9 @@ class Report:
     comparisons in ``posthoc``.
     """
 
-    teams: TeamTable = field(default_factory=lambda: TeamTable.from_rows(()))
+    teams: TeamTable = field(
+        default_factory=lambda: TeamTable([], *np.zeros((2, 0), np.int8), *np.zeros((2, 0)))
+    )
     summaries: dict[str, dict[str, list[GroupSummary]]] = field(default_factory=dict)
     totals: dict[str, GroupSummary] = field(default_factory=dict)
     anovas: dict[str, AnovaResult] = field(default_factory=dict)
@@ -1159,9 +1166,12 @@ def load_team_rows(path: Union[str, Path]) -> TeamTable:
 def stats_report_from_table(path: Union[str, Path]) -> Report:
     """The inferential report of a summary table, as ``load_summary_fixture``
     reads it, or else of a per-team results table, as ``load_team_rows``
-    reads it: the kind is the one whose columns the header has, and the
+    reads it: the kind is the first whose columns the header has, its header
+    rules apply (a header of neither kind is checked against both), and the
     file is read once."""
-    chunks = _read_csv(path, (), (*_SUMMARY_COLUMNS, *_TEAM_ROW_COLUMNS, "jva_ratio_pct"))
+    kinds = [(_SUMMARY_COLUMNS, ()), (_TEAM_ROW_COLUMNS, ("jva_ratio_pct",)),
+             ((), (*_SUMMARY_COLUMNS, *_TEAM_ROW_COLUMNS, "jva_ratio_pct"))]
+    chunks = _read_csv(path, lambda names: next(k for k in kinds if set(names).issuperset(k[0])))
     header = set(next(chunks))
     if header.issuperset(_SUMMARY_COLUMNS):
         return stats_report_from_summaries(*_summaries(chunks))

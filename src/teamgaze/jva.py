@@ -4,9 +4,9 @@ A frame exhibits JVA when the Euclidean distance between the two persons'
 gaze points is strictly smaller than the threshold (100 px by default, at
 the reference 2560x1440 capture resolution).
 
-``classify_frame`` and ``session_jva`` score one frame object at a time and
-are the reference; ``team_jva_counts`` scores many frames held as arrays
-and gives the same counts.
+Every command scores with ``team_jva_counts``; ``classify_frame`` and
+``session_jva`` are kept only for ``perfbench/traced.py`` until ROADMAP
+item 1, and the tests' reference is ``tests/oracles.py``.
 """
 
 from __future__ import annotations

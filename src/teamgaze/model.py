@@ -117,8 +117,8 @@ class FrameRecord:
 class TeamSession:
     """Ordered frames for one two-person team plus study metadata.
 
-    The type of the per-frame reference path (``jva.session_jva``);
-    ``io_report.build_sessions`` builds them from a team table.
+    The per-frame path's type, kept only for ``perfbench/traced.py`` until
+    ROADMAP item 1; the tests' reference is ``tests/oracles.py``.
     """
 
     team_id: str

@@ -1,23 +1,30 @@
 """Independent numerical oracles shared by the test modules.
 
 These deliberately avoid the library's own code paths: the F tail oracle
-integrates the density with adaptive quadrature, the brute-force JVA
-recount walks frames with plain math, the per-row stats report groups
-TeamRow records one row at a time, the per-value team cells format every
-team's numbers one value at a time, the row-form table reader hands
+integrates the density with adaptive quadrature, the per-row stats report
+groups ``Team`` records one row at a time, the per-value team cells format
+every team's numbers one value at a time, the row-form table reader hands
 every line to ``csv.reader``, and the reference frame table checks and
-groups frame rows one row at a time in dicts.
+groups frame rows one row at a time in dicts. ``brute_force_jva_count``,
+the per-frame JVA reference, scores that frame table with plain
+arithmetic, and neither it nor ``reference_frame_table`` uses a
+``teamgaze`` name. ``team_table`` and ``teams_of`` turn ``Team`` records
+into a ``TeamTable``'s columns and back, and ``team_jva_counts_of`` feeds
+the reference frame table to ``jva.team_jva_counts``, the scorer
+``teamgaze analyze`` runs.
 """
 
 import csv
 import math
 from itertools import islice
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy import integrate
 
 from teamgaze import io_report
 from teamgaze.io_report import Report, TeamTable, _add_anova
+from teamgaze.jva import DenominatorPolicy, JvaConfig, ScaleMode, team_jva_counts
 from teamgaze.model import Condition, GenderComposition, Group
 from teamgaze.stats import pearson, summarize
 
@@ -42,25 +49,112 @@ def f_tail_by_quadrature(f: float, df1: int, df2: int) -> float:
     return value
 
 
-def brute_force_jva_count(frames, threshold: float):
-    """Recount JVA and denominator frames with plain per-frame arithmetic.
+def brute_force_jva_count(
+    table: dict, threshold: float, scale: str = "absolute", policy: str = "valid-pair-frames"
+) -> tuple[dict, list]:
+    """Recount each team's JVA and denominator frames with plain per-frame
+    arithmetic, by the rules README states.
 
-    ``frames`` is a list of (gaze_a, gaze_b) pixel tuples, or None for a
-    frame without a valid pair.
+    ``table`` is ``reference_frame_table``'s dict; ``scale`` and ``policy``
+    are ``--scale-mode`` and ``--denominator-policy`` values. A frame
+    flagged discarded never counts. A frame of exactly two kept rows is a
+    valid pair: its distance is ``math.hypot`` of the two gaze points'
+    offset, and it is JVA when the distance is strictly below the
+    threshold, which in diagonal mode is
+    ``threshold * hypot(w, h) / hypot(2560, 1440)``. Every valid pair
+    counts; under ``all-captured-frames`` every frame not discarded counts.
+
+    Returns each team's ``(jva, denominator)`` by team id, and each frame's
+    ``(distance, is_jva, counted)``, its distance None without a valid pair.
     """
-    jva = 0
-    denominator = 0
-    for pair in frames:
-        if pair is None:
-            continue
-        (ax, ay), (bx, by) = pair
-        denominator += 1
-        if math.sqrt((ax - bx) ** 2 + (ay - by) ** 2) < threshold:
-            jva += 1
-    return jva, denominator
+    counts = {team: (0, 0) for team in table["team_ids"]}
+    frames = []
+    offsets, x, y = table["row_offsets"], table["gaze_x"], table["gaze_y"]
+    for f, team in enumerate(table["frame_team"]):
+        discarded = table["discarded"][f]
+        distance, is_jva = None, False
+        if offsets[f + 1] - offsets[f] == 2 and not discarded:
+            a, b = offsets[f], offsets[f] + 1
+            distance = math.hypot(x[a] - x[b], y[a] - y[b])
+            limit = threshold
+            if scale == "diagonal-normalized":
+                diagonal = math.hypot(table["width"][f], table["height"][f])
+                limit = threshold * diagonal / math.hypot(2560.0, 1440.0)
+            is_jva = distance < limit
+        counted = distance is not None or (policy == "all-captured-frames" and not discarded)
+        jva, denominator = counts[table["team_ids"][team]]
+        counts[table["team_ids"][team]] = (jva + is_jva, denominator + counted)
+        frames.append((distance, is_jva, counted))
+    return counts, frames
 
 
-# The labels of each grouping and the TeamRow field holding each measure.
+def team_jva_counts_of(
+    table: dict, threshold: float, scale: str = "absolute", policy: str = "valid-pair-frames"
+) -> dict:
+    """``jva.team_jva_counts``'s ``(jva, denominator)`` by team id for the
+    frames of ``reference_frame_table``'s dict, with
+    ``brute_force_jva_count``'s arguments."""
+    config = JvaConfig(threshold, ScaleMode(scale), DenominatorPolicy(policy))
+    jva, denominator = team_jva_counts(
+        np.array(table["frame_team"], np.intp),
+        len(table["team_ids"]),
+        np.array(table["width"], float),
+        np.array(table["height"], float),
+        np.array(table["discarded"], bool),
+        np.array(table["row_offsets"], np.intp),
+        np.array(table["gaze_x"], float),
+        np.array(table["gaze_y"], float),
+        config,
+    )
+    return dict(zip(table["team_ids"], zip(jva.tolist(), denominator.tolist())))
+
+
+class Team(NamedTuple):
+    """One row of a per-team results table as plain values."""
+
+    team_id: str
+    condition: str  # textbook | tablet | ar
+    gender: str  # FF | MM | MX
+    jva_ratio_pct: Optional[float]  # None: no countable frames
+    team_post_test: float
+
+    @property
+    def group(self) -> str:
+        return "control" if self.condition == "textbook" else "experiment"
+
+
+def team_table(teams) -> TeamTable:
+    """The ``TeamTable`` of ``Team`` records, in their order: each condition
+    and gender as its index into ``Condition`` and ``GenderComposition``, a
+    None ratio as NaN."""
+    teams = list(teams)
+    conditions = [c.value for c in Condition]
+    genders = [g.value for g in GenderComposition]
+    return TeamTable(
+        team_ids=[t.team_id for t in teams],
+        condition=np.array([conditions.index(t.condition) for t in teams], np.int8),
+        gender=np.array([genders.index(t.gender) for t in teams], np.int8),
+        jva_ratio_pct=np.array(
+            [np.nan if t.jva_ratio_pct is None else t.jva_ratio_pct for t in teams], float
+        ),
+        post_test=np.array([t.team_post_test for t in teams], float),
+    )
+
+
+def teams_of(table: TeamTable) -> list:
+    """The ``Team`` records of a ``TeamTable``'s columns, a NaN ratio as None."""
+    conditions, genders = list(Condition), list(GenderComposition)
+    return [
+        Team(team_id, conditions[c].value, genders[g].value,
+             None if ratio != ratio else ratio, post_test)
+        for team_id, c, g, ratio, post_test in zip(
+            table.team_ids, table.condition.tolist(), table.gender.tolist(),
+            table.jva_ratio_pct.tolist(), table.post_test.tolist(),
+        )
+    ]
+
+
+# The labels of each grouping and the Team field holding each measure.
 _GROUPINGS = {
     "condition": [c.value for c in Condition],
     "group": [g.value for g in Group],
@@ -70,21 +164,21 @@ _MEASURE_FIELDS = {"jva_ratio_pct": "jva_ratio_pct", "post_test": "team_post_tes
 
 
 def per_row_stats_report(rows) -> Report:
-    """The stats report of TeamRow records, built a row at a time.
+    """The stats report of ``Team`` records, built a row at a time.
 
     Each (grouping, measure) collects its groups' values in one pass over
     the rows, keeping row order; the scatter and the correlation take the
     rows sorted by team_id. The columnar ``io_report.stats_report`` must
     render the same bytes.
     """
-    report = Report(teams=TeamTable.from_rows(sorted(rows, key=lambda r: r.team_id)))
+    report = Report(teams=team_table(sorted(rows, key=lambda r: r.team_id)))
     for grouping, labels in _GROUPINGS.items():
         report.summaries[grouping] = {}
         for measure, attr in _MEASURE_FIELDS.items():
             values_by_label = {label: [] for label in labels}
             for row in rows:
                 if (v := getattr(row, attr)) is not None:
-                    values_by_label[getattr(row, grouping).value].append(v)
+                    values_by_label[getattr(row, grouping)].append(v)
             groups = [
                 summarize(values, label=label)
                 for label, values in values_by_label.items()
@@ -113,9 +207,9 @@ def per_row_stats_report(rows) -> Report:
 
 
 def per_value_team_columns(teams: TeamTable, value_rule, text=str) -> list[list]:
-    """The cells of each team field, in TeamRow order: ``text`` of each id
-    and label, ``value_rule`` of each number (a missing ratio is None),
-    one call per team."""
+    """The cells of each team field, in teams.csv's column order: ``text``
+    of each id and label, ``value_rule`` of each number (a missing ratio is
+    None), one call per team."""
     ratios = teams.jva_ratio_pct.tolist()
     if np.isnan(teams.jva_ratio_pct).any():
         ratios = [None if r != r else r for r in ratios]
@@ -198,7 +292,8 @@ def read_csv_rows(path, columns, optional=()):
     ``(lines, rows)`` chunks of up to ``io_report._CHUNK_ROWS`` rows (lists
     of cells) with the physical line each ends on. Blank and
     comment rows are skipped; its errors are raised after the rows before
-    them are yielded.
+    them are yielded. ``columns`` may be a function of the header that
+    gives ``(columns, optional)``.
     """
     header, error = None, None
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -232,6 +327,8 @@ def read_csv_rows(path, columns, optional=()):
             line = end
             if header is None and chunk:
                 header = [name.strip() for name in chunk[0]]
+                if callable(columns):
+                    columns, optional = columns(header)
                 missing = [c for c in columns if c not in header]
                 if missing:
                     raise ValueError(f"missing mandatory columns {missing}")
@@ -263,6 +360,8 @@ def read_csv_columns(path, columns, optional=()):
     chunks = read_csv_rows(path, columns, optional)
     header = next(chunks)
     yield header
+    if callable(columns):
+        columns, optional = columns(header)
     index = {name: i for i, name in enumerate(header)}
     used = {name: index[name] for name in (*columns, *optional) if name in index}
     for lines, rows in chunks:
@@ -396,3 +495,4 @@ def reference_frame_table(rows) -> dict:
         "gaze_y": [y for _, _, y in kept],
         "row_errors": row_errors,
     }
+

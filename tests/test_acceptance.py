@@ -8,7 +8,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import f_tail_by_quadrature
+from oracles import (
+    brute_force_jva_count,
+    f_tail_by_quadrature,
+    reference_frame_table,
+    team_jva_counts_of,
+    teams_of,
+)
 from scipy import stats as scipy_stats
 
 from teamgaze.gazefield import (
@@ -17,16 +23,7 @@ from teamgaze.gazefield import (
     multiscale_fields,
 )
 from teamgaze.io_report import analyze_table, load_teams, read_frame_table
-from teamgaze.jva import JvaConfig, classify_frame, session_jva
-from teamgaze.model import (
-    Condition,
-    FrameRecord,
-    GazeObservation,
-    GenderComposition,
-    Heatmap,
-    Point2D,
-    TeamSession,
-)
+from teamgaze.model import Heatmap, Point2D
 from teamgaze.stats import (
     GroupSummary,
     anova_from_summary,
@@ -141,16 +138,6 @@ def test_criterion_07_oracle_equivalence_raw_vs_summary():
     report("criterion 7: raw vs summary ANOVA agree to 1e-9 over 200 configs")
 
 
-def _session(team_id, frames):
-    return TeamSession(
-        team_id=team_id,
-        condition=Condition.TABLET,
-        gender_composition=GenderComposition.MIXED,
-        team_post_test=2.5,
-        frames=tuple(frames),
-    )
-
-
 def test_criterion_08_end_to_end_round_trip(tmp_path):
     probabilities = {f"team{i:02d}": i / 10 for i in range(1, 10)}
     spec = SynthSpec(
@@ -159,9 +146,9 @@ def test_criterion_08_end_to_end_round_trip(tmp_path):
     frames_path, teams_path, truth_path = generate(spec, tmp_path / "exact")
     truth = json.loads(truth_path.read_text())
     result = analyze_table(read_frame_table(frames_path), load_teams(teams_path))
-    for row in result.teams:
-        assert row.jva_ratio_pct == pytest.approx(
-            100.0 * truth["team_ratios"][row.team_id], abs=1e-12
+    for team in teams_of(result.teams):
+        assert team.jva_ratio_pct == pytest.approx(
+            100.0 * truth["team_ratios"][team.team_id], abs=1e-12
         )
 
     noisy = SynthSpec(
@@ -171,64 +158,74 @@ def test_criterion_08_end_to_end_round_trip(tmp_path):
     frames_path, teams_path, truth_path = generate(noisy, tmp_path / "noisy")
     truth = json.loads(truth_path.read_text())
     result = analyze_table(read_frame_table(frames_path), load_teams(teams_path))
-    for row in result.teams:
-        assert row.jva_ratio_pct == pytest.approx(
-            100.0 * truth["team_ratios"][row.team_id], abs=2.0
+    for team in teams_of(result.teams):
+        assert team.jva_ratio_pct == pytest.approx(
+            100.0 * truth["team_ratios"][team.team_id], abs=2.0
         )
     report("criterion 8: synth round trip exact at zero noise, ±2 pp at sigma=20")
 
 
-def _pair_frame(i, a, b):
-    return FrameRecord(
-        frame_id=f"f{i}",
-        timestamp=float(i),
-        image_width=4000,
-        image_height=4000,
-        observations=(
-            GazeObservation("p1", Point2D(*a)),
-            GazeObservation("p2", Point2D(*b)),
-        ),
-    )
+def _frame_rows(cases, one_team=False):
+    """Frame-table rows of one 4000x4000 frame per case ``(ax, ay, bx, by)``:
+    p1 gazes at (ax, ay) and p2 at (bx, by); each frame is a team of its
+    own, or all are frames of team t."""
+    return [
+        f"{'t' if one_team else f't{i}'},f{i},0.0,4000,4000,{person},{x!r},{y!r},,,1.0,0"
+        for i, (ax, ay, bx, by) in enumerate(cases)
+        for person, x, y in (("p1", ax, ay), ("p2", bx, by))
+    ]
+
+
+def _decisions(table, threshold=100.0):
+    """Each one-frame team's JVA decision by ``team_jva_counts``, after
+    checking that the reference decides the same, and each frame's
+    distance by the reference."""
+    counts, frames = brute_force_jva_count(table, threshold)
+    program = team_jva_counts_of(table, threshold)
+    assert program == counts
+    assert all(denominator == 1 for _, denominator in program.values())
+    return np.array([jva == 1 for jva, _ in program.values()]), [d for d, _, _ in frames]
 
 
 def test_criterion_09_jva_property_suite():
     rng = np.random.default_rng(7)
     cases = rng.uniform(0, 2000, size=(1000, 4))
+    table = reference_frame_table(_frame_rows(cases.tolist()))
 
-    # threshold monotonicity
-    for ax, ay, bx, by in cases:
-        frame = _pair_frame(0, (ax, ay), (bx, by))
-        t1, t2 = sorted(rng.uniform(1, 500, size=2))
-        low = classify_frame(frame, JvaConfig(threshold=t1))
-        high = classify_frame(frame, JvaConfig(threshold=t2))
-        assert high.is_jva or not low.is_jva
+    # threshold monotonicity, 1000 frames at each of 50 threshold pairs
+    for t1, t2 in np.sort(rng.uniform(1, 500, size=(50, 2))).tolist():
+        low, _ = _decisions(table, t1)
+        high, _ = _decisions(table, t2)
+        assert (high | ~low).all()
 
     # person-swap symmetry and translation invariance
-    for ax, ay, bx, by in cases:
-        base = classify_frame(_pair_frame(0, (ax, ay), (bx, by)))
-        swapped = classify_frame(_pair_frame(0, (bx, by), (ax, ay)))
-        assert base.distance == pytest.approx(swapped.distance)
-        dx, dy = rng.uniform(0, 500, size=2)
-        moved = classify_frame(
-            _pair_frame(0, (ax + dx, ay + dy), (bx + dx, by + dy))
-        )
-        assert moved.distance == pytest.approx(base.distance, abs=1e-6)
-        assert moved.is_jva == base.is_jva or abs(base.distance - 100.0) < 1e-6
+    base, distance = _decisions(table)
+    swapped, swapped_distance = _decisions(
+        reference_frame_table(_frame_rows(cases[:, [2, 3, 0, 1]].tolist()))
+    )
+    assert (swapped == base).all()
+    assert swapped_distance == pytest.approx(distance)
+    shift = np.tile(rng.uniform(0, 500, size=(1000, 2)), 2)
+    moved_rows = _frame_rows((cases + shift).tolist())
+    moved, moved_distance = _decisions(reference_frame_table(moved_rows))
+    assert moved_distance == pytest.approx(distance, abs=1e-6)
+    near = np.abs(np.array(distance) - 100.0) < 1e-6
+    assert ((moved == base) | near).all()
 
     # strict boundary at exactly the threshold; quarter-pixel grid keeps
     # x + 100 exactly representable so the distance is exactly 100.0
-    for i in range(1000):
-        x = round(float(rng.uniform(0, 1000)) * 4) / 4
-        y = round(float(rng.uniform(0, 1000)) * 4) / 4
-        frame = _pair_frame(i, (x, y), (x + 100.0, y))
-        result = classify_frame(frame)
-        assert result.distance == 100.0
-        assert not result.is_jva
+    corners = np.round(rng.uniform(0, 1000, size=(1000, 2)) * 4) / 4
+    at_threshold = np.column_stack([corners, corners[:, 0] + 100.0, corners[:, 1]])
+    decided, at_distance = _decisions(reference_frame_table(_frame_rows(at_threshold.tolist())))
+    assert at_distance == [100.0] * 1000
+    assert not decided.any()
 
-    # ratio bounds on random sessions
-    session = _session("t", [_pair_frame(i, c[:2], c[2:]) for i, c in enumerate(cases)])
-    ratio = session_jva(session).jva_ratio
-    assert 0.0 <= ratio <= 1.0
+    # ratio bounds over one team's 1000 frames
+    one_team = reference_frame_table(_frame_rows(cases.tolist(), one_team=True))
+    counts, _ = brute_force_jva_count(one_team, 100.0)
+    ((jva, denominator),) = team_jva_counts_of(one_team, 100.0).values()
+    assert (jva, denominator) == counts["t"] and denominator == 1000
+    assert 0.0 <= jva / denominator <= 1.0
     report("criterion 9: JVA properties hold over 1000 randomized frames each")
 
 

@@ -140,20 +140,6 @@ def test_csv_bundle_without_out_is_usage_error_before_any_input(tmp_path, capsys
     )
 
 
-def test_analyze_builds_no_team_session(tmp_path, capsys, monkeypatch):
-    frames, teams = synth_inputs(tmp_path, capsys)
-
-    def no_session(*args, **kwargs):
-        raise AssertionError("analyze built a TeamSession")
-
-    monkeypatch.setattr(io_report, "TeamSession", no_session)
-    code, out, _ = run(
-        capsys, ["analyze", "--frames", str(frames), "--teams", str(teams), "--format", "json"]
-    )
-    assert code == 0
-    assert len(json.loads(out)["teams"]) == 6
-
-
 @pytest.mark.parametrize(
     "row, message",
     [
@@ -330,6 +316,45 @@ def test_stats_rejects_a_ratio_column_named_in_another_case(tmp_path, capsys):
         "column names are case-sensitive\n"
     )
     assert run(capsys, ["stats", "--teams", str(table)]) == (1, "", expected)
+
+
+SUMMARY_ROWS = SUMMARY_ROW + "group,experiment,post_test,5,2.5,0.5\n"
+TEAM_ROWS = "".join(f"t{i},{c},,FF,{10 * i},{i % 5}\n"
+                    for i, c in enumerate(["ar", "tablet"] * 2))
+
+
+@pytest.mark.parametrize(
+    "plain, extra, message",
+    [
+        # Another kind's column, named in another case, is a column this kind ignores.
+        (SUMMARY_HEADER + SUMMARY_ROWS, "Gender", None),
+        (TEAM_ROWS_HEADER + TEAM_ROWS, "Label", None),
+        (TEAM_ROWS_HEADER + TEAM_ROWS, "JVA_ratio_pct",
+         "line 1: header column 'JVA_ratio_pct' is not 'jva_ratio_pct': "
+         "column names are case-sensitive"),
+        (TEAM_ROWS_HEADER + TEAM_ROWS, "team_id",
+         "line 1: header names column 'team_id' more than once"),
+    ],
+    ids=["summary Gender", "per-team Label", "per-team JVA_ratio_pct", "per-team team_id"],
+)
+def test_stats_checks_a_header_by_the_kind_of_table_it_picks(
+    tmp_path, capsys, plain, extra, message
+):
+    """A column added at the end of a table: a name the table's kind does
+    not read is ignored, and the kind's own header rules still apply."""
+    table, plain_table = tmp_path / "table.csv", tmp_path / "plain.csv"
+    plain_table.write_text(plain)
+    header, *rows = plain.splitlines()
+    table.write_text("".join(f"{line},{cell}\n" for line, cell in zip(
+        [header, *rows], [extra, *["x"] * len(rows)]
+    )))
+    code, out, err = run(capsys, ["stats", "--teams", str(table), "--format", "json"])
+    if message is not None:
+        assert (code, out, err) == (1, "", f"error: {table}: {message}\n")
+        return
+    assert (code, err) == (0, "")
+    assert out == run(capsys, ["stats", "--teams", str(plain_table), "--format", "json"])[1]
+    assert len(json.loads(out)["teams"]) == (4 if extra == "Label" else 0)
 
 
 def test_stats_reports_a_bad_row_before_a_later_non_utf8_byte(tmp_path, capsys):

@@ -13,35 +13,25 @@ import shutil
 from pathlib import Path
 
 import pytest
+from oracles import Team, reference_frame_table, team_table, teams_of
 
 from teamgaze.cli import main
 from teamgaze.io_report import (
     Report,
-    TeamRow,
     analyze_table,
-    build_sessions,
     emit_report,
-    load_frames,
     load_summary_fixture,
     load_teams,
     paper_fixture_path,
     read_frame_table,
+    stats_report,
     stats_report_from_summaries,
     stats_report_from_table,
-    stats_report_from_team_rows,
 )
-from teamgaze.model import Condition, GenderComposition, group_for_condition, validate_session
 from teamgaze.stats import GroupSummary, anova_from_summary, correlation_from_r
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
-
-
-def team_row(team_id, condition, gender, ratio, post_test):
-    cond = Condition(condition)
-    return TeamRow(
-        team_id, cond, group_for_condition(cond), GenderComposition(gender), ratio, post_test
-    )
 
 
 def fixture_report():
@@ -55,40 +45,44 @@ def analyze_inputs_report():
 
 
 def rows_with_missing_ratio_report():
-    return stats_report_from_team_rows(
-        [
-            team_row("a1", "textbook", "FF", 31.25, 1.5),
-            team_row("a2", "textbook", "MM", None, 2.0),
-            team_row("a3", "textbook", "MX", 28.4, 1.0),
-            team_row("a4", "textbook", "FF", 35.0, 2.5),
-            team_row("b1", "tablet", "MM", 47.5, 3.0),
-            team_row("b2", "tablet", "MX", None, 3.5),
-            team_row("b3", "tablet", "FF", 52.125, 2.5),
-            team_row("c1", "ar", "MX", 44.0, 4.0),
-            team_row("c2", "ar", "FF", 46.875, 3.5),
-            team_row("c3", "ar", "MM", 39.5, 2.0),
-        ]
+    return stats_report(
+        team_table(
+            [
+                Team("a1", "textbook", "FF", 31.25, 1.5),
+                Team("a2", "textbook", "MM", None, 2.0),
+                Team("a3", "textbook", "MX", 28.4, 1.0),
+                Team("a4", "textbook", "FF", 35.0, 2.5),
+                Team("b1", "tablet", "MM", 47.5, 3.0),
+                Team("b2", "tablet", "MX", None, 3.5),
+                Team("b3", "tablet", "FF", 52.125, 2.5),
+                Team("c1", "ar", "MX", 44.0, 4.0),
+                Team("c2", "ar", "FF", 46.875, 3.5),
+                Team("c3", "ar", "MM", 39.5, 2.0),
+            ]
+        )
     )
 
 
 def three_team_report():
-    return stats_report_from_team_rows(
-        [
-            team_row("t1", "textbook", "FF", 30.0, 1.0),
-            team_row("t2", "tablet", "MM", 50.0, 2.5),
-            team_row("t3", "ar", "MX", 45.0, 3.0),
-        ]
+    return stats_report(
+        team_table(
+            [
+                Team("t1", "textbook", "FF", 30.0, 1.0),
+                Team("t2", "tablet", "MM", 50.0, 2.5),
+                Team("t3", "ar", "MX", 45.0, 3.0),
+            ]
+        )
     )
 
 
 def degenerate_effect_size_report():
     """Zero spread within every condition: F is infinite and d is missing."""
     teams = [("textbook", 30.0, 1.0)] * 3 + [("tablet", 50.0, 3.0), ("ar", 50.0, 3.0)] * 3
-    return stats_report_from_team_rows(
-        [
-            team_row(f"t{i}", condition, ("FF", "MM", "MX")[i % 3], ratio, post_test)
+    return stats_report(
+        team_table(
+            Team(f"t{i}", condition, ("FF", "MM", "MX")[i % 3], ratio, post_test)
             for i, (condition, ratio, post_test) in enumerate(teams)
-        ]
+        )
     )
 
 
@@ -179,23 +173,53 @@ def test_a_bundle_summaries_table_gives_the_anovas_of_its_rounded_summaries():
     assert reloaded.anovas["group_post_test"].f == pytest.approx(7.984, abs=5e-4)
 
 
-def test_reference_sessions_of_golden_inputs_validate():
-    """The per-frame reference path's sessions carry the analyzed teams'
-    metadata, and ``validate_session`` flags only t03, whose frames hold a
-    single person (the team the report notes as without countable frames)."""
-    sessions = build_sessions(
-        load_frames(INPUTS / "frames.csv").frames_by_team, load_teams(INPUTS / "teams.csv")
+def test_a_bundle_teams_table_gives_back_the_reports_statistics(tmp_path):
+    """``teamgaze stats`` on a CSV bundle's teams.csv, whose ratios and
+    post-tests are rounded to 2 decimals, writes the bundle's ANOVAs,
+    comparisons, summaries and correlation again byte for byte."""
+    bundle = GOLDEN / "analyze" / "bundle"
+    argv = ["stats", "--teams", str(bundle / "teams.csv"), "--format", "csv-bundle",
+            "--out", str(tmp_path / "again")]
+    assert main(argv) == 0
+    for name in ("anovas.csv", "posthoc.csv", "summaries.csv", "correlation.csv"):
+        assert (tmp_path / "again" / name).read_bytes() == (bundle / name).read_bytes(), name
+
+
+def golden_frames():
+    """The reference frame table of the golden frame rows."""
+    return reference_frame_table(
+        (INPUTS / "frames.csv").read_text(encoding="utf-8").splitlines()[1:]
     )
-    assert [(s.team_id, s.condition, s.gender_composition, s.team_post_test)
-            for s in sessions] == [
-        (r.team_id, r.condition, r.gender, r.team_post_test)
-        for r in analyze_inputs_report().teams
-    ]
-    assert all(s.frames for s in sessions)
-    violations = {s.team_id: validate_session(s) for s in sessions}
-    assert {team: v for team, v in violations.items() if v} == {
-        "t03": ["team t03: team size != 2 (1 distinct persons in valid frames)"]
-    }
+
+
+def test_golden_teams_carry_their_metadata_into_the_report():
+    """Every team of the golden team table has frames, in the reader and in
+    the reference, and the analyzed report carries each team's condition,
+    gender and post-test from the team table."""
+    table, teams = read_frame_table(INPUTS / "frames.csv"), load_teams(INPUTS / "teams.csv")
+    assert table.team_ids == golden_frames()["team_ids"]
+    assert sorted(table.team_ids) == sorted(teams.team_ids)
+    assert [t._replace(jva_ratio_pct=None) for t in teams_of(analyze_inputs_report().teams)] == (
+        sorted(teams_of(teams))
+    )
+
+
+def test_golden_t03_is_the_one_team_without_a_pair():
+    """In the reference, each of t03's frames holds one person, and t03 is
+    the one golden team whose kept rows in frames not discarded do not
+    name two persons; the report notes it as without countable frames."""
+    frames = golden_frames()
+    offsets, persons = frames["row_offsets"], {}
+    for f, team in enumerate(frames["frame_team"]):
+        rows = range(offsets[f], offsets[f + 1])
+        if frames["team_ids"][team] == "t03":
+            assert len(rows) == 1
+        if not frames["discarded"][f]:
+            persons.setdefault(frames["team_ids"][team], set()).update(
+                frames["row_person"][r] for r in rows
+            )
+    assert {team: len(p) for team, p in persons.items() if len(p) != 2} == {"t03": 1}
+    assert "no countable frames for teams: ['t03']" in analyze_inputs_report().notes
 
 
 def write_goldens():

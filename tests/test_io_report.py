@@ -12,17 +12,21 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import read_csv_columns, reference_frame_table
+from oracles import (
+    Team,
+    brute_force_jva_count,
+    read_csv_columns,
+    reference_frame_table,
+    team_table,
+    teams_of,
+)
 
 from teamgaze import io_report
 from teamgaze.cli import main
 from teamgaze.io_report import (
-    TeamTable,
     analyze_table,
-    build_sessions,
     emit_report,
     load_config,
-    load_frames,
     load_summary_fixture,
     load_team_rows,
     load_teams,
@@ -31,10 +35,8 @@ from teamgaze.io_report import (
     stats_report,
     stats_report_from_summaries,
     stats_report_from_table,
-    stats_report_from_team_rows,
 )
-from teamgaze.jva import DenominatorPolicy, JvaConfig, ScaleMode, session_jva
-from teamgaze.model import Condition, GenderComposition, Group
+from teamgaze.jva import DenominatorPolicy, JvaConfig, ScaleMode
 
 FRAME_HEADER = (
     "team_id,frame_id,timestamp_s,image_w,image_h,person_id,"
@@ -56,10 +58,9 @@ def test_two_rows_become_one_frame(tmp_path):
             "t1,f1,0.0,2560,1440,p2,150,150,90,90,0.8,0",
         ],
     )
-    loaded = load_frames(path)
-    assert loaded.row_errors == []
-    (frame,) = loaded.frames_by_team["t1"]
-    assert len(frame.observations) == 2
+    table = read_frame_table(path)
+    assert table.row_errors == []
+    assert (table.frame_ids, table.row_offsets.tolist()) == (["f1"], [0, 2])
 
 
 def test_out_of_bounds_gaze_row_skipped_and_logged(tmp_path):
@@ -69,22 +70,23 @@ def test_out_of_bounds_gaze_row_skipped_and_logged(tmp_path):
             "t1,f1,0.0,2560,1440,p1,-5,100,,,1.0,0",
             "t1,f1,0.0,2560,1440,p2,150,150,,,1.0,0",
             "t1,f2,1.0,2560,1440,p1,nan,100,,,1.0,0",
+            "t1,f3,2.0,2560,1440,p1,100,inf,,,1.0,0",
         ],
     )
-    loaded = load_frames(path)
-    assert loaded.row_errors == [
+    table = read_frame_table(path)
+    assert table.row_errors == [
         "line 2: gaze (-5.0, 100.0) outside 2560x1440 image, row skipped",
         "line 4: gaze (nan, 100.0) outside 2560x1440 image, row skipped",
+        "line 5: gaze (100.0, inf) outside 2560x1440 image, row skipped",
     ]
-    (frame,) = loaded.frames_by_team["t1"]
-    assert len(frame.observations) == 1
+    assert (table.frame_ids, table.row_offsets.tolist()) == (["f1"], [0, 1])
 
 
 def test_missing_header_is_hard_error(tmp_path):
     path = tmp_path / "frames.csv"
     path.write_text("t1,f1,0.0,2560,1440,p1,100,100\n")
     with pytest.raises(ValueError, match="missing mandatory columns"):
-        load_frames(path)
+        read_frame_table(path)
 
 
 def test_a_column_no_reader_uses_may_repeat(tmp_path):
@@ -104,25 +106,12 @@ def test_a_column_no_reader_uses_may_repeat(tmp_path):
 def test_unparseable_column_is_hard_error(tmp_path):
     path = write_frames(tmp_path, ["t1,f1,abc,2560,1440,p1,100,100,,,1.0,0"])
     with pytest.raises(ValueError, match="timestamp_s"):
-        load_frames(path)
-
-
-def test_frames_sorted_by_timestamp(tmp_path):
-    path = write_frames(
-        tmp_path,
-        [
-            "t1,f2,20.0,2560,1440,p1,1,1,,,1.0,0",
-            "t1,f1,10.0,2560,1440,p1,1,1,,,1.0,0",
-        ],
-    )
-    loaded = load_frames(path)
-    assert [f.frame_id for f in loaded.frames_by_team["t1"]] == ["f1", "f2"]
+        read_frame_table(path)
 
 
 GOOD_ROW = "t1,f1,0.0,2560,1440,p1,100,100,,,1.0,0"
 
 
-@pytest.mark.parametrize("load", [load_frames, read_frame_table])
 @pytest.mark.parametrize(
     "rows, message",
     [
@@ -183,22 +172,23 @@ GOOD_ROW = "t1,f1,0.0,2560,1440,p1,100,100,,,1.0,0"
         ),
     ],
 )
-def test_malformed_frame_rows_name_their_physical_line(tmp_path, load, rows, message):
+def test_malformed_frame_rows_name_their_physical_line(tmp_path, rows, message):
     with pytest.raises(ValueError, match=re.escape(message)):
-        load(write_frames(tmp_path, rows))
+        read_frame_table(write_frames(tmp_path, rows))
 
 
 def test_discarded_tokens_any_case(tmp_path):
     tokens = ["", "0", "1", "true", "FALSE", " True ", "TRUE"]
     rows = [f"t1,f{i},{i}.0,2560,1440,p1,1,1,,,1.0,{t}" for i, t in enumerate(tokens)]
-    frames = load_frames(write_frames(tmp_path, rows)).frames_by_team["t1"]
-    assert [f.discarded for f in frames] == [False, False, True, True, False, True, True]
+    table = read_frame_table(write_frames(tmp_path, rows))
+    assert table.discarded.tolist() == [False, False, True, True, False, True, True]
 
 
 def test_frame_checks_skip_out_of_bounds_rows(tmp_path):
     rows = [GOOD_ROW, "t1,f1,0.0,2560,1440,p1,-1,1,,,1.0,0"]
-    (frame,) = load_frames(write_frames(tmp_path, rows)).frames_by_team["t1"]
-    assert [o.person_id for o in frame.observations] == ["p1"]
+    table = read_frame_table(write_frames(tmp_path, rows))
+    assert table.row_offsets.tolist() == [0, 1]
+    assert [table.person_ids[p] for p in table.row_person.tolist()] == ["p1"]
 
 
 def test_a_third_person_counts_in_kept_rows_of_frames_not_discarded(tmp_path):
@@ -259,12 +249,7 @@ def test_load_teams_happy_path(tmp_path):
         "team_id,condition,gender,post_test_1,post_test_2\n"
         "t1,Tablet,mx,3,2\n"
     )
-    (team,) = load_teams(path)
-    assert team.team_id == "t1"
-    assert team.condition is Condition.TABLET
-    assert team.gender is GenderComposition.MIXED
-    assert team.team_post_test == 2.5
-    assert team.jva_ratio_pct is None
+    assert teams_of(load_teams(path)) == [Team("t1", "tablet", "MX", None, 2.5)]
 
 
 def test_load_teams_rejects_unknown_condition(tmp_path):
@@ -307,12 +292,10 @@ def test_load_teams_rejects_bad_rows_with_physical_line(tmp_path, rows, message)
         load_teams(path)
 
 
-def test_build_sessions_requires_metadata(tmp_path):
-    frames = load_frames(
-        write_frames(tmp_path, ["tX,f1,0.0,2560,1440,p1,1,1,,,1.0,0"])
-    )
-    with pytest.raises(ValueError, match="unknown teams"):
-        build_sessions(frames.frames_by_team, TeamTable.from_rows(()))
+def test_analyze_table_requires_metadata(tmp_path):
+    table = read_frame_table(write_frames(tmp_path, ["tX,f1,0.0,2560,1440,p1,1,1,,,1.0,0"]))
+    with pytest.raises(ValueError, match=re.escape("frames reference unknown teams: ['tX']")):
+        analyze_table(table, team_table([Team("t1", "ar", "FF", None, 2.5)]))
 
 
 def fixture_report():
@@ -367,17 +350,15 @@ def test_empty_report_renders():
 
 
 def test_csv_bundle_round_trip(tmp_path):
-    from teamgaze.io_report import TeamRow
-
     rows = [
-        TeamRow("t1", Condition.TEXTBOOK, Group.CONTROL, GenderComposition.FEMALES, 30.0, 1.0),
-        TeamRow("t2", Condition.TABLET, Group.EXPERIMENT, GenderComposition.MALES, 50.0, 2.5),
-        TeamRow("t3", Condition.AR, Group.EXPERIMENT, GenderComposition.MIXED, 45.0, 3.0),
+        Team("t1", "textbook", "FF", 30.0, 1.0),
+        Team("t2", "tablet", "MM", 50.0, 2.5),
+        Team("t3", "ar", "MX", 45.0, 3.0),
     ]
-    report = stats_report_from_team_rows(rows)
+    report = stats_report(team_table(rows))
     emit_report(report, "csv-bundle", tmp_path / "bundle")
     reloaded = load_team_rows(tmp_path / "bundle" / "teams.csv")
-    assert [r.team_id for r in reloaded] == ["t1", "t2", "t3"]
+    assert teams_of(reloaded) == rows
     fixture = paper_fixture_path()
     for table, expected in [
         (tmp_path / "bundle" / "teams.csv", stats_report(reloaded)),
@@ -388,14 +369,8 @@ def test_csv_bundle_round_trip(tmp_path):
 
 
 def test_analyze_report_correlation_present_with_enough_teams(tmp_path):
-    from teamgaze.io_report import TeamRow
-
-    rows = [
-        TeamRow(f"t{i}", Condition.AR, Group.EXPERIMENT, GenderComposition.MIXED,
-                float(20 + 3 * i), 0.5 + 0.4 * i)
-        for i in range(8)
-    ]
-    report = stats_report_from_team_rows(rows)
+    rows = [Team(f"t{i}", "ar", "MX", float(20 + 3 * i), 0.5 + 0.4 * i) for i in range(8)]
+    report = stats_report(team_table(rows))
     assert report.correlation is not None
     assert report.correlation.r == pytest.approx(1.0)
     assert int(report.teams.has_ratio.sum()) == 8
@@ -487,18 +462,10 @@ def test_config_lines_end_at_lf_crlf_and_cr_only(tmp_path, text, message):
 
 
 def test_text_summary_shows_each_measures_own_n():
-    from teamgaze.io_report import TeamRow
-
     rows = [
-        TeamRow(f"c{i}", Condition.TEXTBOOK, Group.CONTROL, GenderComposition.FEMALES,
-                None if i == 0 else 20.0 + i, 1.0 + i)
-        for i in range(3)
-    ] + [
-        TeamRow(f"e{i}", Condition.TABLET, Group.EXPERIMENT, GenderComposition.MALES,
-                40.0 + i, 2.0 + i)
-        for i in range(3)
-    ]
-    text = emit_report(stats_report_from_team_rows(rows), "text")
+        Team(f"c{i}", "textbook", "FF", None if i == 0 else 20.0 + i, 1.0 + i) for i in range(3)
+    ] + [Team(f"e{i}", "tablet", "MM", 40.0 + i, 2.0 + i) for i in range(3)]
+    text = emit_report(stats_report(team_table(rows)), "text")
     summary = text.split("Summary by group\n")[1].split("\n\n")[0].splitlines()
     assert summary[0].split() == ["label", "n", "JVA", "ratio", "(%)", "n", "Post-test"]
     assert summary[1].split()[:2] == ["control", "2"]
@@ -823,10 +790,9 @@ def test_bad_row_before_a_non_utf8_byte_is_reported_first(
 def test_load_team_rows_accepts_range_ends(tmp_path):
     path = tmp_path / "teams.csv"
     path.write_text(TEAM_ROWS_HEADER + "t0,AR,,mx,0,5\nt1,textbook,,FF,100,0\n")
-    rows = load_team_rows(path)
-    assert [(r.condition, r.gender, r.jva_ratio_pct, r.team_post_test) for r in rows] == [
-        (Condition.AR, GenderComposition.MIXED, 0.0, 5.0),
-        (Condition.TEXTBOOK, GenderComposition.FEMALES, 100.0, 0.0),
+    assert teams_of(load_team_rows(path)) == [
+        Team("t0", "ar", "MX", 0.0, 5.0),
+        Team("t1", "textbook", "FF", 100.0, 0.0),
     ]
 
 
@@ -895,21 +861,26 @@ def test_columnar_ratios_match_the_per_frame_reference(tables, threshold, scale,
         rejected = outcome(read_frame_table, frames_path)
         if rejected[0] == "error":  # a team names a third person
             assert "is a third person of team" in rejected[1]
-            assert outcome(load_frames, frames_path) == rejected
+            assert reference_outcome(rows, frames_path) == rejected
             return
         table = read_frame_table(frames_path)
-        loaded = load_frames(frames_path)
         frames_path.write_text("\n".join(noisy_frame_lines) + "\n")
         teams_path.write_text("\n".join(noisy_team_lines) + "\n")
         noisy_table, noisy_teams = read_frame_table(frames_path), load_teams(teams_path)
     noisy_report = analyze_table(noisy_table, noisy_teams, config)
-    assert table.row_errors == loaded.row_errors
+    reference = reference_frame_table(rows)
+    assert table.row_errors == reference["row_errors"]
     report = analyze_table(table, teams, config)
-    sessions = build_sessions(loaded.frames_by_team, teams)
-    ratios = [(r.team_id, r.jva_ratio_pct) for r in report.teams]
-    assert ratios == [(s.team_id, session_jva(s, config).jva_ratio_pct) for s in sessions]
+    counts, _ = brute_force_jva_count(reference, threshold, scale.value, policy.value)
+    ratios = [(t.team_id, t.jva_ratio_pct) for t in teams_of(report.teams)]
+    assert ratios == [
+        (team, 100.0 * (jva / denominator) if denominator else None)
+        for team, (jva, denominator) in sorted(
+            (row.split(",")[0], counts.get(row.split(",")[0], (0, 0))) for row in team_rows
+        )
+    ]
     # Blank and comment lines and the team table's row order change nothing.
-    assert [(r.team_id, r.jva_ratio_pct) for r in noisy_report.teams] == ratios
+    assert [(t.team_id, t.jva_ratio_pct) for t in teams_of(noisy_report.teams)] == ratios
     assert emit_report(noisy_report, fmt="json") == emit_report(report, fmt="json")
 
 
@@ -1114,7 +1085,9 @@ def test_column_chunks_match_the_row_form_reader(chunk_rows, data, limit):
                 with mock.patch.object(io_report, "_read_csv", read_csv_columns):
                     assert got == outcome(load, path)
                 for _, columns, *_ in calls:
-                    # The cells of every column, read by the loader or not.
+                    # The cells of every column, read by the loader or not;
+                    # none is mandatory for a loader that picks its columns.
+                    columns = () if callable(columns) else columns
                     assert drain(READ_CSV(path, columns, TABLE_COLUMNS)) == drain(
                         read_csv_columns(path, columns, TABLE_COLUMNS)
                     )

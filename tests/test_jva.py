@@ -1,165 +1,86 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_jva_count
-from teamgaze.jva import (
-    DenominatorPolicy,
-    JvaConfig,
-    ScaleMode,
-    classify_frame,
-    session_jva,
-    team_jva_counts,
-)
-from teamgaze.model import (
-    Condition,
-    FrameRecord,
-    GazeObservation,
-    GenderComposition,
-    Point2D,
-    TeamSession,
-)
+from oracles import brute_force_jva_count, reference_frame_table, team_jva_counts_of
+from teamgaze.jva import DenominatorPolicy, JvaConfig, ScaleMode
 
 
-def pair_frame(frame_id, a, b, w=2560, h=1440, ts=0.0, discarded=False):
-    return FrameRecord(
-        frame_id=frame_id,
-        timestamp=ts,
-        image_width=w,
-        image_height=h,
-        observations=(
-            GazeObservation("p1", Point2D(*a)),
-            GazeObservation("p2", Point2D(*b)),
-        ),
-        discarded=discarded,
-        discard_reason="camera difficulty" if discarded else "",
-    )
+def pair_rows(frame, a, b, w=2560, h=1440, discarded=False):
+    """Frame-table rows of team t1's frame ``frame``: p1 gazes at ``a``, p2 at ``b``."""
+    return [
+        f"t1,{frame},0.0,{w},{h},{person},{x!r},{y!r},,,1.0,{int(discarded)}"
+        for person, (x, y) in (("p1", a), ("p2", b))
+    ]
 
 
-def session_of(frames, team_id="t1"):
-    return TeamSession(
-        team_id=team_id,
-        condition=Condition.AR,
-        gender_composition=GenderComposition.FEMALES,
-        team_post_test=2.5,
-        frames=tuple(frames),
-    )
-
-
-def vector_counts(frames, config=JvaConfig()):
-    """(jva_frames, denominator_frames) of one team's frames by team_jva_counts."""
-    valid = [frame.valid_observations() for frame in frames]
-    gaze = [obs.gaze for observations in valid for obs in observations]
-    jva, denominator = team_jva_counts(
-        np.zeros(len(frames), dtype=np.int64),
-        1,
-        np.array([f.image_width for f in frames], dtype=float),
-        np.array([f.image_height for f in frames], dtype=float),
-        np.array([f.discarded for f in frames], dtype=bool),
-        np.cumsum([0] + [len(observations) for observations in valid]),
-        np.array([g.x for g in gaze], dtype=float),
-        np.array([g.y for g in gaze], dtype=float),
-        config,
-    )
-    return int(jva[0]), int(denominator[0])
-
-
-def both_counts(frames, config=JvaConfig()):
-    """session_jva's counts, after checking team_jva_counts gives the same."""
-    result = session_jva(session_of(frames), config)
-    counts = (result.jva_frames, result.denominator_frames)
-    assert vector_counts(frames, config) == counts
-    return counts
+def scored(rows, threshold=100.0, scale="absolute", policy="valid-pair-frames"):
+    """Team t1's ``(jva, denominator)`` by ``team_jva_counts`` over frame
+    rows, after checking the reference recounts every team the same, and
+    the reference's ``(distance, is_jva, counted)`` of each frame."""
+    args = (reference_frame_table(rows), threshold, scale, policy)
+    counts, frames = brute_force_jva_count(*args)
+    assert team_jva_counts_of(*args) == counts
+    return counts["t1"], frames
 
 
 def test_close_gazes_are_jva():
-    result = classify_frame(pair_frame("f", (100, 100), (150, 150)))
-    assert result.distance == pytest.approx(math.sqrt(5000))
-    assert result.is_jva and result.counted_in_denominator
+    counts, [(distance, _, _)] = scored(pair_rows("f", (100, 100), (150, 150)))
+    assert counts == (1, 1)
+    assert distance == pytest.approx(math.sqrt(5000))
 
 
 def test_far_gazes_are_not_jva():
-    result = classify_frame(pair_frame("f", (1000, 700), (1150, 700)))
-    assert result.distance == pytest.approx(150.0)
-    assert not result.is_jva
+    counts, [(distance, _, _)] = scored(pair_rows("f", (1000, 700), (1150, 700)))
+    assert counts == (0, 1)
+    assert distance == pytest.approx(150.0)
 
 
 def test_exactly_threshold_distance_is_not_jva():
-    result = classify_frame(pair_frame("f", (500, 500), (600, 500)))
-    assert result.distance == pytest.approx(100.0)
-    assert not result.is_jva
+    counts, [(distance, _, _)] = scored(pair_rows("f", (500, 500), (600, 500)))
+    assert counts == (0, 1)
+    assert distance == 100.0
 
 
 def test_diagonal_normalized_threshold():
     config = JvaConfig(scale_mode=ScaleMode.DIAGONAL_NORMALIZED)
     # 1280x720 has exactly half the reference diagonal -> threshold 50 px
     assert config.effective_threshold(1280, 720) == pytest.approx(50.0)
-    result = classify_frame(
-        pair_frame("f", (400, 400), (460, 400), w=1280, h=720), config
-    )
-    assert result.distance == pytest.approx(60.0)
-    assert not result.is_jva
+    rows = pair_rows("f", (400, 400), (460, 400), w=1280, h=720)
+    counts, [(distance, _, _)] = scored(rows, scale="diagonal-normalized")
+    assert counts == (0, 1)
+    assert distance == pytest.approx(60.0)
 
 
-def test_discarded_frame_never_counts():
-    for policy in DenominatorPolicy:
-        config = JvaConfig(denominator_policy=policy)
-        result = classify_frame(
-            pair_frame("f", (0, 0), (1, 1), discarded=True), config
-        )
-        assert not result.is_jva and not result.counted_in_denominator
+@pytest.mark.parametrize("policy", [p.value for p in DenominatorPolicy])
+def test_discarded_frame_never_counts(policy):
+    rows = pair_rows("f", (0, 0), (1, 1), discarded=True)
+    assert scored(rows, policy=policy) == ((0, 0), [(None, False, False)])
 
 
 def test_single_person_frame_counts_only_under_all_captured():
-    frame = FrameRecord(
-        frame_id="f",
-        timestamp=0.0,
-        image_width=2560,
-        image_height=1440,
-        observations=(GazeObservation("p1", Point2D(10, 10)),),
-    )
-    default = classify_frame(frame)
-    assert not default.counted_in_denominator and default.distance is None
-    lenient = classify_frame(
-        frame, JvaConfig(denominator_policy=DenominatorPolicy.ALL_CAPTURED_FRAMES)
-    )
-    assert lenient.counted_in_denominator and not lenient.is_jva
+    rows = pair_rows("f", (10, 10), (0, 0))[:1]
+    assert scored(rows) == ((0, 0), [(None, False, False)])
+    assert scored(rows, policy="all-captured-frames") == ((0, 1), [(None, False, True)])
 
 
 def test_out_of_bounds_observation_invalidates_pair():
-    frame = FrameRecord(
-        frame_id="f",
-        timestamp=0.0,
-        image_width=2560,
-        image_height=1440,
-        observations=(
-            GazeObservation("p1", Point2D(-5, 10)),
-            GazeObservation("p2", Point2D(10, 10)),
-        ),
-    )
-    assert classify_frame(frame).distance is None
+    # The reader skips the row, so the frame holds p2 alone.
+    rows = pair_rows("f", (-5, 10), (10, 10))
+    assert scored(rows) == ((0, 0), [(None, False, False)])
+    assert scored(rows, policy="all-captured-frames") == ((0, 1), [(None, False, True)])
 
 
 def test_session_ratio_direct_count():
-    frames = [
-        pair_frame(f"f{i}", (100, 100), (100 + 40 * i, 100), ts=float(i))
-        for i in range(10)
-    ]
+    rows = [r for i in range(10) for r in pair_rows(f"f{i}", (100, 100), (100 + 40 * i, 100))]
     # distances 0,40,...,360: i in 0..2 are < 100
-    result = session_jva(session_of(frames))
-    assert result.denominator_frames == 10
-    assert result.jva_frames == 3
-    assert result.jva_ratio == pytest.approx(0.3)
+    assert scored(rows)[0] == (3, 10)
 
 
 def test_all_discarded_session_has_no_countable_frames():
-    frames = [pair_frame("f", (1, 1), (2, 2), discarded=True)]
-    result = session_jva(session_of(frames))
-    assert result.denominator_frames == 0
-    assert result.jva_ratio is None
+    assert scored(pair_rows("f", (1, 1), (2, 2), discarded=True))[0] == (0, 0)
 
 
 def test_nonpositive_threshold_rejected():
@@ -179,29 +100,27 @@ coord = st.tuples(
 frame_pairs = st.lists(st.tuples(coord, coord), min_size=1, max_size=50)
 
 
+def rows_of(pairs, w=2560, h=1440):
+    return [r for i, (a, b) in enumerate(pairs) for r in pair_rows(f"f{i}", a, b, w, h)]
+
+
 @given(frame_pairs, st.floats(1, 400), st.floats(1, 400))
 @settings(max_examples=200)
 def test_ratio_monotone_in_threshold(pairs, t1, t2):
     lo, hi = sorted((t1, t2))
-    frames = [pair_frame(f"f{i}", a, b, ts=float(i)) for i, (a, b) in enumerate(pairs)]
-    jva_lo, _ = both_counts(frames, JvaConfig(threshold=lo))
-    jva_hi, _ = both_counts(frames, JvaConfig(threshold=hi))
+    (jva_lo, _), _ = scored(rows_of(pairs), lo)
+    (jva_hi, _), _ = scored(rows_of(pairs), hi)
     assert jva_lo <= jva_hi
 
 
 @given(frame_pairs)
 @settings(max_examples=200)
 def test_person_swap_symmetry(pairs):
-    frames = [pair_frame(f"f{i}", a, b, ts=float(i)) for i, (a, b) in enumerate(pairs)]
-    swapped = [
-        pair_frame(f"f{i}", b, a, ts=float(i)) for i, (a, b) in enumerate(pairs)
-    ]
-    for f, g in zip(frames, swapped):
-        assert classify_frame(f).distance == pytest.approx(classify_frame(g).distance)
-    assert session_jva(session_of(frames)).jva_ratio == session_jva(
-        session_of(swapped)
-    ).jva_ratio
-    assert both_counts(frames) == both_counts(swapped)
+    counts, frames = scored(rows_of(pairs))
+    swapped_counts, swapped = scored(rows_of([(b, a) for a, b in pairs]))
+    for (distance, _, _), (swapped_distance, _, _) in zip(frames, swapped):
+        assert distance == pytest.approx(swapped_distance)
+    assert counts == swapped_counts
 
 
 @given(
@@ -215,27 +134,24 @@ def test_translation_invariance(a, b, dx, dy):
         # keep the shifted points inside a frame by enlarging it
         return (p[0] + dx + 200, p[1] + dy + 200)
 
-    base = classify_frame(pair_frame("f", a, b, w=4000, h=3000))
-    moved = classify_frame(pair_frame("f", shift(a), shift(b), w=4000, h=3000))
-    assert moved.distance == pytest.approx(base.distance, abs=1e-6)
+    base, [(distance, _, _)] = scored(pair_rows("f", a, b, w=4000, h=3000))
+    moved, [(moved_distance, _, _)] = scored(pair_rows("f", shift(a), shift(b), w=4000, h=3000))
+    assert moved_distance == pytest.approx(distance, abs=1e-6)
+    assert moved == base or abs(distance - 100.0) < 1e-6
 
 
 @given(frame_pairs)
 @settings(max_examples=100)
 def test_ratio_bounds(pairs):
-    frames = [pair_frame(f"f{i}", a, b, ts=float(i)) for i, (a, b) in enumerate(pairs)]
-    result = session_jva(session_of(frames))
-    assert 0.0 <= result.jva_ratio <= 1.0
-    jva, denominator = both_counts(frames)
-    assert 0 <= jva <= denominator == len(frames)
+    (jva, denominator), _ = scored(rows_of(pairs))
+    assert 0 <= jva <= denominator == len(pairs)
 
 
 @given(frame_pairs, st.floats(10, 400))
 @settings(max_examples=200)
 def test_matches_brute_force_recount(pairs, threshold):
-    frames = [pair_frame(f"f{i}", a, b, ts=float(i)) for i, (a, b) in enumerate(pairs)]
-    counts = both_counts(frames, JvaConfig(threshold=threshold))
-    assert counts == brute_force_jva_count(pairs, threshold)
+    recount = sum(math.hypot(ax - bx, ay - by) < threshold for (ax, ay), (bx, by) in pairs)
+    assert scored(rows_of(pairs), threshold)[0] == (recount, len(pairs))
 
 
 @pytest.mark.parametrize(
@@ -249,26 +165,26 @@ def test_matches_brute_force_recount(pairs, threshold):
 )
 def test_vectorized_scorer_decides_like_math_hypot(gaze, threshold, is_jva):
     assert (math.hypot(*gaze) < threshold) is is_jva
-    frames = [pair_frame("f", gaze, (0.0, 0.0))]
-    assert both_counts(frames, JvaConfig(threshold=threshold)) == (int(is_jva), 1)
+    counts, [(distance, _, _)] = scored(pair_rows("f", gaze, (0.0, 0.0)), threshold)
+    assert counts == (int(is_jva), 1)
+    assert distance == math.hypot(*gaze)
 
 
 def test_vectorized_scorer_covers_policies_and_scaling():
-    frames = [
-        pair_frame("a", (400, 400), (440, 400), w=1280, h=720),
-        pair_frame("b", (400, 400), (460, 400), w=1280, h=720),
-        pair_frame("c", (400, 400), (460, 400)),
-        pair_frame("d", (1, 1), (2, 2), discarded=True),
-        FrameRecord("e", 0.0, 2560, 1440, (GazeObservation("p1", Point2D(5, 5)),)),
+    rows = [
+        *pair_rows("a", (400, 400), (440, 400), w=1280, h=720),
+        *pair_rows("b", (400, 400), (460, 400), w=1280, h=720),
+        *pair_rows("c", (400, 400), (460, 400)),
+        *pair_rows("d", (1, 1), (2, 2), discarded=True),
+        *pair_rows("e", (5, 5), (0, 0))[:1],
     ]
     # 50 px everywhere: only a (40 px) is JVA. 100 px at 2560x1440 is
     # 50 px at 1280x720: a and c (60 px of 100) are JVA.
     expected = {
-        (50.0, ScaleMode.ABSOLUTE, DenominatorPolicy.VALID_PAIR_FRAMES): (1, 3),
-        (50.0, ScaleMode.ABSOLUTE, DenominatorPolicy.ALL_CAPTURED_FRAMES): (1, 4),
-        (100.0, ScaleMode.DIAGONAL_NORMALIZED, DenominatorPolicy.VALID_PAIR_FRAMES): (2, 3),
-        (100.0, ScaleMode.DIAGONAL_NORMALIZED, DenominatorPolicy.ALL_CAPTURED_FRAMES): (2, 4),
+        (50.0, "absolute", "valid-pair-frames"): (1, 3),
+        (50.0, "absolute", "all-captured-frames"): (1, 4),
+        (100.0, "diagonal-normalized", "valid-pair-frames"): (2, 3),
+        (100.0, "diagonal-normalized", "all-captured-frames"): (2, 4),
     }
     for (threshold, scale, policy), counts in expected.items():
-        config = JvaConfig(threshold=threshold, scale_mode=scale, denominator_policy=policy)
-        assert both_counts(frames, config) == counts
+        assert scored(rows, threshold, scale, policy)[0] == counts

@@ -6,109 +6,7 @@ from hypothesis import strategies as st
 
 from teamgaze.gazefield import load_heatmap_text
 from teamgaze.io_report import load_config, read_frame_table
-from teamgaze.model import (
-    Condition,
-    FrameRecord,
-    GazeObservation,
-    GenderComposition,
-    Group,
-    Point2D,
-    TeamSession,
-    group_for_condition,
-    input_text,
-    team_post_test_score,
-    validate_session,
-)
-
-
-def make_frame(frame_id, ts, gazes, w=2560, h=1440, discarded=False, reason=""):
-    obs = tuple(
-        GazeObservation(person_id=f"p{i + 1}", gaze=Point2D(x, y))
-        for i, (x, y) in enumerate(gazes)
-    )
-    return FrameRecord(
-        frame_id=frame_id,
-        timestamp=ts,
-        image_width=w,
-        image_height=h,
-        observations=obs,
-        discarded=discarded,
-        discard_reason=reason,
-    )
-
-
-def make_session(frames=(), team_post_test=2.5, team_id="t1"):
-    return TeamSession(
-        team_id=team_id,
-        condition=Condition.TABLET,
-        gender_composition=GenderComposition.MIXED,
-        team_post_test=team_post_test,
-        frames=tuple(frames),
-    )
-
-
-def test_conforming_session_has_no_violations():
-    session = make_session([make_frame("f1", 0.0, [(100, 100), (200, 200)])])
-    assert validate_session(session) == []
-
-
-def test_score_out_of_bounds_flagged():
-    session = make_session(team_post_test=6.0)
-    violations = validate_session(session)
-    assert any("score out of [0,5]" in v for v in violations)
-
-
-def test_three_persons_is_a_team_size_violation():
-    frame = FrameRecord(
-        frame_id="f1",
-        timestamp=0.0,
-        image_width=2560,
-        image_height=1440,
-        observations=tuple(
-            GazeObservation(person_id=f"p{i}", gaze=Point2D(10.0 * i, 10.0))
-            for i in range(1, 4)
-        ),
-    )
-    violations = validate_session(make_session([frame]))
-    assert any("team size != 2" in v for v in violations)
-
-
-def test_gaze_outside_frame_flagged():
-    session = make_session([make_frame("f1", 0.0, [(-5, 100), (200, 200)])])
-    violations = validate_session(session)
-    assert any("out of image bounds" in v for v in violations)
-
-
-def test_non_positive_image_size_flagged_and_frame_not_checked_further():
-    session = make_session([make_frame("f1", 0.0, [(-5, 100), (200, 200)], w=0)])
-    assert validate_session(session) == ["team t1 frame f1: non-positive image dimensions"]
-
-
-def test_non_finite_gaze_flagged():
-    session = make_session([make_frame("f1", 0.0, [(math.nan, 100), (200, 200)])])
-    assert "team t1 frame f1: non-finite gaze for p1" in validate_session(session)
-
-
-def test_valid_observations_skip_non_finite_gaze():
-    frame = make_frame("f1", 0.0, [(math.inf, 100), (200, math.nan), (300, 300)])
-    assert [o.person_id for o in frame.valid_observations()] == ["p3"]
-
-
-def test_decreasing_timestamps_flagged():
-    session = make_session(
-        [
-            make_frame("f1", 10.0, [(1, 1), (2, 2)]),
-            make_frame("f2", 0.0, [(1, 1), (2, 2)]),
-        ]
-    )
-    assert any("timestamp decreases" in v for v in validate_session(session))
-
-
-def test_discarded_frame_needs_a_reason():
-    ok = make_frame("f1", 0.0, [], discarded=True, reason="camera difficulty")
-    bad = make_frame("f2", 1.0, [], discarded=True)
-    violations = validate_session(make_session([ok, bad]))
-    assert len([v for v in violations if "without a reason" in v]) == 1
+from teamgaze.model import Condition, Group, group_for_condition, input_text, team_post_test_score
 
 
 @given(st.sampled_from(list(Condition)))

@@ -147,6 +147,119 @@ def test_no_file_is_read_as_text(path):
     assert not reads, f"{path.name} reads files in text mode: {reads}"
 
 
+# The per-frame object path's names, which no command runs (ROADMAP item 3).
+# Only the files that pin that path while the benchmark runs it name them.
+PER_FRAME_PATH = [
+    "load_frames", "LoadResult", "build_sessions",
+    "TeamRow", "from_rows", "stats_report_from_team_rows",
+    "GazeObservation", "FrameRecord", "TeamSession", "valid_observations", "validate_session",
+    "classify_frame", "session_jva", "JvaFrameResult", "JvaSessionResult",
+]
+PER_FRAME_FILES = {"test_per_frame_path.py", "test_perfbench_smoke.py"}
+
+
+def _per_frame_names(tree: ast.Module) -> list[str]:
+    """``line N: name`` of each identifier the module binds, reads, imports or
+    takes as an attribute, and each string, that is on ``PER_FRAME_PATH``;
+    an assignment of ``PER_FRAME_PATH`` itself is not read."""
+    skipped = {
+        id(inner)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "PER_FRAME_PATH" for t in node.targets)
+        for inner in ast.walk(node)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        names = {
+            ast.Name: lambda n: [n.id],
+            ast.Attribute: lambda n: [n.attr],
+            ast.alias: lambda n: [n.name, n.asname],
+            ast.FunctionDef: lambda n: [n.name],
+            ast.ClassDef: lambda n: [n.name],
+            ast.arg: lambda n: [n.arg],
+            ast.keyword: lambda n: [n.arg],
+            ast.Constant: lambda n: [n.value] if isinstance(n.value, str) else [],
+        }.get(type(node), lambda n: [])(node)
+        found += [f"line {node.lineno}: {name}" for name in names if name in PER_FRAME_PATH]
+    return sorted(set(found))
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in SOURCES if p not in PACKAGE and p.name not in PER_FRAME_FILES],
+    ids=lambda p: p.name,
+)
+def test_no_test_or_demo_names_the_per_frame_path(path):
+    named = _per_frame_names(ast.parse(path.read_text(encoding="utf-8")))
+    assert not named, f"{path.name} names the per-frame path: {named}"
+
+
+def test_the_per_frame_check_names_each_kind_of_use():
+    tree = ast.parse(
+        "from teamgaze.jva import session_jva as score\nimport teamgaze\n"
+        "PER_FRAME_PATH = ['TeamRow']\nteamgaze.io_report.load_frames(p)\n"
+        "setattr(m, 'FrameRecord', f)\ndef build_sessions(TeamSession=1):\n    pass\n"
+        "t.from_rows(x, LoadResult=2)\n'a TeamRow in a sentence'\n"
+    )
+    assert _per_frame_names(tree) == [
+        "line 1: session_jva", "line 4: load_frames", "line 5: FrameRecord",
+        "line 6: TeamSession", "line 6: build_sessions", "line 8: LoadResult",
+        "line 8: from_rows",
+    ]
+
+
+# The plain per-frame reference in tests/oracles.py and the frame table it scores.
+REFERENCES = ["brute_force_jva_count", "reference_frame_table"]
+
+
+def _package_names_reached(tree: ast.Module, functions) -> list[str]:
+    """``line N: name`` of each name imported from ``teamgaze`` that one of
+    ``functions`` reads, or a module-level definition they read, in turn."""
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and (getattr(node, "module", None) or node.names[0].name).split(".")[0] == "teamgaze"
+        for alias in node.names
+    }
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                defined.update((n.id, node) for n in ast.walk(target) if isinstance(n, ast.Name))
+    todo, seen, found = list(functions), set(), set()
+    while todo:
+        if (name := todo.pop()) in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(defined[name]):
+            if isinstance(node, ast.Name) and node.id in imported:
+                found.add(f"line {node.lineno}: {node.id}")
+            elif isinstance(node, ast.Name) and node.id in defined:
+                todo.append(node.id)
+    return sorted(found)
+
+
+def test_the_per_frame_reference_uses_no_package_name():
+    oracles = ast.parse((ROOT / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    assert _package_names_reached(oracles, REFERENCES) == []
+
+
+def test_the_package_name_check_follows_module_level_definitions():
+    tree = ast.parse(
+        "import math\nfrom teamgaze import jva\nfrom teamgaze.model import Group as G\n"
+        "LIMIT = jva.REFERENCE_DIAGONAL\ndef helper():\n    return LIMIT + G\n"
+        "def reference(x):\n    return math.hypot(x, helper())\n"
+        "def other():\n    return jva\n"
+    )
+    assert _package_names_reached(tree, ["reference"]) == ["line 4: jva", "line 6: G"]
+
+
 def test_report_formats_and_synth_truth_are_stated_once():
     """The CLI takes the report format names from ``io_report.REPORT_FORMATS``,
     and ``ground_truth.json`` is synth's only form of the truth."""

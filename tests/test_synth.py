@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import teams_of
 
 from teamgaze import synth
 from teamgaze.io_report import analyze_table, load_teams, read_frame_table
@@ -25,21 +26,21 @@ def run_pipeline(tmp_path, spec):
 def test_probability_one_gives_full_jva(tmp_path):
     spec = SynthSpec(teams=3, frames_per_team=40, jva_probability=1.0, seed=1)
     report, _ = run_pipeline(tmp_path, spec)
-    assert all(row.jva_ratio_pct == pytest.approx(100.0) for row in report.teams)
+    assert report.teams.jva_ratio_pct.tolist() == pytest.approx([100.0] * 3)
 
 
 def test_probability_zero_gives_no_jva(tmp_path):
     spec = SynthSpec(teams=3, frames_per_team=40, jva_probability=0.0, seed=1)
     report, _ = run_pipeline(tmp_path, spec)
-    assert all(row.jva_ratio_pct == pytest.approx(0.0) for row in report.teams)
+    assert report.teams.jva_ratio_pct.tolist() == pytest.approx([0.0] * 3)
 
 
 def test_zero_noise_recovers_ground_truth_exactly(tmp_path):
     spec = SynthSpec(teams=6, frames_per_team=155, jva_probability=0.4, seed=9)
     report, truth = run_pipeline(tmp_path, spec)
-    for row in report.teams:
-        assert row.jva_ratio_pct == pytest.approx(
-            100.0 * truth["team_ratios"][row.team_id], abs=1e-12
+    for team_id, ratio in zip(report.teams.team_ids, report.teams.jva_ratio_pct.tolist()):
+        assert ratio == pytest.approx(
+            100.0 * truth["team_ratios"][team_id], abs=1e-12
         )
 
 
@@ -78,8 +79,8 @@ def test_per_condition_probabilities(tmp_path):
     )
     report, _ = run_pipeline(tmp_path, spec)
     by_condition = {}
-    for row in report.teams:
-        by_condition.setdefault(row.condition.value, []).append(row.jva_ratio_pct)
+    for team in teams_of(report.teams):
+        by_condition.setdefault(team.condition, []).append(team.jva_ratio_pct)
     assert np.mean(by_condition["textbook"]) < 20
     assert np.mean(by_condition["tablet"]) > 80
 
@@ -106,9 +107,9 @@ def test_noise_with_separation_margin_keeps_labels(tmp_path):
         gaze_noise_sigma=20.0,
     )
     report, truth = run_pipeline(tmp_path, spec)
-    for row in report.teams:
-        assert row.jva_ratio_pct == pytest.approx(
-            100.0 * truth["team_ratios"][row.team_id], abs=2.0
+    for team_id, ratio in zip(report.teams.team_ids, report.teams.jva_ratio_pct.tolist()):
+        assert ratio == pytest.approx(
+            100.0 * truth["team_ratios"][team_id], abs=2.0
         )
 
 

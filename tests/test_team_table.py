@@ -1,6 +1,6 @@
 """The columnar team table against the per-row report it replaced.
 
-Reports are built from random TeamRow lists. The JSON emitter writes the
+Reports are built from random lists of ``oracles.Team`` records. The JSON emitter writes the
 per-team columns by hand, so its text is pinned to json.dumps; every
 format of the columnar report is pinned to the per-row reference in
 ``oracles.per_row_stats_report``. The emitters format each distinct team
@@ -11,7 +11,6 @@ one at a time, and every format must come out the same.
 import json
 import math
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -19,18 +18,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import per_row_stats_report, per_value_team_cells
+from oracles import Team, per_row_stats_report, per_value_team_cells, team_table, teams_of
 from teamgaze import io_report
-from teamgaze.io_report import (
-    Report,
-    TeamRow,
-    TeamTable,
-    emit_report,
-    load_team_rows,
-    stats_report,
-    stats_report_from_team_rows,
-)
-from teamgaze.model import Condition, GenderComposition, group_for_condition
+from teamgaze.io_report import Report, TeamTable, emit_report, load_team_rows, stats_report
+from teamgaze.model import Condition, GenderComposition
 
 # Quotes, backslashes, separators, non-ASCII and control characters.
 TEAM_IDS = st.text(st.sampled_from('tA"\\,# \t\n\x00\x1f\x7fé中😀'), max_size=3)
@@ -48,22 +39,22 @@ POST_TEST_POOLS = [st.just(2.5), st.sampled_from([0.0, 5.0, 2.5]), st.floats(0, 
 
 @st.composite
 def team_rows(draw, team_ids=TEAM_IDS):
-    """TeamRows in random order, some conditions and genders left out so
+    """Team records in random order, some conditions and genders left out so
     that groups are empty or hold one team."""
-    conditions = draw(st.lists(st.sampled_from(list(Condition)), min_size=1, unique=True))
+    conditions = draw(
+        st.lists(st.sampled_from([c.value for c in Condition]), min_size=1, unique=True)
+    )
     genders = draw(
-        st.lists(st.sampled_from(list(GenderComposition)), min_size=1, unique=True)
+        st.lists(st.sampled_from([g.value for g in GenderComposition]), min_size=1, unique=True)
     )
     ratios = draw(st.sampled_from(RATIO_POOLS))
     post_tests = draw(st.sampled_from(POST_TEST_POOLS))
     rows = []
     for _ in range(draw(st.integers(0, 12))):
-        condition = draw(st.sampled_from(conditions))
         rows.append(
-            TeamRow(
+            Team(
                 draw(team_ids),
-                condition,
-                group_for_condition(condition),
+                draw(st.sampled_from(conditions)),
                 draw(st.sampled_from(genders)),
                 draw(ratios),
                 draw(post_tests),
@@ -85,7 +76,7 @@ def rendered(report) -> dict:
 @given(team_rows())
 @settings(max_examples=200, deadline=None)
 def test_json_report_is_what_json_dumps_writes(rows):
-    text = emit_report(stats_report_from_team_rows(rows), "json")
+    text = emit_report(stats_report(team_table(rows)), "json")
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
@@ -98,7 +89,7 @@ def statistics(report) -> tuple:
 @given(team_rows())
 @settings(max_examples=200, deadline=None)
 def test_columnar_report_matches_the_per_row_reference(rows):
-    report, reference = stats_report_from_team_rows(rows), per_row_stats_report(rows)
+    report, reference = stats_report(team_table(rows)), per_row_stats_report(rows)
     assert statistics(report) == statistics(reference)
     assert rendered(report) == rendered(reference)
 
@@ -106,45 +97,35 @@ def test_columnar_report_matches_the_per_row_reference(rows):
 @given(team_rows(team_ids=st.just("")))
 @settings(max_examples=100, deadline=None)
 def test_loaded_team_table_matches_the_per_row_reference(rows):
-    rows = [replace(r, team_id=f"team{i:02d}") for i, r in enumerate(rows)]
+    rows = [r._replace(team_id=f"team{i:02d}") for i, r in enumerate(rows)]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "teams.csv"
         path.write_text(
             "team_id,condition,group,gender,jva_ratio_pct,team_post_test\n"
             + "".join(
-                f"{r.team_id},{r.condition.value},,{r.gender.value},"
+                f"{r.team_id},{r.condition},,{r.gender},"
                 f"{'' if r.jva_ratio_pct is None else repr(r.jva_ratio_pct)},"
                 f"{r.team_post_test!r}\n"
                 for r in rows
             )
         )
         table = load_team_rows(path)
-    assert list(table) == rows
+    assert teams_of(table) == rows
     report, reference = stats_report(table), per_row_stats_report(rows)
     assert statistics(report) == statistics(reference)
     assert rendered(report) == rendered(reference)
 
 
 def test_team_table_keeps_missing_ratios_apart_from_zero():
-    rows = [
-        TeamRow("b", Condition.AR, group_for_condition(Condition.AR),
-                GenderComposition.MIXED, None, 1.0),
-        TeamRow("a", Condition.TEXTBOOK, group_for_condition(Condition.TEXTBOOK),
-                GenderComposition.FEMALES, 0.0, 2.0),
-    ]
-    table = TeamTable.from_rows(rows)
-    assert len(table) == 2 and list(table) == rows
+    rows = [Team("b", "ar", "MX", None, 1.0), Team("a", "textbook", "FF", 0.0, 2.0)]
+    table = team_table(rows)
+    assert len(table) == 2 and teams_of(table) == rows
     assert math.isnan(table.jva_ratio_pct[0]) and table.jva_ratio_pct[1] == 0.0
-    assert [r.team_id for r in table.by_team_id()] == ["a", "b"]
+    assert teams_of(table.by_team_id()) == rows[::-1]
 
 
 def test_a_table_sorted_by_id_is_its_own_sorted_table():
-    rows = [
-        TeamRow(team_id, Condition.AR, group_for_condition(Condition.AR),
-                GenderComposition.MIXED, None, 1.0)
-        for team_id in ("a", "b", "b", "c")
-    ]
-    table = TeamTable.from_rows(rows)
+    table = team_table(Team(team_id, "ar", "MX", None, 1.0) for team_id in ("a", "b", "b", "c"))
     assert table.by_team_id() is table
 
 
