@@ -211,7 +211,7 @@ def main(argv=None) -> int:
             io_report.check_report_out(args.format, args.out)
         code = DATA_ERROR
         return _COMMANDS[args.command](args)
-    except (OSError, ValueError, KeyError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return code
 

@@ -7,18 +7,19 @@ team's intended ratio. This is the end-to-end oracle for the pipeline: at
 zero noise the analysis must recover the generated labels and ratios
 exactly.
 
-Randomness comes from numpy's Philox counter-based generator. Team k
-draws the stream of ``Generator(Philox(SeedSequence(seed, spawn_key=(k,))))``,
-so output is reproducible across platforms and teams are independent
-streams: team k's rows are the same whatever the number of teams. The
-keys of a block of teams are derived at once, by SeedSequence's hash in
-array form (``_team_keys``), and one generator is re-keyed before each
-team's draws. Each stream gives, in one draw into the team's row of a
-block buffer, the team's two post-test uniforms, then one array of
-uniforms for each frame quantity (JVA coin, target x, target y, partner
-angle); when the noise sigma is positive, one more draw gives the
-Gaussian offsets of each gaze coordinate. Frames are built with
-whole-array operations and written a block of teams at a time.
+Randomness comes from two numpy Philox streams of the seed: the uniform
+stream ``Generator(Philox(SeedSequence(seed, spawn_key=(0,))))`` and the
+noise stream, the same with ``spawn_key=(1,)``. Both are read team after
+team. Team k takes row k of ``random((teams, 2 + 4 * frames))`` from the
+uniform stream: its two post-test uniforms, then one array of uniforms for
+each frame quantity (JVA coin, target x, target y, partner angle). When
+the noise sigma is positive, it also takes row k of
+``standard_normal((teams, 4, frames))`` from the noise stream: the
+Gaussian offsets of each gaze coordinate. A stream gives the same values
+however its draws are split into calls, so output is reproducible across
+platforms and team k's rows are the same whatever the number of teams or
+the block size. Frames are built with whole-array operations, and the
+draws are made and the rows written a block of teams at a time.
 
 Rows are built as bytes, a block at a time, with no per-row Python work.
 Each row is a record of fixed-width byte fields (for a frame row: team
@@ -79,21 +80,12 @@ def _group_text() -> np.ndarray:
 
 _GROUP_TEXT = _group_text()
 
-# Team indices are one-word (uint32) spawn keys.
-_MAX_TEAMS = 1 << 32
-
 # The id of the team at index i, formatted with i + 1: "team01", ..., "team100".
 _TEAM_ID = "team%02d"
 
 # Team i takes member i mod 3 of each enum, in the order the enum declares them.
 _CONDITION_CYCLE = tuple(Condition)
 _GENDER_CYCLE = tuple(GenderComposition)
-
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 JvaProbability = Union[float, Mapping[str, float]]
 
@@ -127,8 +119,6 @@ class SynthSpec:
         for name in ("teams", "frames_per_team", "image_w", "image_h"):
             if (value := getattr(self, name)) <= 0:
                 raise ValueError(f"{name} must be positive: {value!r}")
-        if self.teams > _MAX_TEAMS:
-            raise ValueError(f"teams must be at most 2**32: {self.teams}")
         if not math.isfinite(self.gaze_noise_sigma):
             raise ValueError(f"gaze_noise_sigma must be finite: {self.gaze_noise_sigma!r}")
         if self.gaze_noise_sigma < 0:
@@ -210,42 +200,6 @@ def _team_probabilities(spec: SynthSpec) -> np.ndarray:
     probability = np.array(by_condition)[np.arange(spec.teams) % len(by_condition)]
     probability[list(by_team)] = list(by_team.values())
     return probability
-
-
-def _team_keys(seed: int, indices: Sequence[int]) -> np.ndarray:
-    """Philox keys of every team index, shape (n, 2), dtype uint64.
-
-    Row i is ``SeedSequence(seed, spawn_key=(indices[i],)).generate_state(2,
-    np.uint64)``, the key ``Philox`` takes from that SeedSequence; indices
-    must lie below 2**32. The run entropy (``seed``, zero-padded to four
-    words) is mixed the same way for every team, into
-    ``SeedSequence(seed).pool``: padding words hash like absent ones. Only
-    the spawn word's mixing round and ``generate_state`` depend on the team,
-    and both are done here on uint32 arrays.
-    """
-    pool = [int(word) for word in np.random.SeedSequence(seed).pool]
-    run_words = max(1, -(-seed.bit_length() // 32))
-    # The hash constant after the four pool words, the 12 all-pairs mixes
-    # and four mixes for each run word past the fourth.
-    mix_const = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, run_words - 4), 1 << 32) & _MASK32
-    state_const = _INIT_B
-    spawn = np.asarray(indices, dtype=np.uint32)
-    words = []
-    for base in pool:
-        # hashmix(spawn word), then mix it into this pool word.
-        hashed = spawn ^ mix_const
-        mix_const = mix_const * _MULT_A & _MASK32
-        hashed *= mix_const
-        hashed ^= hashed >> 16
-        word = (_MIX_MULT_L * base & _MASK32) - _MIX_MULT_R * hashed
-        word ^= word >> 16
-        # generate_state's hash of this pool word.
-        word ^= state_const
-        state_const = state_const * _MULT_B & _MASK32
-        word *= state_const
-        word ^= word >> 16
-        words.append(word.astype(np.uint64))
-    return np.stack([words[0] | words[1] << 32, words[2] | words[3] << 32], axis=1)
 
 
 def _gaze(spec: SynthSpec, uniform: np.ndarray, noise, probability: np.ndarray):
@@ -403,36 +357,22 @@ def generate(spec: SynthSpec, out_dir: Union[str, Path]) -> tuple[Path, Path, Pa
     probability = _team_probabilities(spec)
     block = max(1, _BLOCK_ROWS // (2 * n_frames))
     block_jva = []
-    # One generator, re-keyed before each team's draws with a zero counter
-    # and an empty output buffer: the state a fresh Philox has. Lists set
-    # the state about four times as fast as arrays.
-    philox = np.random.Philox(0)
-    rng = np.random.Generator(philox)
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [0] * 4, "key": None},
-        "buffer": [0] * 4,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    uniforms, normals = (
+        np.random.Generator(np.random.Philox(np.random.SeedSequence(spec.seed, spawn_key=(k,))))
+        for k in (0, 1)
+    )
 
     with open(frames_path, "wb") as ff, open(teams_path, "wb") as tf:
         ff.write((",".join(FRAME_COLUMNS) + "\n").encode())
         tf.write((",".join(TEAM_COLUMNS) + "\n").encode())
         for start in range(0, spec.teams, block):
             indices = range(start, min(start + block, spec.teams))
-            # Per team, one draw: the two post-test uniforms, then the JVA
-            # coin, target x, target y and partner angle uniforms of every
-            # frame.
-            draws = np.empty((len(indices), 2 + 4 * n_frames))
-            noise = np.empty((len(indices), 4, n_frames)) if spec.gaze_noise_sigma > 0 else None
-            for i, key in enumerate(_team_keys(spec.seed, indices).tolist()):
-                state["state"]["key"] = key
-                philox.state = state
-                rng.random(out=draws[i])
-                if noise is not None:
-                    rng.standard_normal(out=noise[i])
+            # Per team, a row of the two post-test uniforms, then the JVA coin,
+            # target x, target y and partner angle uniforms of every frame.
+            draws = uniforms.random((len(indices), 2 + 4 * n_frames))
+            noise = None
+            if spec.gaze_noise_sigma > 0:
+                noise = normals.standard_normal((len(indices), 4, n_frames))
             uniform = draws[:, 2:].reshape(len(indices), 4, n_frames)
             gaze, jva = _gaze(spec, uniform, noise, probability[start:indices.stop])
             names = _team_ids(indices)

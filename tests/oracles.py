@@ -11,10 +11,13 @@ arithmetic, and neither it nor ``reference_frame_table`` uses a
 ``teamgaze`` name. ``team_table`` and ``teams_of`` turn ``Team`` records
 into a ``TeamTable``'s columns and back, and ``team_jva_counts_of`` feeds
 the reference frame table to ``jva.team_jva_counts``, the scorer
-``teamgaze analyze`` runs.
+``teamgaze analyze`` runs. ``reference_synth`` lays out synth's study one
+team at a time from the two documented random streams, with no
+``teamgaze`` name.
 """
 
 import csv
+import json
 import math
 from itertools import islice
 from typing import NamedTuple, Optional
@@ -496,3 +499,76 @@ def reference_frame_table(rows) -> dict:
         "row_errors": row_errors,
     }
 
+
+
+_SYNTH_FRAME_HEADER = (
+    "team_id,frame_id,timestamp_s,image_w,image_h,person_id,gaze_x,gaze_y,discarded"
+)
+_SYNTH_TEAM_HEADER = "team_id,condition,gender,post_test_1,post_test_2"
+_SYNTH_CYCLE = [("textbook", "FF"), ("tablet", "MM"), ("ar", "MX")]
+
+
+def reference_synth(spec) -> tuple[bytes, bytes, bytes]:
+    """The bytes of frames.csv, teams.csv and ground_truth.json that
+    ``teamgaze synth`` writes for ``spec`` (a ``SynthSpec``), by README's
+    and ``synth``'s stated rules, one team at a time.
+
+    Team k (id ``team%02d`` of k + 1) has condition and gender k mod 3 of
+    ``_SYNTH_CYCLE``, and the probability of its id's key, else of its
+    condition's, else the plain one. It draws ``2 + 4 * frames`` uniforms
+    from the stream of ``SeedSequence(seed, spawn_key=(0,))``: two post-test
+    uniforms u (score ``int(6 * u)``), then per frame quantity (JVA coin,
+    target x, target y, partner angle) one uniform per frame. With positive
+    noise it draws ``(4, frames)`` standard normals, the offsets of (p1 x,
+    p1 y, p2 x, p2 y), from the ``spawn_key=(1,)`` stream. The target lies
+    in the image shrunk by ``min(300, side / 4)`` on each border. In a JVA
+    frame (coin below the probability) both persons look at it; otherwise
+    p2 looks 300 px away at the angle, reflected through the target where
+    that leaves the image. Points are moved by the noise times sigma,
+    clipped to the image and written with ``"%.4f" %``.
+    """
+    streams = [
+        np.random.Generator(np.random.Philox(np.random.SeedSequence(spec.seed, spawn_key=(k,))))
+        for k in (0, 1)
+    ]
+    n, w, h = spec.frames_per_team, float(spec.image_w), float(spec.image_h)
+    sep = 300.0
+    margin_x, margin_y = min(sep, w / 4), min(sep, h / 4)
+    frame_lines, team_lines = [_SYNTH_FRAME_HEADER + "\n"], [_SYNTH_TEAM_HEADER + "\n"]
+    labels = {}
+    for k in range(spec.teams):
+        team = "team%02d" % (k + 1)
+        condition, gender = _SYNTH_CYCLE[k % 3]
+        p = spec.jva_probability
+        if isinstance(p, dict):
+            p = p[team] if team in p else p[condition]
+        uniform = streams[0].random(2 + 4 * n)
+        coin, ux, uy, turn = uniform[2:].reshape(4, n)
+        scores = [int(6 * u) for u in uniform[:2]]
+        team_lines.append(f"{team},{condition},{gender},{scores[0]},{scores[1]}\n")
+        jva = coin < float(p)
+        ax = margin_x + (w - 2 * margin_x) * ux
+        ay = margin_y + (h - 2 * margin_y) * uy
+        dx, dy = sep * np.cos(2.0 * math.pi * turn), sep * np.sin(2.0 * math.pi * turn)
+        bx = np.where((ax + dx >= 0) & (ax + dx <= w), ax + dx, ax - dx)
+        by = np.where((ay + dy >= 0) & (ay + dy <= h), ay + dy, ay - dy)
+        gaze = np.array([ax, ay, np.where(jva, ax, bx), np.where(jva, ay, by)])
+        if spec.gaze_noise_sigma > 0:
+            gaze = gaze + spec.gaze_noise_sigma * streams[1].standard_normal((4, n))
+        gaze = np.clip(gaze, 0.0, np.array([w, h, w, h])[:, None])
+        for f in range(n):
+            for person, (x, y) in (("p1", gaze[:2, f]), ("p2", gaze[2:, f])):
+                frame_lines.append(
+                    f"{team},f{f:05d},{f * 10.0:.1f},{spec.image_w},{spec.image_h},{person},"
+                    + "%.4f,%.4f,0\n" % (x, y)
+                )
+        labels[team] = [int(j) for j in jva]
+    truth = {
+        "frame_labels": labels,
+        "team_ratios": {team: sum(v) / n for team, v in labels.items()},
+    }
+    return (
+        "".join(frame_lines).encode(),
+        "".join(team_lines).encode(),
+        json.dumps(truth, sort_keys=True, separators=(",", ":")).encode(),
+    )

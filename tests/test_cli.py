@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from teamgaze import io_report
-from teamgaze.cli import MAX_ROW_WARNINGS, _build_parser, main
+from teamgaze.cli import _COMMANDS, MAX_ROW_WARNINGS, _build_parser, main
 from teamgaze.io_report import read_frame_table
 from teamgaze.jva import DenominatorPolicy, ScaleMode
 from teamgaze.synth import SynthSpec, generate
@@ -128,6 +128,17 @@ def test_analyze_missing_file_is_data_error(tmp_path, capsys):
     )
     assert code == 1
     assert "error:" in err
+
+
+def test_a_key_error_is_a_fault_not_a_data_error(monkeypatch):
+    # No reader raises KeyError for bad input: one escaping a command is a
+    # bug, and its traceback must show.
+    def fault(args):
+        raise KeyError("x")
+
+    monkeypatch.setitem(_COMMANDS, "stats", fault)
+    with pytest.raises(KeyError):
+        main(["stats"])
 
 
 @pytest.mark.parametrize("command", ["analyze", "stats"])

@@ -19,6 +19,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
@@ -31,7 +32,12 @@ from oracles import (
 
 from teamgaze import io_report, jva, model
 from teamgaze.cli import main
-from teamgaze.io_report import TeamTable, build_sessions, load_frames
+from teamgaze.io_report import (
+    TeamTable,
+    build_sessions,
+    load_frames,
+    stats_report_from_team_rows,
+)
 from teamgaze.jva import DenominatorPolicy, JvaConfig, ScaleMode, classify_frame, session_jva
 from teamgaze.model import (
     Condition,
@@ -215,6 +221,23 @@ def test_session_jva_and_classify_frame_agree_with_the_reference(
             assert (decided.distance, decided.is_jva, decided.counted_in_denominator) == (
                 by_frame[session.team_id, frame.frame_id]
             )
+
+
+def test_build_sessions_rejects_frames_of_an_unknown_team(tmp_path):
+    path = write_frames(tmp_path, ["t1,f1,0.0,2560,1440,p1,1,1,,,1.0,0",
+                                   "t9,f1,0.0,2560,1440,p1,1,1,,,1.0,0"])
+    teams = team_table([Team("t1", "ar", "FF", None, 2.5)])
+    with pytest.raises(ValueError, match=r"frames reference unknown teams: \['t9'\]"):
+        build_sessions(load_frames(path).frames_by_team, teams)
+
+
+def test_stats_report_of_team_rows_is_that_of_their_table():
+    teams = io_report.load_team_rows(GOLDEN / "analyze" / "bundle" / "teams.csv")
+    rows = list(teams)
+    assert [r.team_id for r in rows] == teams.team_ids
+    assert io_report.emit_report(stats_report_from_team_rows(rows), "json") == (
+        io_report.emit_report(io_report.stats_report(teams), "json")
+    )
 
 
 # Each constructor and scorer of the per-frame path, where a command could

@@ -211,8 +211,9 @@ def test_the_per_frame_check_names_each_kind_of_use():
     ]
 
 
-# The plain per-frame reference in tests/oracles.py and the frame table it scores.
-REFERENCES = ["brute_force_jva_count", "reference_frame_table"]
+# The plain references in tests/oracles.py: the per-frame scorer, the frame
+# table it scores, and synth's study.
+REFERENCES = ["brute_force_jva_count", "reference_frame_table", "reference_synth"]
 
 
 def _package_names_reached(tree: ast.Module, functions) -> list[str]:
