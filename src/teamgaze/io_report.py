@@ -27,8 +27,8 @@ per-team columns: ``load_teams`` fills it without JVA ratios,
 ``analyze_table`` adds them, ``load_team_rows`` reads them from the
 file, and ``stats_report`` runs the statistics battery on it. No command
 builds objects per frame: ``load_frames``, ``build_sessions`` and
-``TeamRow`` are kept only for ``perfbench/traced.py`` until ROADMAP
-item 1, and the tests' reference is ``tests/oracles.py``.
+``stats_report_from_team_rows`` serve only ``perfbench/traced.py``
+(ROADMAP item 3), and the tests' reference is ``tests/oracles.py``.
 Reports render the same content as machine-readable JSON, an aligned
 plain-text table, or a CSV bundle. Every emitter writes the teams a
 column at a time (``_team_cells``); every other section (group summaries
@@ -46,7 +46,7 @@ import json
 import math
 import operator
 import os
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import wraps
 from io import StringIO
 from itertools import chain, compress, islice, zip_longest
@@ -659,7 +659,7 @@ def load_frames(path: Union[str, Path]) -> LoadResult:
     """Load a frame table as per-team FrameRecords.
 
     ``read_frame_table`` parses and checks the file; each team's frames
-    are sorted by (timestamp, frame_id), with observations in file order.
+    and each frame's observations keep the order it gives them.
     """
     table = read_frame_table(path)
     persons = [table.person_ids[p] for p in table.row_person.tolist()]
@@ -687,11 +687,8 @@ def load_frames(path: Union[str, Path]) -> LoadResult:
                     for r in range(bounds[f], bounds[f + 1])
                 ),
                 discarded=discarded,
-                discard_reason="flagged in input" if discarded else "",
             )
         )
-    for records in frames_by_team.values():
-        records.sort(key=lambda r: (r.timestamp, r.frame_id))
     return LoadResult(frames_by_team=frames_by_team, row_errors=table.row_errors)
 
 
@@ -753,14 +750,14 @@ def _codes(cells: dict, column: str, lines: np.ndarray) -> np.ndarray:
 class _TeamColumns(_ChunkParser):
     """The rows of a team-level table, parsed a chunk at a time into columns.
 
-    Each row holds a team_id (stripped, unique), a condition, a gender and
-    the ``numbers`` given as (column, high, optional): each lies in
-    [0, high], and an empty (stripped) cell of an optional column, or an
+    Each row holds a team_id (stripped, not empty, unique), a condition, a
+    gender and the ``numbers`` given as (column, high, optional): each lies
+    in [0, high], and an empty (stripped) cell of an optional column, or an
     optional column the table lacks, reads as NaN. A short row's missing
     cells are empty. ``_parse`` names a bad row itself (see
-    ``_ChunkParser``), checking a row's cells in this order: a repeated
-    team_id, the condition, the gender, then each number (not a number,
-    then out of range).
+    ``_ChunkParser``), checking a row's cells in this order: an empty
+    team_id, a repeated one, the condition, the gender, then each number
+    (not a number, then out of range).
     """
 
     def __init__(self, numbers):
@@ -780,6 +777,8 @@ class _TeamColumns(_ChunkParser):
         team_ids = list(map(str.strip, _text(cells["team_id"])))
         # Each id's first line in the chunk: the last of the reversed pairs wins.
         first = dict(zip(reversed(team_ids), reversed(lines.tolist())))
+        if "" in first:
+            raise ValueError(f"line {first['']}: empty team_id")
         if len(first) < n or not self.first_line.keys().isdisjoint(first):
             seen = dict(self.first_line)
             for team_id, line in zip(team_ids, lines.tolist()):
@@ -838,31 +837,25 @@ def build_sessions(
     frames_by_team: dict[str, list[FrameRecord]], teams: TeamTable
 ) -> list[TeamSession]:
     """One TeamSession per team of ``teams``, sorted by id, with its frames;
-    frames of other teams are an error. Kept only for ``perfbench/traced.py``
-    until ROADMAP item 1; the tests' reference is ``tests/oracles.py``."""
+    frames of other teams are an error. Only ``perfbench/traced.py`` calls
+    it (ROADMAP item 3); the tests' reference is ``tests/oracles.py``."""
     missing_meta = sorted(set(frames_by_team) - set(teams.team_ids))
     if missing_meta:
         raise ValueError(f"frames reference unknown teams: {missing_meta}")
+    teams = teams.by_team_id()
     return [
         TeamSession(
-            team.team_id, team.condition, team.gender, team.team_post_test,
-            tuple(frames_by_team.get(team.team_id, [])),
+            team_id, _CONDITIONS[c], _GENDERS[g], post_test,
+            tuple(frames_by_team.get(team_id, [])),
         )
-        for team in teams.by_team_id()
+        for team_id, c, g, post_test in zip(
+            teams.team_ids, teams.condition.tolist(), teams.gender.tolist(),
+            teams.post_test.tolist(),
+        )
     ]
 
 
 # --- report assembly -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TeamRow:
-    team_id: str
-    condition: Condition
-    group: Group
-    gender: GenderComposition
-    jva_ratio_pct: Optional[float]
-    team_post_test: float
 
 
 @dataclass
@@ -876,7 +869,7 @@ class TeamTable:
     ``condition`` and ``gender`` hold each team's index into ``Condition``
     and ``GenderComposition``; a team's group follows from its condition.
     A team without a JVA ratio has NaN in ``jva_ratio_pct``. The table has
-    ``len()`` and iterates as TeamRow records, a missing ratio as None.
+    ``len()``.
     """
 
     team_ids: list[str]
@@ -885,35 +878,8 @@ class TeamTable:
     jva_ratio_pct: np.ndarray
     post_test: np.ndarray
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[TeamRow]) -> TeamTable:
-        """The table of TeamRow records; a None ratio becomes NaN."""
-        rows = list(rows)
-        return cls(
-            team_ids=[r.team_id for r in rows],
-            condition=np.array([_CONDITIONS.index(r.condition) for r in rows], np.int8),
-            gender=np.array([_GENDERS.index(r.gender) for r in rows], np.int8),
-            jva_ratio_pct=np.array(
-                [np.nan if r.jva_ratio_pct is None else r.jva_ratio_pct for r in rows], float
-            ),
-            post_test=np.array([r.team_post_test for r in rows], float),
-        )
-
     def __len__(self) -> int:
         return len(self.team_ids)
-
-    def __iter__(self) -> Iterator[TeamRow]:
-        for team_id, c, g, ratio, post_test in zip(
-            self.team_ids,
-            self.condition.tolist(),
-            self.gender.tolist(),
-            self.jva_ratio_pct.tolist(),
-            self.post_test.tolist(),
-        ):
-            yield TeamRow(
-                team_id, _CONDITIONS[c], _GROUPS[_CONDITION_GROUP[c]], _GENDERS[g],
-                None if ratio != ratio else ratio, post_test,
-            )
 
     @property
     def group(self) -> np.ndarray:
@@ -1013,9 +979,28 @@ def stats_report(teams: TeamTable) -> Report:
     return report
 
 
+@dataclass(frozen=True)
+class TeamRow:
+    """One team of the per-frame path, for ``stats_report_from_team_rows``."""
+
+    team_id: str
+    condition: Condition
+    group: Group
+    gender: GenderComposition
+    jva_ratio_pct: Optional[float]
+    team_post_test: float
+
+
 def stats_report_from_team_rows(rows: Iterable[TeamRow]) -> Report:
-    """``stats_report`` of TeamRow records."""
-    return stats_report(TeamTable.from_rows(rows))
+    """``stats_report`` of TeamRow records, a None ratio a missing one."""
+    rows = list(rows)
+    return stats_report(TeamTable(
+        [r.team_id for r in rows],
+        np.array([_CONDITIONS.index(r.condition) for r in rows], np.int8),
+        np.array([_GENDERS.index(r.gender) for r in rows], np.int8),
+        np.array([np.nan if r.jva_ratio_pct is None else r.jva_ratio_pct for r in rows], float),
+        np.array([r.team_post_test for r in rows], float),
+    ))
 
 
 def stats_report_from_summaries(
@@ -1130,6 +1115,8 @@ def _summaries(chunks: Iterator) -> tuple[dict, dict]:
         for line, row in zip(lines.tolist(), zip(*(cells[c] for c in _SUMMARY_COLUMNS))):
             grouping, label, measure, n, mean, sd = ("" if v is None else _str(v) for v in row)
             key = (grouping.strip(), label.strip(), measure.strip())
+            if not key[0] or not key[1]:
+                raise ValueError(f"line {line}: empty grouping or label")
             _check_new_key(first_line, key, line, "summary")
             grouping, label, measure = key
             if measure not in _MEASURES:
@@ -1262,8 +1249,9 @@ def _sections(report: Report, value_rule) -> dict:
     }
 
 
-# The team fields in TeamRow order: the columns of teams.csv.
-_TEAM_FIELDS = [f.name for f in fields(TeamRow)]
+# The team fields in the order every format writes them: the columns of
+# teams.csv.
+_TEAM_FIELDS = ["team_id", "condition", "group", "gender", "jva_ratio_pct", "team_post_test"]
 
 # The fields of a pairwise comparison that every format writes, in
 # posthoc.csv's order; JSON writes the degrees of freedom as "df": [df1, df2].
@@ -1287,9 +1275,9 @@ def _team_cells(teams: TeamTable, value_rule, text=str) -> tuple[list, list, lis
     """Every team's cells, with each distinct label and number formatted once.
 
     Returns ``text`` of each team id; the distinct rows of the other team
-    fields' cells, in TeamRow order (``text`` of each label, ``value_rule``
-    of each number, a missing ratio as None); and each team's index into
-    those rows. A cell depends only on its value's float bits.
+    fields' cells, in ``_TEAM_FIELDS`` order (``text`` of each label,
+    ``value_rule`` of each number, a missing ratio as None); and each
+    team's index into those rows. A cell depends only on its value's float bits.
     """
     def labels(members: list) -> list:
         return [text(m.value) for m in members]
@@ -1368,7 +1356,7 @@ def _render_json(report: Report) -> str:
 _MEASURE_TITLES = {"jva_ratio_pct": "JVA ratio (%)", "post_test": "Post-test"}
 
 # One line of the per-team text table: the team id, then the other fields
-# in TeamRow order.
+# in ``_TEAM_FIELDS`` order.
 _TEXT_TEAM_LINE = "{:<10}{}"
 _TEXT_TEAM_CELLS = "{:<12}{:<12}{:<8}{:>14}{:>11}"
 

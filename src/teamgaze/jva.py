@@ -4,9 +4,10 @@ A frame exhibits JVA when the Euclidean distance between the two persons'
 gaze points is strictly smaller than the threshold (100 px by default, at
 the reference 2560x1440 capture resolution).
 
-Every command scores with ``team_jva_counts``; ``classify_frame`` and
-``session_jva`` are kept only for ``perfbench/traced.py`` until ROADMAP
-item 1, and the tests' reference is ``tests/oracles.py``.
+Every command scores with ``team_jva_counts``. ``classify_frame`` and
+``session_jva`` score the per-frame path's frames, whose observations a
+reader has already checked; only ``perfbench/traced.py`` runs them
+(ROADMAP item 3), and the tests' reference is ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -90,13 +91,12 @@ class JvaSessionResult:
 def classify_frame(frame: FrameRecord, config: JvaConfig = JvaConfig()) -> JvaFrameResult:
     """Decide JVA for one frame; false by default.
 
-    Frames without exactly two valid observations (or discarded frames)
-    cannot be positive; whether they count in the denominator depends on
-    the configured policy. Comparison against the threshold is strict: a
+    Frames without exactly two observations (or discarded frames) cannot
+    be positive; whether they count in the denominator depends on the
+    configured policy. Comparison against the threshold is strict: a
     distance exactly equal to the threshold is not JVA.
     """
-    valid = () if frame.discarded else frame.valid_observations()
-    if frame.discarded or len(valid) != 2:
+    if frame.discarded or len(frame.observations) != 2:
         counted = (
             config.denominator_policy is DenominatorPolicy.ALL_CAPTURED_FRAMES
             and not frame.discarded
@@ -108,7 +108,8 @@ def classify_frame(frame: FrameRecord, config: JvaConfig = JvaConfig()) -> JvaFr
             counted_in_denominator=counted,
         )
 
-    distance = valid[0].gaze.distance_to(valid[1].gaze)
+    first, second = frame.observations
+    distance = first.gaze.distance_to(second.gaze)
     threshold = config.effective_threshold(frame.image_width, frame.image_height)
     return JvaFrameResult(
         frame_id=frame.frame_id,

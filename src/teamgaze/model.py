@@ -1,10 +1,10 @@
 """Domain types shared across the pipeline, and the one rule that turns an
 input file's bytes into text (``input_text``).
 
-Every type here is an immutable value object: frames, observations and
-sessions are frozen after construction and safe to share between threads.
-Validation is collected as data (lists of violation strings) rather than
-raised, so callers can report every problem in a file at once.
+Every type here is an immutable value object. The gaze observation, frame
+and session types, with ``validate_session``, belong to the per-frame
+path, which only ``perfbench/traced.py`` runs (ROADMAP item 3): a reader
+has checked their input, so they restate none of its rules.
 """
 
 from __future__ import annotations
@@ -42,9 +42,6 @@ class Point2D:
 
     def distance_to(self, other: "Point2D") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
-
-    def is_finite(self) -> bool:
-        return math.isfinite(self.x) and math.isfinite(self.y)
 
 
 @dataclass(frozen=True)
@@ -86,7 +83,7 @@ def team_post_test_score(score_a: float, score_b: float) -> float:
 
 @dataclass(frozen=True)
 class FrameRecord:
-    """All gaze observations for one team at one timestamp.
+    """The gaze observations a reader kept for one team at one timestamp.
 
     Discarded frames (camera difficulties, extra people in the scene) are
     kept with a flag instead of being dropped, so ratio denominators stay
@@ -99,18 +96,6 @@ class FrameRecord:
     image_height: int
     observations: tuple[GazeObservation, ...] = ()
     discarded: bool = False
-    discard_reason: str = ""
-
-    def valid_observations(self) -> tuple[GazeObservation, ...]:
-        """Observations whose gaze point is finite and inside the frame."""
-        out = []
-        for obs in self.observations:
-            g = obs.gaze
-            if not g.is_finite():
-                continue
-            if 0 <= g.x <= self.image_width and 0 <= g.y <= self.image_height:
-                out.append(obs)
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -160,50 +145,22 @@ class Heatmap:
 
 
 def validate_session(session: TeamSession) -> list[str]:
-    """Check every session invariant; return one message per violation.
-
-    An empty list means the session conforms. Violations are data, not
-    faults: malformed input is expected and reported, never raised.
+    """The one session invariant no reader enforces: the frames not
+    discarded hold two distinct persons, or none. Returns one message per
+    violation, an empty list when the session conforms.
     """
-    violations: list[str] = []
-
-    if not (0.0 <= session.team_post_test <= 5.0):
-        violations.append(
-            f"team {session.team_id}: score out of [0,5]: {session.team_post_test}"
-        )
-
-    person_ids: set[str] = set()
-    prev_ts: Optional[float] = None
-    for frame in session.frames:
-        where = f"team {session.team_id} frame {frame.frame_id}"
-        if frame.image_width <= 0 or frame.image_height <= 0:
-            violations.append(f"{where}: non-positive image dimensions")
-            continue
-        if prev_ts is not None and frame.timestamp < prev_ts:
-            violations.append(f"{where}: timestamp decreases")
-        prev_ts = frame.timestamp
-        if frame.discarded and not frame.discard_reason:
-            violations.append(f"{where}: discarded without a reason")
-        for obs in frame.observations:
-            if not obs.gaze.is_finite():
-                violations.append(f"{where}: non-finite gaze for {obs.person_id}")
-            elif not (
-                0 <= obs.gaze.x <= frame.image_width
-                and 0 <= obs.gaze.y <= frame.image_height
-            ):
-                violations.append(
-                    f"{where}: gaze out of image bounds for {obs.person_id}"
-                )
-        if not frame.discarded:
-            person_ids.update(o.person_id for o in frame.valid_observations())
-
-    if session.frames and person_ids and len(person_ids) != 2:
-        violations.append(
+    persons = {
+        obs.person_id
+        for frame in session.frames
+        if not frame.discarded
+        for obs in frame.observations
+    }
+    if persons and len(persons) != 2:
+        return [
             f"team {session.team_id}: team size != 2 "
-            f"({len(person_ids)} distinct persons in valid frames)"
-        )
-
-    return violations
+            f"({len(persons)} distinct persons in valid frames)"
+        ]
+    return []
 
 
 def input_text(data: bytes, file_start: bool = True) -> tuple[str, Optional[tuple[int, str]]]:

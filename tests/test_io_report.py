@@ -283,6 +283,9 @@ TEAMS_HEADER = "team_id,condition,gender,post_test_1,post_test_2\n"
         ("t1,ar,FF,9,2\nt2,ar,ZZ,1,2", "line 2: post_test_1 '9' out of [0,5]"),
         ("t1,ar,FF,1,2\r\n\r\nt1,ar,FF,1,2\r\n",
          "line 4: duplicate team_id 't1' (first on line 2)"),
+        # A blank id used to load, and two of them failed only as duplicates.
+        ("t1,ar,FF,1,2\nt2,ar,FF,1,2\n ,ar,FF,5,5\n", "line 4: empty team_id"),
+        ("t1,ar,FF,1,2\n,ar,FF,1,2\n ,tablet,MM,3,3\n", "line 3: empty team_id"),
     ],
 )
 def test_load_teams_rejects_bad_rows_with_physical_line(tmp_path, rows, message):
@@ -488,6 +491,8 @@ TEAM_ROWS_HEADER = "team_id,condition,group,gender,jva_ratio_pct,team_post_test\
         ("t1,ar,,FF", "line 3: column 'team_post_test' not numeric: ''"),
         # A repeated team used to be counted twice.
         ("t0,ar,,FF,30,2", "line 3: duplicate team_id 't0' (first on line 2)"),
+        # A blank id used to enter every ANOVA.
+        (" ,ar,,FF,30,2", "line 3: empty team_id"),
     ],
 )
 def test_load_team_rows_rejects_bad_rows_with_line(tmp_path, row, message):
@@ -558,6 +563,9 @@ SUMMARY_HEADER = "grouping,label,measure,n,mean,sd\n"
             "line 3: duplicate summary ('group', 'textbook', 'jva_ratio_pct') "
             "(first on line 2)",
         ),
+        # A blank label used to join the ANOVAs, a blank grouping to be printed.
+        ("group,,post_test,5,1.5,0.5", "line 3: empty grouping or label"),
+        (" ,control,post_test,5,1.5,0.5", "line 3: empty grouping or label"),
     ],
 )
 def test_load_summary_fixture_rejects_bad_rows_with_line(tmp_path, row, message):

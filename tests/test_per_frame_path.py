@@ -10,12 +10,12 @@ other test modules check against the plain reference in
 ``tests/oracles.py``. The benchmark's traced pass still calls this path,
 and its synth check relies on ``classify_frame`` and ``session_jva``, so
 this file keeps it checked until ROADMAP item 1 points the benchmark at
-the program; item 3 then deletes the file with the code. Each
-``validate_session`` rule that the reader also enforces names the test
-that checks the reader's side.
+the program; item 3 then deletes the file with the code. The path takes
+what the readers return and restates none of their rules: frames keep
+``read_frame_table``'s order, and ``validate_session`` checks only the
+team size, which no reader enforces.
 """
 
-import math
 import tempfile
 from pathlib import Path
 
@@ -28,14 +28,16 @@ from oracles import (
     brute_force_jva_count,
     reference_frame_table,
     team_table,
+    teams_of,
 )
 
 from teamgaze import io_report, jva, model
 from teamgaze.cli import main
 from teamgaze.io_report import (
-    TeamTable,
+    TeamRow,
     build_sessions,
     load_frames,
+    read_frame_table,
     stats_report_from_team_rows,
 )
 from teamgaze.jva import DenominatorPolicy, JvaConfig, ScaleMode, classify_frame, session_jva
@@ -44,6 +46,7 @@ from teamgaze.model import (
     FrameRecord,
     GazeObservation,
     GenderComposition,
+    Group,
     Point2D,
     TeamSession,
     validate_session,
@@ -58,7 +61,7 @@ def write_frames(directory, rows):
     return path
 
 
-def make_frame(frame_id, ts, gazes, w=2560, h=1440, discarded=False, reason=""):
+def make_frame(frame_id, ts, gazes, discarded=False):
     obs = tuple(
         GazeObservation(person_id=f"p{i + 1}", gaze=Point2D(x, y))
         for i, (x, y) in enumerate(gazes)
@@ -66,20 +69,19 @@ def make_frame(frame_id, ts, gazes, w=2560, h=1440, discarded=False, reason=""):
     return FrameRecord(
         frame_id=frame_id,
         timestamp=ts,
-        image_width=w,
-        image_height=h,
+        image_width=2560,
+        image_height=1440,
         observations=obs,
         discarded=discarded,
-        discard_reason=reason,
     )
 
 
-def make_session(frames=(), team_post_test=2.5, team_id="t1"):
+def make_session(frames):
     return TeamSession(
-        team_id=team_id,
+        team_id="t1",
         condition=Condition.TABLET,
         gender_composition=GenderComposition.MIXED,
-        team_post_test=team_post_test,
+        team_post_test=2.5,
         frames=tuple(frames),
     )
 
@@ -87,13 +89,6 @@ def make_session(frames=(), team_post_test=2.5, team_id="t1"):
 def test_conforming_session_has_no_violations():
     session = make_session([make_frame("f1", 0.0, [(100, 100), (200, 200)])])
     assert validate_session(session) == []
-
-
-# The reader: test_io_report.py::test_load_teams_rejects_score_out_of_range.
-def test_score_out_of_bounds_flagged():
-    session = make_session(team_post_test=6.0)
-    violations = validate_session(session)
-    assert any("score out of [0,5]" in v for v in violations)
 
 
 # The reader: test_io_report.py::
@@ -115,62 +110,46 @@ def test_three_persons_is_a_team_size_violation():
     assert any("team size != 2" in v for v in violations)
 
 
-# The reader skips such a row:
-# test_io_report.py::test_out_of_bounds_gaze_row_skipped_and_logged.
-def test_gaze_outside_frame_flagged():
-    session = make_session([make_frame("f1", 0.0, [(-5, 100), (200, 200)])])
-    violations = validate_session(session)
-    assert any("out of image bounds" in v for v in violations)
+# Golden team t03's shape: one person in every frame.
+def test_one_person_is_a_team_size_violation():
+    frames = [make_frame(f"f{i}", float(i), [(100, 100)]) for i in range(3)]
+    assert validate_session(make_session(frames)) == [
+        "team t1: team size != 2 (1 distinct persons in valid frames)"
+    ]
 
 
-# The reader: test_io_report.py::test_a_column_of_one_bad_cell_fails_at_its_first_row.
-def test_non_positive_image_size_flagged_and_frame_not_checked_further():
-    session = make_session([make_frame("f1", 0.0, [(-5, 100), (200, 200)], w=0)])
-    assert validate_session(session) == ["team t1 frame f1: non-positive image dimensions"]
+def test_discarded_frames_do_not_count_toward_the_team_size():
+    frames = [
+        make_frame("f1", 0.0, [(1, 1), (2, 2)]),
+        make_frame("f2", 1.0, [(1, 1), (2, 2), (3, 3)], discarded=True),
+    ]
+    assert validate_session(make_session(frames)) == []
 
 
-# The reader skips a NaN or infinite gaze point:
-# test_io_report.py::test_out_of_bounds_gaze_row_skipped_and_logged.
-def test_non_finite_gaze_flagged():
-    session = make_session([make_frame("f1", 0.0, [(math.nan, 100), (200, 200)])])
-    assert "team t1 frame f1: non-finite gaze for p1" in validate_session(session)
-
-
-# The reader: test_io_report.py::test_out_of_bounds_gaze_row_skipped_and_logged.
-def test_valid_observations_skip_non_finite_gaze():
-    frame = make_frame("f1", 0.0, [(math.inf, 100), (200, math.nan), (300, 300)])
-    assert [o.person_id for o in frame.valid_observations()] == ["p3"]
-
-
-# The reader has no such rule: a frame table's frames keep their file order.
-def test_decreasing_timestamps_flagged():
-    session = make_session(
-        [
-            make_frame("f1", 10.0, [(1, 1), (2, 2)]),
-            make_frame("f2", 0.0, [(1, 1), (2, 2)]),
-        ]
-    )
-    assert any("timestamp decreases" in v for v in validate_session(session))
-
-
-# A frame table has no reason column: the reader has no such rule.
-def test_discarded_frame_needs_a_reason():
-    ok = make_frame("f1", 0.0, [], discarded=True, reason="camera difficulty")
-    bad = make_frame("f2", 1.0, [], discarded=True)
-    violations = validate_session(make_session([ok, bad]))
-    assert len([v for v in violations if "without a reason" in v]) == 1
-
-
-def test_frames_sorted_by_timestamp(tmp_path):
+def test_load_frames_keeps_the_frame_tables_order(tmp_path):
     path = write_frames(
         tmp_path,
         [
+            "t2,f9,30.0,2560,1440,p2,1,1,,,1.0,0",
             "t1,f2,20.0,2560,1440,p1,1,1,,,1.0,0",
-            "t1,f1,10.0,2560,1440,p1,1,1,,,1.0,0",
+            "t1,f1,10.0,2560,1440,p2,2,2,,,1.0,0",
+            "t2,f9,30.0,2560,1440,p1,3,3,,,1.0,0",
+            "t1,f2,20.0,2560,1440,p2,4,4,,,1.0,0",
+            "t1,f0,5.0,2560,1440,p1,5,5,,,1.0,0",
         ],
     )
-    loaded = load_frames(path)
-    assert [f.frame_id for f in loaded.frames_by_team["t1"]] == ["f1", "f2"]
+    table = read_frame_table(path)
+    bounds = table.row_offsets.tolist()
+    expected = {team: [] for team in table.team_ids}
+    for f, team in enumerate(table.frame_team.tolist()):
+        persons = [table.person_ids[p] for p in table.row_person[bounds[f]:bounds[f + 1]]]
+        expected[table.team_ids[team]].append((table.frame_ids[f], persons))
+    loaded = load_frames(path).frames_by_team
+    assert {
+        team: [(fr.frame_id, [o.person_id for o in fr.observations]) for fr in frames]
+        for team, frames in loaded.items()
+    } == expected
+    assert [fr.frame_id for fr in loaded["t1"]] == ["f2", "f1", "f0"]
 
 
 # A frame: its team, image size, discarded flag, and one or two persons'
@@ -233,21 +212,24 @@ def test_build_sessions_rejects_frames_of_an_unknown_team(tmp_path):
 
 def test_stats_report_of_team_rows_is_that_of_their_table():
     teams = io_report.load_team_rows(GOLDEN / "analyze" / "bundle" / "teams.csv")
-    rows = list(teams)
-    assert [r.team_id for r in rows] == teams.team_ids
+    rows = [
+        TeamRow(t.team_id, Condition(t.condition), Group(t.group),
+                GenderComposition(t.gender), t.jva_ratio_pct, t.team_post_test)
+        for t in teams_of(teams)
+    ]
     assert io_report.emit_report(stats_report_from_team_rows(rows), "json") == (
         io_report.emit_report(io_report.stats_report(teams), "json")
     )
 
 
 # Each constructor and scorer of the per-frame path, where a command could
-# reach it: ``TeamRow`` is also what iterating a ``TeamTable`` builds.
+# reach it.
 PER_FRAME_CALLS = [
     (io_report, "TeamRow"), (io_report, "TeamSession"), (io_report, "FrameRecord"),
     (io_report, "GazeObservation"), (io_report, "load_frames"), (io_report, "build_sessions"),
     (io_report, "stats_report_from_team_rows"), (model, "TeamSession"),
     (model, "FrameRecord"), (model, "GazeObservation"), (model, "validate_session"),
-    (jva, "classify_frame"), (jva, "session_jva"), (TeamTable, "from_rows"),
+    (jva, "classify_frame"), (jva, "session_jva"),
 ]
 
 

@@ -149,10 +149,11 @@ def test_no_file_is_read_as_text(path):
 
 # The per-frame object path's names, which no command runs (ROADMAP item 3).
 # Only the files that pin that path while the benchmark runs it name them.
+# Each is still defined in the package, so deleting a name takes it off here.
 PER_FRAME_PATH = [
     "load_frames", "LoadResult", "build_sessions",
-    "TeamRow", "from_rows", "stats_report_from_team_rows",
-    "GazeObservation", "FrameRecord", "TeamSession", "valid_observations", "validate_session",
+    "TeamRow", "stats_report_from_team_rows",
+    "GazeObservation", "FrameRecord", "TeamSession", "validate_session",
     "classify_frame", "session_jva", "JvaFrameResult", "JvaSessionResult",
 ]
 PER_FRAME_FILES = {"test_per_frame_path.py", "test_perfbench_smoke.py"}
@@ -202,13 +203,45 @@ def test_the_per_frame_check_names_each_kind_of_use():
         "from teamgaze.jva import session_jva as score\nimport teamgaze\n"
         "PER_FRAME_PATH = ['TeamRow']\nteamgaze.io_report.load_frames(p)\n"
         "setattr(m, 'FrameRecord', f)\ndef build_sessions(TeamSession=1):\n    pass\n"
-        "t.from_rows(x, LoadResult=2)\n'a TeamRow in a sentence'\n"
+        "t.classify_frame(x, LoadResult=2)\n'a TeamRow in a sentence'\n"
     )
     assert _per_frame_names(tree) == [
         "line 1: session_jva", "line 4: load_frames", "line 5: FrameRecord",
         "line 6: TeamSession", "line 6: build_sessions", "line 8: LoadResult",
-        "line 8: from_rows",
+        "line 8: classify_frame",
     ]
+
+
+def _defined_names(tree: ast.Module) -> set[str]:
+    """Each function and class the module defines, at any depth, and each
+    name it assigns at module or class level."""
+    names, bodies = set(), [tree.body]
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            bodies.append(node.body)
+    for body in bodies:
+        for node in body:
+            targets = {ast.Assign: lambda n: n.targets, ast.AnnAssign: lambda n: [n.target]}
+            for target in targets.get(type(node), lambda n: [])(node):
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return names
+
+
+def test_each_per_frame_name_is_defined_in_the_package():
+    defined = set().union(*(_defined_names(ast.parse(p.read_text(encoding="utf-8")))
+                            for p in PACKAGE))
+    assert [name for name in PER_FRAME_PATH if name not in defined] == []
+
+
+def test_the_definition_check_names_each_kind_of_definition():
+    tree = ast.parse(
+        "import os\nfrom m import g\nX, (Y, Z) = 1, (2, 3)\nclass C:\n    field: int = 0\n"
+        "    def method(self):\n        local = 3\n        return local\n"
+        "async def f(a):\n    return g(a)\nos.path.join(a)\n"
+    )
+    assert _defined_names(tree) == {"X", "Y", "Z", "C", "field", "method", "f"}
 
 
 # The plain references in tests/oracles.py: the per-frame scorer, the frame
