@@ -7,21 +7,16 @@ tables; this demo rebuilds every F statistic from it.
 """
 
 from teamgaze import emit_report
-from teamgaze.io_report import (
-    load_summary_fixture,
-    paper_fixture_path,
-    stats_report_from_summaries,
-)
+from teamgaze.io_report import paper_fixture_path, stats_report_from_table
 from teamgaze.stats import anova_oneway
 from teamgaze.synth import moment_matched_groups
 
-summaries, totals = load_summary_fixture(paper_fixture_path())
-report = stats_report_from_summaries(summaries, totals)
+report = stats_report_from_table(paper_fixture_path())
 print(emit_report(report, fmt="text"))
 
 # Summary-based ANOVA agrees with raw-sample ANOVA on samples constructed
 # to match the summary moments exactly.
-jva_groups = summaries["condition"]["jva_ratio_pct"]
+jva_groups = report.summaries["condition"]["jva_ratio_pct"]
 samples = moment_matched_groups([(g.n, g.mean, g.sd) for g in jva_groups])
 raw = anova_oneway(samples)
 summary_f = report.anovas["condition_jva_ratio_pct"].f

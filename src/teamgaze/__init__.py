@@ -16,7 +16,6 @@ _EXPORTS = {
     "Heatmap": "model",
     "Point2D": "model",
     "decode_heatmap": "gazefield",
-    "multiscale_fields": "gazefield",
     "SynthSpec": "synth",
     "analyze_table": "io_report",
     "emit_report": "io_report",

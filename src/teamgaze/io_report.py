@@ -96,7 +96,6 @@ __all__ = [
     "stats_report_from_team_rows",
     "stats_report_from_summaries",
     "stats_report_from_table",
-    "load_summary_fixture",
     "load_team_rows",
     "emit_report",
     "check_report_out",
@@ -1091,23 +1090,11 @@ def paper_fixture_path() -> Path:
     return Path(__file__).parent / "fixtures" / "paper_fixture.csv"
 
 
-@_names_file
-def load_summary_fixture(
-    path: Union[str, Path],
-) -> tuple[dict[str, dict[str, list[GroupSummary]]], dict[str, GroupSummary]]:
-    """Read a summary CSV with columns grouping,label,measure,n,mean,sd.
-
-    A bad cell, a mean or SD outside its measure's range and a repeated
-    (grouping, label, measure) are errors naming the line.
-    """
-    chunks = _read_csv(path, _SUMMARY_COLUMNS)
-    next(chunks)
-    return _summaries(chunks)
-
-
 def _summaries(chunks: Iterator) -> tuple[dict, dict]:
     """A summary table's group summaries and totals, from its ``_read_csv``
-    chunks after the header. A short row's missing cells are empty."""
+    chunks after the header. A short row's missing cells are empty; a bad
+    cell, a mean or SD outside its measure's range and a repeated (grouping,
+    label, measure) are errors naming the line."""
     summaries: dict[str, dict[str, list[GroupSummary]]] = {}
     totals: dict[str, GroupSummary] = {}
     first_line: dict = {}
@@ -1151,11 +1138,11 @@ def load_team_rows(path: Union[str, Path]) -> TeamTable:
 
 @_names_file
 def stats_report_from_table(path: Union[str, Path]) -> Report:
-    """The inferential report of a summary table, as ``load_summary_fixture``
-    reads it, or else of a per-team results table, as ``load_team_rows``
-    reads it: the kind is the first whose columns the header has, its header
-    rules apply (a header of neither kind is checked against both), and the
-    file is read once."""
+    """The inferential report of a summary table, with columns grouping,
+    label, measure, n, mean and sd, or else of a per-team results table, as
+    ``load_team_rows`` reads it: the kind is the first whose columns the
+    header has, its header rules apply (a header of neither kind is checked
+    against both), and the file is read once."""
     kinds = [(_SUMMARY_COLUMNS, ()), (_TEAM_ROW_COLUMNS, ("jva_ratio_pct",)),
              ((), (*_SUMMARY_COLUMNS, *_TEAM_ROW_COLUMNS, "jva_ratio_pct"))]
     chunks = _read_csv(path, lambda names: next(k for k in kinds if set(names).issuperset(k[0])))
@@ -1458,7 +1445,7 @@ def _write_csv_bundle(report: Report, out_dir: Path) -> None:
     summaries, totals, correlation = (sections[k] for k in ("summaries", "totals", "correlation"))
     tables = {  # each file's columns and records; a field a record lacks is an empty cell
         "summaries.csv": (
-            _SUMMARY_COLUMNS,  # the columns load_summary_fixture reads
+            _SUMMARY_COLUMNS,  # a summary table, as stats_report_from_table reads it
             [
                 {"grouping": grouping, "measure": m, **t}
                 for grouping in sorted(summaries)

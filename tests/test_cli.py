@@ -703,12 +703,11 @@ def test_package_exports_are_imported_on_first_use():
         "import teamgaze\n"
         "print(*sorted(m for m in sys.modules if m.startswith('teamgaze')))\n"
         "from teamgaze import SynthSpec, Heatmap, decode_heatmap, analyze_table, emit_report\n"
-        "from teamgaze import Point2D, multiscale_fields, synth\n"
+        "from teamgaze import Point2D, synth\n"
         "from teamgaze import gazefield, io_report, model\n"
         "assert SynthSpec is synth.SynthSpec and emit_report is io_report.emit_report\n"
         "assert (Heatmap, Point2D) == (model.Heatmap, model.Point2D)\n"
-        "assert (decode_heatmap, multiscale_fields) == "
-        "(gazefield.decode_heatmap, gazefield.multiscale_fields)\n"
+        "assert decode_heatmap is gazefield.decode_heatmap\n"
         "assert analyze_table is io_report.analyze_table\n"
         "try:\n"
         "    teamgaze.no_such_name\n"

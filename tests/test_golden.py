@@ -20,7 +20,6 @@ from teamgaze.io_report import (
     Report,
     analyze_table,
     emit_report,
-    load_summary_fixture,
     load_teams,
     paper_fixture_path,
     read_frame_table,
@@ -35,7 +34,7 @@ INPUTS = GOLDEN / "inputs"
 
 
 def fixture_report():
-    return stats_report_from_summaries(*load_summary_fixture(paper_fixture_path()))
+    return stats_report_from_table(paper_fixture_path())
 
 
 def analyze_inputs_report():

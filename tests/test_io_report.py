@@ -27,7 +27,6 @@ from teamgaze.io_report import (
     analyze_table,
     emit_report,
     load_config,
-    load_summary_fixture,
     load_team_rows,
     load_teams,
     paper_fixture_path,
@@ -302,8 +301,7 @@ def test_analyze_table_requires_metadata(tmp_path):
 
 
 def fixture_report():
-    summaries, totals = load_summary_fixture(paper_fixture_path())
-    return stats_report_from_summaries(summaries, totals)
+    return stats_report_from_table(paper_fixture_path())
 
 
 @pytest.mark.parametrize(
@@ -362,10 +360,11 @@ def test_csv_bundle_round_trip(tmp_path):
     emit_report(report, "csv-bundle", tmp_path / "bundle")
     reloaded = load_team_rows(tmp_path / "bundle" / "teams.csv")
     assert teams_of(reloaded) == rows
-    fixture = paper_fixture_path()
+    fixture = fixture_report()
+    emit_report(fixture, "csv-bundle", tmp_path / "fixture")
     for table, expected in [
         (tmp_path / "bundle" / "teams.csv", stats_report(reloaded)),
-        (fixture, stats_report_from_summaries(*load_summary_fixture(fixture))),
+        (tmp_path / "fixture" / "summaries.csv", fixture),
     ]:
         for fmt in ("json", "text"):
             assert emit_report(stats_report_from_table(table), fmt) == emit_report(expected, fmt)
@@ -537,7 +536,7 @@ def test_team_rows_and_summary_errors_count_comment_lines(tmp_path):
         "group,control,post_test,5,1.5,0.5\ngroup,control,bogus,5,1.5,0.5\n"
     )
     with pytest.raises(ValueError, match=re.escape("line 5: unknown measure 'bogus'")):
-        load_summary_fixture(summary)
+        stats_report_from_table(summary)
 
 
 def test_load_team_rows_names_a_missing_column(tmp_path):
@@ -568,11 +567,11 @@ SUMMARY_HEADER = "grouping,label,measure,n,mean,sd\n"
         (" ,control,post_test,5,1.5,0.5", "line 3: empty grouping or label"),
     ],
 )
-def test_load_summary_fixture_rejects_bad_rows_with_line(tmp_path, row, message):
+def test_stats_report_from_table_rejects_bad_summary_rows_with_line(tmp_path, row, message):
     path = tmp_path / "summary.csv"
     path.write_text(SUMMARY_HEADER + "group,textbook,jva_ratio_pct,5,1.5,0.5\n" + row + "\n")
     with pytest.raises(ValueError, match=re.escape(message)):
-        load_summary_fixture(path)
+        stats_report_from_table(path)
 
 
 def stats_command(path):
@@ -589,7 +588,7 @@ TABLES = [
     (read_frame_table, FRAME_HEADER, GOOD_ROW),
     (load_teams, TEAMS_HEADER, "t1,ar,FF,1,2"),
     (load_team_rows, TEAM_ROWS_HEADER, "t0,ar,,FF,,2"),
-    (load_summary_fixture, SUMMARY_HEADER, "group,textbook,jva_ratio_pct,5,1.5,0.5"),
+    (stats_report_from_table, SUMMARY_HEADER, "group,textbook,jva_ratio_pct,5,1.5,0.5"),
 ]
 
 
@@ -733,8 +732,7 @@ def test_frame_table_follows_the_team_table_contract(tmp_path, text):
 
 
 @pytest.mark.parametrize(
-    "load", [read_frame_table, load_teams, load_team_rows, load_summary_fixture,
-             stats_report_from_table],
+    "load", [read_frame_table, load_teams, load_team_rows, stats_report_from_table],
 )
 @pytest.mark.parametrize(
     "data",
@@ -934,8 +932,7 @@ def fuzz_tables(draw):
 fuzz_files = st.one_of(st.binary(max_size=64), fuzz_tables())
 
 
-TABLE_READERS = (load_teams, load_team_rows, load_summary_fixture, stats_report_from_table,
-                 read_frame_table)
+TABLE_READERS = (load_teams, load_team_rows, stats_report_from_table, read_frame_table)
 # What a table reader's error says after the path.
 TABLE_ERROR = re.compile(
     r"line \d+: |missing mandatory columns |empty file, header row required"

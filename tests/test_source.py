@@ -2,11 +2,12 @@
 
 Every module-level import in the package, the tests and the demos is
 used in its module or named in its ``__all__``; every private module-level
-name of the package is read in its module; the package reads no file in
-text mode, so that ``model.input_text`` stays the one way from an input
-file's bytes to text; the CLI names no report format itself, and synth
-keeps its truth only in ``ground_truth.json``; and no line of the package
-or the tests is longer than 98 characters.
+name of the package is read in its module; every public name of the
+package is read by the package or ``perfbench/``, but for a listed few; the
+package reads no file in text mode, so that ``model.input_text`` stays the
+one way from an input file's bytes to text; the CLI names no report format
+itself, and synth keeps its truth only in ``ground_truth.json``; and no line
+of the package or the tests is longer than 98 characters.
 """
 
 import ast
@@ -116,6 +117,85 @@ def test_the_private_name_check_names_an_unread_helper():
     assert _unread_private_names(tree) == [
         "line 3: _over", "line 6: _leftover", "line 8: _Unused"
     ]
+
+
+# The public names no src/ or perfbench/ module reads, each with its reason.
+UNREAD_PUBLIC = {
+    "stats.anova_oneway": "raw-sample ANOVA, the reference for the tests of anova_from_summary",
+    "synth.moment_matched_groups": "raw samples with a summary's moments, fed to that reference",
+}
+PERFBENCH = sorted(ROOT.glob("perfbench/**/*.py"))
+
+
+def _names_read(tree: ast.Module) -> set[str]:
+    """Each name the module reads: a ``Name`` it loads, an attribute it
+    takes, or a name it imports from a module. Strings are not reads."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def _unread_public_names(modules: dict[str, ast.Module], readers) -> list[str]:
+    """``module.name`` of each name in a module's ``__all__`` that none of
+    ``readers`` reads, matched by name alone."""
+    read = set().union(*map(_names_read, readers))
+    return sorted(
+        f"{module}.{name}"
+        for module, tree in modules.items()
+        for name in _exported(tree)
+        if name not in read
+    )
+
+
+MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE}
+READERS = [
+    *MODULES.values(),
+    *(ast.parse(path.read_text(encoding="utf-8")) for path in PERFBENCH),
+]
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_every_public_name_has_a_program_user(module):
+    listed = sorted(name for name in UNREAD_PUBLIC if name.split(".")[0] == module)
+    assert _unread_public_names({module: MODULES[module]}, READERS) == listed
+
+
+def test_each_listed_exception_is_a_public_name():
+    public = {f"{module}.{name}" for module, tree in MODULES.items() for name in _exported(tree)}
+    assert sorted(set(UNREAD_PUBLIC) - public) == []
+
+
+@pytest.mark.parametrize(
+    "reader, unread",
+    [
+        ("from m import unused\n", []),
+        ("m.unused()\n", []),
+        ("from m import *\nunused()\n", []),
+        ("'unused'\n", ["m.unused"]),
+        ('"""Call unused() first."""\n', ["m.unused"]),
+        ("# unused()\n", ["m.unused"]),
+        ("unused = 1\n", ["m.unused"]),
+        ("f(unused=1)\n", ["m.unused"]),
+        ("def unused():\n    pass\n", ["m.unused"]),
+        ("import m.unused as u\n", ["m.unused"]),
+    ],
+    ids=["import from", "attribute", "name load", "string", "docstring", "comment",
+         "assignment", "keyword argument", "definition", "module import"],
+)
+def test_the_public_name_check_names_an_unused_function(reader, unread):
+    module = ast.parse(
+        "__all__ = ['LIMIT', 'used', 'Kind', 'unused']\nLIMIT = 3\n"
+        "def used():\n    return LIMIT\nclass Kind:\n    pass\n"
+        "def unused():\n    '''Not called by unused().'''\n"
+    )
+    reader = ast.parse("from m import used\nimport m\nm.Kind\n" + reader)
+    assert _unread_public_names({"m": module}, [module, reader]) == unread
 
 
 def _text_reads(tree: ast.Module) -> list[str]:
