@@ -182,11 +182,15 @@ def _parse_float(value: str, column: str, line: int, kind=float) -> float:
         raise ValueError(f"line {line}: column {column!r} not numeric: {value!r}")
 
 
+# The error for a number outside [0, high]: line, column, cell and high.
+_OUT_OF_RANGE = "line {}: {} {!r} out of [0,{}]"
+
+
 def _parse_bounded(value: str, column: str, line: int, high: int) -> float:
     """A number in [0, high]; NaN and anything outside are errors."""
     number = _parse_float(value, column, line)
     if not 0 <= number <= high:
-        raise ValueError(f"line {line}: {column} {value!r} out of [0,{high}]")
+        raise ValueError(_OUT_OF_RANGE.format(line, column, value, high))
     return number
 
 
@@ -721,10 +725,15 @@ _TOKEN_COLUMNS = {
                   "discarded {!r} is not empty, 0, 1, true or false"),
 }
 
-# The numbers of each team-level table as (column, high, optional), in the
-# order a row's cells are checked after team_id, condition and gender.
-_TEAM_NUMBERS = (("post_test_1", 5, False), ("post_test_2", 5, False))
-_TEAM_ROW_NUMBERS = (("jva_ratio_pct", 100, True), ("team_post_test", 5, False))
+# Each measure's range is [0, high].
+_MEASURE_HIGH = {"jva_ratio_pct": 100, "post_test": 5}
+
+# The numbers of each team-level table as (column, measure, optional), in
+# the order a row's cells are checked after team_id, condition and gender.
+_TEAM_NUMBERS = (("post_test_1", "post_test", False), ("post_test_2", "post_test", False))
+_TEAM_ROW_NUMBERS = (
+    ("jva_ratio_pct", "jva_ratio_pct", True), ("team_post_test", "post_test", False)
+)
 
 
 def _codes(cells: dict, column: str, lines: np.ndarray) -> np.ndarray:
@@ -750,9 +759,9 @@ class _TeamColumns(_ChunkParser):
     """The rows of a team-level table, parsed a chunk at a time into columns.
 
     Each row holds a team_id (stripped, not empty, unique), a condition, a
-    gender and the ``numbers`` given as (column, high, optional): each lies
-    in [0, high], and an empty (stripped) cell of an optional column, or an
-    optional column the table lacks, reads as NaN. A short row's missing
+    gender and the ``numbers`` given as (column, measure, optional): each
+    lies in [0, ``_MEASURE_HIGH[measure]``], and an empty (stripped) cell of
+    an optional column, or an optional column the table lacks, reads as NaN. A short row's missing
     cells are empty. ``_parse`` names a bad row itself (see
     ``_ChunkParser``), checking a row's cells in this order: an empty
     team_id, a repeated one, the condition, the gender, then each number
@@ -786,7 +795,7 @@ class _TeamColumns(_ChunkParser):
             _codes(cells, "condition", lines),
             _codes(cells, "gender", lines),
         ]
-        for name, high, optional in self.numbers:
+        for name, measure, optional in self.numbers:
             if name not in cells:
                 values.append(np.full(n, np.nan))
                 continue
@@ -796,8 +805,9 @@ class _TeamColumns(_ChunkParser):
                 empty = np.fromiter(map(operator.not_, raw), bool, n)
             text = list(map({"": "nan"}.get, raw, raw)) if optional else raw
             numbers = _floats(text, name, lines)
+            high = _MEASURE_HIGH[measure]
             if (i := _first(~((numbers >= 0) & (numbers <= high) | empty))) >= 0:
-                raise ValueError(f"line {lines[i]}: {name} {_str(raw[i])!r} out of [0,{high}]")
+                raise ValueError(_OUT_OF_RANGE.format(lines[i], name, _str(raw[i]), high))
             values.append(numbers)
         self.first_line.update(first)
         self.team_ids.extend(team_ids)
@@ -832,15 +842,20 @@ def load_teams(path: Union[str, Path]) -> TeamTable:
     )
 
 
+def _check_known_teams(frame_teams: Iterable[str], teams: TeamTable) -> None:
+    """Frames of a team that ``teams`` lacks are an error."""
+    unknown = sorted(set(frame_teams) - set(teams.team_ids))
+    if unknown:
+        raise ValueError(f"frames reference unknown teams: {unknown}")
+
+
 def build_sessions(
     frames_by_team: dict[str, list[FrameRecord]], teams: TeamTable
 ) -> list[TeamSession]:
     """One TeamSession per team of ``teams``, sorted by id, with its frames;
     frames of other teams are an error. Only ``perfbench/traced.py`` calls
     it (ROADMAP item 3); the tests' reference is ``tests/oracles.py``."""
-    missing_meta = sorted(set(frames_by_team) - set(teams.team_ids))
-    if missing_meta:
-        raise ValueError(f"frames reference unknown teams: {missing_meta}")
+    _check_known_teams(frames_by_team, teams)
     teams = teams.by_team_id()
     return [
         TeamSession(
@@ -929,9 +944,7 @@ class Report:
     notes: list[str] = field(default_factory=list)
 
 
-_MEASURES = ("jva_ratio_pct", "post_test")
-
-_MEASURE_HIGH = {"jva_ratio_pct": 100, "post_test": 5}
+_MEASURES = tuple(_MEASURE_HIGH)
 
 # The labels of each grouping, in the order of their codes.
 _GROUPING_LABELS = {
@@ -1052,9 +1065,7 @@ def analyze_table(
     Frames of other teams are an error; a team without countable frames
     gets no ratio and a note.
     """
-    unknown = sorted(set(table.team_ids) - set(teams.team_ids))
-    if unknown:
-        raise ValueError(f"frames reference unknown teams: {unknown}")
+    _check_known_teams(table.team_ids, teams)
     jva_frames, denominator_frames = team_jva_counts(
         table.frame_team,
         len(table.team_ids),

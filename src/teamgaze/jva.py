@@ -4,9 +4,9 @@ A frame exhibits JVA when the Euclidean distance between the two persons'
 gaze points is strictly smaller than the threshold (100 px by default, at
 the reference 2560x1440 capture resolution).
 
-Every command scores with ``team_jva_counts``. ``classify_frame`` and
-``session_jva`` score the per-frame path's frames, whose observations a
-reader has already checked; only ``perfbench/traced.py`` runs them
+Every command scores with ``team_jva_counts``, the one statement of that
+rule. ``classify_frame`` and ``session_jva`` hand it the per-frame path's
+frames, each frame as its own team; only ``perfbench/traced.py`` runs them
 (ROADMAP item 3), and the tests' reference is ``tests/oracles.py``.
 """
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -71,7 +71,6 @@ class JvaConfig:
 @dataclass(frozen=True)
 class JvaFrameResult:
     frame_id: str
-    distance: Optional[float]
     is_jva: bool
     counted_in_denominator: bool
 
@@ -88,51 +87,40 @@ class JvaSessionResult:
         return None if self.jva_ratio is None else 100.0 * self.jva_ratio
 
 
-def classify_frame(frame: FrameRecord, config: JvaConfig = JvaConfig()) -> JvaFrameResult:
-    """Decide JVA for one frame; false by default.
-
-    Frames without exactly two observations (or discarded frames) cannot
-    be positive; whether they count in the denominator depends on the
-    configured policy. Comparison against the threshold is strict: a
-    distance exactly equal to the threshold is not JVA.
-    """
-    if frame.discarded or len(frame.observations) != 2:
-        counted = (
-            config.denominator_policy is DenominatorPolicy.ALL_CAPTURED_FRAMES
-            and not frame.discarded
-        )
-        return JvaFrameResult(
-            frame_id=frame.frame_id,
-            distance=None,
-            is_jva=False,
-            counted_in_denominator=counted,
-        )
-
-    first, second = frame.observations
-    distance = first.gaze.distance_to(second.gaze)
-    threshold = config.effective_threshold(frame.image_width, frame.image_height)
-    return JvaFrameResult(
-        frame_id=frame.frame_id,
-        distance=distance,
-        is_jva=distance < threshold,
-        counted_in_denominator=True,
+def _frame_counts(
+    frames: Sequence[FrameRecord], config: JvaConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each frame's JVA and denominator flags (0 or 1): ``team_jva_counts``
+    with each frame as its own team."""
+    gaze = [obs.gaze for frame in frames for obs in frame.observations]
+    n = len(frames)
+    return team_jva_counts(
+        np.arange(n), n,
+        np.array([frame.image_width for frame in frames]),
+        np.array([frame.image_height for frame in frames]),
+        np.array([frame.discarded for frame in frames], bool),
+        np.cumsum([0] + [len(frame.observations) for frame in frames]),
+        np.array([point.x for point in gaze], float),
+        np.array([point.y for point in gaze], float),
+        config,
     )
 
 
+def classify_frame(frame: FrameRecord, config: JvaConfig = JvaConfig()) -> JvaFrameResult:
+    """Decide JVA for one frame, as ``team_jva_counts`` does."""
+    (is_jva,), (counted,) = _frame_counts([frame], config)
+    return JvaFrameResult(frame.frame_id, bool(is_jva), bool(counted))
+
+
 def session_jva(session: TeamSession, config: JvaConfig = JvaConfig()) -> JvaSessionResult:
-    """Aggregate frame classifications into the team's JVA ratio.
+    """Aggregate the session's frames into the team's JVA ratio, as
+    ``team_jva_counts`` counts them.
 
     With a zero denominator the ratio is None ("no countable frames");
     callers decide whether that is an error.
     """
-    jva_count = 0
-    denominator = 0
-    for frame in session.frames:
-        result = classify_frame(frame, config)
-        if result.counted_in_denominator:
-            denominator += 1
-        if result.is_jva:
-            jva_count += 1
+    is_jva, counted = _frame_counts(session.frames, config)
+    jva_count, denominator = int(is_jva.sum()), int(counted.sum())
     ratio = jva_count / denominator if denominator > 0 else None
     return JvaSessionResult(
         team_id=session.team_id,
@@ -158,8 +146,9 @@ def team_jva_counts(
     ``team`` (numbers below ``n_teams``), ``width``, ``height`` and
     ``discarded`` hold one entry per frame; frame ``f``'s valid observations
     are ``gaze_x``/``gaze_y[row_offsets[f]:row_offsets[f + 1]]``, a valid
-    pair when there are exactly two. Counts equal ``session_jva``'s: a
-    distance near the threshold is re-decided with ``math.hypot``.
+    pair when there are exactly two. A distance near the threshold is
+    re-decided with ``math.hypot``, so that each frame is decided as the
+    per-frame reference in ``tests/oracles.py`` decides it.
     """
     valid_pair = np.diff(row_offsets) == 2
     if config.denominator_policy is DenominatorPolicy.VALID_PAIR_FRAMES:

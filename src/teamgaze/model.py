@@ -4,13 +4,13 @@ input file's bytes into text (``input_text``).
 Every type here is an immutable value object. The gaze observation, frame
 and session types, with ``validate_session``, belong to the per-frame
 path, which only ``perfbench/traced.py`` runs (ROADMAP item 3): a reader
-has checked their input, so they restate none of its rules.
+has checked their input, so they restate none of its rules. The team-size
+check flags more than two persons only, as the readers do.
 """
 
 from __future__ import annotations
 
 import codecs
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -39,9 +39,6 @@ class Point2D:
 
     x: float
     y: float
-
-    def distance_to(self, other: "Point2D") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
 
 
 @dataclass(frozen=True)
@@ -145,8 +142,9 @@ class Heatmap:
 
 
 def validate_session(session: TeamSession) -> list[str]:
-    """The one session invariant no reader enforces: the frames not
-    discarded hold two distinct persons, or none. Returns one message per
+    """The team-size rule: the frames not discarded hold at most two
+    distinct persons. A team of one person is no violation; the report
+    notes it as without countable frames. Returns one message per
     violation, an empty list when the session conforms.
     """
     persons = {
@@ -155,7 +153,7 @@ def validate_session(session: TeamSession) -> list[str]:
         if not frame.discarded
         for obs in frame.observations
     }
-    if persons and len(persons) != 2:
+    if len(persons) > 2:
         return [
             f"team {session.team_id}: team size != 2 "
             f"({len(persons)} distinct persons in valid frames)"

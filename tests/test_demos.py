@@ -1,7 +1,10 @@
-"""Each demo script runs to completion against the source tree, and
-README lists each one, in order."""
+"""Each demo script runs to completion against the source tree, README
+lists each one, in order, and each package name README's code spans give
+exists."""
 
+import ast
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -49,3 +52,63 @@ def test_the_readme_demo_check_reads_only_the_demos_section():
         "  python3 demos/03_indented.py\n```\n\n## Next\n\npython3 demos/04_after.py\n"
     )
     assert _readme_demos(readme) == ["02_deleted.py", "01_kept.py"]
+
+
+MODULES = {p.stem for p in (ROOT / "src" / "teamgaze").glob("*.py")} - {"__init__"}
+
+
+def _readme_code_names(readme: str) -> list[str]:
+    """The dotted names of package code in README's inline code spans that
+    parse as Python and hold no ``/`` (not fenced blocks, paths, file names
+    with a line, or shell lines): each ``teamgaze.<...>`` and
+    ``<module>.<...>`` of a package module, as written."""
+    prose = re.sub(r"^```.*?^```", "", readme, flags=re.DOTALL | re.MULTILINE)
+    names = set()
+    for span in re.findall(r"`([^`]+)`", prose):
+        if "/" in span:
+            continue
+        try:
+            tree = ast.parse(span)
+        except SyntaxError:
+            continue
+        for node in ast.walk(tree):
+            parts = []
+            while isinstance(node, ast.Attribute):
+                parts.insert(0, node.attr)
+                node = node.value
+            if parts and isinstance(node, ast.Name) and node.id in {"teamgaze", *MODULES}:
+                names.add(".".join([node.id, *parts]))
+    return sorted(names)
+
+
+def _missing_names(names: list[str]) -> list[str]:
+    """Each of ``names`` that does not import or resolve with ``getattr``."""
+    missing = []
+    for name in names:
+        try:
+            pkgutil.resolve_name(name if name.startswith("teamgaze.") else "teamgaze." + name)
+        except (ImportError, AttributeError):
+            missing.append(name)
+    return missing
+
+
+def test_readme_names_only_code_that_exists():
+    names = _readme_code_names((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert "teamgaze.model" in names
+    assert _missing_names(names) == []
+
+
+def test_the_readme_name_check_names_a_missing_function():
+    readme = (
+        "# t\n\n- `teamgaze.jva` scores with `jva.team_jva_counts` and\n"
+        "  `jva.score_pair`; `teamgaze.synth.generate(spec, out_dir)`\n"
+        "  writes files. `jva.conf:2: unknown key` and `src/teamgaze/jva.py`\n"
+        "  name files, `Point2D.x` no module.\n\n```sh\npython3 -m teamgaze.nothing\n```\n"
+        "\nThen `teamgaze.model`.\n"
+    )
+    names = _readme_code_names(readme)
+    assert names == [
+        "jva.score_pair", "jva.team_jva_counts", "teamgaze.jva", "teamgaze.model",
+        "teamgaze.synth", "teamgaze.synth.generate",
+    ]
+    assert _missing_names(names) == ["jva.score_pair"]

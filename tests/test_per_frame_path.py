@@ -12,10 +12,12 @@ and its synth check relies on ``classify_frame`` and ``session_jva``, so
 this file keeps it checked until ROADMAP item 1 points the benchmark at
 the program; item 3 then deletes the file with the code. The path takes
 what the readers return and restates none of their rules: frames keep
-``read_frame_table``'s order, and ``validate_session`` checks only the
-team size, which no reader enforces.
+``read_frame_table``'s order, ``classify_frame`` and ``session_jva``
+score with ``team_jva_counts``, and ``validate_session`` checks only the
+team size.
 """
 
+import math
 import tempfile
 from pathlib import Path
 
@@ -110,12 +112,11 @@ def test_three_persons_is_a_team_size_violation():
     assert any("team size != 2" in v for v in violations)
 
 
-# Golden team t03's shape: one person in every frame.
-def test_one_person_is_a_team_size_violation():
+# Golden team t03's shape: one person in every frame. README: a team with
+# one person is not an error.
+def test_one_person_is_no_team_size_violation():
     frames = [make_frame(f"f{i}", float(i), [(100, 100)]) for i in range(3)]
-    assert validate_session(make_session(frames)) == [
-        "team t1: team size != 2 (1 distinct persons in valid frames)"
-    ]
+    assert validate_session(make_session(frames)) == []
 
 
 def test_discarded_frames_do_not_count_toward_the_team_size():
@@ -197,9 +198,23 @@ def test_session_jva_and_classify_frame_agree_with_the_reference(
         )
         for frame in session.frames:
             decided = classify_frame(frame, config)
-            assert (decided.distance, decided.is_jva, decided.counted_in_denominator) == (
-                by_frame[session.team_id, frame.frame_id]
+            assert (decided.is_jva, decided.counted_in_denominator) == (
+                by_frame[session.team_id, frame.frame_id][1:]
             )
+
+
+# The near-threshold pairs of
+# test_jva.py::test_vectorized_scorer_decides_like_math_hypot.
+@pytest.mark.parametrize(
+    "gaze, threshold", [((1.05, 6.575), 6.658312473893067), ((1.55, 27.45), 27.49372655716209)]
+)
+def test_the_per_frame_path_decides_near_the_threshold_like_math_hypot(gaze, threshold):
+    is_jva = math.hypot(*gaze) < threshold
+    frame = make_frame("f1", 0.0, [gaze, (0.0, 0.0)])
+    config = JvaConfig(threshold)
+    assert classify_frame(frame, config).is_jva is is_jva
+    result = session_jva(make_session([frame]), config)
+    assert (result.jva_frames, result.denominator_frames) == (int(is_jva), 1)
 
 
 def test_build_sessions_rejects_frames_of_an_unknown_team(tmp_path):
