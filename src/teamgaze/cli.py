@@ -19,6 +19,7 @@ import math
 import sys
 
 from . import io_report
+from .model import CONDITIONS
 
 USAGE_ERROR = 2
 DATA_ERROR = 1
@@ -66,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jva-probability",
         action="append",
         help="either a probability, or NAME=P where NAME is a team id or a "
-        "condition (textbook/tablet/ar); repeatable, once per NAME",
+        f"condition ({'/'.join(CONDITIONS)}); repeatable, once per NAME",
     )
     synth.add_argument(
         "--noise-sigma", type=float, dest="gaze_noise_sigma", metavar="NOISE_SIGMA"

@@ -58,14 +58,14 @@ import numpy as np
 
 from .jva import DenominatorPolicy, JvaConfig, ScaleMode, team_jva_counts
 from .model import (
-    Condition,
+    CONDITION_GROUP,
+    CONDITIONS,
+    GENDERS,
+    GROUPS,
     FrameRecord,
     GazeObservation,
-    GenderComposition,
-    Group,
     Point2D,
     TeamSession,
-    group_for_condition,
     input_text,
     team_post_test_score,
 )
@@ -701,11 +701,8 @@ def _check_new_key(first_line: dict, key, line: int, name: str) -> None:
         raise ValueError(f"line {line}: duplicate {name} {key!r} (first on line {first})")
 
 
-# Condition, gender and group members by the code a TeamTable holds.
-_CONDITIONS = list(Condition)
-_GENDERS = list(GenderComposition)
-_GROUPS = list(Group)
-_CONDITION_GROUP = np.array([_GROUPS.index(group_for_condition(c)) for c in _CONDITIONS])
+# Each condition code's group code.
+_CONDITION_GROUP = np.array([GROUPS.index(CONDITION_GROUP[c]) for c in CONDITIONS])
 
 
 def _token_codes(codes: dict) -> dict:
@@ -717,10 +714,10 @@ def _token_codes(codes: dict) -> dict:
 # Each closed-token column's codes (see ``_token_codes``) and its error
 # for a cell that is no token ({!r} is the cell).
 _TOKEN_COLUMNS = {
-    "condition": (_token_codes({m.value: i for i, m in enumerate(_CONDITIONS)}),
-                  "unknown condition {!r}, expected " + " | ".join(m.value for m in _CONDITIONS)),
-    "gender": (_token_codes({m.value: i for i, m in enumerate(_GENDERS)}),
-               "unknown gender {!r}, expected " + " | ".join(m.value for m in _GENDERS)),
+    "condition": (_token_codes({c: i for i, c in enumerate(CONDITIONS)}),
+                  "unknown condition {!r}, expected " + " | ".join(CONDITIONS)),
+    "gender": (_token_codes({g: i for i, g in enumerate(GENDERS)}),
+               "unknown gender {!r}, expected " + " | ".join(GENDERS)),
     "discarded": (_token_codes({"": 0, "0": 0, "false": 0, "1": 1, "true": 1}),
                   "discarded {!r} is not empty, 0, 1, true or false"),
 }
@@ -772,7 +769,7 @@ class _TeamColumns(_ChunkParser):
         self.numbers = numbers
         self.first_line: dict[str, int] = {}
         self.team_ids: list[str] = []
-        # Condition codes, gender codes, then one array per number, per chunk.
+        # The condition codes, gender codes, then one array per number, per chunk.
         self.columns: list[list[np.ndarray]] = [[] for _ in range(2 + len(numbers))]
         # An empty chunk gives each column its dtype.
         used = ["team_id", "condition", "gender"] + [name for name, _, _ in numbers]
@@ -859,7 +856,7 @@ def build_sessions(
     teams = teams.by_team_id()
     return [
         TeamSession(
-            team_id, _CONDITIONS[c], _GENDERS[g], post_test,
+            team_id, CONDITIONS[c], GENDERS[g], post_test,
             tuple(frames_by_team.get(team_id, [])),
         )
         for team_id, c, g, post_test in zip(
@@ -880,8 +877,9 @@ class TeamTable:
     ``analyze_table`` adds the JVA ratios, and ``load_team_rows`` reads
     one from a per-team results table.
 
-    ``condition`` and ``gender`` hold each team's index into ``Condition``
-    and ``GenderComposition``; a team's group follows from its condition.
+    ``condition`` and ``gender`` hold each team's index into
+    ``model.CONDITIONS`` and ``model.GENDERS``; a team's group follows from
+    its condition.
     A team without a JVA ratio has NaN in ``jva_ratio_pct``. The table has
     ``len()``.
     """
@@ -897,7 +895,7 @@ class TeamTable:
 
     @property
     def group(self) -> np.ndarray:
-        """Each team's index into ``Group``."""
+        """Each team's index into ``model.GROUPS``."""
         return _CONDITION_GROUP[self.condition]
 
     @property
@@ -947,11 +945,7 @@ class Report:
 _MEASURES = tuple(_MEASURE_HIGH)
 
 # The labels of each grouping, in the order of their codes.
-_GROUPING_LABELS = {
-    "condition": [c.value for c in Condition],
-    "group": [g.value for g in Group],
-    "gender": [g.value for g in GenderComposition],
-}
+_GROUPING_LABELS = {"condition": CONDITIONS, "group": GROUPS, "gender": GENDERS}
 
 
 def stats_report(teams: TeamTable) -> Report:
@@ -996,9 +990,9 @@ class TeamRow:
     """One team of the per-frame path, for ``stats_report_from_team_rows``."""
 
     team_id: str
-    condition: Condition
-    group: Group
-    gender: GenderComposition
+    condition: str
+    group: str
+    gender: str
     jva_ratio_pct: Optional[float]
     team_post_test: float
 
@@ -1008,8 +1002,8 @@ def stats_report_from_team_rows(rows: Iterable[TeamRow]) -> Report:
     rows = list(rows)
     return stats_report(TeamTable(
         [r.team_id for r in rows],
-        np.array([_CONDITIONS.index(r.condition) for r in rows], np.int8),
-        np.array([_GENDERS.index(r.gender) for r in rows], np.int8),
+        np.array([CONDITIONS.index(r.condition) for r in rows], np.int8),
+        np.array([GENDERS.index(r.gender) for r in rows], np.int8),
         np.array([np.nan if r.jva_ratio_pct is None else r.jva_ratio_pct for r in rows], float),
         np.array([r.team_post_test for r in rows], float),
     ))
@@ -1104,8 +1098,9 @@ def paper_fixture_path() -> Path:
 def _summaries(chunks: Iterator) -> tuple[dict, dict]:
     """A summary table's group summaries and totals, from its ``_read_csv``
     chunks after the header. A short row's missing cells are empty; a bad
-    cell, a mean or SD outside its measure's range and a repeated (grouping,
-    label, measure) are errors naming the line."""
+    cell, a mean or SD outside its measure's range, a total row whose label
+    is not "total" and a repeated (grouping, label, measure) are errors
+    naming the line."""
     summaries: dict[str, dict[str, list[GroupSummary]]] = {}
     totals: dict[str, GroupSummary] = {}
     first_line: dict = {}
@@ -1113,10 +1108,12 @@ def _summaries(chunks: Iterator) -> tuple[dict, dict]:
         for line, row in zip(lines.tolist(), zip(*(cells[c] for c in _SUMMARY_COLUMNS))):
             grouping, label, measure, n, mean, sd = ("" if v is None else _str(v) for v in row)
             key = (grouping.strip(), label.strip(), measure.strip())
-            if not key[0] or not key[1]:
-                raise ValueError(f"line {line}: empty grouping or label")
-            _check_new_key(first_line, key, line, "summary")
             grouping, label, measure = key
+            if not grouping or not label:
+                raise ValueError(f"line {line}: empty grouping or label")
+            if grouping == "total" and label != "total":
+                raise ValueError(f"line {line}: total row label {label!r} is not 'total'")
+            _check_new_key(first_line, key, line, "summary")
             if measure not in _MEASURES:
                 raise ValueError(f"line {line}: unknown measure {measure!r}")
             n = _parse_float(n, "n", line, int)
@@ -1277,9 +1274,6 @@ def _team_cells(teams: TeamTable, value_rule, text=str) -> tuple[list, list, lis
     ``value_rule`` of each number, a missing ratio as None); and each
     team's index into those rows. A cell depends only on its value's float bits.
     """
-    def labels(members: list) -> list:
-        return [text(m.value) for m in members]
-
     def ratio(r: float):
         return value_rule(None if r != r else r, _DECIMALS["jva_ratio_pct"])
 
@@ -1287,9 +1281,9 @@ def _team_cells(teams: TeamTable, value_rule, text=str) -> tuple[list, list, lis
         return value_rule(p, _DECIMALS["team_post_test"])
 
     columns = [
-        (labels(_CONDITIONS), teams.condition),
-        (labels(_GROUPS), teams.group),
-        (labels(_GENDERS), teams.gender),
+        (list(map(text, CONDITIONS)), teams.condition),
+        (list(map(text, GROUPS)), teams.group),
+        (list(map(text, GENDERS)), teams.gender),
         _distinct(teams.jva_ratio_pct, ratio),
         _distinct(teams.post_test, post_test),
     ]

@@ -1,5 +1,7 @@
-"""Domain types shared across the pipeline, and the one rule that turns an
-input file's bytes into text (``input_text``).
+"""Domain types shared across the pipeline: the study's labels, each tuple
+in the order of the codes a ``TeamTable`` holds, and the rule that makes a
+condition control or experimental (``CONDITION_GROUP``); and the one rule
+that turns an input file's bytes into text (``input_text``).
 
 Every type here is an immutable value object. The gaze observation, frame
 and session types, with ``validate_session``, belong to the per-frame
@@ -12,7 +14,6 @@ from __future__ import annotations
 
 import codecs
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Optional
 
 import numpy as np
@@ -21,12 +22,12 @@ __all__ = [
     "Point2D",
     "GazeObservation",
     "FrameRecord",
-    "Condition",
-    "Group",
-    "GenderComposition",
+    "CONDITIONS",
+    "GENDERS",
+    "GROUPS",
+    "CONDITION_GROUP",
     "TeamSession",
     "Heatmap",
-    "group_for_condition",
     "team_post_test_score",
     "validate_session",
     "input_text",
@@ -49,28 +50,14 @@ class GazeObservation:
     gaze: Point2D
 
 
-class Condition(Enum):
-    TEXTBOOK = "textbook"
-    TABLET = "tablet"
-    AR = "ar"
+# The study's conditions, team gender compositions (female, male, mixed)
+# and groups.
+CONDITIONS = ("textbook", "tablet", "ar")
+GENDERS = ("FF", "MM", "MX")
+GROUPS = ("control", "experiment")
 
-
-class Group(Enum):
-    CONTROL = "control"
-    EXPERIMENT = "experiment"
-
-
-class GenderComposition(Enum):
-    FEMALES = "FF"
-    MALES = "MM"
-    MIXED = "MX"
-
-
-def group_for_condition(condition: Condition) -> Group:
-    """Textbook teams are the control group; tablet and AR are experimental."""
-    if condition is Condition.TEXTBOOK:
-        return Group.CONTROL
-    return Group.EXPERIMENT
+# Textbook teams are the control group; tablet and AR are experimental.
+CONDITION_GROUP = {"textbook": "control", "tablet": "experiment", "ar": "experiment"}
 
 
 def team_post_test_score(score_a: float, score_b: float) -> float:
@@ -104,14 +91,14 @@ class TeamSession:
     """
 
     team_id: str
-    condition: Condition
-    gender_composition: GenderComposition
+    condition: str  # a label of CONDITIONS
+    gender_composition: str  # a label of GENDERS
     team_post_test: float
     frames: tuple[FrameRecord, ...] = ()
 
     @property
-    def group(self) -> Group:
-        return group_for_condition(self.condition)
+    def group(self) -> str:
+        return CONDITION_GROUP[self.condition]
 
 
 @dataclass(frozen=True)

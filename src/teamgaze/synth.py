@@ -45,7 +45,7 @@ import numpy as np
 
 from .io_report import FRAME_COLUMNS, TEAM_COLUMNS
 from .jva import JvaConfig
-from .model import Condition, GenderComposition
+from .model import CONDITIONS, GENDERS
 
 __all__ = ["SynthSpec", "generate", "moment_matched_groups"]
 
@@ -83,10 +83,6 @@ _GROUP_TEXT = _group_text()
 # The id of the team at index i, formatted with i + 1: "team01", ..., "team100".
 _TEAM_ID = "team%02d"
 
-# Team i takes member i mod 3 of each enum, in the order the enum declares them.
-_CONDITION_CYCLE = tuple(Condition)
-_GENDER_CYCLE = tuple(GenderComposition)
-
 JvaProbability = Union[float, Mapping[str, float]]
 
 
@@ -94,15 +90,15 @@ JvaProbability = Union[float, Mapping[str, float]]
 class SynthSpec:
     """Parameters for one synthetic study.
 
-    ``jva_probability`` is either a single probability, or a mapping whose
-    keys are condition values ("textbook"/"tablet"/"ar") and team ids of
-    this spec ("team01", ...); a team takes its own id's probability, else
-    its condition's, and every team must be covered; a probability may be
-    text that ``float`` reads. Each image side must
-    be at least ``2 * SEPARATION_FACTOR`` times the default JVA threshold
-    in pixels, so that a non-JVA partner point fits inside the image. The
-    seed is a non-negative integer. Every check runs here, before any file
-    is written.
+    Team i takes label i mod 3 of ``model.CONDITIONS`` and of
+    ``model.GENDERS``. ``jva_probability`` is either a single probability,
+    or a mapping whose keys are condition labels and team ids of this spec
+    ("team01", ...); a team takes its own id's probability, else its
+    condition's, and every team must be covered; a probability may be text
+    that ``float`` reads. Each image side must be at least
+    ``2 * SEPARATION_FACTOR`` times the default JVA threshold in pixels, so
+    that a non-JVA partner point fits inside the image. The seed is a
+    non-negative integer. Every check runs here, before any file is written.
     """
 
     teams: int = 30
@@ -159,29 +155,28 @@ def _probability_keys(spec: SynthSpec) -> tuple[list[float], dict[int, float]]:
     condition value nor a team id of ``spec``, or a team no key covers.
     Its cost grows with the number of keys, not of teams.
     """
-    conditions = [c.value for c in _CONDITION_CYCLE]
     p = spec.jva_probability
     if not isinstance(p, Mapping):
-        return [_checked_probability("jva_probability", p)] * len(conditions), {}
-    by_condition = [math.nan] * len(conditions)
+        return [_checked_probability("jva_probability", p)] * len(CONDITIONS), {}
+    by_condition = [math.nan] * len(CONDITIONS)
     by_team = {}
     for key, value in p.items():
         value = _checked_probability(f"jva_probability[{key!r}]", value)
         number = re.fullmatch(r"team([0-9]+)", str(key))
         index = int(number[1]) - 1 if number else -1
-        if key in conditions:
-            by_condition[conditions.index(key)] = value
+        if key in CONDITIONS:
+            by_condition[CONDITIONS.index(key)] = value
         elif 0 <= index < spec.teams and _TEAM_ID % (index + 1) == key:
             by_team[index] = value
         else:
             raise ValueError(
                 f"jva_probability key {key!r} is neither a condition "
-                f"({', '.join(conditions)}) nor a team id of this spec "
+                f"({', '.join(CONDITIONS)}) nor a team id of this spec "
                 f"({_TEAM_ID % 1}..{_TEAM_ID % spec.teams})"
             )
     # The first team of each unnamed condition that has no key of its own.
     uncovered = [
-        next((i for i in range(c, spec.teams, len(conditions)) if i not in by_team), spec.teams)
+        next((i for i in range(c, spec.teams, len(CONDITIONS)) if i not in by_team), spec.teams)
         for c, value in enumerate(by_condition)
         if math.isnan(value)
     ]
@@ -189,7 +184,7 @@ def _probability_keys(spec: SynthSpec) -> tuple[list[float], dict[int, float]]:
     if index < spec.teams:
         raise ValueError(
             f"no jva_probability for {_TEAM_ID % (index + 1)} or its condition "
-            f"{conditions[index % len(conditions)]}"
+            f"{CONDITIONS[index % len(CONDITIONS)]}"
         )
     return by_condition, by_team
 
@@ -228,7 +223,9 @@ def _gaze(spec: SynthSpec, uniform: np.ndarray, noise, probability: np.ndarray):
     by = np.where((ay + dy >= 0) & (ay + dy <= h), ay + dy, ay - dy)
     gaze = np.stack([ax, ay, np.where(jva, ax, bx), np.where(jva, ay, by)], axis=1)
     if noise is not None:
-        gaze += spec.gaze_noise_sigma * noise
+        # A huge sigma overflows to +-inf, which the clip maps to the bounds.
+        with np.errstate(over="ignore"):
+            gaze += spec.gaze_noise_sigma * noise
     bounds = np.array([w, h, w, h])[:, None]
     return np.clip(gaze, 0.0, bounds, out=gaze), jva
 
@@ -353,7 +350,7 @@ def generate(spec: SynthSpec, out_dir: Union[str, Path]) -> tuple[Path, Path, Pa
         for f in range(n_frames)
         for person in ("p1", "p2")
     ])
-    suffixes = _texts([f",{c.value},{g.value}," for c, g in zip(_CONDITION_CYCLE, _GENDER_CYCLE)])
+    suffixes = _texts([f",{c},{g}," for c, g in zip(CONDITIONS, GENDERS)])
     probability = _team_probabilities(spec)
     block = max(1, _BLOCK_ROWS // (2 * n_frames))
     block_jva = []

@@ -28,7 +28,7 @@ from scipy import integrate
 from teamgaze import io_report
 from teamgaze.io_report import Report, TeamTable, _add_anova
 from teamgaze.jva import DenominatorPolicy, JvaConfig, ScaleMode, team_jva_counts
-from teamgaze.model import Condition, GenderComposition, Group
+from teamgaze.model import CONDITIONS, GENDERS, GROUPS
 from teamgaze.stats import pearson, summarize
 
 
@@ -128,15 +128,13 @@ class Team(NamedTuple):
 
 def team_table(teams) -> TeamTable:
     """The ``TeamTable`` of ``Team`` records, in their order: each condition
-    and gender as its index into ``Condition`` and ``GenderComposition``, a
-    None ratio as NaN."""
+    and gender as its index into ``CONDITIONS`` and ``GENDERS``, a None
+    ratio as NaN."""
     teams = list(teams)
-    conditions = [c.value for c in Condition]
-    genders = [g.value for g in GenderComposition]
     return TeamTable(
         team_ids=[t.team_id for t in teams],
-        condition=np.array([conditions.index(t.condition) for t in teams], np.int8),
-        gender=np.array([genders.index(t.gender) for t in teams], np.int8),
+        condition=np.array([CONDITIONS.index(t.condition) for t in teams], np.int8),
+        gender=np.array([GENDERS.index(t.gender) for t in teams], np.int8),
         jva_ratio_pct=np.array(
             [np.nan if t.jva_ratio_pct is None else t.jva_ratio_pct for t in teams], float
         ),
@@ -146,9 +144,8 @@ def team_table(teams) -> TeamTable:
 
 def teams_of(table: TeamTable) -> list:
     """The ``Team`` records of a ``TeamTable``'s columns, a NaN ratio as None."""
-    conditions, genders = list(Condition), list(GenderComposition)
     return [
-        Team(team_id, conditions[c].value, genders[g].value,
+        Team(team_id, CONDITIONS[c], GENDERS[g],
              None if ratio != ratio else ratio, post_test)
         for team_id, c, g, ratio, post_test in zip(
             table.team_ids, table.condition.tolist(), table.gender.tolist(),
@@ -158,11 +155,7 @@ def teams_of(table: TeamTable) -> list:
 
 
 # The labels of each grouping and the Team field holding each measure.
-_GROUPINGS = {
-    "condition": [c.value for c in Condition],
-    "group": [g.value for g in Group],
-    "gender": [g.value for g in GenderComposition],
-}
+_GROUPINGS = {"condition": CONDITIONS, "group": GROUPS, "gender": GENDERS}
 _MEASURE_FIELDS = {"jva_ratio_pct": "jva_ratio_pct", "post_test": "team_post_test"}
 
 
@@ -217,15 +210,15 @@ def per_value_team_columns(teams: TeamTable, value_rule, text=str) -> list[list]
     if np.isnan(teams.jva_ratio_pct).any():
         ratios = [None if r != r else r for r in ratios]
 
-    def labels(codes: np.ndarray, members: list) -> list:
-        return list(map([text(m.value) for m in members].__getitem__, codes.tolist()))
+    def labels(codes: np.ndarray, names: tuple) -> list:
+        return [text(names[code]) for code in codes.tolist()]
 
     decimals = io_report._DECIMALS
     return [
         list(map(text, teams.team_ids)),
-        labels(teams.condition, list(Condition)),
-        labels(teams.group, list(Group)),
-        labels(teams.gender, list(GenderComposition)),
+        labels(teams.condition, CONDITIONS),
+        labels(teams.group, GROUPS),
+        labels(teams.gender, GENDERS),
         [value_rule(r, decimals["jva_ratio_pct"]) for r in ratios],
         [value_rule(p, decimals["team_post_test"]) for p in teams.post_test.tolist()],
     ]
@@ -554,7 +547,8 @@ def reference_synth(spec) -> tuple[bytes, bytes, bytes]:
         by = np.where((ay + dy >= 0) & (ay + dy <= h), ay + dy, ay - dy)
         gaze = np.array([ax, ay, np.where(jva, ax, bx), np.where(jva, ay, by)])
         if spec.gaze_noise_sigma > 0:
-            gaze = gaze + spec.gaze_noise_sigma * streams[1].standard_normal((4, n))
+            with np.errstate(over="ignore"):  # +-inf clips to the bounds
+                gaze = gaze + spec.gaze_noise_sigma * streams[1].standard_normal((4, n))
         gaze = np.clip(gaze, 0.0, np.array([w, h, w, h])[:, None])
         for f in range(n):
             for person, (x, y) in (("p1", gaze[:2, f]), ("p2", gaze[2:, f])):

@@ -565,6 +565,15 @@ SUMMARY_HEADER = "grouping,label,measure,n,mean,sd\n"
         # A blank label used to join the ANOVAs, a blank grouping to be printed.
         ("group,,post_test,5,1.5,0.5", "line 3: empty grouping or label"),
         (" ,control,post_test,5,1.5,0.5", "line 3: empty grouping or label"),
+        # A second total row with another label used to replace the first.
+        (
+            "total,total,post_test,20,2.5,1.0\ntotal,other,post_test,20,4.5,0.5",
+            "line 4: total row label 'other' is not 'total'",
+        ),
+        (
+            "total,total,post_test,20,2.5,1.0\ntotal,total,post_test,20,4.5,0.5",
+            "line 4: duplicate summary ('total', 'total', 'post_test') (first on line 3)",
+        ),
     ],
 )
 def test_stats_report_from_table_rejects_bad_summary_rows_with_line(tmp_path, row, message):

@@ -6,16 +6,19 @@ from hypothesis import strategies as st
 
 from teamgaze.gazefield import load_heatmap_text
 from teamgaze.io_report import load_config, read_frame_table
-from teamgaze.model import Condition, Group, group_for_condition, input_text, team_post_test_score
+from teamgaze.model import (
+    CONDITION_GROUP,
+    CONDITIONS,
+    GROUPS,
+    input_text,
+    team_post_test_score,
+)
 
 
-@given(st.sampled_from(list(Condition)))
-def test_group_derivation_is_total_and_matches_control_split(condition):
-    group = group_for_condition(condition)
-    if condition is Condition.TEXTBOOK:
-        assert group is Group.CONTROL
-    else:
-        assert group is Group.EXPERIMENT
+def test_textbook_is_the_control_group_and_tablet_and_ar_are_experimental():
+    assert CONDITION_GROUP == {"textbook": "control", "tablet": "experiment", "ar": "experiment"}
+    assert tuple(CONDITION_GROUP) == CONDITIONS
+    assert set(CONDITION_GROUP.values()) == set(GROUPS)
 
 
 @given(

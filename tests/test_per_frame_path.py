@@ -44,11 +44,10 @@ from teamgaze.io_report import (
 )
 from teamgaze.jva import DenominatorPolicy, JvaConfig, ScaleMode, classify_frame, session_jva
 from teamgaze.model import (
-    Condition,
+    CONDITION_GROUP,
+    CONDITIONS,
     FrameRecord,
     GazeObservation,
-    GenderComposition,
-    Group,
     Point2D,
     TeamSession,
     validate_session,
@@ -78,14 +77,20 @@ def make_frame(frame_id, ts, gazes, discarded=False):
     )
 
 
-def make_session(frames):
+def make_session(frames, condition="tablet"):
     return TeamSession(
         team_id="t1",
-        condition=Condition.TABLET,
-        gender_composition=GenderComposition.MIXED,
+        condition=condition,
+        gender_composition="MX",
         team_post_test=2.5,
         frames=tuple(frames),
     )
+
+
+# perfbench/traced.py takes each TeamRow's group from TeamSession.group.
+@pytest.mark.parametrize("condition", CONDITIONS)
+def test_a_sessions_group_follows_its_condition(condition):
+    assert make_session([], condition).group == CONDITION_GROUP[condition]
 
 
 def test_conforming_session_has_no_violations():
@@ -228,8 +233,7 @@ def test_build_sessions_rejects_frames_of_an_unknown_team(tmp_path):
 def test_stats_report_of_team_rows_is_that_of_their_table():
     teams = io_report.load_team_rows(GOLDEN / "analyze" / "bundle" / "teams.csv")
     rows = [
-        TeamRow(t.team_id, Condition(t.condition), Group(t.group),
-                GenderComposition(t.gender), t.jva_ratio_pct, t.team_post_test)
+        TeamRow(t.team_id, t.condition, t.group, t.gender, t.jva_ratio_pct, t.team_post_test)
         for t in teams_of(teams)
     ]
     assert io_report.emit_report(stats_report_from_team_rows(rows), "json") == (

@@ -6,8 +6,9 @@ name of the package is read in its module; every public name of the
 package is read by the package or ``perfbench/``, but for a listed few; the
 package reads no file in text mode, so that ``model.input_text`` stays the
 one way from an input file's bytes to text; the CLI names no report format
-itself, and synth keeps its truth only in ``ground_truth.json``; and no line
-of the package or the tests is longer than 98 characters.
+itself, and synth keeps its truth only in ``ground_truth.json``; no module
+of the package but ``model`` spells a condition, gender or group label; and
+no line of the package or the tests is longer than 98 characters.
 """
 
 import ast
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from teamgaze import io_report
+from teamgaze.model import CONDITIONS, GENDERS, GROUPS
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "teamgaze").glob("*.py"))
@@ -366,7 +368,7 @@ def test_the_per_frame_reference_uses_no_package_name():
 
 def test_the_package_name_check_follows_module_level_definitions():
     tree = ast.parse(
-        "import math\nfrom teamgaze import jva\nfrom teamgaze.model import Group as G\n"
+        "import math\nfrom teamgaze import jva\nfrom teamgaze.model import GROUPS as G\n"
         "LIMIT = jva.REFERENCE_DIAGONAL\ndef helper():\n    return LIMIT + G\n"
         "def reference(x):\n    return math.hypot(x, helper())\n"
         "def other():\n    return jva\n"
@@ -385,6 +387,33 @@ def test_report_formats_and_synth_truth_are_stated_once():
     assert not literals & set(io_report.REPORT_FORMATS)
     named = [path.name for path in PACKAGE if "GroundTruth" in path.read_text(encoding="utf-8")]
     assert not named
+
+
+def _label_constants(tree: ast.Module) -> list[str]:
+    """``line N: 'label'`` of each string constant equal to a label of
+    ``CONDITIONS``, ``GENDERS`` or ``GROUPS``."""
+    labels = {*CONDITIONS, *GENDERS, *GROUPS}
+    return sorted(
+        f"line {node.lineno}: {node.value!r}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and node.value in labels
+    )
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in PACKAGE if p.name != "model.py"], ids=lambda p: p.name
+)
+def test_the_study_labels_are_stated_once(path):
+    """Every module but ``model`` takes the study's labels from its tuples."""
+    assert _label_constants(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_label_check_names_a_planted_label():
+    tree = ast.parse(
+        '"""A tablet team."""\nHELP = f"tablet {x}"\nKEY = "tablet"\nGROUP = "Control"\n'
+    )
+    assert _label_constants(tree) == ["line 3: 'tablet'"]
 
 
 def test_the_text_read_check_names_each_text_mode_read():

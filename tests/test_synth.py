@@ -113,6 +113,21 @@ def test_noise_with_separation_margin_keeps_labels(tmp_path):
         )
 
 
+def test_an_overflowing_noise_sigma_puts_every_point_on_the_image_border(tmp_path):
+    # sigma * noise overflows to +-inf, which the clip maps to the border
+    # without a RuntimeWarning (an error under pytest).
+    spec = SynthSpec(teams=3, frames_per_team=20, image_w=1280, image_h=720, seed=4,
+                     gaze_noise_sigma=1e308)
+    generate(spec, tmp_path)
+    for name, data in zip(("frames.csv", "teams.csv", "ground_truth.json"),
+                          reference_synth(spec)):
+        assert (tmp_path / name).read_bytes() == data, name
+    table = read_frame_table(tmp_path / "frames.csv")
+    assert table.row_errors == []
+    assert set(table.gaze_x.tolist()) <= {0.0, 1280.0}
+    assert set(table.gaze_y.tolist()) <= {0.0, 720.0}
+
+
 def team_lines(path, team):
     return [line for line in path.read_text().splitlines() if line.startswith(team + ",")]
 

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from oracles import Team, per_row_stats_report, per_value_team_cells, team_table, teams_of
 from teamgaze import io_report
 from teamgaze.io_report import Report, TeamTable, emit_report, load_team_rows, stats_report
-from teamgaze.model import Condition, GenderComposition
+from teamgaze.model import CONDITIONS, GENDERS
 
 # Quotes, backslashes, separators, non-ASCII and control characters.
 TEAM_IDS = st.text(st.sampled_from('tA"\\,# \t\n\x00\x1f\x7fé中😀'), max_size=3)
@@ -41,12 +41,8 @@ POST_TEST_POOLS = [st.just(2.5), st.sampled_from([0.0, 5.0, 2.5]), st.floats(0, 
 def team_rows(draw, team_ids=TEAM_IDS):
     """Team records in random order, some conditions and genders left out so
     that groups are empty or hold one team."""
-    conditions = draw(
-        st.lists(st.sampled_from([c.value for c in Condition]), min_size=1, unique=True)
-    )
-    genders = draw(
-        st.lists(st.sampled_from([g.value for g in GenderComposition]), min_size=1, unique=True)
-    )
+    conditions = draw(st.lists(st.sampled_from(CONDITIONS), min_size=1, unique=True))
+    genders = draw(st.lists(st.sampled_from(GENDERS), min_size=1, unique=True))
     ratios = draw(st.sampled_from(RATIO_POOLS))
     post_tests = draw(st.sampled_from(POST_TEST_POOLS))
     rows = []
@@ -183,8 +179,8 @@ def pooled_team_tables(draw):
 
     return TeamTable(
         team_ids=draw(st.lists(TEAM_IDS, min_size=n, max_size=n)),
-        condition=column(st.integers(0, len(Condition) - 1), np.int8),
-        gender=column(st.integers(0, len(GenderComposition) - 1), np.int8),
+        condition=column(st.integers(0, len(CONDITIONS) - 1), np.int8),
+        gender=column(st.integers(0, len(GENDERS) - 1), np.int8),
         jva_ratio_pct=column(POOLED_VALUES, float),
         post_test=column(POOLED_VALUES, float),
     )
