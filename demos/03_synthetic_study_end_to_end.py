@@ -10,7 +10,8 @@ import json
 import tempfile
 
 from teamgaze import SynthSpec, analyze_table, emit_report
-from teamgaze.io_report import load_teams, read_frame_table
+from teamgaze.frame_table import read_frame_table
+from teamgaze.io_report import load_teams
 from teamgaze.synth import generate
 
 spec = SynthSpec(
@@ -27,7 +28,7 @@ with tempfile.TemporaryDirectory() as tmp:
     report = analyze_table(read_frame_table(frames_path), load_teams(teams_path))
 
     print("ground truth vs recovered JVA ratio (%):")
-    for team_id, ratio in zip(report.teams.team_ids, report.teams.jva_ratio_pct.tolist()):
+    for team_id, ratio in zip(report.teams.team_ids, report.teams.jva_ratio_pct):
         expected = 100.0 * truth["team_ratios"][team_id]
         print(f"  {team_id}  {expected:6.2f}  ->  {ratio:6.2f}")
 

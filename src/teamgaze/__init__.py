@@ -13,11 +13,11 @@ __version__ = "0.1.0"
 
 # Each exported name and the module that defines it.
 _EXPORTS = {
-    "Heatmap": "model",
+    "Heatmap": "gazefield",
     "Point2D": "model",
     "decode_heatmap": "gazefield",
     "SynthSpec": "synth",
-    "analyze_table": "io_report",
+    "analyze_table": "frame_table",
     "emit_report": "io_report",
 }
 

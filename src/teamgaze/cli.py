@@ -116,8 +116,10 @@ def _emit(report, args) -> None:
 
 
 def _cmd_analyze(args) -> int:
+    from .frame_table import analyze_table, read_frame_table
+
     config = _jva_config(args)
-    table = io_report.read_frame_table(args.frames)
+    table = read_frame_table(args.frames)
     for message in table.row_errors[:MAX_ROW_WARNINGS]:
         print(f"warning: {args.frames}: {message}", file=sys.stderr)
     if len(table.row_errors) > MAX_ROW_WARNINGS:
@@ -127,7 +129,7 @@ def _cmd_analyze(args) -> int:
             file=sys.stderr,
         )
     teams = io_report.load_teams(args.teams)
-    report = io_report.analyze_table(table, teams, config)
+    report = analyze_table(table, teams, config)
     _emit(report, args)
     return 0
 

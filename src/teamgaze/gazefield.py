@@ -1,17 +1,45 @@
-"""Heatmap argmax decoding to scene coordinates, and the plain-text grid
-reader.
+"""The heatmap type, heatmap argmax decoding to scene coordinates, and the
+plain-text grid reader.
 """
 
 from __future__ import annotations
 
 import io
 import warnings
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Heatmap, Point2D, input_text
+from .model import Point2D, input_text
 
-__all__ = ["decode_heatmap", "load_heatmap_text"]
+__all__ = ["Heatmap", "decode_heatmap", "load_heatmap_text"]
+
+
+@dataclass(frozen=True)
+class Heatmap:
+    """A grid of non-negative gaze-probability values.
+
+    Canonical size is 56x56 but any positive size is accepted. ``values``
+    is indexed [row, col].
+    """
+
+    values: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        arr = np.asarray(self.values, dtype=float)
+        if arr.ndim != 2 or arr.size == 0:
+            raise ValueError("heatmap must be a non-empty 2-D grid")
+        if np.any(arr < 0) or not np.all(np.isfinite(arr)):
+            raise ValueError("heatmap values must be finite and non-negative")
+        object.__setattr__(self, "values", arr)
+
+    @property
+    def height(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.values.shape[1]
 
 
 def decode_heatmap(

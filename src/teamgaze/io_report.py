@@ -1,4 +1,6 @@
-"""CSV ingestion, report assembly and deterministic report emission.
+"""CSV ingestion, report assembly and deterministic report emission, over
+plain Python values: nothing here needs numpy, so ``teamgaze stats`` and
+``teamgaze --help`` run without it.
 
 Four input tables drive the pipeline: a frame table (one row per frame
 and person), a team table (condition, gender and two post-test scores per
@@ -16,17 +18,17 @@ which reads on into the next blocks only while a quoted cell is open;
 its cells are ``str``. The column parsers read either type by one rule
 (see ``_read_csv``).
 The tokenizer names the line of a fault in the text; the column parsers
-(``_FrameRows``, ``_TeamColumns``) name the first bad cell's row
-themselves. Each error of a table reader starts with the table's path
+(``frame_table._FrameRows``, ``_TeamColumns``) name the first bad cell's
+row themselves. Each error of a table reader starts with the table's path
 (``_names_file``).
-``read_frame_table`` parses frame rows in chunks into numpy columns;
-``analyze_table``, the one way from frames and teams to a report, scores
-them with ``jva.team_jva_counts``. The team and per-team results tables
-are parsed the same way (``_TeamColumns``) into a ``TeamTable`` of
-per-team columns: ``load_teams`` fills it without JVA ratios,
-``analyze_table`` adds them, ``load_team_rows`` reads them from the
-file, and ``stats_report`` runs the statistics battery on it. No command
-builds objects per frame: ``load_frames``, ``build_sessions`` and
+The frame table's reader is ``frame_table.read_frame_table``, in its own
+numpy module with ``frame_table.analyze_table``, the one way from frames
+and teams to a report. The team and per-team results tables are parsed a
+chunk at a time (``_TeamColumns``) into a ``TeamTable`` of per-team lists:
+``load_teams`` fills it without JVA ratios, ``frame_table.analyze_table``
+adds them, ``load_team_rows`` reads them from the file, and
+``stats_report`` runs the statistics battery on it. No command builds
+objects per frame: ``load_frames``, ``build_sessions`` and
 ``stats_report_from_team_rows`` serve only ``perfbench/traced.py``
 (ROADMAP item 3), and the tests' reference is ``tests/oracles.py``.
 Reports render the same content as machine-readable JSON, an aligned
@@ -46,25 +48,26 @@ import json
 import math
 import operator
 import os
-from dataclasses import asdict, dataclass, field, replace
+from array import array
+from dataclasses import asdict, dataclass, field
 from functools import wraps
 from io import StringIO
-from itertools import chain, compress, islice, zip_longest
+from itertools import chain, compress, count, islice, zip_longest
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-import numpy as np
-
-from .jva import DenominatorPolicy, JvaConfig, ScaleMode, team_jva_counts
 from .model import (
     CONDITION_GROUP,
     CONDITIONS,
     GENDERS,
     GROUPS,
+    DenominatorPolicy,
     FrameRecord,
     GazeObservation,
+    JvaConfig,
     Point2D,
+    ScaleMode,
     TeamSession,
     input_text,
     team_post_test_score,
@@ -82,16 +85,13 @@ from .stats import (
 __all__ = [
     "FRAME_COLUMNS",
     "TEAM_COLUMNS",
-    "FrameTable",
     "LoadResult",
     "Report",
     "TeamRow",
     "TeamTable",
-    "read_frame_table",
     "load_frames",
     "load_teams",
     "build_sessions",
-    "analyze_table",
     "stats_report",
     "stats_report_from_team_rows",
     "stats_report_from_summaries",
@@ -110,7 +110,8 @@ __all__ = [
 
 CONFIG_ENV_VAR = "TEAMGAZE_CONFIG"
 
-# The columns read from a frame table; ``discarded`` may be left out.
+# The columns read from a frame table (``frame_table.read_frame_table``);
+# ``discarded`` may be left out.
 FRAME_COLUMNS = [
     "team_id",
     "frame_id",
@@ -122,7 +123,6 @@ FRAME_COLUMNS = [
     "gaze_y",
     "discarded",
 ]
-_MANDATORY_FRAME_COLUMNS = FRAME_COLUMNS[:-1]
 TEAM_COLUMNS = ["team_id", "condition", "gender", "post_test_1", "post_test_2"]
 
 # Lines or rows read per step. Small enough for one step's cells to stay
@@ -131,32 +131,6 @@ _CHUNK_ROWS = 1024
 
 _TEAM_ROW_COLUMNS = ("team_id", "condition", "gender", "team_post_test")
 _SUMMARY_COLUMNS = ("grouping", "label", "measure", "n", "mean", "sd")
-
-
-@dataclass
-class FrameTable:
-    """A frame table as columns: one entry per frame and one per kept row.
-
-    Teams and frames are numbered in the order their first kept row appears
-    in the file. The kept rows of frame ``f`` are rows
-    ``row_offsets[f]:row_offsets[f + 1]``, in file order. Image sizes hold
-    whole pixels (``int(float(cell))``) as floats. A row skipped for its
-    gaze point appears only in ``row_errors``.
-    """
-
-    team_ids: list[str]
-    frame_ids: list[str]
-    frame_team: np.ndarray
-    timestamp: np.ndarray
-    width: np.ndarray
-    height: np.ndarray
-    discarded: np.ndarray
-    row_offsets: np.ndarray
-    person_ids: list[str]
-    row_person: np.ndarray
-    gaze_x: np.ndarray
-    gaze_y: np.ndarray
-    row_errors: list[str]
 
 
 @dataclass
@@ -201,24 +175,15 @@ def _constant(cells: Sequence) -> bool:
     return bool(cells) and cells[0] == cells[-1] and cells.count(cells[0]) == len(cells)
 
 
-def _floats(cells: Sequence, column: str, lines: np.ndarray) -> np.ndarray:
+def _float_list(cells: Sequence, column: str, lines: Sequence[int]) -> list[float]:
     """A column's cells as floats; the first that is not a number is an error.
 
     ``float`` reads bytes as ASCII only, so a column it fails on is read
     again as text, where U+00A0 is a space and "١" a digit."""
     try:
-        if _constant(cells):
-            return np.full(len(cells), float(cells[0]))
-        return np.fromiter(map(float, cells), float, len(cells))
+        return list(map(float, cells))
     except ValueError:
-        return np.array(
-            [_parse_float(c, column, line) for c, line in zip(_text(cells), lines.tolist())]
-        )
-
-
-def _first(bad: np.ndarray) -> int:
-    """The index of the first true entry of ``bad``, else -1."""
-    return int(bad.argmax()) if bad.any() else -1
+        return [_parse_float(c, column, line) for c, line in zip(_text(cells), lines)]
 
 
 def _names_file(read):
@@ -257,7 +222,8 @@ def _read_csv(
 
     A chunk holds up to ``_CHUNK_ROWS`` rows. ``cells`` maps each name of
     ``columns``, and of ``optional`` that the header has, to that column's
-    cells, one per row. ``lines`` holds the physical line each row ends on.
+    cells, one per row. ``lines`` holds the physical line each row ends on,
+    as a ``range`` or a list of ints.
     ``short`` says whether a row lacks a cell of one of those columns; the
     cells it lacks are None. Blank rows and comment rows (a first cell
     starting with ``#`` after leading spaces) are skipped; header names are
@@ -333,7 +299,7 @@ def _read_csv(
         cells = {
             c: by_column[i] if i < len(by_column) else missing_cells for c, i in used.items()
         }
-        return np.array(lines), cells, min(map(len, rows)) <= max(used.values(), default=-1)
+        return lines, cells, min(map(len, rows)) <= max(used.values(), default=-1)
 
     with open(path, "rb") as fh:
         blocks = read_blocks(fh)
@@ -352,7 +318,7 @@ def _read_csv(
                 if len(cells) == n * (width + 1) - 1 and (
                     cells[width :: width + 1].count(b"\n") == n - 1
                 ):
-                    lines = np.arange(done + 1, done + n + 1)
+                    lines = range(done + 1, done + n + 1)
                     yield lines, {c: cells[i :: width + 1] for c, i in used.items()}, False
                     done += n
                     continue
@@ -406,80 +372,6 @@ def _read_csv(
         raise ValueError("empty file, header row required")
 
 
-@_names_file
-def read_frame_table(path: Union[str, Path]) -> FrameTable:
-    """Parse a frame table into columns; the one parser of frame CSVs.
-
-    Rows for the same (team_id, frame_id) form one frame. Besides
-    ``_read_csv``'s, errors name the first bad row in file order: a short
-    row, an empty team, frame or person id, a cell that is not a number, an image
-    size that is not finite or not positive, a ``discarded`` cell other
-    than empty, 0, 1, true or false (any case), a person twice in one
-    frame, rows of one frame that disagree on timestamp, image size or
-    discarded flag, and a third person of a team in frames not flagged
-    discarded. A row whose gaze point is outside the image or NaN is
-    skipped and logged in ``row_errors``; it never creates a frame.
-    """
-    chunks = _read_csv(path, _MANDATORY_FRAME_COLUMNS, ("discarded",))
-    next(chunks)
-    rows = _FrameRows()
-    try:
-        for lines, cells, short in chunks:
-            rows.add(cells, lines, short)
-    except ValueError:
-        rows.table()  # a frame error on an earlier line comes first
-        raise
-    return rows.table()
-
-
-class _Ids:
-    """Numbers ids (stripped text of cells) 0, 1, ... in the order they arrive."""
-
-    def __init__(self):
-        self.names: list[str] = []
-        self.number: dict[str, int] = {}
-        # Every raw cell (str or bytes) seen so far, so most cells cost one lookup.
-        self._cell_number: dict = {}
-
-    def codes(self, cells: Sequence) -> np.ndarray:
-        if _constant(cells):
-            self._add(cells[:1])
-            return np.full(len(cells), self._cell_number[cells[0]], np.int64)
-        try:
-            return np.fromiter(map(self._cell_number.__getitem__, cells), np.int64, len(cells))
-        except KeyError:
-            self._add(dict.fromkeys(cells))  # the chunk's distinct cells, in order
-        return np.fromiter(map(self._cell_number.__getitem__, cells), np.int64, len(cells))
-
-    def _add(self, cells: Iterable) -> None:
-        """Number each of ``cells`` not seen before."""
-        for cell in cells:
-            if cell not in self._cell_number:
-                name = _str(cell).strip()
-                if name not in self.number:
-                    self.number[name] = len(self.names)
-                    self.names.append(name)
-                self._cell_number[cell] = self.number[name]
-
-
-def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Number the distinct keys 0, 1, ... in the order they first appear.
-
-    Returns each key's number and, per number, where that key first appears.
-    Keys already in order (non-decreasing) are numbered where they change;
-    any others are sorted.
-    """
-    if not (keys[1:] < keys[:-1]).any():
-        new = np.empty(len(keys), bool)
-        new[:1], new[1:] = True, keys[1:] != keys[:-1]
-        return np.cumsum(new) - 1, np.flatnonzero(new)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    number = np.empty_like(order)
-    number[order] = np.arange(len(order))
-    return number[inverse.reshape(-1)], first[order]
-
-
 class _ChunkParser:
     """Parses a table's ``_read_csv`` chunks into columns with ``_parse``.
 
@@ -491,7 +383,7 @@ class _ChunkParser:
     are parsed.
     """
 
-    def add(self, cells: dict, lines: np.ndarray, short: bool) -> None:
+    def add(self, cells: dict, lines: Sequence[int], short: bool) -> None:
         """Parse one ``_read_csv`` chunk."""
         try:
             self._parse(cells, lines, short)
@@ -502,168 +394,14 @@ class _ChunkParser:
             raise
 
 
-class _FrameRows(_ChunkParser):
-    """The kept rows of a frame table, parsed a chunk at a time into columns.
-
-    ``_parse`` names a bad row itself (see ``_ChunkParser``), checking a
-    row's cells in this order: a lacking cell, an empty team or frame id,
-    an empty person id, the timestamp, each image size (a number, then finite), a size that is
-    not positive, the gaze point and the ``discarded`` token. ``table()``
-    then names the first frame error among the kept rows: a row that
-    disagrees with its frame's first, a person twice in one frame, or, among
-    the rows of frames not flagged discarded, a team's third person.
-
-    Rows may come in any order. Two properties of real tables make their
-    reading cheaper, each checked on the data and skipped where it fails:
-    a chunk's column of one cell (``_constant``: image sizes and the
-    discarded flag in every chunk of the benchmark's clean workloads) is
-    parsed once, and ``table()`` sorts nothing for rows sorted by team
-    then frame, with a frame's rows next to each other and its persons in
-    the order the file first names them.
-    """
-
-    def __init__(self):
-        self.teams, self.frames, self.persons = _Ids(), _Ids(), _Ids()
-        self.row_errors: list[str] = []
-        # The kept rows' team, frame, person, timestamp, width, height,
-        # discarded, gaze x, gaze y and line, one array per chunk.
-        self.columns: list[list[np.ndarray]] = [[] for _ in range(10)]
-        # An empty first chunk gives each column its dtype, also for a file
-        # without rows.
-        self._parse(dict.fromkeys(FRAME_COLUMNS, ()), np.arange(0), False)
-
-    def _parse(self, cells: dict, lines: np.ndarray, short: bool) -> None:
-        n = len(lines)
-        if short and any(None in cells[c] for c in _MANDATORY_FRAME_COLUMNS):
-            rows = list(zip(*(cells[c] for c in _MANDATORY_FRAME_COLUMNS)))
-            i = [None in row for row in rows].index(True)
-            name = _MANDATORY_FRAME_COLUMNS[rows[i].index(None)]
-            raise ValueError(f"line {lines[i]}: short row, no {name} cell")
-        team = self.teams.codes(cells["team_id"])
-        frame = self.frames.codes(cells["frame_id"])
-        no_id = [ids.number.get("", -1) for ids in (self.teams, self.frames)]
-        if (i := _first((team == no_id[0]) | (frame == no_id[1]))) >= 0:
-            raise ValueError(f"line {lines[i]}: empty team_id or frame_id")
-        person = self.persons.codes(cells["person_id"])
-        if (i := _first(person == self.persons.number.get("", -1))) >= 0:
-            raise ValueError(f"line {lines[i]}: empty person_id")
-        ts = _floats(cells["timestamp_s"], "timestamp_s", lines)
-        sizes = []
-        for c in ("image_w", "image_h"):
-            sizes.append(_floats(cells[c], c, lines))
-            if (i := _first(~np.isfinite(sizes[-1]))) >= 0:
-                raise ValueError(
-                    f"line {lines[i]}: column {c!r} not finite: {_str(cells[c][i])!r}"
-                )
-        w, h = sizes
-        if (i := _first((w < 1) | (h < 1))) >= 0:  # a whole pixel is at least 1
-            raise ValueError(f"line {lines[i]}: non-positive image dimensions")
-        w, h = np.trunc(w), np.trunc(h)
-        gx, gy = (_floats(cells[c], c, lines) for c in ("gaze_x", "gaze_y"))
-        discarded = np.zeros(n, bool)
-        if "discarded" in cells:
-            discarded[:] = _codes(cells, "discarded", lines)
-
-        inside = (gx >= 0) & (gx <= w) & (gy >= 0) & (gy <= h)
-        for i in np.flatnonzero(~inside).tolist():
-            self.row_errors.append(
-                f"line {lines[i]}: gaze ({float(gx[i])}, {float(gy[i])}) outside "
-                f"{int(w[i])}x{int(h[i])} image, row skipped"
-            )
-        kept = (team, frame, person, ts, w, h, discarded, gx, gy, lines)
-        every = inside.all()
-        for chunks, values in zip(self.columns, kept):
-            chunks.append(values if every else values[inside])
-
-    def table(self) -> FrameTable:
-        """The kept rows as a FrameTable; raises the first frame error."""
-        for chunks in self.columns:  # one column at a time, to bound memory
-            chunks[:] = [np.concatenate(chunks)]
-        team, frame, person, ts, w, h, discarded, gx, gy, line = (
-            chunks[0] for chunks in self.columns
-        )
-        frame_no, first = _first_appearance(team * len(self.frames.names) + frame)
-        team_no, team_first = _first_appearance(team[first])
-        team_names, frame_names = self.teams.names, self.frames.names
-
-        def where(r: int) -> str:
-            return f"team {team_names[team[r]]!r} frame {frame_names[frame[r]]!r}"
-
-        # Each frame error as (row, message); the first row's is raised.
-        problems = []
-        ref = first[frame_no]  # the first kept row of each row's frame
-        for name, values, shown in (
-            ("timestamp_s", ts, float),
-            ("image_w", w, int),
-            ("image_h", h, int),
-            ("discarded", discarded, bool),
-        ):
-            at_ref = values[ref]
-            differ = np.flatnonzero(values != at_ref)
-            # NaN timestamps agree with each other.
-            v, v_ref = values[differ], at_ref[differ]
-            if (differ := differ[(v == v) | (v_ref == v_ref)]).size:
-                r = int(differ[0])
-                problems.append((r, (
-                    f"line {line[r]}: {name} {shown(values[r])} differs from "
-                    f"{shown(at_ref[r])} on line {line[ref[r]]} for {where(r)}"
-                )))
-        pair_key = frame_no * len(self.persons.names) + person
-        # Keys in strictly increasing order hold no repeat.
-        repeat = ()
-        if not (pair_key[1:] > pair_key[:-1]).all():
-            order = np.argsort(pair_key, kind="stable")
-            repeat = np.flatnonzero(pair_key[order[1:]] == pair_key[order[:-1]])
-        if len(repeat):
-            k = int(np.argmin(order[1:][repeat]))
-            r, earlier = int(order[1:][repeat][k]), int(order[:-1][repeat][k])
-            problems.append((r, (
-                f"line {line[r]}: person_id {self.persons.names[person[r]]!r} "
-                f"already on line {line[earlier]} for {where(r)}"
-            )))
-        if len(self.persons.names) > 2:  # a table of two person ids names no third
-            counted = np.flatnonzero(~discarded)
-            team_person = team[counted] * len(self.persons.names) + person[counted]
-            pair_rows = counted[_first_appearance(team_person)[1]]  # each pair's first row
-            order = np.argsort(team[pair_rows], kind="stable")
-            by_team = team[pair_rows][order]
-            rank = np.arange(len(order)) - np.searchsorted(by_team, by_team)  # in its team
-            if (third := order[rank == 2]).size:
-                r = int(pair_rows[third.min()])
-                problems.append((r, (
-                    f"line {line[r]}: person_id {self.persons.names[person[r]]!r} is a third "
-                    f"person of team {team_names[team[r]]!r} (a team is two people)"
-                )))
-        if problems:
-            raise ValueError(min(problems, key=lambda p: p[0])[1])
-
-        by_frame = slice(None)  # rows already grouped by frame stay as they are
-        if (frame_no[1:] < frame_no[:-1]).any():
-            by_frame = np.argsort(frame_no, kind="stable")
-        counts = np.bincount(frame_no, minlength=len(first))
-        return FrameTable(
-            team_ids=[team_names[c] for c in team[first][team_first].tolist()],
-            frame_ids=[frame_names[c] for c in frame[first].tolist()],
-            frame_team=team_no,
-            timestamp=ts[first],
-            width=w[first],
-            height=h[first],
-            discarded=discarded[first],
-            row_offsets=np.concatenate(([0], np.cumsum(counts))),
-            person_ids=self.persons.names,
-            row_person=person[by_frame],
-            gaze_x=gx[by_frame],
-            gaze_y=gy[by_frame],
-            row_errors=self.row_errors,
-        )
-
-
 def load_frames(path: Union[str, Path]) -> LoadResult:
     """Load a frame table as per-team FrameRecords.
 
-    ``read_frame_table`` parses and checks the file; each team's frames
-    and each frame's observations keep the order it gives them.
+    ``frame_table.read_frame_table`` parses and checks the file; each team's
+    frames and each frame's observations keep the order it gives them.
     """
+    from .frame_table import read_frame_table
+
     table = read_frame_table(path)
     persons = [table.person_ids[p] for p in table.row_person.tolist()]
     gaze = [Point2D(x, y) for x, y in zip(table.gaze_x.tolist(), table.gaze_y.tolist())]
@@ -702,7 +440,7 @@ def _check_new_key(first_line: dict, key, line: int, name: str) -> None:
 
 
 # Each condition code's group code.
-_CONDITION_GROUP = np.array([GROUPS.index(CONDITION_GROUP[c]) for c in CONDITIONS])
+_CONDITION_GROUP = tuple(GROUPS.index(CONDITION_GROUP[c]) for c in CONDITIONS)
 
 
 def _token_codes(codes: dict) -> dict:
@@ -733,11 +471,11 @@ _TEAM_ROW_NUMBERS = (
 )
 
 
-def _codes(cells: dict, column: str, lines: np.ndarray) -> np.ndarray:
+def _codes(cells: dict, column: str, lines: Sequence[int]) -> list[int]:
     """Each cell's code in the ``_TOKEN_COLUMNS`` column: looked up as
-    written (once for a constant column), else as text stripped and
-    lower-cased, a lacking cell read as empty; the first cell of no token
-    is an error."""
+    written, else as text stripped and lower-cased, a lacking cell read as
+    empty; the first cell of no token is an error. A constant column is
+    looked up once, and its one code stands for every cell."""
     codes, error = _TOKEN_COLUMNS[column]
     raw = cells[column]
     found = list(map(codes.get, raw[:1] if _constant(raw) else raw))
@@ -747,69 +485,73 @@ def _codes(cells: dict, column: str, lines: np.ndarray) -> np.ndarray:
         if None in found:
             i = found.index(None)
             raise ValueError(f"line {lines[i]}: " + error.format(text[i]))
-    if len(found) < len(lines):  # one code fills a constant column
-        return np.full(len(lines), found[0], np.int8)
-    return np.array(found, np.int8)
+    return found
+
+
+def _first_out_of_range(numbers: list, high: int, cells: Sequence) -> int:
+    """The index of the first of ``numbers`` outside [0, high], NaN
+    included, whose cell is not empty (an optional column's empty cell reads
+    as NaN); else -1. ``min`` and ``max`` skip a NaN that is not first, but
+    it makes the sum NaN."""
+    if numbers and 0 <= min(numbers) and max(numbers) <= high and not math.isnan(sum(numbers)):
+        return -1
+    return next((i for i, x in enumerate(numbers) if not 0 <= x <= high and cells[i]), -1)
 
 
 class _TeamColumns(_ChunkParser):
-    """The rows of a team-level table, parsed a chunk at a time into columns.
+    """The rows of a team-level table, parsed a chunk at a time into lists.
 
     Each row holds a team_id (stripped, not empty, unique), a condition, a
     gender and the ``numbers`` given as (column, measure, optional): each
     lies in [0, ``_MEASURE_HIGH[measure]``], and an empty (stripped) cell of
-    an optional column, or an optional column the table lacks, reads as NaN. A short row's missing
-    cells are empty. ``_parse`` names a bad row itself (see
-    ``_ChunkParser``), checking a row's cells in this order: an empty
-    team_id, a repeated one, the condition, the gender, then each number
-    (not a number, then out of range).
+    an optional column, or an optional column the table lacks, reads as
+    NaN. A short row's missing cells are empty. ``_parse`` names a bad row
+    itself (see ``_ChunkParser``), checking a row's cells in this order: an
+    empty team_id, a repeated one, the condition, the gender, then each
+    number (not a number, then out of range).
     """
 
     def __init__(self, numbers):
         self.numbers = numbers
         self.first_line: dict[str, int] = {}
         self.team_ids: list[str] = []
-        # The condition codes, gender codes, then one array per number, per chunk.
-        self.columns: list[list[np.ndarray]] = [[] for _ in range(2 + len(numbers))]
-        # An empty chunk gives each column its dtype.
-        used = ["team_id", "condition", "gender"] + [name for name, _, _ in numbers]
-        self._parse(dict.fromkeys(used, ()), np.arange(0), False)
+        # The condition codes, the gender codes, then one list per number.
+        self.columns: list[list] = [[] for _ in range(2 + len(numbers))]
 
-    def _parse(self, cells: dict, lines: np.ndarray, short: bool) -> None:
+    def _parse(self, cells: dict, lines: Sequence[int], short: bool) -> None:
         n = len(lines)
         if short:
             cells = {c: ["" if v is None else v for v in values] for c, values in cells.items()}
         team_ids = list(map(str.strip, _text(cells["team_id"])))
         # Each id's first line in the chunk: the last of the reversed pairs wins.
-        first = dict(zip(reversed(team_ids), reversed(lines.tolist())))
+        first = dict(zip(reversed(team_ids), reversed(lines)))
         if "" in first:
             raise ValueError(f"line {first['']}: empty team_id")
         if len(first) < n or not self.first_line.keys().isdisjoint(first):
             seen = dict(self.first_line)
-            for team_id, line in zip(team_ids, lines.tolist()):
+            for team_id, line in zip(team_ids, lines):
                 _check_new_key(seen, team_id, line, "team_id")
-        values = [
-            _codes(cells, "condition", lines),
-            _codes(cells, "gender", lines),
-        ]
+        values = []
+        for column in ("condition", "gender"):
+            codes = _codes(cells, column, lines)
+            values.append(codes if len(codes) == n else codes * n)
         for name, measure, optional in self.numbers:
             if name not in cells:
-                values.append(np.full(n, np.nan))
+                values.append([math.nan] * n)
                 continue
-            raw, empty = cells[name], False
+            raw = cells[name]
             if optional:
                 raw = list(map(str.strip, _text(raw)))
-                empty = np.fromiter(map(operator.not_, raw), bool, n)
             text = list(map({"": "nan"}.get, raw, raw)) if optional else raw
-            numbers = _floats(text, name, lines)
+            numbers = _float_list(text, name, lines)
             high = _MEASURE_HIGH[measure]
-            if (i := _first(~((numbers >= 0) & (numbers <= high) | empty))) >= 0:
+            if (i := _first_out_of_range(numbers, high, raw)) >= 0:
                 raise ValueError(_OUT_OF_RANGE.format(lines[i], name, _str(raw[i]), high))
             values.append(numbers)
         self.first_line.update(first)
         self.team_ids.extend(team_ids)
-        for chunks, array in zip(self.columns, values):
-            chunks.append(array)
+        for column, chunk in zip(self.columns, values):
+            column.extend(chunk)
 
 
 def _team_columns(chunks: Iterator, numbers) -> tuple:
@@ -819,7 +561,7 @@ def _team_columns(chunks: Iterator, numbers) -> tuple:
     rows = _TeamColumns(numbers)
     for lines, cells, short in chunks:
         rows.add(cells, lines, short)
-    return (rows.team_ids, *(np.concatenate(arrays) for arrays in rows.columns))
+    return (rows.team_ids, *rows.columns)
 
 
 @_names_file
@@ -833,9 +575,9 @@ def load_teams(path: Union[str, Path]) -> TeamTable:
     chunks = _read_csv(path, TEAM_COLUMNS)
     next(chunks)
     team_ids, condition, gender, score_1, score_2 = _team_columns(chunks, _TEAM_NUMBERS)
-    no_ratio = np.full(len(team_ids), np.nan)
+    no_ratio = [math.nan] * len(team_ids)
     return TeamTable(
-        team_ids, condition, gender, no_ratio, team_post_test_score(score_1, score_2)
+        team_ids, condition, gender, no_ratio, list(map(team_post_test_score, score_1, score_2))
     )
 
 
@@ -860,8 +602,7 @@ def build_sessions(
             tuple(frames_by_team.get(team_id, [])),
         )
         for team_id, c, g, post_test in zip(
-            teams.team_ids, teams.condition.tolist(), teams.gender.tolist(),
-            teams.post_test.tolist(),
+            teams.team_ids, teams.condition, teams.gender, teams.post_test
         )
     ]
 
@@ -871,11 +612,11 @@ def build_sessions(
 
 @dataclass
 class TeamTable:
-    """Per-team columns: what the stats battery and the emitters read.
+    """Per-team columns as lists: what the stats battery and the emitters read.
 
     ``load_teams`` fills one from a team table (every ratio NaN),
-    ``analyze_table`` adds the JVA ratios, and ``load_team_rows`` reads
-    one from a per-team results table.
+    ``frame_table.analyze_table`` adds the JVA ratios, and ``load_team_rows``
+    reads one from a per-team results table.
 
     ``condition`` and ``gender`` hold each team's index into
     ``model.CONDITIONS`` and ``model.GENDERS``; a team's group follows from
@@ -885,23 +626,23 @@ class TeamTable:
     """
 
     team_ids: list[str]
-    condition: np.ndarray
-    gender: np.ndarray
-    jva_ratio_pct: np.ndarray
-    post_test: np.ndarray
+    condition: list[int]
+    gender: list[int]
+    jva_ratio_pct: list[float]
+    post_test: list[float]
 
     def __len__(self) -> int:
         return len(self.team_ids)
 
     @property
-    def group(self) -> np.ndarray:
+    def group(self) -> list[int]:
         """Each team's index into ``model.GROUPS``."""
-        return _CONDITION_GROUP[self.condition]
+        return list(map(_CONDITION_GROUP.__getitem__, self.condition))
 
     @property
-    def has_ratio(self) -> np.ndarray:
+    def has_ratio(self) -> list[bool]:
         """Whether each team has a JVA ratio."""
-        return ~np.isnan(self.jva_ratio_pct)
+        return [ratio == ratio for ratio in self.jva_ratio_pct]
 
     def by_team_id(self) -> TeamTable:
         """The table with its teams sorted by id, as Python sorts strings:
@@ -909,13 +650,8 @@ class TeamTable:
         if all(map(operator.le, self.team_ids, islice(self.team_ids, 1, None))):
             return self
         order = sorted(range(len(self)), key=self.team_ids.__getitem__)
-        return TeamTable(
-            team_ids=[self.team_ids[i] for i in order],
-            condition=self.condition[order],
-            gender=self.gender[order],
-            jva_ratio_pct=self.jva_ratio_pct[order],
-            post_test=self.post_test[order],
-        )
+        columns = (self.team_ids, self.condition, self.gender, self.jva_ratio_pct, self.post_test)
+        return TeamTable(*(list(map(column.__getitem__, order)) for column in columns))
 
 
 @dataclass
@@ -930,9 +666,7 @@ class Report:
     comparisons in ``posthoc``.
     """
 
-    teams: TeamTable = field(
-        default_factory=lambda: TeamTable([], *np.zeros((2, 0), np.int8), *np.zeros((2, 0)))
-    )
+    teams: TeamTable = field(default_factory=lambda: TeamTable([], [], [], [], []))
     summaries: dict[str, dict[str, list[GroupSummary]]] = field(default_factory=dict)
     totals: dict[str, GroupSummary] = field(default_factory=dict)
     anovas: dict[str, AnovaResult] = field(default_factory=dict)
@@ -955,30 +689,40 @@ def stats_report(teams: TeamTable) -> Report:
     teams and the correlation take the teams sorted by id.
     """
     report = Report(teams=teams.by_team_id())
-    measures = {
-        "jva_ratio_pct": (teams.jva_ratio_pct, teams.has_ratio),
-        "post_test": (teams.post_test, np.ones(len(teams), bool)),
+    # Each grouping's groups by code, each as its teams' JVA ratios (a
+    # missing one left out) and post-tests in table order: one pass.
+    groups = {
+        grouping: [([], []) for _ in labels] for grouping, labels in _GROUPING_LABELS.items()
     }
-    codes = {"condition": teams.condition, "group": teams.group, "gender": teams.gender}
+    by_condition, by_group, by_gender = groups.values()
+    for c, g, ratio, post_test in zip(
+        teams.condition, teams.gender, teams.jva_ratio_pct, teams.post_test
+    ):
+        for ratios, post_tests in (by_condition[c], by_group[_CONDITION_GROUP[c]], by_gender[g]):
+            if ratio == ratio:
+                ratios.append(ratio)
+            post_tests.append(post_test)
     for grouping, labels in _GROUPING_LABELS.items():
-        report.summaries[grouping] = {}
-        for measure, (values, kept) in measures.items():
-            groups = []
-            for code, label in enumerate(labels):
-                group_values = values[kept & (codes[grouping] == code)]
-                if len(group_values) >= 2:
-                    groups.append(summarize(group_values, label=label))
-            report.summaries[grouping][measure] = groups
-    for measure, (values, kept) in measures.items():
-        if kept.sum() >= 2:
-            report.totals[measure] = summarize(values[kept], label="total")
+        report.summaries[grouping] = {
+            measure: [
+                summarize(values[m], label=label)
+                for label, values in zip(labels, groups[grouping])
+                if len(values[m]) >= 2
+            ]
+            for m, measure in enumerate(_MEASURES)
+        }
+    ratios = [ratio for ratio in teams.jva_ratio_pct if ratio == ratio]
+    for measure, values in zip(_MEASURES, (ratios, teams.post_test)):
+        if len(values) >= 2:
+            report.totals[measure] = summarize(values, label="total")
     _add_anovas(report)
 
     kept = report.teams.has_ratio
-    if kept.sum() >= 3:
+    if sum(kept) >= 3:
         try:
             report.correlation = pearson(
-                report.teams.jva_ratio_pct[kept], report.teams.post_test[kept]
+                list(compress(report.teams.jva_ratio_pct, kept)),
+                list(compress(report.teams.post_test, kept)),
             )
         except ValueError as exc:
             report.notes.append(f"correlation skipped: {exc}")
@@ -998,14 +742,21 @@ class TeamRow:
 
 
 def stats_report_from_team_rows(rows: Iterable[TeamRow]) -> Report:
-    """``stats_report`` of TeamRow records, a None ratio a missing one."""
+    """``stats_report`` of TeamRow records, a None ratio a missing one. A
+    row whose group is not its condition's is an error naming the team."""
     rows = list(rows)
+    for r in rows:
+        if CONDITION_GROUP.get(r.condition) != r.group:
+            raise ValueError(
+                f"team {r.team_id!r}: group {r.group!r} is not the group of "
+                f"condition {r.condition!r}"
+            )
     return stats_report(TeamTable(
         [r.team_id for r in rows],
-        np.array([CONDITIONS.index(r.condition) for r in rows], np.int8),
-        np.array([GENDERS.index(r.gender) for r in rows], np.int8),
-        np.array([np.nan if r.jva_ratio_pct is None else r.jva_ratio_pct for r in rows], float),
-        np.array([r.team_post_test for r in rows], float),
+        [CONDITIONS.index(r.condition) for r in rows],
+        [GENDERS.index(r.gender) for r in rows],
+        [math.nan if r.jva_ratio_pct is None else r.jva_ratio_pct for r in rows],
+        [r.team_post_test for r in rows],
     ))
 
 
@@ -1050,43 +801,6 @@ def _add_anova(
         report.posthoc[key] = comparisons
 
 
-def analyze_table(
-    table: FrameTable, teams: TeamTable, config: JvaConfig = JvaConfig()
-) -> Report:
-    """Score each team of ``teams`` (as ``load_teams`` reads them) from a
-    FrameTable and report on them.
-
-    Frames of other teams are an error; a team without countable frames
-    gets no ratio and a note.
-    """
-    _check_known_teams(table.team_ids, teams)
-    jva_frames, denominator_frames = team_jva_counts(
-        table.frame_team,
-        len(table.team_ids),
-        table.width,
-        table.height,
-        table.discarded,
-        table.row_offsets,
-        table.gaze_x,
-        table.gaze_y,
-        config,
-    )
-    teams = teams.by_team_id()
-    # Each team's number in the frame table; -1, for a team without frames,
-    # picks the appended count of 0.
-    number = dict(zip(table.team_ids, range(len(table.team_ids))))
-    at = np.array([number.get(t, -1) for t in teams.team_ids], dtype=np.intp)
-    jva = np.append(jva_frames, 0)[at]
-    denominator = np.append(denominator_frames, 0)[at]
-    ratio = np.full(len(teams), np.nan)
-    np.divide(jva, denominator, out=ratio, where=denominator > 0)
-    report = stats_report(replace(teams, jva_ratio_pct=100.0 * ratio))
-    no_frames = [teams.team_ids[i] for i in np.flatnonzero(np.isnan(ratio)).tolist()]
-    if no_frames:
-        report.notes.append(f"no countable frames for teams: {no_frames}")
-    return report
-
-
 # --- fixture and team-row files -------------------------------------------
 
 
@@ -1105,7 +819,7 @@ def _summaries(chunks: Iterator) -> tuple[dict, dict]:
     totals: dict[str, GroupSummary] = {}
     first_line: dict = {}
     for lines, cells, _ in chunks:
-        for line, row in zip(lines.tolist(), zip(*(cells[c] for c in _SUMMARY_COLUMNS))):
+        for line, row in zip(lines, zip(*(cells[c] for c in _SUMMARY_COLUMNS))):
             grouping, label, measure, n, mean, sd = ("" if v is None else _str(v) for v in row)
             key = (grouping.strip(), label.strip(), measure.strip())
             grouping, label, measure = key
@@ -1253,17 +967,16 @@ _TEAM_FIELDS = ["team_id", "condition", "group", "gender", "jva_ratio_pct", "tea
 _POSTHOC_FIELDS = ("a", "b", "f", "df1", "df2", "p", "cohens_d", "correction")
 
 
-def _distinct(values: np.ndarray, cell) -> tuple[list, np.ndarray]:
-    """``cell`` of each distinct float64 bit pattern in ``values``, and each
-    value's index into those cells.
+def _bits(values: Sequence[float]) -> list[int]:
+    """Each value's float64 bit pattern: unlike the value, it tells -0.0
+    from 0.0, whose texts differ."""
+    return array("Q", array("d", values).tobytes()).tolist()
 
-    Keyed on the bits, not the values: np.unique and a float-keyed dict
-    both merge -0.0 with 0.0, whose texts differ.
-    """
-    bits, index = np.unique(
-        np.asarray(values, np.float64).view(np.uint64), return_inverse=True
-    )
-    return list(map(cell, bits.view(np.float64).tolist())), index
+
+def _cells_by_bits(bits: Iterable[int], cell) -> dict:
+    """``cell`` of each distinct float of ``bits`` (see ``_bits``), by its bits."""
+    distinct = list(dict.fromkeys(bits))
+    return dict(zip(distinct, map(cell, array("d", array("Q", distinct).tobytes()).tolist())))
 
 
 def _team_cells(teams: TeamTable, value_rule, text=str) -> tuple[list, list, list]:
@@ -1272,30 +985,26 @@ def _team_cells(teams: TeamTable, value_rule, text=str) -> tuple[list, list, lis
     Returns ``text`` of each team id; the distinct rows of the other team
     fields' cells, in ``_TEAM_FIELDS`` order (``text`` of each label,
     ``value_rule`` of each number, a missing ratio as None); and each
-    team's index into those rows. A cell depends only on its value's float bits.
+    team's index into those rows. Numbers are keyed on their float bits
+    (``_bits``), so that a cell depends on those alone.
     """
-    def ratio(r: float):
-        return value_rule(None if r != r else r, _DECIMALS["jva_ratio_pct"])
-
-    def post_test(p: float):
-        return value_rule(p, _DECIMALS["team_post_test"])
-
-    columns = [
-        (list(map(text, CONDITIONS)), teams.condition),
-        (list(map(text, GROUPS)), teams.group),
-        (list(map(text, GENDERS)), teams.gender),
-        _distinct(teams.jva_ratio_pct, ratio),
-        _distinct(teams.post_test, post_test),
-    ]
-    shape = [len(cells) for cells, _ in columns]
-    keys, inverse = np.unique(
-        np.ravel_multi_index([codes for _, codes in columns], shape), return_inverse=True
+    columns = (teams.condition, teams.gender, _bits(teams.jva_ratio_pct), _bits(teams.post_test))
+    index = dict(zip(dict.fromkeys(zip(*columns)), count()))  # each distinct key's row
+    ratios = _cells_by_bits(
+        (key[2] for key in index),
+        lambda r: value_rule(None if r != r else r, _DECIMALS["jva_ratio_pct"]),
+    )
+    post_tests = _cells_by_bits(
+        (key[3] for key in index), lambda p: value_rule(p, _DECIMALS["team_post_test"])
+    )
+    conditions, groups, genders = (
+        list(map(text, labels)) for labels in (CONDITIONS, GROUPS, GENDERS)
     )
     rows = [
-        [cells[i] for (cells, _), i in zip(columns, combination)]
-        for combination in zip(*(c.tolist() for c in np.unravel_index(keys, shape)))
+        [conditions[c], groups[_CONDITION_GROUP[c]], genders[g], ratios[r], post_tests[p]]
+        for c, g, r, p in index
     ]
-    return list(map(text, teams.team_ids)), rows, inverse.tolist()
+    return list(map(text, teams.team_ids)), rows, list(map(index.__getitem__, zip(*columns)))
 
 
 # A team and a scatter point as json.dumps(indent=2, sort_keys=True) writes
@@ -1339,7 +1048,7 @@ def _render_json(report: Report) -> str:
         map("".join, zip(per_team(_JSON_TEAM_HEAD), ids, per_team(_JSON_TEAM_TAIL)))
     )
     text["scatter"] = _json_list(
-        compress(per_team(_JSON_POINT), report.teams.has_ratio.tolist())
+        compress(per_team(_JSON_POINT), report.teams.has_ratio)
     )
     body = ",\n".join(f'  "{key}": {text[key]}' for key in sorted(text))
     return "{\n" + body + "\n}\n"

@@ -14,58 +14,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import FrameRecord, TeamSession
+from .model import DenominatorPolicy, FrameRecord, JvaConfig, TeamSession
 
 __all__ = [
-    "ScaleMode",
-    "DenominatorPolicy",
-    "JvaConfig",
     "JvaFrameResult",
     "JvaSessionResult",
     "classify_frame",
     "session_jva",
     "team_jva_counts",
-    "REFERENCE_DIAGONAL",
 ]
-
-# Diagonal of the reference 2560x1440 capture resolution, in pixels.
-REFERENCE_DIAGONAL = math.hypot(2560.0, 1440.0)
-
-
-class ScaleMode(Enum):
-    ABSOLUTE = "absolute"
-    DIAGONAL_NORMALIZED = "diagonal-normalized"
-
-
-class DenominatorPolicy(Enum):
-    # Frames with exactly two valid observations (default: defective frames
-    # were removed upstream, so they cannot count against JVA).
-    VALID_PAIR_FRAMES = "valid-pair-frames"
-    # Every non-discarded frame counts; for sensitivity analysis.
-    ALL_CAPTURED_FRAMES = "all-captured-frames"
-
-
-@dataclass(frozen=True)
-class JvaConfig:
-    threshold: float = 100.0
-    scale_mode: ScaleMode = ScaleMode.ABSOLUTE
-    denominator_policy: DenominatorPolicy = DenominatorPolicy.VALID_PAIR_FRAMES
-
-    def __post_init__(self) -> None:
-        if not 0 < self.threshold < math.inf:
-            raise ValueError("threshold must be positive and finite")
-
-    def effective_threshold(self, image_width: int, image_height: int) -> float:
-        """Threshold in this frame's pixels, rescaled when normalizing."""
-        if self.scale_mode is ScaleMode.ABSOLUTE:
-            return self.threshold
-        diagonal = math.hypot(image_width, image_height)
-        return self.threshold * diagonal / REFERENCE_DIAGONAL
 
 
 @dataclass(frozen=True)

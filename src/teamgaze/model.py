@@ -1,7 +1,9 @@
 """Domain types shared across the pipeline: the study's labels, each tuple
 in the order of the codes a ``TeamTable`` holds, and the rule that makes a
-condition control or experimental (``CONDITION_GROUP``); and the one rule
-that turns an input file's bytes into text (``input_text``).
+condition control or experimental (``CONDITION_GROUP``); the JVA scoring
+settings (``JvaConfig``), which every command's parser reads; and the one
+rule that turns an input file's bytes into text (``input_text``). Nothing
+here needs numpy, so ``teamgaze stats`` runs without it.
 
 Every type here is an immutable value object. The gaze observation, frame
 and session types, with ``validate_session``, belong to the per-frame
@@ -13,10 +15,10 @@ check flags more than two persons only, as the readers do.
 from __future__ import annotations
 
 import codecs
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from enum import Enum
 from typing import Optional
-
-import numpy as np
 
 __all__ = [
     "Point2D",
@@ -27,7 +29,10 @@ __all__ = [
     "GROUPS",
     "CONDITION_GROUP",
     "TeamSession",
-    "Heatmap",
+    "ScaleMode",
+    "DenominatorPolicy",
+    "JvaConfig",
+    "REFERENCE_DIAGONAL",
     "team_post_test_score",
     "validate_session",
     "input_text",
@@ -58,6 +63,41 @@ GROUPS = ("control", "experiment")
 
 # Textbook teams are the control group; tablet and AR are experimental.
 CONDITION_GROUP = {"textbook": "control", "tablet": "experiment", "ar": "experiment"}
+
+
+# Diagonal of the reference 2560x1440 capture resolution, in pixels.
+REFERENCE_DIAGONAL = math.hypot(2560.0, 1440.0)
+
+
+class ScaleMode(Enum):
+    ABSOLUTE = "absolute"
+    DIAGONAL_NORMALIZED = "diagonal-normalized"
+
+
+class DenominatorPolicy(Enum):
+    # Frames with exactly two valid observations (default: defective frames
+    # were removed upstream, so they cannot count against JVA).
+    VALID_PAIR_FRAMES = "valid-pair-frames"
+    # Every non-discarded frame counts; for sensitivity analysis.
+    ALL_CAPTURED_FRAMES = "all-captured-frames"
+
+
+@dataclass(frozen=True)
+class JvaConfig:
+    threshold: float = 100.0
+    scale_mode: ScaleMode = ScaleMode.ABSOLUTE
+    denominator_policy: DenominatorPolicy = DenominatorPolicy.VALID_PAIR_FRAMES
+
+    def __post_init__(self) -> None:
+        if not 0 < self.threshold < math.inf:
+            raise ValueError("threshold must be positive and finite")
+
+    def effective_threshold(self, image_width: int, image_height: int) -> float:
+        """Threshold in this frame's pixels, rescaled when normalizing."""
+        if self.scale_mode is ScaleMode.ABSOLUTE:
+            return self.threshold
+        diagonal = math.hypot(image_width, image_height)
+        return self.threshold * diagonal / REFERENCE_DIAGONAL
 
 
 def team_post_test_score(score_a: float, score_b: float) -> float:
@@ -99,33 +139,6 @@ class TeamSession:
     @property
     def group(self) -> str:
         return CONDITION_GROUP[self.condition]
-
-
-@dataclass(frozen=True)
-class Heatmap:
-    """A grid of non-negative gaze-probability values.
-
-    Canonical size is 56x56 but any positive size is accepted. ``values``
-    is indexed [row, col].
-    """
-
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 2 or arr.size == 0:
-            raise ValueError("heatmap must be a non-empty 2-D grid")
-        if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-            raise ValueError("heatmap values must be finite and non-negative")
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
 
 
 def validate_session(session: TeamSession) -> list[str]:

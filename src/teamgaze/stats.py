@@ -5,15 +5,21 @@ probabilities.
 All variances are sample variances (n-1 denominator) throughout; the
 two-group and three-group F statistics only come out right from published
 (n, M, SD) summaries under that convention.
+
+Samples are plain floats, and every sum over a sample is ``math.fsum``,
+the correctly rounded sum. A mean is that sum over n, but a constant
+sample's mean is its value, so that its spread is exactly zero; a sum of
+squares is the fsum of the squared differences from the mean (two
+passes).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
+from operator import mul, sub
 from typing import Sequence
-
-import numpy as np
 
 __all__ = [
     "GroupSummary",
@@ -70,19 +76,33 @@ class CorrelationResult:
     intercept: float
 
 
+def _deviations(x: Sequence[float]) -> tuple[float, list]:
+    """The mean of a non-empty sample and each value's difference from it."""
+    mean = math.fsum(x) / len(x)
+    if mean != x[0] and x[0] == x[-1] and min(x) == max(x):
+        mean = float(x[0])  # a constant sample's, which the division may miss
+    return mean, list(map(sub, x, repeat(mean)))
+
+
+def _sum_of_squares(deviations: list) -> float:
+    return math.fsum(map(mul, deviations, deviations))
+
+
 def summarize(samples: Sequence[float], label: str = "") -> GroupSummary:
     """Mean and sample SD of a sequence; needs at least two values."""
-    x = np.asarray(samples, dtype=float)
-    if x.size < 2:
+    n = len(samples)
+    if n < 2:
         raise ValueError("insufficient data: need n >= 2")
-    return GroupSummary(
-        label=label, n=int(x.size), mean=float(x.mean()), sd=float(x.std(ddof=1))
-    )
+    mean, deviations = _deviations(samples)
+    sd = math.sqrt(_sum_of_squares(deviations) / (n - 1))
+    return GroupSummary(label=label, n=n, mean=mean, sd=sd)
 
 
 def _anova(ns, means, ssws, k: int) -> AnovaResult:
     n_total = int(sum(ns))
-    grand_mean = sum(n * m for n, m in zip(ns, means)) / n_total
+    grand_mean = means[0]  # exact when every group has the same mean
+    if min(means) != max(means):
+        grand_mean = sum(n * m for n, m in zip(ns, means)) / n_total
     ss_between = sum(n * (m - grand_mean) ** 2 for n, m in zip(ns, means))
     ss_within = sum(ssws)
     ss_total = ss_between + ss_within
@@ -116,13 +136,12 @@ def anova_oneway(groups: Sequence[Sequence[float]]) -> AnovaResult:
     """Fixed-effects one-way ANOVA on raw samples."""
     if len(groups) < 2:
         raise ValueError("need at least two groups")
-    arrays = [np.asarray(g, dtype=float) for g in groups]
-    if any(a.size < 2 for a in arrays):
+    if any(len(g) < 2 for g in groups):
         raise ValueError("insufficient data: every group needs n >= 2")
-    ns = [a.size for a in arrays]
-    means = [float(a.mean()) for a in arrays]
-    ssws = [float(((a - a.mean()) ** 2).sum()) for a in arrays]
-    return _anova(ns, means, ssws, len(arrays))
+    ns = [len(g) for g in groups]
+    means, deviations = zip(*map(_deviations, groups))
+    ssws = list(map(_sum_of_squares, deviations))
+    return _anova(ns, means, ssws, len(groups))
 
 
 def anova_from_summary(groups: Sequence[GroupSummary]) -> AnovaResult:
@@ -147,24 +166,21 @@ def cohens_d(a: GroupSummary, b: GroupSummary) -> float:
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     """Product-moment correlation with its least-squares line and F test."""
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    if xa.size != ya.size:
+    n = len(x)
+    if n != len(y):
         raise ValueError("x and y must have equal length")
-    n = int(xa.size)
     if n < 3:
         raise ValueError("insufficient data: need n >= 3")
-    xc = xa - xa.mean()
-    yc = ya - ya.mean()
-    sxx = float((xc**2).sum())
-    syy = float((yc**2).sum())
+    (mean_x, xc), (mean_y, yc) = _deviations(x), _deviations(y)
+    sxx = _sum_of_squares(xc)
+    syy = _sum_of_squares(yc)
     if sxx == 0 or syy == 0:
         raise ValueError("degenerate: constant variable")
-    sxy = float((xc * yc).sum())
+    sxy = math.fsum(map(mul, xc, yc))
     r = sxy / math.sqrt(sxx * syy)
     r = max(-1.0, min(1.0, r))
     slope = sxy / sxx
-    intercept = float(ya.mean()) - slope * float(xa.mean())
+    intercept = mean_y - slope * mean_x
     return replace(correlation_from_r(r, n), slope=slope, intercept=intercept)
 
 

@@ -44,8 +44,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .io_report import FRAME_COLUMNS, TEAM_COLUMNS
-from .jva import JvaConfig
-from .model import CONDITIONS, GENDERS
+from .model import CONDITIONS, GENDERS, JvaConfig
 
 __all__ = ["SynthSpec", "generate", "moment_matched_groups"]
 

@@ -27,7 +27,8 @@ from scipy import integrate
 
 from teamgaze import io_report
 from teamgaze.io_report import Report, TeamTable, _add_anova
-from teamgaze.jva import DenominatorPolicy, JvaConfig, ScaleMode, team_jva_counts
+from teamgaze.jva import team_jva_counts
+from teamgaze.model import DenominatorPolicy, JvaConfig, ScaleMode
 from teamgaze.model import CONDITIONS, GENDERS, GROUPS
 from teamgaze.stats import pearson, summarize
 
@@ -133,12 +134,10 @@ def team_table(teams) -> TeamTable:
     teams = list(teams)
     return TeamTable(
         team_ids=[t.team_id for t in teams],
-        condition=np.array([CONDITIONS.index(t.condition) for t in teams], np.int8),
-        gender=np.array([GENDERS.index(t.gender) for t in teams], np.int8),
-        jva_ratio_pct=np.array(
-            [np.nan if t.jva_ratio_pct is None else t.jva_ratio_pct for t in teams], float
-        ),
-        post_test=np.array([t.team_post_test for t in teams], float),
+        condition=[CONDITIONS.index(t.condition) for t in teams],
+        gender=[GENDERS.index(t.gender) for t in teams],
+        jva_ratio_pct=[math.nan if t.jva_ratio_pct is None else t.jva_ratio_pct for t in teams],
+        post_test=[t.team_post_test for t in teams],
     )
 
 
@@ -148,8 +147,7 @@ def teams_of(table: TeamTable) -> list:
         Team(team_id, CONDITIONS[c], GENDERS[g],
              None if ratio != ratio else ratio, post_test)
         for team_id, c, g, ratio, post_test in zip(
-            table.team_ids, table.condition.tolist(), table.gender.tolist(),
-            table.jva_ratio_pct.tolist(), table.post_test.tolist(),
+            table.team_ids, table.condition, table.gender, table.jva_ratio_pct, table.post_test
         )
     ]
 
@@ -206,12 +204,10 @@ def per_value_team_columns(teams: TeamTable, value_rule, text=str) -> list[list]
     """The cells of each team field, in teams.csv's column order: ``text``
     of each id and label, ``value_rule`` of each number (a missing ratio is
     None), one call per team."""
-    ratios = teams.jva_ratio_pct.tolist()
-    if np.isnan(teams.jva_ratio_pct).any():
-        ratios = [None if r != r else r for r in ratios]
+    ratios = [None if r != r else r for r in teams.jva_ratio_pct]
 
-    def labels(codes: np.ndarray, names: tuple) -> list:
-        return [text(names[code]) for code in codes.tolist()]
+    def labels(codes: list, names: tuple) -> list:
+        return [text(names[code]) for code in codes]
 
     decimals = io_report._DECIMALS
     return [
@@ -220,7 +216,7 @@ def per_value_team_columns(teams: TeamTable, value_rule, text=str) -> list[list]
         labels(teams.group, GROUPS),
         labels(teams.gender, GENDERS),
         [value_rule(r, decimals["jva_ratio_pct"]) for r in ratios],
-        [value_rule(p, decimals["team_post_test"]) for p in teams.post_test.tolist()],
+        [value_rule(p, decimals["team_post_test"]) for p in teams.post_test],
     ]
 
 

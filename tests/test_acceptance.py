@@ -18,8 +18,9 @@ from oracles import (
 from scipy import stats as scipy_stats
 
 from teamgaze.gazefield import decode_heatmap
-from teamgaze.io_report import analyze_table, load_teams, read_frame_table
-from teamgaze.model import Heatmap
+from teamgaze.frame_table import analyze_table, read_frame_table
+from teamgaze.io_report import load_teams
+from teamgaze.gazefield import Heatmap
 from teamgaze.stats import (
     GroupSummary,
     anova_from_summary,

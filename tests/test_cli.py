@@ -11,8 +11,8 @@ import pytest
 
 from teamgaze import io_report
 from teamgaze.cli import _COMMANDS, MAX_ROW_WARNINGS, _build_parser, main
-from teamgaze.io_report import read_frame_table
-from teamgaze.jva import DenominatorPolicy, ScaleMode
+from teamgaze.frame_table import read_frame_table
+from teamgaze.model import DenominatorPolicy, ScaleMode
 from teamgaze.synth import SynthSpec, generate
 
 
@@ -690,11 +690,60 @@ def test_analyze_and_stats_import_neither_synth_nor_gazefield(tmp_path, capsys, 
     out = fresh_python(
         LOADED_MODULES, *argv, "--format", "json", "--out", str(tmp_path / "report.json")
     )
-    assert out.split() == [
-        "0", "teamgaze", "teamgaze.cli", "teamgaze.io_report", "teamgaze.jva",
-        "teamgaze.model", "teamgaze.stats",
+    # stats reads no frame table, so it loads neither the frame reader nor the scorer.
+    stats_modules = [
+        "teamgaze", "teamgaze.cli", "teamgaze.io_report", "teamgaze.model", "teamgaze.stats"
     ]
+    modules = {
+        "analyze": sorted([*stats_modules, "teamgaze.frame_table", "teamgaze.jva"]),
+    }.get(command, stats_modules)
+    assert out.split() == ["0", *modules]
     assert json.loads((tmp_path / "report.json").read_text())["anovas"]
+
+
+# Imports teamgaze.cli and runs its arguments as a command, if any (``--help``
+# exits), then prints whether numpy is loaded on a line of its own.
+NUMPY_LOADED = """
+import sys
+import teamgaze.cli
+code = 0
+if sys.argv[1:]:
+    try:
+        code = teamgaze.cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print()
+print(code, "numpy" in sys.modules)
+"""
+
+
+@pytest.fixture(scope="module")
+def per_team_table(tmp_path_factory):
+    """A per-team results table, the teams.csv of an analyze bundle."""
+    tmp_path = tmp_path_factory.mktemp("per_team")
+    frames, teams = (tmp_path / "frames.csv", tmp_path / "teams.csv")
+    assert main(["synth", "--out-dir", str(tmp_path), "--teams", "9",
+                 "--frames-per-team", "20", "--seed", "3"]) == 0
+    assert main(["analyze", "--frames", str(frames), "--teams", str(teams),
+                 "--format", "csv-bundle", "--out", str(tmp_path / "bundle")]) == 0
+    return tmp_path / "bundle" / "teams.csv"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["--help"],
+     *(["stats", *table, "--format", fmt] for table in ([], ["--teams", "PER_TEAM"])
+       for fmt in io_report.REPORT_FORMATS)],
+    ids=lambda argv: " ".join(argv) or "import",
+)
+def test_cli_import_help_and_stats_load_no_numpy(tmp_path, per_team_table, argv):
+    argv = [str(per_team_table) if a == "PER_TEAM" else a for a in argv]
+    if argv[:1] == ["stats"]:
+        argv += ["--out", str(tmp_path / "report")]
+    out = fresh_python(NUMPY_LOADED, *argv)
+    assert out.splitlines()[-1] == "0 False"
+    if argv[:1] == ["stats"]:
+        assert (tmp_path / "report").exists()
 
 
 def test_package_exports_are_imported_on_first_use():
@@ -704,11 +753,11 @@ def test_package_exports_are_imported_on_first_use():
         "print(*sorted(m for m in sys.modules if m.startswith('teamgaze')))\n"
         "from teamgaze import SynthSpec, Heatmap, decode_heatmap, analyze_table, emit_report\n"
         "from teamgaze import Point2D, synth\n"
-        "from teamgaze import gazefield, io_report, model\n"
+        "from teamgaze import frame_table, gazefield, io_report, model\n"
         "assert SynthSpec is synth.SynthSpec and emit_report is io_report.emit_report\n"
-        "assert (Heatmap, Point2D) == (model.Heatmap, model.Point2D)\n"
+        "assert (Heatmap, Point2D) == (gazefield.Heatmap, model.Point2D)\n"
         "assert decode_heatmap is gazefield.decode_heatmap\n"
-        "assert analyze_table is io_report.analyze_table\n"
+        "assert analyze_table is frame_table.analyze_table\n"
         "try:\n"
         "    teamgaze.no_such_name\n"
         "except AttributeError as exc:\n"

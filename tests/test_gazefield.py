@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from teamgaze.gazefield import decode_heatmap, load_heatmap_text
-from teamgaze.model import Heatmap
+from teamgaze.gazefield import Heatmap
 
 
 @pytest.mark.parametrize(

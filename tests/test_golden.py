@@ -16,13 +16,12 @@ import pytest
 from oracles import Team, reference_frame_table, team_table, teams_of
 
 from teamgaze.cli import main
+from teamgaze.frame_table import analyze_table, read_frame_table
 from teamgaze.io_report import (
     Report,
-    analyze_table,
     emit_report,
     load_teams,
     paper_fixture_path,
-    read_frame_table,
     stats_report,
     stats_report_from_summaries,
     stats_report_from_table,

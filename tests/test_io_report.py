@@ -21,21 +21,20 @@ from oracles import (
     teams_of,
 )
 
-from teamgaze import io_report
+from teamgaze import frame_table, io_report
 from teamgaze.cli import main
+from teamgaze.frame_table import analyze_table, read_frame_table
 from teamgaze.io_report import (
-    analyze_table,
     emit_report,
     load_config,
     load_team_rows,
     load_teams,
     paper_fixture_path,
-    read_frame_table,
     stats_report,
     stats_report_from_summaries,
     stats_report_from_table,
 )
-from teamgaze.jva import DenominatorPolicy, JvaConfig, ScaleMode
+from teamgaze.model import DenominatorPolicy, JvaConfig, ScaleMode
 
 FRAME_HEADER = (
     "team_id,frame_id,timestamp_s,image_w,image_h,person_id,"
@@ -375,7 +374,7 @@ def test_analyze_report_correlation_present_with_enough_teams(tmp_path):
     report = stats_report(team_table(rows))
     assert report.correlation is not None
     assert report.correlation.r == pytest.approx(1.0)
-    assert int(report.teams.has_ratio.sum()) == 8
+    assert sum(report.teams.has_ratio) == 8
 
 
 def test_config_precedence(tmp_path, monkeypatch):
@@ -486,6 +485,8 @@ TEAM_ROWS_HEADER = "team_id,condition,group,gender,jva_ratio_pct,team_post_test\
         ("t1,ar,,FF,-5,2", "line 3: jva_ratio_pct '-5' out of [0,100]"),
         ("t1,ar,,FF,100.5,2", "line 3: jva_ratio_pct '100.5' out of [0,100]"),
         ("t1,ar,,FF,nan,2", "line 3: jva_ratio_pct 'nan' out of [0,100]"),
+        # NaN after an in-range value: min and max pass over it.
+        ("t1,ar,,FF,30,nan", "line 3: team_post_test 'nan' out of [0,5]"),
         ("t1,ar,,FF,30,x", "line 3: column 'team_post_test' not numeric"),
         ("t1,ar,,FF", "line 3: column 'team_post_test' not numeric: ''"),
         # A repeated team used to be counted twice.
@@ -1031,7 +1032,7 @@ def drain(chunks) -> tuple:
         header = next(chunks)
         for lines, cells, short in chunks:
             assert short == any(None in values for values in cells.values())
-            for i, line in enumerate(lines.tolist()):
+            for i, line in enumerate(lines):
                 rows.append((line, {
                     name: values[i].decode() if isinstance(values[i], bytes) else values[i]
                     for name, values in cells.items()
@@ -1047,7 +1048,7 @@ def outcome(load, path) -> tuple:
         result = load(path)
     except ValueError as exc:
         return "error", str(exc)
-    if isinstance(result, (io_report.FrameTable, io_report.TeamTable)):
+    if isinstance(result, (frame_table.FrameTable, io_report.TeamTable)):
         return "ok", repr([
             value.tolist() if hasattr(value, "tolist") else value
             for value in vars(result).values()

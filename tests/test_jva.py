@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_jva_count, reference_frame_table, team_jva_counts_of
-from teamgaze.jva import DenominatorPolicy, JvaConfig, ScaleMode
+from teamgaze.model import DenominatorPolicy, JvaConfig, ScaleMode
 
 
 def pair_rows(frame, a, b, w=2560, h=1440, discarded=False):

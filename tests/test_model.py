@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from teamgaze.gazefield import load_heatmap_text
-from teamgaze.io_report import load_config, read_frame_table
+from teamgaze.frame_table import read_frame_table
+from teamgaze.io_report import load_config
 from teamgaze.model import (
     CONDITION_GROUP,
     CONDITIONS,

@@ -35,20 +35,23 @@ from oracles import (
 
 from teamgaze import io_report, jva, model
 from teamgaze.cli import main
+from teamgaze.frame_table import read_frame_table
 from teamgaze.io_report import (
     TeamRow,
     build_sessions,
     load_frames,
-    read_frame_table,
     stats_report_from_team_rows,
 )
-from teamgaze.jva import DenominatorPolicy, JvaConfig, ScaleMode, classify_frame, session_jva
+from teamgaze.jva import classify_frame, session_jva
 from teamgaze.model import (
     CONDITION_GROUP,
     CONDITIONS,
+    DenominatorPolicy,
     FrameRecord,
     GazeObservation,
+    JvaConfig,
     Point2D,
+    ScaleMode,
     TeamSession,
     validate_session,
 )
@@ -239,6 +242,17 @@ def test_stats_report_of_team_rows_is_that_of_their_table():
     assert io_report.emit_report(stats_report_from_team_rows(rows), "json") == (
         io_report.emit_report(io_report.stats_report(teams), "json")
     )
+
+
+@pytest.mark.parametrize(
+    "condition, group", [("textbook", "experiment"), ("ar", "control"), ("tablet", "")]
+)
+def test_a_team_row_whose_group_is_not_its_conditions_is_an_error(condition, group):
+    rows = [TeamRow("t1", "ar", "experiment", "FF", 40.0, 2.0),
+            TeamRow("t2", condition, group, "MM", None, 3.0)]
+    message = f"team 't2': group {group!r} is not the group of condition {condition!r}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        stats_report_from_team_rows(rows)
 
 
 # Each constructor and scorer of the per-frame path, where a command could

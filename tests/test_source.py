@@ -7,11 +7,15 @@ package is read by the package or ``perfbench/``, but for a listed few; the
 package reads no file in text mode, so that ``model.input_text`` stays the
 one way from an input file's bytes to text; the CLI names no report format
 itself, and synth keeps its truth only in ``ground_truth.json``; no module
-of the package but ``model`` spells a condition, gender or group label; and
-no line of the package or the tests is longer than 98 characters.
+of the package but ``model`` spells a condition, gender or group label; the
+modules ``teamgaze stats`` loads import neither numpy nor a module off that
+path at their top level, and the frame reader is imported only inside the
+functions that read a frame table; and no line of the package or the tests
+is longer than 98 characters.
 """
 
 import ast
+import fnmatch
 from pathlib import Path
 
 import pytest
@@ -424,6 +428,106 @@ def test_the_text_read_check_names_each_text_mode_read():
     )
     assert _text_reads(tree) == [
         "line 1: open", "line 4: open", "line 5: read_text", "line 7: open", "line 9: open"
+    ]
+
+
+# The modules ``teamgaze stats`` and ``teamgaze --help`` load, none of
+# which may import numpy; and the functions that may import the frame
+# reader, which does: the CLI's commands, and io_report's per-frame path.
+STATS_PATH = {"__init__", "cli", "io_report", "model", "stats"}
+FRAME_MODULE = "frame_table"
+FRAME_READERS = {("cli", "_cmd_*"), *(("io_report", name) for name in PER_FRAME_PATH)}
+
+
+def _imported_modules(node) -> list[str]:
+    """The modules an import statement names: ``numpy`` for ``import
+    numpy.linalg``, and a package module by its bare name (``.jva``,
+    ``from . import jva`` and ``teamgaze.jva`` are all ``jva``)."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif node.level and not node.module:  # from . import m
+        names = [alias.name for alias in node.names]
+    elif node.level:
+        names = [node.module]
+    elif node.module == "teamgaze":
+        names = [f"teamgaze.{alias.name}" for alias in node.names]
+    else:
+        names = [node.module]
+    return [
+        name.split(".")[1] if name.startswith("teamgaze.") else name.split(".")[0]
+        for name in names
+    ]
+
+
+def _stats_path_imports(module: str, tree: ast.Module) -> list[str]:
+    """``line N: name`` of each module imported at the top level (outside
+    any function or class) by a module on ``STATS_PATH`` that is numpy or a
+    package module off that path."""
+    package = {p.stem for p in PACKAGE}
+    found, todo = [], list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [
+                (node.lineno, name) for name in _imported_modules(node)
+                if name == "numpy" or name in package - STATS_PATH
+            ]
+        todo.extend(ast.iter_child_nodes(node))
+    if module not in STATS_PATH:
+        return []
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def _frame_module_imports(module: str, tree: ast.Module) -> list[str]:
+    """``line N: where`` of each import of ``FRAME_MODULE`` that is not in
+    one of ``FRAME_READERS``' functions, ``where`` its function or
+    ``<module>``."""
+    found = []
+
+    def visit(node, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            allowed = any(
+                module == m and fnmatch.fnmatchcase(function, f) for m, f in FRAME_READERS
+            )
+            if FRAME_MODULE in _imported_modules(node) and not allowed:
+                found.append(f"line {node.lineno}: {function}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_stats_path_loads_no_numpy(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert _stats_path_imports(path.stem, tree) == []
+    assert _frame_module_imports(path.stem, tree) == []
+
+
+def test_the_stats_path_checks_name_each_planted_import():
+    tree = ast.parse(
+        "import numpy.linalg\nfrom . import stats, jva\nfrom .synth import SynthSpec\n"
+        "if True:\n    from numpy import nan\ntry:\n    import teamgaze.gazefield\n"
+        "except ImportError:\n    pass\nfrom .frame_table import read_frame_table\n"
+        "def load_frames():\n    from . import frame_table\n"
+        "def _cmd_analyze():\n    import numpy\n    from .frame_table import analyze_table\n"
+        "class Lazy:\n    def reader(self):\n        import teamgaze.frame_table\n"
+    )
+    assert _stats_path_imports("cli", tree) == [
+        "line 1: numpy", "line 2: jva", "line 3: synth", "line 5: numpy", "line 7: gazefield",
+        "line 10: frame_table",
+    ]
+    assert _stats_path_imports("synth", tree) == []
+    assert _frame_module_imports("cli", tree) == [
+        "line 10: <module>", "line 12: load_frames", "line 18: reader",
+    ]
+    assert _frame_module_imports("io_report", tree) == [
+        "line 10: <module>", "line 15: _cmd_analyze", "line 18: reader",
     ]
 
 

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -355,3 +356,133 @@ def test_grand_mean_reconstruction_of_totals():
     gender_post_total = sum(g.n * g.mean for g in GENDER_POST) / 30
     assert gender_jva_total == pytest.approx(40.80, abs=0.005)
     assert gender_post_total == pytest.approx(1.95, abs=0.005)
+
+
+# --- the plain-float battery against numpy's float64 ---------------------
+#
+# The battery sums with math.fsum over plain floats; numpy sums pairwise,
+# 8 values to a lane and in runs of up to 128. The two may differ in the
+# last bit of a sum, so each statistic is compared within 1e-12 of its own
+# scale: the sample's largest magnitude for a mean or an SD, that squared
+# times n for a sum of squares, 1 for r. F, p and eta^2 are compared where
+# the sums of squares they divide are not themselves at the level of
+# rounding.
+
+TOLERANCE = 1e-12
+
+
+@st.composite
+def samples(draw, min_size=2):
+    """n from 2 to 400, which crosses numpy's 8-lane and 128-value runs;
+    magnitudes from 1e-6 to 1e6. The values come from a pool of 1 to n of
+    them (1: a constant sample), or lie a few units in the last place
+    apart (a near-constant one). A seeded generator fills the pool:
+    drawing 400 floats one by one is slow."""
+    n = draw(st.integers(min_size, 400))
+    low, high = sorted(draw(st.tuples(st.integers(-6, 6), st.integers(-6, 6))))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def value():
+        return 10.0 ** rng.randint(low, high) * rng.uniform(1.0, 10.0)
+
+    if draw(st.booleans()):
+        base = value()
+        return [base * (1 + rng.randint(0, 3) * 2.0**-52) for _ in range(n)]
+    pool = [value() for _ in range(draw(st.integers(1, n)))]
+    return [rng.choice(pool) for _ in range(n)]
+
+
+def numpy_summary(x) -> tuple:
+    a = np.asarray(x, dtype=float)
+    return float(a.mean()), float(a.std(ddof=1))
+
+
+def numpy_sums_of_squares(groups) -> tuple:
+    arrays = [np.asarray(g, dtype=float) for g in groups]
+    ns = np.array([a.size for a in arrays])
+    means = np.array([a.mean() for a in arrays])
+    grand_mean = (ns * means).sum() / ns.sum()
+    ss_between = float((ns * (means - grand_mean) ** 2).sum())
+    ss_within = float(sum(((a - a.mean()) ** 2).sum() for a in arrays))
+    return ss_between, ss_within
+
+
+def numpy_pearson_sums(x, y) -> tuple:
+    """The means of x and y, and the sums of squares and products."""
+    xa, ya = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    xc, yc = xa - xa.mean(), ya - ya.mean()
+    sums = ((xc**2).sum(), (yc**2).sum(), (xc * yc).sum())
+    return (float(xa.mean()), float(ya.mean()), *map(float, sums))
+
+
+def scale(*samples) -> float:
+    return max(max(map(abs, s)) for s in samples)
+
+
+def close(value: float, reference: float, size: float) -> bool:
+    return abs(value - reference) <= TOLERANCE * size
+
+
+def constant(x) -> bool:
+    return min(x) == max(x)
+
+
+@given(samples())
+@settings(max_examples=300, deadline=None)
+def test_summarize_matches_numpy(x):
+    summary, (mean, sd) = summarize(x), numpy_summary(x)
+    assert close(summary.mean, mean, scale(x)) and close(summary.sd, sd, scale(x))
+    assert (summary.sd == 0) == constant(x)
+
+
+@given(st.lists(samples(), min_size=2, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_anova_oneway_matches_numpy(groups):
+    if constant([v for g in groups for v in g]):
+        with pytest.raises(ValueError, match="^degenerate: zero total variance$"):
+            anova_oneway(groups)
+        return
+    ss_between, ss_within = numpy_sums_of_squares(groups)
+    result = anova_oneway(groups)
+    k, n = len(groups), sum(map(len, groups))
+    size = n * scale(*groups) ** 2
+    assert close(result.ss_between, ss_between, size)
+    assert close(result.ss_within, ss_within, size)
+    assert (result.ss_within == 0) == all(map(constant, groups))
+    if min(ss_between, ss_within) > 1e-6 * size:
+        f = (ss_between / (k - 1)) / (ss_within / (n - k))
+        assert result.f == pytest.approx(f, rel=TOLERANCE)
+        assert result.p == pytest.approx(f_tail_p(f, k - 1, n - k), rel=1e-9)
+        assert close(result.eta_squared, ss_between / (ss_between + ss_within), 1.0)
+
+
+@given(samples(min_size=3).flatmap(lambda x: st.tuples(st.just(x), samples(len(x)))))
+@settings(max_examples=300, deadline=None)
+def test_pearson_matches_numpy(xy):
+    x, y = xy[0], xy[1][: len(xy[0])]
+    if constant(x) or constant(y):
+        with pytest.raises(ValueError, match="^degenerate: constant variable$"):
+            pearson(x, y)
+        return
+    result = pearson(x, y)  # a near-constant variable is not degenerate
+    mean_x, mean_y, sxx, syy, sxy = numpy_pearson_sums(x, y)
+    if sxx > 1e-6 * len(x) * scale(x) ** 2 and syy > 1e-6 * len(y) * scale(y) ** 2:
+        slope = sxy / sxx
+        assert close(result.r, sxy / math.sqrt(sxx * syy), 1.0)
+        # The slope's scale: the sums' scales carried through sxy / sxx.
+        slope_size = len(x) * scale(x) * (scale(y) + abs(slope) * scale(x)) / sxx
+        assert close(result.slope, slope, slope_size)
+        intercept_size = scale(y) + (slope_size + abs(slope)) * scale(x)
+        assert close(result.intercept, mean_y - slope * mean_x, intercept_size)
+
+
+def test_a_constant_sample_has_its_value_as_mean_and_no_spread():
+    """numpy's mean of a constant sample may miss its value in the last bit
+    (0.1 three times gives 0.10000000000000002), and its spread then reads
+    as not zero; the battery's does not."""
+    for value, n in ((0.1, 3), (0.1, 10), (1e6 / 3, 10), (3.3, 300), (-0.0, 9)):
+        assert (summarize([value] * n).mean, summarize([value] * n).sd) == (value, 0.0)
+        with pytest.raises(ValueError, match="^degenerate: zero total variance$"):
+            anova_oneway([[value] * n, [value] * 2])
+        with pytest.raises(ValueError, match="^degenerate: constant variable$"):
+            pearson([value] * n, list(range(n)))

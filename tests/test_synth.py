@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from oracles import reference_synth, teams_of
 
 from teamgaze import synth
-from teamgaze.io_report import analyze_table, load_teams, read_frame_table
-from teamgaze.jva import JvaConfig, team_jva_counts
+from teamgaze.frame_table import analyze_table, read_frame_table
+from teamgaze.io_report import load_teams
+from teamgaze.jva import team_jva_counts
+from teamgaze.model import JvaConfig
 from teamgaze.synth import SynthSpec, generate, moment_matched_groups
 
 
@@ -26,19 +28,19 @@ def run_pipeline(tmp_path, spec):
 def test_probability_one_gives_full_jva(tmp_path):
     spec = SynthSpec(teams=3, frames_per_team=40, jva_probability=1.0, seed=1)
     report, _ = run_pipeline(tmp_path, spec)
-    assert report.teams.jva_ratio_pct.tolist() == pytest.approx([100.0] * 3)
+    assert report.teams.jva_ratio_pct == pytest.approx([100.0] * 3)
 
 
 def test_probability_zero_gives_no_jva(tmp_path):
     spec = SynthSpec(teams=3, frames_per_team=40, jva_probability=0.0, seed=1)
     report, _ = run_pipeline(tmp_path, spec)
-    assert report.teams.jva_ratio_pct.tolist() == pytest.approx([0.0] * 3)
+    assert report.teams.jva_ratio_pct == pytest.approx([0.0] * 3)
 
 
 def test_zero_noise_recovers_ground_truth_exactly(tmp_path):
     spec = SynthSpec(teams=6, frames_per_team=155, jva_probability=0.4, seed=9)
     report, truth = run_pipeline(tmp_path, spec)
-    for team_id, ratio in zip(report.teams.team_ids, report.teams.jva_ratio_pct.tolist()):
+    for team_id, ratio in zip(report.teams.team_ids, report.teams.jva_ratio_pct):
         assert ratio == pytest.approx(
             100.0 * truth["team_ratios"][team_id], abs=1e-12
         )
@@ -107,7 +109,7 @@ def test_noise_with_separation_margin_keeps_labels(tmp_path):
         gaze_noise_sigma=20.0,
     )
     report, truth = run_pipeline(tmp_path, spec)
-    for team_id, ratio in zip(report.teams.team_ids, report.teams.jva_ratio_pct.tolist()):
+    for team_id, ratio in zip(report.teams.team_ids, report.teams.jva_ratio_pct):
         assert ratio == pytest.approx(
             100.0 * truth["team_ratios"][team_id], abs=2.0
         )

@@ -14,7 +14,6 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -126,6 +125,7 @@ def test_a_table_sorted_by_id_is_its_own_sorted_table():
 
 
 def test_team_cells_keep_negative_zero_and_missing_apart(tmp_path):
+    # 0.125 prints as 0.12 and the next float up as 0.13.
     path = tmp_path / "teams.csv"
     path.write_text(
         "team_id,condition,group,gender,jva_ratio_pct,team_post_test\n"
@@ -134,15 +134,19 @@ def test_team_cells_keep_negative_zero_and_missing_apart(tmp_path):
         "t3,ar,,MX,12.345,0\n"
         "t4,tablet,,MM,-0,-0\n"
         "t5,ar,,MX,0,2.5\n"
+        "t6,ar,,MX,0.125,0.12500000000000003\n"
+        "t7,ar,,MX,0.12500000000000003,0.125\n"
     )
     out = rendered(Report(teams=load_team_rows(path)))
 
     report = json.loads(out["json"], parse_float=str)
     assert [(t["jva_ratio_pct"], t["team_post_test"]) for t in report["teams"]] == [
         ("12.35", "-0.0"), (None, "0.0"), ("12.35", "0.0"), ("-0.0", "-0.0"), ("0.0", "2.5"),
+        ("0.12", "0.13"), ("0.13", "0.12"),
     ]
     assert report["scatter"] == [
         ["12.35", "-0.0"], ["12.35", "0.0"], ["-0.0", "-0.0"], ["0.0", "2.5"],
+        ["0.12", "0.13"], ["0.13", "0.12"],
     ]
     assert out["text"].splitlines() == [
         "Per-team results",
@@ -152,6 +156,8 @@ def test_team_cells_keep_negative_zero_and_missing_apart(tmp_path):
         "t3        ar          experiment  MX               12.35       0.00",
         "t4        tablet      experiment  MM               -0.00      -0.00",
         "t5        ar          experiment  MX                0.00       2.50",
+        "t6        ar          experiment  MX                0.12       0.13",
+        "t7        ar          experiment  MX                0.13       0.12",
     ]
     assert out["teams.csv"] == (
         b"team_id,condition,group,gender,jva_ratio_pct,team_post_test\r\n"
@@ -160,29 +166,33 @@ def test_team_cells_keep_negative_zero_and_missing_apart(tmp_path):
         b"t3,ar,experiment,MX,12.35,0.00\r\n"
         b"t4,tablet,experiment,MM,-0.00,-0.00\r\n"
         b"t5,ar,experiment,MX,0.00,2.50\r\n"
+        b"t6,ar,experiment,MX,0.12,0.13\r\n"
+        b"t7,ar,experiment,MX,0.13,0.12\r\n"
     )
 
 
 # Values that tie after rounding (12.345, 12.355), differ only in sign
-# (0.0, -0.0, and two NaNs), or are not finite; drawn with repeats.
-POOLED_VALUES = st.sampled_from(
-    [0.0, -0.0, math.nan, -math.nan, 12.345, 12.355, 100 / 3, 2.5, math.inf]
-)
+# (0.0, -0.0, and two NaNs) or in the last bit (0.125 and the next float,
+# which round apart), or are not finite; drawn with repeats.
+POOLED_VALUES = st.sampled_from([
+    0.0, -0.0, math.nan, -math.nan, 12.345, 12.355, 100 / 3, 2.5, math.inf,
+    0.125, math.nextafter(0.125, 1.0),
+])
 
 
 @st.composite
 def pooled_team_tables(draw):
     n = draw(st.integers(0, 12))
 
-    def column(elements, dtype):
-        return np.array(draw(st.lists(elements, min_size=n, max_size=n)), dtype)
+    def column(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
 
     return TeamTable(
-        team_ids=draw(st.lists(TEAM_IDS, min_size=n, max_size=n)),
-        condition=column(st.integers(0, len(CONDITIONS) - 1), np.int8),
-        gender=column(st.integers(0, len(GENDERS) - 1), np.int8),
-        jva_ratio_pct=column(POOLED_VALUES, float),
-        post_test=column(POOLED_VALUES, float),
+        team_ids=column(TEAM_IDS),
+        condition=column(st.integers(0, len(CONDITIONS) - 1)),
+        gender=column(st.integers(0, len(GENDERS) - 1)),
+        jva_ratio_pct=column(POOLED_VALUES),
+        post_test=column(POOLED_VALUES),
     )
 
 
