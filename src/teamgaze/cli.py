@@ -16,6 +16,7 @@ import argparse
 import csv
 import dataclasses
 import math
+import os
 import sys
 
 from . import io_report
@@ -84,12 +85,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_jva_flags(parser: argparse.ArgumentParser) -> None:
-    for key, parse in io_report.CONFIG_KEYS.items():
-        flag = "--" + key.replace("_", "-")
-        if parse is float:
-            parser.add_argument(flag, type=_positive_float)
-        else:
-            parser.add_argument(flag, choices=[m.value for m in parse])
+    for key, allowed in io_report.CONFIG_KEYS.items():
+        values = {"type": _positive_float} if allowed is float else {"choices": allowed}
+        parser.add_argument("--" + key.replace("_", "-"), **values)
     parser.add_argument(
         "--config",
         help=f"key=value config file (also via ${io_report.CONFIG_ENV_VAR})",
@@ -104,9 +102,9 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _jva_config(args):
-    config_path = args.config or io_report.config_path_from_env()
+    path = args.config or os.environ.get(io_report.CONFIG_ENV_VAR) or None
     overrides = {key: getattr(args, key) for key in io_report.CONFIG_KEYS}
-    return io_report.load_config(config_path, **overrides)
+    return io_report.load_config(path, **overrides)
 
 
 def _emit(report, args) -> None:

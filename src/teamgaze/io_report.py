@@ -47,7 +47,6 @@ import csv
 import json
 import math
 import operator
-import os
 from array import array
 from dataclasses import asdict, dataclass, field
 from functools import wraps
@@ -60,14 +59,14 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 from .model import (
     CONDITION_GROUP,
     CONDITIONS,
+    DENOMINATOR_POLICIES,
     GENDERS,
     GROUPS,
-    DenominatorPolicy,
+    SCALE_MODES,
     FrameRecord,
     GazeObservation,
     JvaConfig,
     Point2D,
-    ScaleMode,
     TeamSession,
     input_text,
     team_post_test_score,
@@ -100,7 +99,6 @@ __all__ = [
     "emit_report",
     "check_report_out",
     "load_config",
-    "config_path_from_env",
     "paper_fixture_path",
     "CONFIG_ENV_VAR",
     "CONFIG_KEYS",
@@ -1229,18 +1227,13 @@ def emit_report(
 
 # --- configuration ---------------------------------------------------------
 
-# Parser of each config key's value: float or the enum of allowed tokens.
-# The CLI's JVA flags are built from it.
+# Each config key and its values: float, or the tuple of its labels. The
+# CLI's JVA flags are built from it.
 CONFIG_KEYS = {
     "threshold": float,
-    "scale_mode": ScaleMode,
-    "denominator_policy": DenominatorPolicy,
+    "scale_mode": SCALE_MODES,
+    "denominator_policy": DENOMINATOR_POLICIES,
 }
-
-
-def config_path_from_env() -> Optional[Path]:
-    raw = os.environ.get(CONFIG_ENV_VAR)
-    return Path(raw) if raw else None
 
 
 def load_config(path: Optional[Union[str, Path]] = None, **overrides) -> JvaConfig:
@@ -1248,8 +1241,8 @@ def load_config(path: Optional[Union[str, Path]] = None, **overrides) -> JvaConf
 
     The file is text as ``model.input_text`` reads it, key=value lines;
     '#' starts a comment. Keys: those of ``CONFIG_KEYS``. An override is
-    a key's value as a flag gives it (a number, or an enum value's text) or
-    an enum member; None leaves the key as the file or default has it.
+    a key's value as its flag gives it (a number or a label); None leaves
+    the key as the file or default has it.
     """
     values: dict = {}
     first_line: dict = {}
@@ -1264,8 +1257,8 @@ def load_config(path: Optional[Union[str, Path]] = None, **overrides) -> JvaConf
             if "=" not in line:
                 raise ValueError(f"{path}:{line_no}: expected key=value")
             key, value = (part.strip() for part in line.split("=", 1))
-            parse = CONFIG_KEYS.get(key)
-            if parse is None:
+            allowed = CONFIG_KEYS.get(key)
+            if allowed is None:
                 raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
             if key in first_line:
                 raise ValueError(
@@ -1273,18 +1266,12 @@ def load_config(path: Optional[Union[str, Path]] = None, **overrides) -> JvaConf
                 )
             first_line[key] = line_no
             try:
-                values[key] = parse(value)
-                JvaConfig(**{key: values[key]})  # range check of this one value
+                values[key] = float(value) if allowed is float else value
+                JvaConfig(**{key: values[key]})  # the check of this one value
             except ValueError:
-                allowed = (
-                    "a positive finite number"
-                    if parse is float
-                    else " | ".join(m.value for m in parse)
-                )
+                expected = "a positive finite number" if allowed is float else " | ".join(allowed)
                 raise ValueError(
-                    f"{path}:{line_no}: bad {key} {value!r}, expected {allowed}"
+                    f"{path}:{line_no}: bad {key} {value!r}, expected {expected}"
                 ) from None
-    for key, value in overrides.items():
-        if value is not None:
-            values[key] = CONFIG_KEYS[key](value) if key in CONFIG_KEYS else value
+    values.update((key, value) for key, value in overrides.items() if value is not None)
     return JvaConfig(**values)

@@ -2,7 +2,9 @@
 
 A frame exhibits JVA when the Euclidean distance between the two persons'
 gaze points is strictly smaller than the threshold (100 px by default, at
-the reference 2560x1440 capture resolution).
+the reference 2560x1440 capture resolution). ``model.JvaConfig`` states
+what its settings mean (``effective_threshold``, ``needs_valid_pair``);
+nothing here reads their labels.
 
 Every command scores with ``team_jva_counts``, the one statement of that
 rule. ``classify_frame`` and ``session_jva`` hand it the per-frame path's
@@ -18,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import DenominatorPolicy, FrameRecord, JvaConfig, TeamSession
+from .model import FrameRecord, JvaConfig, TeamSession
 
 __all__ = [
     "JvaFrameResult",
@@ -112,10 +114,7 @@ def team_jva_counts(
     per-frame reference in ``tests/oracles.py`` decides it.
     """
     valid_pair = np.diff(row_offsets) == 2
-    if config.denominator_policy is DenominatorPolicy.VALID_PAIR_FRAMES:
-        counted = valid_pair & ~discarded
-    else:
-        counted = ~discarded
+    counted = (valid_pair & ~discarded) if config.needs_valid_pair else ~discarded
     scored = np.flatnonzero(valid_pair & ~discarded)
     # Frames come in runs of one size: the distinct (width, height) pairs
     # are those of the runs' heads, as complex numbers (np.unique sorts

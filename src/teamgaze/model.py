@@ -1,9 +1,10 @@
 """Domain types shared across the pipeline: the study's labels, each tuple
 in the order of the codes a ``TeamTable`` holds, and the rule that makes a
-condition control or experimental (``CONDITION_GROUP``); the JVA scoring
-settings (``JvaConfig``), which every command's parser reads; and the one
-rule that turns an input file's bytes into text (``input_text``). Nothing
-here needs numpy, so ``teamgaze stats`` runs without it.
+condition control or experimental (``CONDITION_GROUP``); the labels of the
+JVA settings, as tuples with the default first, and ``JvaConfig``, which
+holds them, rejects any other value and states what each one means; and
+the one rule that turns an input file's bytes into text (``input_text``).
+Nothing here needs numpy, so ``teamgaze stats`` runs without it.
 
 Every type here is an immutable value object. The gaze observation, frame
 and session types, with ``validate_session``, belong to the per-frame
@@ -17,7 +18,6 @@ from __future__ import annotations
 import codecs
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 __all__ = [
@@ -29,8 +29,8 @@ __all__ = [
     "GROUPS",
     "CONDITION_GROUP",
     "TeamSession",
-    "ScaleMode",
-    "DenominatorPolicy",
+    "SCALE_MODES",
+    "DENOMINATOR_POLICIES",
     "JvaConfig",
     "REFERENCE_DIAGONAL",
     "team_post_test_score",
@@ -69,35 +69,46 @@ CONDITION_GROUP = {"textbook": "control", "tablet": "experiment", "ar": "experim
 REFERENCE_DIAGONAL = math.hypot(2560.0, 1440.0)
 
 
-class ScaleMode(Enum):
-    ABSOLUTE = "absolute"
-    DIAGONAL_NORMALIZED = "diagonal-normalized"
+# The threshold's scale modes, default first: "absolute" takes it in each
+# frame's own pixels; under "diagonal-normalized" it holds at the reference
+# resolution and scales with each frame's diagonal.
+SCALE_MODES = ("absolute", "diagonal-normalized")
 
-
-class DenominatorPolicy(Enum):
-    # Frames with exactly two valid observations (default: defective frames
-    # were removed upstream, so they cannot count against JVA).
-    VALID_PAIR_FRAMES = "valid-pair-frames"
-    # Every non-discarded frame counts; for sensitivity analysis.
-    ALL_CAPTURED_FRAMES = "all-captured-frames"
+# The denominator policies, default first: "valid-pair-frames" counts the
+# frames with exactly two valid observations (defective frames were removed
+# upstream, so they cannot count against JVA); "all-captured-frames" counts
+# every frame not discarded, for sensitivity analysis.
+DENOMINATOR_POLICIES = ("valid-pair-frames", "all-captured-frames")
 
 
 @dataclass(frozen=True)
 class JvaConfig:
+    """The JVA settings: a threshold in pixels, a label of ``SCALE_MODES``
+    and one of ``DENOMINATOR_POLICIES``."""
+
     threshold: float = 100.0
-    scale_mode: ScaleMode = ScaleMode.ABSOLUTE
-    denominator_policy: DenominatorPolicy = DenominatorPolicy.VALID_PAIR_FRAMES
+    scale_mode: str = SCALE_MODES[0]
+    denominator_policy: str = DENOMINATOR_POLICIES[0]
 
     def __post_init__(self) -> None:
         if not 0 < self.threshold < math.inf:
             raise ValueError("threshold must be positive and finite")
+        for key, labels in [("scale_mode", SCALE_MODES),
+                            ("denominator_policy", DENOMINATOR_POLICIES)]:
+            if (value := getattr(self, key)) not in labels:
+                raise ValueError(f"{key} must be {' | '.join(labels)}: {value!r}")
 
     def effective_threshold(self, image_width: int, image_height: int) -> float:
         """Threshold in this frame's pixels, rescaled when normalizing."""
-        if self.scale_mode is ScaleMode.ABSOLUTE:
+        if self.scale_mode == "absolute":
             return self.threshold
         diagonal = math.hypot(image_width, image_height)
         return self.threshold * diagonal / REFERENCE_DIAGONAL
+
+    @property
+    def needs_valid_pair(self) -> bool:
+        """Whether only the frames that hold a valid pair count in a ratio's denominator."""
+        return self.denominator_policy == "valid-pair-frames"
 
 
 def team_post_test_score(score_a: float, score_b: float) -> float:

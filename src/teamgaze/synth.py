@@ -96,8 +96,9 @@ class SynthSpec:
     condition's, and every team must be covered; a probability may be text
     that ``float`` reads. Each image side must be at least
     ``2 * SEPARATION_FACTOR`` times the default JVA threshold in pixels, so
-    that a non-JVA partner point fits inside the image. The seed is a
-    non-negative integer. Every check runs here, before any file is written.
+    that a non-JVA partner point fits inside the image. The counts and
+    sides are positive ints, the seed a non-negative one. Every check runs
+    here, before any file is written.
     """
 
     teams: int = 30
@@ -112,7 +113,9 @@ class SynthSpec:
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer: {self.seed!r}")
         for name in ("teams", "frames_per_team", "image_w", "image_h"):
-            if (value := getattr(self, name)) <= 0:
+            if not isinstance(value := getattr(self, name), int):
+                raise ValueError(f"{name} must be an integer: {value!r}")
+            if value <= 0:
                 raise ValueError(f"{name} must be positive: {value!r}")
         if not math.isfinite(self.gaze_noise_sigma):
             raise ValueError(f"gaze_noise_sigma must be finite: {self.gaze_noise_sigma!r}")

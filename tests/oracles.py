@@ -28,8 +28,7 @@ from scipy import integrate
 from teamgaze import io_report
 from teamgaze.io_report import Report, TeamTable, _add_anova
 from teamgaze.jva import team_jva_counts
-from teamgaze.model import DenominatorPolicy, JvaConfig, ScaleMode
-from teamgaze.model import CONDITIONS, GENDERS, GROUPS
+from teamgaze.model import CONDITIONS, GENDERS, GROUPS, JvaConfig
 from teamgaze.stats import pearson, summarize
 
 
@@ -98,7 +97,7 @@ def team_jva_counts_of(
     """``jva.team_jva_counts``'s ``(jva, denominator)`` by team id for the
     frames of ``reference_frame_table``'s dict, with
     ``brute_force_jva_count``'s arguments."""
-    config = JvaConfig(threshold, ScaleMode(scale), DenominatorPolicy(policy))
+    config = JvaConfig(threshold, scale, policy)
     jva, denominator = team_jva_counts(
         np.array(table["frame_team"], np.intp),
         len(table["team_ids"]),

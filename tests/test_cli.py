@@ -12,7 +12,7 @@ import pytest
 from teamgaze import io_report
 from teamgaze.cli import _COMMANDS, MAX_ROW_WARNINGS, _build_parser, main
 from teamgaze.frame_table import read_frame_table
-from teamgaze.model import DenominatorPolicy, ScaleMode
+from teamgaze.model import DENOMINATOR_POLICIES, SCALE_MODES
 from teamgaze.synth import SynthSpec, generate
 
 
@@ -95,11 +95,12 @@ def test_analyze_negative_threshold_is_usage_error(tmp_path, capsys):
     assert exc.value.code == 2
 
 
-def test_analyze_jva_flag_choices_are_the_enum_values():
+def test_analyze_jva_flag_choices_are_the_label_tuples():
     commands = next(a for a in _build_parser()._actions if a.dest == "command")
     choices = {a.dest: a.choices for a in commands.choices["analyze"]._actions}
-    assert choices["scale_mode"] == [m.value for m in ScaleMode]
-    assert choices["denominator_policy"] == [p.value for p in DenominatorPolicy]
+    assert choices["scale_mode"] == SCALE_MODES == ("absolute", "diagonal-normalized")
+    assert choices["denominator_policy"] == DENOMINATOR_POLICIES
+    assert DENOMINATOR_POLICIES == ("valid-pair-frames", "all-captured-frames")
 
 
 @pytest.mark.parametrize("command", ["analyze", "stats"])
@@ -640,16 +641,22 @@ def test_config_duplicate_key_is_data_error(tmp_path, capsys):
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def fresh_python(code: str, *argv: str, stdin: str = "") -> str:
-    """Standard output of ``code`` run with ``argv`` in a new interpreter
-    that imports teamgaze from the source tree, with ``stdin`` piped in."""
+def source_env() -> dict:
+    """The environment of a new interpreter that imports teamgaze from the
+    source tree."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def fresh_python(code: str, *argv: str, stdin: str = "") -> str:
+    """Standard output of ``code`` run with ``argv`` in a new interpreter
+    that imports teamgaze from the source tree, with ``stdin`` piped in."""
     result = subprocess.run(
         [sys.executable, "-c", code, *argv],
-        env=env, capture_output=True, text=True, timeout=120, input=stdin,
+        env=source_env(), capture_output=True, text=True, timeout=120, input=stdin,
     )
     assert result.returncode == 0, result.stderr
     return result.stdout
@@ -664,6 +671,40 @@ def test_stats_reads_a_table_piped_on_stdin(capsys):
         stdin=io_report.paper_fixture_path().read_text(encoding="utf-8"),
     )
     assert piped == run(capsys, ["stats"])[1]
+
+
+# A config file that gives each of README's quoted config error texts.
+README_CONFIG_ERRORS = {
+    "jva.conf:2: ...": b"threshold = 80\nthresold = 80\n",
+    "jva.conf:3: bad scale_mode 'Absolute', expected absolute | diagonal-normalized":
+        b"threshold = 80\n\nscale_mode = Absolute\n",
+    "jva.conf:4: duplicate key 'threshold' (first on line 1)":
+        b"threshold = 50\n# tuned\nscale_mode = absolute\nthreshold = 80\n",
+    "jva.conf:9: ...": b"# comment\n" * 8 + b"threshold = 8\xff0\n",
+}
+
+
+def test_readme_config_error_texts_are_what_analyze_prints(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    quoted = {" ".join(text.split()) for text in re.findall(r"`([^`]*jva\.conf[^`]*)`", readme)}
+    assert quoted == set(README_CONFIG_ERRORS)
+    (tmp_path / "frames.csv").write_text(
+        "team_id,frame_id,timestamp_s,image_w,image_h,person_id,gaze_x,gaze_y\n"
+        "t1,f1,0,2560,1440,p1,10,10\nt1,f1,0,2560,1440,p2,20,20\n"
+    )
+    (tmp_path / "teams.csv").write_text(
+        "team_id,condition,gender,post_test_1,post_test_2\nt1,ar,FF,1,2\n"
+    )
+    for text, config in README_CONFIG_ERRORS.items():
+        (tmp_path / "jva.conf").write_bytes(config)
+        result = subprocess.run(
+            [sys.executable, "-m", "teamgaze.cli", "analyze", "--config", "jva.conf",
+             "--frames", "frames.csv", "--teams", "teams.csv"],
+            cwd=tmp_path, env=source_env(), capture_output=True, text=True, timeout=120,
+        )
+        pattern = re.escape(f"error: {text}").replace(re.escape("..."), ".+")
+        assert (result.returncode, result.stdout) == (1, ""), text
+        assert re.fullmatch(pattern + "\n", result.stderr), (text, result.stderr)
 
 
 # Runs one CLI command, then prints its exit code and the teamgaze modules

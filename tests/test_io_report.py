@@ -34,7 +34,7 @@ from teamgaze.io_report import (
     stats_report_from_summaries,
     stats_report_from_table,
 )
-from teamgaze.model import DenominatorPolicy, JvaConfig, ScaleMode
+from teamgaze.model import DENOMINATOR_POLICIES, SCALE_MODES, JvaConfig
 
 FRAME_HEADER = (
     "team_id,frame_id,timestamp_s,image_w,image_h,person_id,"
@@ -384,26 +384,24 @@ def test_config_precedence(tmp_path, monkeypatch):
     )
     config = load_config(config_file)
     assert config.threshold == 80.0
-    assert config.scale_mode is ScaleMode.DIAGONAL_NORMALIZED
+    assert config.scale_mode == "diagonal-normalized"
     # flag overrides file
     config = load_config(config_file, threshold=120.0)
     assert config.threshold == 120.0
-    assert config.scale_mode is ScaleMode.DIAGONAL_NORMALIZED
+    assert config.scale_mode == "diagonal-normalized"
     # defaults when nothing is given
-    default = load_config(None)
-    assert default.threshold == 100.0
-    assert default.denominator_policy is DenominatorPolicy.VALID_PAIR_FRAMES
+    assert load_config(None) == JvaConfig(100.0, "absolute", "valid-pair-frames")
 
 
-def test_config_override_is_a_flag_value_or_an_enum_member(tmp_path):
+def test_config_override_is_a_flag_value(tmp_path):
     config_file = tmp_path / "jva.conf"
     config_file.write_text("scale_mode = diagonal-normalized\nthreshold = 80\n")
     by_text = load_config(config_file, scale_mode="absolute",
                           denominator_policy="all-captured-frames", threshold=None)
-    by_member = load_config(config_file, scale_mode=ScaleMode.ABSOLUTE,
-                            denominator_policy=DenominatorPolicy.ALL_CAPTURED_FRAMES)
-    expected = JvaConfig(80.0, ScaleMode.ABSOLUTE, DenominatorPolicy.ALL_CAPTURED_FRAMES)
-    assert by_text == by_member == expected
+    assert by_text == JvaConfig(80.0, "absolute", "all-captured-frames")
+    with pytest.raises(ValueError) as info:
+        load_config(config_file, scale_mode="Absolute")
+    assert str(info.value) == "scale_mode must be absolute | diagonal-normalized: 'Absolute'"
     with pytest.raises(TypeError, match="thresold"):  # JvaConfig names an unknown keyword
         load_config(None, thresold=5.0)
 
@@ -862,8 +860,8 @@ def frame_tables(draw):
 @given(
     frame_tables(),
     st.one_of(st.sampled_from([25.0, 50.0, 100.0]), st.floats(1, 400)),
-    st.sampled_from(list(ScaleMode)),
-    st.sampled_from(list(DenominatorPolicy)),
+    st.sampled_from(SCALE_MODES),
+    st.sampled_from(DENOMINATOR_POLICIES),
 )
 @settings(max_examples=150, deadline=None)
 def test_columnar_ratios_match_the_per_frame_reference(tables, threshold, scale, policy):
@@ -887,7 +885,7 @@ def test_columnar_ratios_match_the_per_frame_reference(tables, threshold, scale,
     reference = reference_frame_table(rows)
     assert table.row_errors == reference["row_errors"]
     report = analyze_table(table, teams, config)
-    counts, _ = brute_force_jva_count(reference, threshold, scale.value, policy.value)
+    counts, _ = brute_force_jva_count(reference, threshold, scale, policy)
     ratios = [(t.team_id, t.jva_ratio_pct) for t in teams_of(report.teams)]
     assert ratios == [
         (team, 100.0 * (jva / denominator) if denominator else None)

@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_jva_count, reference_frame_table, team_jva_counts_of
-from teamgaze.model import DenominatorPolicy, JvaConfig, ScaleMode
+from teamgaze.jva import team_jva_counts
+from teamgaze.model import DENOMINATOR_POLICIES, SCALE_MODES, JvaConfig
 
 
 def pair_rows(frame, a, b, w=2560, h=1440, discarded=False):
@@ -45,7 +47,7 @@ def test_exactly_threshold_distance_is_not_jva():
 
 
 def test_diagonal_normalized_threshold():
-    config = JvaConfig(scale_mode=ScaleMode.DIAGONAL_NORMALIZED)
+    config = JvaConfig(scale_mode="diagonal-normalized")
     # 1280x720 has exactly half the reference diagonal -> threshold 50 px
     assert config.effective_threshold(1280, 720) == pytest.approx(50.0)
     rows = pair_rows("f", (400, 400), (460, 400), w=1280, h=720)
@@ -54,7 +56,44 @@ def test_diagonal_normalized_threshold():
     assert distance == pytest.approx(60.0)
 
 
-@pytest.mark.parametrize("policy", [p.value for p in DenominatorPolicy])
+def frame_counts(config, gaze, w=2560, h=1440):
+    """``team_jva_counts``'s ``(jva, denominator)`` under ``config`` of one
+    frame whose persons gaze at the points ``gaze``."""
+    x, y = zip(*gaze)
+    jva, denominator = team_jva_counts(
+        np.zeros(1, np.intp), 1, np.array([w]), np.array([h]), np.zeros(1, bool),
+        np.array([0, len(gaze)]), np.array(x, float), np.array(y, float), config,
+    )
+    return int(jva[0]), int(denominator[0])
+
+
+def test_the_default_labels_spelled_out_are_the_default_config():
+    spelled = JvaConfig(scale_mode="absolute", denominator_policy="valid-pair-frames")
+    assert spelled == JvaConfig()
+    assert spelled.effective_threshold(1280, 720) == 100.0
+    wide = [(400, 400), (460, 400)]  # 60 px apart: JVA at 100 px, not at 50
+    for config in (spelled, JvaConfig()):
+        assert frame_counts(config, wide, w=1280, h=720) == (1, 1)
+        assert frame_counts(config, [(10, 10)]) == (0, 0)  # one person: not counted
+    other = JvaConfig(scale_mode="diagonal-normalized", denominator_policy="all-captured-frames")
+    assert frame_counts(other, wide, w=1280, h=720) == (0, 1)
+    assert frame_counts(other, [(10, 10)]) == (0, 1)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [(key, value) for key in ("scale_mode", "denominator_policy")
+     for value in ("Absolute", None, "bogus", " absolute")]
+    + [("scale_mode", "valid-pair-frames"), ("denominator_policy", "absolute")],
+)
+def test_a_setting_outside_its_labels_is_an_error_naming_the_key(key, value):
+    labels = SCALE_MODES if key == "scale_mode" else DENOMINATOR_POLICIES
+    with pytest.raises(ValueError) as info:
+        JvaConfig(**{key: value})
+    assert str(info.value) == f"{key} must be {' | '.join(labels)}: {value!r}"
+
+
+@pytest.mark.parametrize("policy", DENOMINATOR_POLICIES)
 def test_discarded_frame_never_counts(policy):
     rows = pair_rows("f", (0, 0), (1, 1), discarded=True)
     assert scored(rows, policy=policy) == ((0, 0), [(None, False, False)])

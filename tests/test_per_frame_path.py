@@ -46,12 +46,12 @@ from teamgaze.jva import classify_frame, session_jva
 from teamgaze.model import (
     CONDITION_GROUP,
     CONDITIONS,
-    DenominatorPolicy,
+    DENOMINATOR_POLICIES,
     FrameRecord,
     GazeObservation,
     JvaConfig,
     Point2D,
-    ScaleMode,
+    SCALE_MODES,
     TeamSession,
     validate_session,
 )
@@ -176,8 +176,8 @@ FRAMES = st.lists(
 )
 
 
-@given(FRAMES, st.floats(1, 400), st.sampled_from(list(ScaleMode)),
-       st.sampled_from(list(DenominatorPolicy)))
+@given(FRAMES, st.floats(1, 400), st.sampled_from(SCALE_MODES),
+       st.sampled_from(DENOMINATOR_POLICIES))
 @settings(max_examples=100, deadline=None)
 def test_session_jva_and_classify_frame_agree_with_the_reference(
     frames, threshold, scale, policy
@@ -188,7 +188,7 @@ def test_session_jva_and_classify_frame_agree_with_the_reference(
         for p, (x, y) in enumerate(gaze)
     ]
     reference = reference_frame_table(rows)
-    counts, decisions = brute_force_jva_count(reference, threshold, scale.value, policy.value)
+    counts, decisions = brute_force_jva_count(reference, threshold, scale, policy)
     by_frame = {
         (reference["team_ids"][team], frame): decision
         for team, frame, decision in zip(

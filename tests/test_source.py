@@ -7,11 +7,11 @@ package is read by the package or ``perfbench/``, but for a listed few; the
 package reads no file in text mode, so that ``model.input_text`` stays the
 one way from an input file's bytes to text; the CLI names no report format
 itself, and synth keeps its truth only in ``ground_truth.json``; no module
-of the package but ``model`` spells a condition, gender or group label; the
-modules ``teamgaze stats`` loads import neither numpy nor a module off that
-path at their top level, and the frame reader is imported only inside the
-functions that read a frame table; and no line of the package or the tests
-is longer than 98 characters.
+of the package but ``model`` spells a condition, gender or group label or a
+JVA setting's label; the modules ``teamgaze stats`` loads import neither
+numpy nor a module off that path at their top level, and the frame reader
+is imported only inside the functions that read a frame table; and no line
+of the package or the tests is longer than 98 characters.
 """
 
 import ast
@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from teamgaze import io_report
-from teamgaze.model import CONDITIONS, GENDERS, GROUPS
+from teamgaze.model import CONDITIONS, DENOMINATOR_POLICIES, GENDERS, GROUPS, SCALE_MODES
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "teamgaze").glob("*.py"))
@@ -395,8 +395,9 @@ def test_report_formats_and_synth_truth_are_stated_once():
 
 def _label_constants(tree: ast.Module) -> list[str]:
     """``line N: 'label'`` of each string constant equal to a label of
-    ``CONDITIONS``, ``GENDERS`` or ``GROUPS``."""
-    labels = {*CONDITIONS, *GENDERS, *GROUPS}
+    ``CONDITIONS``, ``GENDERS``, ``GROUPS``, ``SCALE_MODES`` or
+    ``DENOMINATOR_POLICIES``."""
+    labels = {*CONDITIONS, *GENDERS, *GROUPS, *SCALE_MODES, *DENOMINATOR_POLICIES}
     return sorted(
         f"line {node.lineno}: {node.value!r}"
         for node in ast.walk(tree)
@@ -408,8 +409,9 @@ def _label_constants(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize(
     "path", [p for p in PACKAGE if p.name != "model.py"], ids=lambda p: p.name
 )
-def test_the_study_labels_are_stated_once(path):
-    """Every module but ``model`` takes the study's labels from its tuples."""
+def test_the_study_and_setting_labels_are_stated_once(path):
+    """Every module but ``model`` takes the study's labels and the JVA
+    settings' labels from its tuples."""
     assert _label_constants(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
@@ -418,6 +420,14 @@ def test_the_label_check_names_a_planted_label():
         '"""A tablet team."""\nHELP = f"tablet {x}"\nKEY = "tablet"\nGROUP = "Control"\n'
     )
     assert _label_constants(tree) == ["line 3: 'tablet'"]
+
+
+def test_the_label_check_names_a_planted_setting_label():
+    tree = ast.parse(
+        'MODE = "absolute"\nHELP = "absolute mode"\n'
+        'if policy == "valid-pair-frames":\n    pass\nPOLICY = "Valid-Pair-Frames"\n'
+    )
+    assert _label_constants(tree) == ["line 1: 'absolute'", "line 3: 'valid-pair-frames'"]
 
 
 def test_the_text_read_check_names_each_text_mode_read():

@@ -336,6 +336,10 @@ def test_value_text_is_percent_4f(values):
         (dict(frames_per_team=0), "frames_per_team must be positive: 0"),
         (dict(image_w=0), "image_w must be positive: 0"),
         (dict(image_h=-1), "image_h must be positive: -1"),
+        (dict(teams=2.0), "teams must be an integer: 2.0"),
+        (dict(frames_per_team=3.0), "frames_per_team must be an integer: 3.0"),
+        (dict(image_w=700.9), "image_w must be an integer: 700.9"),
+        (dict(image_h="720"), "image_h must be an integer: '720'"),
         (dict(gaze_noise_sigma=-1.0), "gaze_noise_sigma must be non-negative: -1.0"),
     ],
 )

@@ -5,7 +5,9 @@ per-team columns by hand, so its text is pinned to json.dumps; every
 format of the columnar report is pinned to the per-row reference in
 ``oracles.per_row_stats_report``. The emitters format each distinct team
 value once; ``oracles.per_value_team_cells`` formats every team's values
-one at a time, and every format must come out the same.
+one at a time, and every format must come out the same. The rows of a
+team-level table may come in any order: ``teamgaze stats`` and
+``teamgaze analyze`` write the same bytes for a shuffled table.
 """
 
 import json
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 
 from oracles import Team, per_row_stats_report, per_value_team_cells, team_table, teams_of
 from teamgaze import io_report
+from teamgaze.cli import main
 from teamgaze.io_report import Report, TeamTable, emit_report, load_team_rows, stats_report
 from teamgaze.model import CONDITIONS, GENDERS
 
@@ -203,3 +206,84 @@ def test_distinct_value_cells_match_per_value_formatting(table):
     with mock.patch.object(io_report, "_team_cells", per_value_team_cells):
         reference = rendered(report)
     assert rendered(report) == reference
+
+
+# Two-decimal values, whose means often lie on a rounding tie: the digit
+# printed then depends on the last bit of the sum.
+RATIOS = st.one_of(st.none(), st.integers(0, 10_000).map(lambda n: n / 100))
+POST_TESTS = st.integers(0, 500).map(lambda n: n / 100)
+
+
+def command_output(argv, out_dir: Path) -> dict:
+    """The bytes ``teamgaze`` writes for ``argv`` in every format, under the
+    new directory ``out_dir``: JSON, text and each bundle file."""
+    out_dir.mkdir()
+    out = {}
+    for fmt in io_report.REPORT_FORMATS:
+        assert main([*argv, "--format", fmt, "--out", str(out_dir / fmt)]) == 0
+        paths = sorted((out_dir / fmt).iterdir()) if fmt == "csv-bundle" else [out_dir / fmt]
+        out.update((f"{fmt}/{path.name}", path.read_bytes()) for path in paths)
+    return out
+
+
+@st.composite
+def shuffled_tables(draw, row):
+    """The lines of a team-level table whose rows ``row`` draws from a team
+    index, and the same lines in another order."""
+    lines = [draw(row(i)) for i in range(draw(st.integers(0, 16)))]
+    return lines, draw(st.permutations(lines))
+
+
+def team_results_row(i):
+    return st.builds(
+        lambda condition, gender, ratio, post: (
+            f"team{i:02d},{condition},,{gender},{'' if ratio is None else ratio},{post}"
+        ),
+        st.sampled_from(CONDITIONS), st.sampled_from(GENDERS), RATIOS, POST_TESTS,
+    )
+
+
+def team_row(i):
+    return st.builds(
+        lambda condition, gender, a, b: f"team{i:02d},{condition},{gender},{a},{b}",
+        st.sampled_from(CONDITIONS), st.sampled_from(GENDERS), POST_TESTS, POST_TESTS,
+    )
+
+
+@given(shuffled_tables(team_results_row))
+@settings(max_examples=50, deadline=None)
+def test_stats_report_does_not_depend_on_the_team_row_order(tables):
+    header = "team_id,condition,group,gender,jva_ratio_pct,team_post_test\n"
+    outputs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for lines in tables:
+            path = Path(tmp) / "teams.csv"
+            path.write_text(header + "".join(line + "\n" for line in lines))
+            argv = ["stats", "--teams", str(path)]
+            outputs.append(command_output(argv, Path(tmp) / str(len(outputs))))
+    assert outputs[0] == outputs[1]
+
+
+@given(shuffled_tables(team_row), st.randoms(use_true_random=False))
+@settings(max_examples=50, deadline=None)
+def test_analyze_report_does_not_depend_on_the_team_row_order(tables, random):
+    # Up to five frames a team, each with gaze pairs 0 to 150 px apart.
+    frames = [
+        f"team{i:02d},f{f},{f}.0,2560,1440,p{p},{100 + p * random.randrange(76)},100"
+        for i in range(len(tables[0])) for f in range(random.randrange(6)) for p in (1, 2)
+    ]
+    outputs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        frames_path, teams_path = Path(tmp) / "frames.csv", Path(tmp) / "teams.csv"
+        frames_path.write_text(
+            "team_id,frame_id,timestamp_s,image_w,image_h,person_id,gaze_x,gaze_y\n"
+            + "".join(line + "\n" for line in frames)
+        )
+        for lines in tables:
+            teams_path.write_text(
+                "team_id,condition,gender,post_test_1,post_test_2\n"
+                + "".join(line + "\n" for line in lines)
+            )
+            argv = ["analyze", "--frames", str(frames_path), "--teams", str(teams_path)]
+            outputs.append(command_output(argv, Path(tmp) / str(len(outputs))))
+    assert outputs[0] == outputs[1]
