@@ -148,9 +148,13 @@ def _text(cells: Sequence) -> Sequence:
 
 
 def _parse_float(value: str, column: str, line: int, kind=float) -> float:
+    """``kind`` of a cell; a number that ``int`` does not take is not an integer."""
     try:
         return kind(value)
     except ValueError:
+        if kind is int:
+            _parse_float(value, column, line)
+            raise ValueError(f"line {line}: column {column!r} not an integer: {value!r}")
         raise ValueError(f"line {line}: column {column!r} not numeric: {value!r}")
 
 
@@ -770,9 +774,20 @@ def stats_report_from_summaries(
 
 
 def _add_anovas(report: Report) -> None:
-    """``_add_anova`` of each grouping and measure with two or more groups."""
-    for grouping, by_measure in report.summaries.items():
-        for measure, groups in by_measure.items():
+    """Put the summaries in report order, and ``_add_anova`` each grouping and
+    measure with two or more groups. Report order, which ``stats_report``
+    builds, is ``_GROUPING_LABELS``' groupings and each one's labels, and
+    ``_MEASURES``, in their order; then any other, in the order read."""
+    def ordered(items, known, key=operator.itemgetter(0)) -> list:
+        rank = dict(zip(known, count()))
+        return sorted(items, key=lambda item: rank.get(key(item), len(rank)))
+
+    summaries, report.summaries = report.summaries, {}
+    for grouping, by_measure in ordered(summaries.items(), _GROUPING_LABELS):
+        report.summaries[grouping] = {}
+        for measure, groups in ordered(by_measure.items(), _MEASURES):
+            groups = ordered(groups, _GROUPING_LABELS.get(grouping, ()), lambda g: g.label)
+            report.summaries[grouping][measure] = groups
             if len(groups) >= 2:
                 _add_anova(report, grouping, measure, groups)
 

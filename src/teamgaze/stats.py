@@ -26,9 +26,7 @@ __all__ = [
     "AnovaResult",
     "CorrelationResult",
     "summarize",
-    "anova_oneway",
     "anova_from_summary",
-    "cohens_d",
     "pearson",
     "correlation_from_r",
     "pairwise_comparisons",
@@ -98,13 +96,19 @@ def summarize(samples: Sequence[float], label: str = "") -> GroupSummary:
     return GroupSummary(label=label, n=n, mean=mean, sd=sd)
 
 
-def _anova(ns, means, ssws, k: int) -> AnovaResult:
+def anova_from_summary(groups: Sequence[GroupSummary]) -> AnovaResult:
+    """One-way ANOVA computed directly from (n, mean, sd) summaries."""
+    k = len(groups)
+    if k < 2:
+        raise ValueError("need at least two groups")
+    ns = [g.n for g in groups]
+    means = [g.mean for g in groups]
+    ss_within = sum((g.n - 1) * g.sd**2 for g in groups)
     n_total = int(sum(ns))
     grand_mean = means[0]  # exact when every group has the same mean
     if min(means) != max(means):
         grand_mean = sum(n * m for n, m in zip(ns, means)) / n_total
     ss_between = sum(n * (m - grand_mean) ** 2 for n, m in zip(ns, means))
-    ss_within = sum(ssws)
     ss_total = ss_between + ss_within
     if ss_total == 0:
         raise ValueError("degenerate: zero total variance")
@@ -112,9 +116,10 @@ def _anova(ns, means, ssws, k: int) -> AnovaResult:
     df_within = n_total - k
     ms_within = ss_within / df_within
     eta_squared = ss_between / ss_total
-    if ss_within == 0:
-        # Distinct means with no within-group spread: F diverges. Eta
-        # squared is set too: an n near 1e305 takes ss_between to inf.
+    if ms_within == 0:
+        # Distinct means with no within-group spread, or one whose mean
+        # square underflows (an SD of 1e-160): F diverges. Eta squared is
+        # set too: an n near 1e305 takes ss_between to inf.
         f, p, eta_squared, omega_squared = math.inf, 0.0, 1.0, 1.0
     else:
         f = (ss_between / df_between) / ms_within
@@ -130,38 +135,6 @@ def _anova(ns, means, ssws, k: int) -> AnovaResult:
         eta_squared=eta_squared,
         omega_squared=omega_squared,
     )
-
-
-def anova_oneway(groups: Sequence[Sequence[float]]) -> AnovaResult:
-    """Fixed-effects one-way ANOVA on raw samples."""
-    if len(groups) < 2:
-        raise ValueError("need at least two groups")
-    if any(len(g) < 2 for g in groups):
-        raise ValueError("insufficient data: every group needs n >= 2")
-    ns = [len(g) for g in groups]
-    means, deviations = zip(*map(_deviations, groups))
-    ssws = list(map(_sum_of_squares, deviations))
-    return _anova(ns, means, ssws, len(groups))
-
-
-def anova_from_summary(groups: Sequence[GroupSummary]) -> AnovaResult:
-    """One-way ANOVA computed directly from (n, mean, sd) summaries."""
-    if len(groups) < 2:
-        raise ValueError("need at least two groups")
-    ns = [g.n for g in groups]
-    means = [g.mean for g in groups]
-    ssws = [(g.n - 1) * g.sd**2 for g in groups]
-    return _anova(ns, means, ssws, len(groups))
-
-
-def cohens_d(a: GroupSummary, b: GroupSummary) -> float:
-    """Absolute standardized mean difference with pooled sample SD."""
-    pooled_var = ((a.n - 1) * a.sd**2 + (b.n - 1) * b.sd**2) / (a.n + b.n - 2)
-    if pooled_var == 0:
-        if a.mean == b.mean:
-            return 0.0
-        raise ValueError("degenerate: zero pooled standard deviation")
-    return abs(a.mean - b.mean) / math.sqrt(pooled_var)
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
@@ -229,10 +202,8 @@ def pairwise_comparisons(
             except ValueError:
                 # degenerate pair (zero total variance); nothing to compare
                 continue
-            try:
-                d = cohens_d(a, b)
-            except ValueError:
-                d = None  # zero pooled SD with distinct means
+            pooled_var = result.ss_within / result.df_within
+            d = abs(a.mean - b.mean) / math.sqrt(pooled_var) if pooled_var else None
             out.append(
                 {
                     "a": a.label,

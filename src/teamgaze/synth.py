@@ -46,7 +46,7 @@ import numpy as np
 from .io_report import FRAME_COLUMNS, TEAM_COLUMNS
 from .model import CONDITIONS, GENDERS, JvaConfig
 
-__all__ = ["SynthSpec", "generate", "moment_matched_groups"]
+__all__ = ["SynthSpec", "generate"]
 
 # Non-JVA gaze targets are separated by this multiple of the threshold, so
 # Gaussian noise up to sigma = threshold/3 leaves roughly a 3-sigma margin
@@ -397,27 +397,3 @@ def generate(spec: SynthSpec, out_dir: Union[str, Path]) -> tuple[Path, Path, Pa
 
     truth_path.write_bytes(_truth_json(_team_ids(range(spec.teams)), np.concatenate(block_jva)))
     return frames_path, teams_path, truth_path
-
-
-def moment_matched_groups(
-    specs: Sequence[tuple[int, float, float]],
-) -> list[np.ndarray]:
-    """Raw samples whose sample mean and SD match each (n, mean, sd) exactly.
-
-    Built by affinely rescaling a fixed base pattern (0..n-1) to zero mean
-    and unit sample SD, then shifting/scaling to the target moments. With
-    sd = 0 the sample is constant.
-    """
-    out = []
-    for n, mean, sd in specs:
-        if n < 2:
-            raise ValueError("insufficient data: need n >= 2")
-        if sd < 0:
-            raise ValueError("sd must be non-negative")
-        if sd == 0:
-            out.append(np.full(n, float(mean)))
-            continue
-        base = np.arange(n, dtype=float)
-        z = (base - base.mean()) / base.std(ddof=1)
-        out.append(mean + sd * z)
-    return out

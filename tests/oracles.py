@@ -13,7 +13,10 @@ into a ``TeamTable``'s columns and back, and ``team_jva_counts_of`` feeds
 the reference frame table to ``jva.team_jva_counts``, the scorer
 ``teamgaze analyze`` runs. ``reference_synth`` lays out synth's study one
 team at a time from the two documented random streams, with no
-``teamgaze`` name.
+``teamgaze`` name. ``moment_matched_groups`` builds raw samples with given
+(n, mean, SD) summaries, and ``raw_sample_anova`` takes the one-way ANOVA
+of raw samples from its definition: the references for the summary ANOVA,
+with no ``teamgaze`` name either.
 """
 
 import csv
@@ -50,6 +53,44 @@ def f_tail_by_quadrature(f: float, df1: int, df2: int) -> float:
         f_density, f, math.inf, args=(df1, df2), epsabs=1e-12, epsrel=1e-12, limit=400
     )
     return value
+
+
+def moment_matched_groups(specs) -> list:
+    """A sample for each ``(n, mean, sd)`` whose sample mean and SD are those,
+    up to rounding: the pattern 0..n-1 moved to zero mean and unit sample SD,
+    then scaled by sd and shifted by mean. With sd = 0 the sample is constant.
+    """
+    samples = []
+    for n, mean, sd in specs:
+        if sd == 0:
+            samples.append([float(mean)] * n)
+            continue
+        centre = (n - 1) / 2
+        unit = math.sqrt(math.fsum((i - centre) ** 2 for i in range(n)) / (n - 1))
+        samples.append([mean + sd * ((i - centre) / unit) for i in range(n)])
+    return samples
+
+
+class RawAnova(NamedTuple):
+    ss_between: float
+    ss_within: float
+    f: float  # inf when ss_within is 0
+
+
+def raw_sample_anova(groups) -> RawAnova:
+    """The one-way ANOVA of raw samples from its definition, summing with
+    ``math.fsum`` over lists: ss_within over every value's squared
+    difference from its group's mean, ss_between over each group's n times
+    its mean's squared difference from the grand mean, and F the ratio of
+    their mean squares, on k - 1 and N - k degrees of freedom."""
+    values = [v for g in groups for v in g]
+    k, n = len(groups), len(values)
+    grand_mean = math.fsum(values) / n
+    means = [math.fsum(g) / len(g) for g in groups]
+    ss_within = math.fsum((v - m) ** 2 for g, m in zip(groups, means) for v in g)
+    ss_between = math.fsum(len(g) * (m - grand_mean) ** 2 for g, m in zip(groups, means))
+    f = math.inf if ss_within == 0 else (ss_between / (k - 1)) / (ss_within / (n - k))
+    return RawAnova(ss_between, ss_within, f)
 
 
 def brute_force_jva_count(

@@ -11,6 +11,8 @@ import pytest
 from oracles import (
     brute_force_jva_count,
     f_tail_by_quadrature,
+    moment_matched_groups,
+    raw_sample_anova,
     reference_frame_table,
     team_jva_counts_of,
     teams_of,
@@ -24,12 +26,11 @@ from teamgaze.gazefield import Heatmap
 from teamgaze.stats import (
     GroupSummary,
     anova_from_summary,
-    anova_oneway,
-    cohens_d,
     correlation_from_r,
     f_tail_p,
+    pairwise_comparisons,
 )
-from teamgaze.synth import SynthSpec, generate, moment_matched_groups
+from teamgaze.synth import SynthSpec, generate
 
 
 def report(criterion: str, ok: bool = True) -> None:
@@ -43,7 +44,8 @@ def test_criterion_01_two_group_jva_anova():
     assert result.f == pytest.approx(6.65, abs=0.05)
     assert (result.df_between, result.df_within) == (1, 28)
     assert result.p < 0.05
-    assert cohens_d(control, experiment) == pytest.approx(1.00, abs=0.02)
+    (comparison,) = pairwise_comparisons([control, experiment])
+    assert comparison["cohens_d"] == pytest.approx(1.00, abs=0.02)
     report("criterion 1: two-group JVA ANOVA F=6.65 (1,28), p<0.05, d=1.00")
 
 
@@ -66,7 +68,8 @@ def test_criterion_03_post_test_group_comparison():
     experiment = GroupSummary("experiment", 20, 2.35, 1.20)
     result = anova_from_summary([control, experiment])
     assert result.f == pytest.approx(7.56, abs=0.05)
-    assert cohens_d(control, experiment) == pytest.approx(1.06, abs=0.02)
+    (comparison,) = pairwise_comparisons([control, experiment])
+    assert comparison["cohens_d"] == pytest.approx(1.06, abs=0.02)
     report("criterion 3: post-test group ANOVA F=7.56, d=1.06")
 
 
@@ -125,13 +128,14 @@ def test_criterion_07_oracle_equivalence_raw_vs_summary():
              float(rng.uniform(0.05, 40)))
             for _ in range(k)
         ]
-        samples = moment_matched_groups(specs)
-        raw = anova_oneway(samples)
+        raw = raw_sample_anova(moment_matched_groups(specs))
         summary = anova_from_summary(
             [GroupSummary(str(i), n, m, sd) for i, (n, m, sd) in enumerate(specs)]
         )
+        df_within = sum(n for n, _, _ in specs) - k
         assert raw.f == pytest.approx(summary.f, rel=1e-9)
-        assert raw.p == pytest.approx(summary.p, rel=1e-9, abs=1e-12)
+        p = scipy_stats.f.sf(raw.f, k - 1, df_within)
+        assert p == pytest.approx(summary.p, rel=1e-9, abs=1e-12)
     report("criterion 7: raw vs summary ANOVA agree to 1e-9 over 200 configs")
 
 

@@ -553,6 +553,10 @@ SUMMARY_HEADER = "grouping,label,measure,n,mean,sd\n"
     "row, message",
     [
         ("group,control,post_test,5,1.5,-", "line 3: column 'sd' not numeric: '-'"),
+        # A number that is not a whole count used to be "not numeric".
+        ("group,control,post_test,10.5,1.5,1", "line 3: column 'n' not an integer: '10.5'"),
+        ("group,control,post_test,2.0,1.5,1", "line 3: column 'n' not an integer: '2.0'"),
+        ("group,control,post_test,1e400,1.5,1", "line 3: column 'n' not an integer: '1e400'"),
         ("group,control,post_test,5,nan,1", "line 3: mean 'nan' out of [0,5]"),
         ("group,control,jva_ratio_pct,5,40,101", "line 3: sd '101' out of [0,100]"),
         # A repeated group used to become a second group with the same label.

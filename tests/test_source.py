@@ -3,9 +3,9 @@
 Every module-level import in the package, the tests and the demos is
 used in its module or named in its ``__all__``; every private module-level
 name of the package is read in its module; every public name of the
-package is read by the package or ``perfbench/``, but for a listed few; the
-package reads no file in text mode, so that ``model.input_text`` stays the
-one way from an input file's bytes to text; the CLI names no report format
+package is read by the package or ``perfbench/``; the package reads no
+file in text mode, so that ``model.input_text`` stays the one way from an
+input file's bytes to text; the CLI names no report format
 itself, and synth keeps its truth only in ``ground_truth.json``; no module
 of the package but ``model`` spells a condition, gender or group label or a
 JVA setting's label; the modules ``teamgaze stats`` loads import neither
@@ -125,11 +125,6 @@ def test_the_private_name_check_names_an_unread_helper():
     ]
 
 
-# The public names no src/ or perfbench/ module reads, each with its reason.
-UNREAD_PUBLIC = {
-    "stats.anova_oneway": "raw-sample ANOVA, the reference for the tests of anova_from_summary",
-    "synth.moment_matched_groups": "raw samples with a summary's moments, fed to that reference",
-}
 PERFBENCH = sorted(ROOT.glob("perfbench/**/*.py"))
 
 
@@ -168,13 +163,7 @@ READERS = [
 
 @pytest.mark.parametrize("module", sorted(MODULES))
 def test_every_public_name_has_a_program_user(module):
-    listed = sorted(name for name in UNREAD_PUBLIC if name.split(".")[0] == module)
-    assert _unread_public_names({module: MODULES[module]}, READERS) == listed
-
-
-def test_each_listed_exception_is_a_public_name():
-    public = {f"{module}.{name}" for module, tree in MODULES.items() for name in _exported(tree)}
-    assert sorted(set(UNREAD_PUBLIC) - public) == []
+    assert _unread_public_names({module: MODULES[module]}, READERS) == []
 
 
 @pytest.mark.parametrize(
@@ -331,8 +320,11 @@ def test_the_definition_check_names_each_kind_of_definition():
 
 
 # The plain references in tests/oracles.py: the per-frame scorer, the frame
-# table it scores, and synth's study.
-REFERENCES = ["brute_force_jva_count", "reference_frame_table", "reference_synth"]
+# table it scores, synth's study, and the raw-sample ANOVA and its samples.
+REFERENCES = [
+    "brute_force_jva_count", "reference_frame_table", "reference_synth",
+    "moment_matched_groups", "raw_sample_anova",
+]
 
 
 def _package_names_reached(tree: ast.Module, functions) -> list[str]:

@@ -7,13 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from oracles import f_tail_by_quadrature
+from oracles import f_tail_by_quadrature, moment_matched_groups, raw_sample_anova
 from teamgaze import stats
 from teamgaze.stats import (
     GroupSummary,
     anova_from_summary,
-    anova_oneway,
-    cohens_d,
     correlation_from_r,
     f_tail_p,
     pairwise_comparisons,
@@ -21,7 +19,6 @@ from teamgaze.stats import (
     regularized_incomplete_beta,
     summarize,
 )
-from teamgaze.synth import moment_matched_groups
 
 # Published condition/group/gender summaries for the 30-team study.
 JVA_CONTROL = GroupSummary("control", 10, 31.30, 9.73)
@@ -43,6 +40,17 @@ GENDER_POST = [
     GroupSummary("MM", 7, 2.00, 1.04),
     GroupSummary("MX", 8, 2.50, 1.28),
 ]
+
+
+def anova_of_samples(samples):
+    """The ANOVA a report takes of raw samples: that of their summaries."""
+    return anova_from_summary([summarize(s) for s in samples])
+
+
+def cohens_d(a: GroupSummary, b: GroupSummary):
+    """The Cohen's d a report gives two groups."""
+    (comparison,) = pairwise_comparisons([a, b])
+    return comparison["cohens_d"]
 
 
 def test_summarize_simple():
@@ -68,8 +76,18 @@ def test_summarize_round_trips_through_moment_matching():
     assert summary.sd == pytest.approx(9.73, abs=1e-9)
 
 
+def test_moment_matching_is_exact():
+    samples = moment_matched_groups([(10, 31.30, 9.73), (4, 0.0, 1.0), (5, 2.5, 0.0)])
+    a, b, c = samples
+    assert np.mean(a) == pytest.approx(31.30, abs=1e-9)
+    assert np.std(a, ddof=1) == pytest.approx(9.73, abs=1e-9)
+    assert np.mean(b) == pytest.approx(0.0, abs=1e-12)
+    assert np.std(b, ddof=1) == pytest.approx(1.0, abs=1e-12)
+    assert c == [2.5] * 5
+
+
 def test_identical_groups_give_zero_f():
-    result = anova_oneway([[1, 2, 3, 4], [1, 2, 3, 4]])
+    result = anova_of_samples([[1, 2, 3, 4], [1, 2, 3, 4]])
     assert result.f == pytest.approx(0.0)
     assert result.p == pytest.approx(1.0)
 
@@ -104,17 +122,19 @@ def test_gender_anovas_match_published_values():
 
 def test_raw_anova_agrees_with_summary_on_matched_samples():
     samples = moment_matched_groups([(g.n, g.mean, g.sd) for g in JVA_CONDITIONS])
-    raw = anova_oneway(samples)
+    raw = raw_sample_anova(samples)
     summary = anova_from_summary(JVA_CONDITIONS)
     assert raw.f == pytest.approx(summary.f, rel=1e-9)
-    assert raw.p == pytest.approx(summary.p, rel=1e-9)
+    assert scipy_stats.f.sf(raw.f, 2, 27) == pytest.approx(summary.p, rel=1e-9)
 
 
 def test_zero_within_variance_reports_infinite_f():
     n = 10**305  # takes ss_between past the largest float
     for result in (
-        anova_oneway([[1, 1, 1], [2, 2, 2]]),
+        anova_of_samples([[1, 1, 1], [2, 2, 2]]),
         anova_from_summary([GroupSummary("a", n, 0.0, 0.0), GroupSummary("b", n, 100.0, 0.0)]),
+        # A within sum of squares of ~1e-319, whose mean square underflows to 0.
+        anova_from_summary([GroupSummary("a", 10, 1.0, 1e-160), GroupSummary("b", 10**6, 2, 0)]),
     ):
         assert math.isinf(result.f)
         assert (result.p, result.eta_squared, result.omega_squared) == (0.0, 1.0, 1.0)
@@ -122,7 +142,7 @@ def test_zero_within_variance_reports_infinite_f():
 
 def test_all_identical_values_degenerate():
     with pytest.raises(ValueError, match="zero total variance"):
-        anova_oneway([[3, 3, 3], [3, 3, 3]])
+        anova_of_samples([[3, 3, 3], [3, 3, 3]])
 
 
 def test_cohens_d_matches_published_values():
@@ -131,14 +151,15 @@ def test_cohens_d_matches_published_values():
 
 
 def test_cohens_d_identical_groups_is_zero():
-    for sd in (2.0, 0.0):  # a zero pooled SD with equal means too
-        group = GroupSummary("a", 10, 5.0, sd)
-        assert cohens_d(group, group) == 0.0
+    group = GroupSummary("a", 10, 5.0, 2.0)
+    assert cohens_d(group, group) == 0.0
+    # A zero pooled SD with equal means: zero total variance, no comparison.
+    constant = GroupSummary("a", 10, 5.0, 0.0)
+    assert pairwise_comparisons([constant, constant]) == []
 
 
 def test_cohens_d_degenerate_pooled_sd():
-    with pytest.raises(ValueError, match="degenerate"):
-        cohens_d(GroupSummary("a", 5, 1.0, 0.0), GroupSummary("b", 5, 2.0, 0.0))
+    assert cohens_d(GroupSummary("a", 5, 1.0, 0.0), GroupSummary("b", 5, 2.0, 0.0)) is None
 
 
 def test_pearson_exact_line():
@@ -221,13 +242,13 @@ group_spec = st.tuples(
 @given(st.lists(group_spec, min_size=2, max_size=6))
 @settings(max_examples=250, deadline=None)
 def test_oracle_equivalence_raw_vs_summary(specs):
-    samples = moment_matched_groups(specs)
-    raw = anova_oneway(samples)
+    raw = raw_sample_anova(moment_matched_groups(specs))
     summary = anova_from_summary(
         [GroupSummary(str(i), n, m, sd) for i, (n, m, sd) in enumerate(specs)]
     )
+    eta_squared = raw.ss_between / (raw.ss_between + raw.ss_within)
     assert raw.f == pytest.approx(summary.f, rel=1e-9, abs=1e-9)
-    assert raw.eta_squared == pytest.approx(summary.eta_squared, rel=1e-9, abs=1e-9)
+    assert eta_squared == pytest.approx(summary.eta_squared, rel=1e-9, abs=1e-9)
 
 
 @given(
@@ -238,15 +259,15 @@ def test_oracle_equivalence_raw_vs_summary(specs):
 @settings(max_examples=150, deadline=None)
 def test_f_invariant_under_shift_and_positive_scale(specs, shift, scale):
     samples = moment_matched_groups(specs)
-    base = anova_oneway(samples)
-    transformed = anova_oneway([scale * s + shift for s in samples])
+    base = anova_of_samples(samples)
+    transformed = anova_of_samples([[scale * v + shift for v in s] for s in samples])
     assert transformed.f == pytest.approx(base.f, rel=1e-9, abs=1e-9)
 
 
 @given(st.lists(group_spec, min_size=2, max_size=6))
 @settings(max_examples=150, deadline=None)
 def test_effect_size_bounds(specs):
-    result = anova_oneway(moment_matched_groups(specs))
+    result = anova_of_samples(moment_matched_groups(specs))
     assert 0.0 <= result.eta_squared <= 1.0
     assert result.omega_squared <= result.eta_squared + 1e-12
 
@@ -303,8 +324,6 @@ def test_incomplete_beta_edge_cases():
     "call, args, message",
     [
         (GroupSummary, ("a", 5, 1.0, -0.1), "standard deviation must be non-negative"),
-        (anova_oneway, ([[1.0, 2.0, 3.0]],), "need at least two groups"),
-        (anova_oneway, ([[1.0], [2.0, 3.0]],), "insufficient data: every group needs n >= 2"),
         (anova_from_summary, ([JVA_CONTROL],), "need at least two groups"),
         (pearson, ([1.0, 2.0, 3.0], [1.0, 2.0]), "x and y must have equal length"),
         # Constant x: without the size check, the constant-variable error.
@@ -317,7 +336,7 @@ def test_incomplete_beta_edge_cases():
         (f_tail_p, (1.0, 0, 28), "degrees of freedom must be >= 1"),
         (f_tail_p, (1.0, 1, 0), "degrees of freedom must be >= 1"),
     ],
-    ids=["negative sd", "one group", "one-value group", "one summary",
+    ids=["negative sd", "one summary",
          "unequal lengths", "two points", "r over 1", "r of two points",
          "a zero", "b negative", "negative f", "df1 zero", "df2 zero"],
 )
@@ -437,13 +456,13 @@ def test_summarize_matches_numpy(x):
 
 @given(st.lists(samples(), min_size=2, max_size=4))
 @settings(max_examples=200, deadline=None)
-def test_anova_oneway_matches_numpy(groups):
+def test_anova_of_samples_matches_numpy(groups):
     if constant([v for g in groups for v in g]):
         with pytest.raises(ValueError, match="^degenerate: zero total variance$"):
-            anova_oneway(groups)
+            anova_of_samples(groups)
         return
     ss_between, ss_within = numpy_sums_of_squares(groups)
-    result = anova_oneway(groups)
+    result = anova_of_samples(groups)
     k, n = len(groups), sum(map(len, groups))
     size = n * scale(*groups) ** 2
     assert close(result.ss_between, ss_between, size)
@@ -483,6 +502,6 @@ def test_a_constant_sample_has_its_value_as_mean_and_no_spread():
     for value, n in ((0.1, 3), (0.1, 10), (1e6 / 3, 10), (3.3, 300), (-0.0, 9)):
         assert (summarize([value] * n).mean, summarize([value] * n).sd) == (value, 0.0)
         with pytest.raises(ValueError, match="^degenerate: zero total variance$"):
-            anova_oneway([[value] * n, [value] * 2])
+            anova_of_samples([[value] * n, [value] * 2])
         with pytest.raises(ValueError, match="^degenerate: constant variable$"):
             pearson([value] * n, list(range(n)))

@@ -13,7 +13,7 @@ from teamgaze.frame_table import analyze_table, read_frame_table
 from teamgaze.io_report import load_teams
 from teamgaze.jva import team_jva_counts
 from teamgaze.model import JvaConfig
-from teamgaze.synth import SynthSpec, generate, moment_matched_groups
+from teamgaze.synth import SynthSpec, generate
 
 
 def run_pipeline(tmp_path, spec):
@@ -359,19 +359,3 @@ def test_team_id_probability_wins_over_or_stands_in_for_its_condition(tmp_path):
     truth = json.loads(truth_path.read_text())
     assert truth["team_ratios"] == {"team01": 1.0, "team02": 1.0, "team03": 0.0, "team04": 0.0}
 
-
-def test_moment_matching_is_exact():
-    samples = moment_matched_groups([(10, 31.30, 9.73), (4, 0.0, 1.0), (5, 2.5, 0.0)])
-    a, b, c = samples
-    assert np.mean(a) == pytest.approx(31.30, abs=1e-9)
-    assert np.std(a, ddof=1) == pytest.approx(9.73, abs=1e-9)
-    assert np.mean(b) == pytest.approx(0.0, abs=1e-12)
-    assert np.std(b, ddof=1) == pytest.approx(1.0, abs=1e-12)
-    assert np.all(c == 2.5)
-
-
-def test_moment_matching_rejects_bad_specs():
-    with pytest.raises(ValueError):
-        moment_matched_groups([(1, 0.0, 1.0)])
-    with pytest.raises(ValueError):
-        moment_matched_groups([(5, 0.0, -1.0)])

@@ -287,3 +287,20 @@ def test_analyze_report_does_not_depend_on_the_team_row_order(tables, random):
             argv = ["analyze", "--frames", str(frames_path), "--teams", str(teams_path)]
             outputs.append(command_output(argv, Path(tmp) / str(len(outputs))))
     assert outputs[0] == outputs[1]
+
+
+FIXTURE_LINES = io_report.paper_fixture_path().read_text(encoding="utf-8").splitlines(True)
+FIXTURE_DATA = FIXTURE_LINES.index("grouping,label,measure,n,mean,sd\n") + 1
+
+
+@given(st.permutations(FIXTURE_LINES[FIXTURE_DATA:]))
+@settings(max_examples=30, deadline=None)
+def test_stats_report_does_not_depend_on_the_summary_row_order(rows):
+    """The bundled fixture with its data rows in any order gives the report
+    of the fixture as it ships, whose rows are in ``model``'s label order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "summary.csv"
+        path.write_text("".join(FIXTURE_LINES[:FIXTURE_DATA] + rows), encoding="utf-8")
+        shipped = command_output(["stats"], Path(tmp) / "shipped")
+        shuffled = command_output(["stats", "--teams", str(path)], Path(tmp) / "shuffled")
+    assert shuffled == shipped
