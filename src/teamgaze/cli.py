@@ -67,8 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument(
         "--jva-probability",
         action="append",
-        help="either a probability, or NAME=P where NAME is a team id or a "
-        f"condition ({'/'.join(CONDITIONS)}); repeatable, once per NAME",
+        help="either a probability, or NAME=P where NAME is a condition "
+        f"({'/'.join(CONDITIONS)}); repeatable, once per NAME",
     )
     synth.add_argument(
         "--noise-sigma", type=float, dest="gaze_noise_sigma", metavar="NOISE_SIGMA"
@@ -139,11 +139,8 @@ def _cmd_stats(args) -> int:
 
 def _parse_probability_flags(raw_flags):
     """The flags' text, or NAME -> text mapping, for SynthSpec; None if none is given."""
-    if not raw_flags:
-        return None
-    mapping = {}
-    plain = None
-    for raw in raw_flags:
+    mapping, plain = {}, None
+    for raw in raw_flags or ():
         if "=" in raw:
             name, value = raw.split("=", 1)
             name = name.strip()
@@ -156,7 +153,7 @@ def _parse_probability_flags(raw_flags):
             plain = raw
     if mapping and plain is not None:
         raise ValueError("mix of plain and NAME=P probabilities")
-    return mapping if mapping else plain
+    return mapping or plain
 
 
 def _cmd_synth(args) -> int:

@@ -465,6 +465,10 @@ _TOKEN_COLUMNS = {
 # Each measure's range is [0, high].
 _MEASURE_HIGH = {"jva_ratio_pct": 100, "post_test": 5}
 
+# A summary group's largest n: past it, stats.f_tail_p's p drifts from the
+# F tail (a relative 9e-6 at df (1, 10**9), 2e-3 at (1, 10**12)).
+_MAX_N = 10**9
+
 # The numbers of each team-level table as (column, measure, optional), in
 # the order a row's cells are checked after team_id, condition and gender.
 _TEAM_NUMBERS = (("post_test_1", "post_test", False), ("post_test_2", "post_test", False))
@@ -825,9 +829,8 @@ def paper_fixture_path() -> Path:
 def _summaries(chunks: Iterator) -> tuple[dict, dict]:
     """A summary table's group summaries and totals, from its ``_read_csv``
     chunks after the header. A short row's missing cells are empty; a bad
-    cell, a mean or SD outside its measure's range, a total row whose label
-    is not "total" and a repeated (grouping, label, measure) are errors
-    naming the line."""
+    cell, an n above _MAX_N, a mean or SD out of its measure's range, a total
+    row labelled other than "total" and a repeated key are errors at its line."""
     summaries: dict[str, dict[str, list[GroupSummary]]] = {}
     totals: dict[str, GroupSummary] = {}
     first_line: dict = {}
@@ -843,11 +846,13 @@ def _summaries(chunks: Iterator) -> tuple[dict, dict]:
             _check_new_key(first_line, key, line, "summary")
             if measure not in _MEASURES:
                 raise ValueError(f"line {line}: unknown measure {measure!r}")
-            n = _parse_float(n, "n", line, int)
+            count = _parse_float(n, "n", line, int)
+            if count > _MAX_N:
+                raise ValueError(f"line {line}: n {n!r} out of [2,{_MAX_N}]")
             mean = _parse_bounded(mean, "mean", line, _MEASURE_HIGH[measure])
             sd = _parse_bounded(sd, "sd", line, _MEASURE_HIGH[measure])
             try:
-                summary = GroupSummary(label=label, n=n, mean=mean, sd=sd)
+                summary = GroupSummary(label=label, n=count, mean=mean, sd=sd)
             except ValueError as exc:
                 raise ValueError(f"line {line}: {exc}") from None
             if grouping == "total":

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence, Union
@@ -79,9 +78,6 @@ def _group_text() -> np.ndarray:
 
 _GROUP_TEXT = _group_text()
 
-# The id of the team at index i, formatted with i + 1: "team01", ..., "team100".
-_TEAM_ID = "team%02d"
-
 JvaProbability = Union[float, Mapping[str, float]]
 
 
@@ -91,14 +87,12 @@ class SynthSpec:
 
     Team i takes label i mod 3 of ``model.CONDITIONS`` and of
     ``model.GENDERS``. ``jva_probability`` is either a single probability,
-    or a mapping whose keys are condition labels and team ids of this spec
-    ("team01", ...); a team takes its own id's probability, else its
-    condition's, and every team must be covered; a probability may be text
-    that ``float`` reads. Each image side must be at least
+    or a mapping from each condition label to its teams' probability, which
+    may be text that ``float`` reads. Each image side must be at least
     ``2 * SEPARATION_FACTOR`` times the default JVA threshold in pixels, so
     that a non-JVA partner point fits inside the image. The counts and
-    sides are positive ints, the seed a non-negative one. Every check runs
-    here, before any file is written.
+    sides are positive ints, the seed a non-negative one, and a bool is no
+    int here. Every check runs here, before any file is written.
     """
 
     teams: int = 30
@@ -110,10 +104,10 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if type(self.seed) is not int or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer: {self.seed!r}")
         for name in ("teams", "frames_per_team", "image_w", "image_h"):
-            if not isinstance(value := getattr(self, name), int):
+            if type(value := getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an integer: {value!r}")
             if value <= 0:
                 raise ValueError(f"{name} must be positive: {value!r}")
@@ -130,13 +124,13 @@ class SynthSpec:
                 f"{_THRESHOLD:g}: each side must be at least "
                 f"2 * {SEPARATION_FACTOR:g} * threshold = {side:g} px"
             )
-        _probability_keys(self)
+        _condition_probabilities(self.jva_probability)
 
 
 def _team_ids(indices: range) -> list[str]:
-    """The ids of the teams at ``indices``, built by one format call."""
+    """The ids of the teams at ``indices`` ("team01" for index 0), by one format call."""
     numbers = tuple(range(indices.start + 1, indices.stop + 1))
-    return ((_TEAM_ID + " ") * len(numbers) % numbers).split()
+    return ("team%02d " * len(numbers) % numbers).split()
 
 
 def _checked_probability(name: str, value) -> float:
@@ -149,54 +143,25 @@ def _checked_probability(name: str, value) -> float:
     return value
 
 
-def _probability_keys(spec: SynthSpec) -> tuple[list[float], dict[int, float]]:
-    """``spec.jva_probability`` by condition position (NaN where no key
-    names the condition) and by team index.
+def _condition_probabilities(p: JvaProbability) -> list[float]:
+    """The JVA probability of each condition, in ``CONDITIONS`` order.
 
-    Raises ValueError on a value outside [0, 1], a key that is neither a
-    condition value nor a team id of ``spec``, or a team no key covers.
-    Its cost grows with the number of keys, not of teams.
+    Raises ValueError on a value that is not a number in [0, 1] or a key
+    that is not a condition, key by key and value first, then on the first
+    condition that no key names.
     """
-    p = spec.jva_probability
     if not isinstance(p, Mapping):
-        return [_checked_probability("jva_probability", p)] * len(CONDITIONS), {}
-    by_condition = [math.nan] * len(CONDITIONS)
-    by_team = {}
+        return [_checked_probability("jva_probability", p)] * len(CONDITIONS)
     for key, value in p.items():
-        value = _checked_probability(f"jva_probability[{key!r}]", value)
-        number = re.fullmatch(r"team([0-9]+)", str(key))
-        index = int(number[1]) - 1 if number else -1
-        if key in CONDITIONS:
-            by_condition[CONDITIONS.index(key)] = value
-        elif 0 <= index < spec.teams and _TEAM_ID % (index + 1) == key:
-            by_team[index] = value
-        else:
+        _checked_probability(f"jva_probability[{key!r}]", value)
+        if key not in CONDITIONS:
             raise ValueError(
-                f"jva_probability key {key!r} is neither a condition "
-                f"({', '.join(CONDITIONS)}) nor a team id of this spec "
-                f"({_TEAM_ID % 1}..{_TEAM_ID % spec.teams})"
+                f"jva_probability key is not a condition ({', '.join(CONDITIONS)}): {key!r}"
             )
-    # The first team of each unnamed condition that has no key of its own.
-    uncovered = [
-        next((i for i in range(c, spec.teams, len(CONDITIONS)) if i not in by_team), spec.teams)
-        for c, value in enumerate(by_condition)
-        if math.isnan(value)
-    ]
-    index = min(uncovered, default=spec.teams)
-    if index < spec.teams:
-        raise ValueError(
-            f"no jva_probability for {_TEAM_ID % (index + 1)} or its condition "
-            f"{CONDITIONS[index % len(CONDITIONS)]}"
-        )
-    return by_condition, by_team
-
-
-def _team_probabilities(spec: SynthSpec) -> np.ndarray:
-    """Each team's JVA probability, in team order."""
-    by_condition, by_team = _probability_keys(spec)
-    probability = np.array(by_condition)[np.arange(spec.teams) % len(by_condition)]
-    probability[list(by_team)] = list(by_team.values())
-    return probability
+    missing = [condition for condition in CONDITIONS if condition not in p]
+    if missing:
+        raise ValueError(f"jva_probability is missing a condition: {missing[0]!r}")
+    return [float(p[condition]) for condition in CONDITIONS]
 
 
 def _gaze(spec: SynthSpec, uniform: np.ndarray, noise, probability: np.ndarray):
@@ -353,7 +318,8 @@ def generate(spec: SynthSpec, out_dir: Union[str, Path]) -> tuple[Path, Path, Pa
         for person in ("p1", "p2")
     ])
     suffixes = _texts([f",{c},{g}," for c, g in zip(CONDITIONS, GENDERS)])
-    probability = _team_probabilities(spec)
+    probability = np.array(_condition_probabilities(spec.jva_probability))
+    probability = probability[np.arange(spec.teams) % len(CONDITIONS)]
     block = max(1, _BLOCK_ROWS // (2 * n_frames))
     block_jva = []
     uniforms, normals = (

@@ -543,9 +543,9 @@ def reference_synth(spec) -> tuple[bytes, bytes, bytes]:
     and ``synth``'s stated rules, one team at a time.
 
     Team k (id ``team%02d`` of k + 1) has condition and gender k mod 3 of
-    ``_SYNTH_CYCLE``, and the probability of its id's key, else of its
-    condition's, else the plain one. It draws ``2 + 4 * frames`` uniforms
-    from the stream of ``SeedSequence(seed, spawn_key=(0,))``: two post-test
+    ``_SYNTH_CYCLE``, and its condition's probability, else the plain one.
+    It draws ``2 + 4 * frames`` uniforms from the stream of
+    ``SeedSequence(seed, spawn_key=(0,))``: two post-test
     uniforms u (score ``int(6 * u)``), then per frame quantity (JVA coin,
     target x, target y, partner angle) one uniform per frame. With positive
     noise it draws ``(4, frames)`` standard normals, the offsets of (p1 x,
@@ -570,7 +570,7 @@ def reference_synth(spec) -> tuple[bytes, bytes, bytes]:
         condition, gender = _SYNTH_CYCLE[k % 3]
         p = spec.jva_probability
         if isinstance(p, dict):
-            p = p[team] if team in p else p[condition]
+            p = p[condition]
         uniform = streams[0].random(2 + 4 * n)
         coin, ux, uy, turn = uniform[2:].reshape(4, n)
         scores = [int(6 * u) for u in uniform[:2]]

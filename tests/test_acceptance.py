@@ -140,7 +140,7 @@ def test_criterion_07_oracle_equivalence_raw_vs_summary():
 
 
 def test_criterion_08_end_to_end_round_trip(tmp_path):
-    probabilities = {f"team{i:02d}": i / 10 for i in range(1, 10)}
+    probabilities = {"textbook": 0.1, "tablet": 0.5, "ar": 0.9}
     spec = SynthSpec(
         teams=9, frames_per_team=200, jva_probability=probabilities, seed=11
     )

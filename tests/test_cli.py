@@ -377,13 +377,24 @@ def test_stats_reports_a_bad_row_before_a_later_non_utf8_byte(tmp_path, capsys):
     assert run(capsys, ["stats", "--teams", str(table)]) == (1, "", expected)
 
 
-def test_stats_notes_an_anova_whose_n_overflows_a_float(tmp_path, capsys):
+@pytest.mark.parametrize("n", [10**9 + 1, 10**300, 10**400])
+def test_stats_rejects_a_summary_n_above_a_billion_at_its_line(tmp_path, capsys, n):
+    # Past 10**9 the F test's p drifts from the true tail (p = 1.000 for a
+    # true 0.08 at n = 10**300), and a sum of two such n does not converge.
     table = tmp_path / "table.csv"
-    huge_n = 10**400
-    table.write_text(SUMMARY_HEADER + SUMMARY_ROW + f"group,experiment,post_test,{huge_n},1,1\n")
+    table.write_text(SUMMARY_HEADER + SUMMARY_ROW + f"group,experiment,post_test,{n},1,1\n")
+    code, out, err = run(capsys, ["stats", "--teams", str(table)])
+    assert (code, out) == (1, "")
+    assert err == f"error: {table}: line 3: n '{n}' out of [2,1000000000]\n"
+
+
+def test_stats_reads_a_summary_n_of_a_billion(tmp_path, capsys):
+    table = tmp_path / "table.csv"
+    table.write_text(SUMMARY_HEADER + SUMMARY_ROW + "group,experiment,post_test,1000000000,1,1\n")
     code, out, err = run(capsys, ["stats", "--teams", str(table)])
     assert (code, err) == (0, "")
-    assert "note: anova group_post_test skipped: int too large to convert to float" in out
+    # scipy.stats.f.sf(1.25, 1, 10**9 + 3) = 0.2636
+    assert "F(1,1000000003) = 1.25, p = 0.264" in out
 
 
 def test_stats_reads_a_header_with_spaces(tmp_path, capsys):
@@ -482,22 +493,19 @@ def test_synth_without_flags_writes_the_default_spec(tmp_path, capsys):
     [
         (["--seed", "-1"], "seed must be a non-negative integer: -1"),
         (["--noise-sigma", "nan"], "gaze_noise_sigma must be finite: nan"),
-        (["--jva-probability", "team01=0.5", "--teams", "3"],
-         "no jva_probability for team02 or its condition tablet"),
+        (["--jva-probability", "textbook=0.5", "--teams", "3"],
+         "jva_probability is missing a condition: 'tablet'"),
         (["--jva-probability", "textbook=0.2", "--jva-probability", "tablet=0.3",
-          "--jva-probability", "ar=0.1", "--jva-probability", "tema02=0.3",
-          "--teams", "3"],
-         "jva_probability key 'tema02' is neither a condition (textbook, tablet, ar) "
-         "nor a team id of this spec (team01..team03)"),
+          "--jva-probability", "ar=0.1", "--jva-probability", "team01=0.3"],
+         "jva_probability key is not a condition (textbook, tablet, ar): 'team01'"),
         (["--jva-probability", "ar=1.5"], "jva_probability['ar'] must lie in [0, 1]: 1.5"),
         (["--jva-probability", "0.5", "--jva-probability", "ar=0.2"],
          "mix of plain and NAME=P probabilities"),
         (["--jva-probability", "ar=0.2", "--jva-probability", "textbook=0.1",
           "--jva-probability", "tablet=0.3", "--jva-probability", "ar=1.0"],
          "--jva-probability ar given more than once"),
-        (["--jva-probability", "team01=0.2", "--jva-probability", " team01 =0.2",
-          "--teams", "1"],
-         "--jva-probability team01 given more than once"),
+        (["--jva-probability", "textbook=0.2", "--jva-probability", " textbook =0.2"],
+         "--jva-probability textbook given more than once"),
         (["--jva-probability", "0.0", "--jva-probability", "1.0"],
          "--jva-probability: more than one plain probability"),
         (["--jva-probability", "0.5", "--jva-probability", "0.5"],
@@ -705,6 +713,36 @@ def test_readme_config_error_texts_are_what_analyze_prints(tmp_path):
         pattern = re.escape(f"error: {text}").replace(re.escape("..."), ".+")
         assert (result.returncode, result.stdout) == (1, ""), text
         assert re.fullmatch(pattern + "\n", result.stderr), (text, result.stderr)
+
+
+# The synth flags that give each of README's quoted synth error texts; the
+# one text only Python can reach, as SynthSpec's keyword arguments.
+README_SYNTH_ERRORS = {
+    "jva_probability key is not a condition (textbook, tablet, ar): 'tema02'":
+        ["--jva-probability", "tema02=0.3"],
+    "jva_probability is missing a condition: 'tablet'":
+        ["--jva-probability", "textbook=0.3", "--jva-probability", "ar=0.5"],
+    "teams must be positive: 0": ["--teams", "0"],
+    "jva_probability['ar'] is not a number: 'abc'": ["--jva-probability", "ar=abc"],
+    "image_w must be an integer: 700.9": {"image_w": 700.9},
+}
+
+
+def test_readme_synth_error_texts_are_what_synth_prints(tmp_path, capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    paragraph = readme[readme.index("`teamgaze synth` writes"):readme.index("## Demos")]
+    # An error text says what is wrong, then ": " and the value.
+    spans = (" ".join(text.split()) for text in re.findall(r"`([^`]*)`", paragraph))
+    assert {text for text in spans if ": " in text} == set(README_SYNTH_ERRORS)
+    for text, given in README_SYNTH_ERRORS.items():
+        if isinstance(given, dict):
+            with pytest.raises(ValueError) as info:
+                SynthSpec(**given)
+            assert str(info.value) == text
+        else:
+            code, out, err = run(capsys, ["synth", "--out-dir", str(tmp_path / "d"), *given])
+            assert (code, out, err) == (2, "", f"error: {text}\n")
+    assert not (tmp_path / "d").exists()
 
 
 # Runs one CLI command, then prints its exit code and the teamgaze modules

@@ -220,13 +220,12 @@ def test_image_of_two_separations_accepted():
         # Cohort-shaped: two blocks of teams, ids from team01 to team6000.
         (SynthSpec(teams=6000, frames_per_team=6, seed=5),
          "cfe19a58ddf9120c48910b2c30041b7733aebf103d2edbbba7534fc7a2a01f61"),
-        # Team-id and text probabilities, noise, and partner points reflected
-        # at the borders of the smallest image.
+        # Text probabilities, noise, and partner points reflected at the
+        # borders of the smallest image.
         (SynthSpec(teams=7, frames_per_team=40, image_w=600, image_h=601, seed=11,
                    gaze_noise_sigma=40.0,
-                   jva_probability={"team02": "1", "team05": 0.0, "textbook": 0.3,
-                                    "tablet": 0.6, "ar": 0.9}),
-         "ad922b33fa1fec5548a1ff4663e03398656e7e35e526d038e7ad5fda2525db62"),
+                   jva_probability={"textbook": "0.3", "tablet": "1", "ar": 0.0}),
+         "dd6c346b15dbc6c2f5b6a9825716f96ecb8c3fd53706121e4c3aea7e2c5013d5"),
     ],
 )
 def test_output_bytes_are_pinned(tmp_path, spec, digest):
@@ -318,20 +317,20 @@ def test_value_text_is_percent_4f(values):
         (dict(jva_probability=math.nan), "jva_probability must lie in [0, 1]: nan"),
         (dict(jva_probability={"textbook": 0.2, "tablet": 1.5, "ar": 0.1}),
          "jva_probability['tablet'] must lie in [0, 1]: 1.5"),
-        (dict(teams=3, jva_probability={"team01": 0.5}),
-         "no jva_probability for team02 or its condition tablet"),
-        (dict(teams=4, jva_probability={"team01": 0.5, "team03": 0.4, "tablet": 0.2}),
-         "no jva_probability for team04 or its condition textbook"),
-        (dict(teams=3, jva_probability={"textbook": 0.2, "tablet": 0.3, "ar": 0.1,
-                                        "tema02": 0.3}),
-         "jva_probability key 'tema02' is neither a condition (textbook, tablet, ar) "
-         "nor a team id of this spec (team01..team03)"),
-        (dict(teams=3, jva_probability={"textbook": 0.2, "tablet": 0.3, "ar": 0.1,
-                                        "team04": 0.3}),
-         "jva_probability key 'team04' is neither"),
-        (dict(teams=3, jva_probability={"textbook": 0.2, "tablet": 0.3, "ar": 0.1,
-                                        "team1": 0.3}),
-         "jva_probability key 'team1' is neither"),
+        (dict(jva_probability={"textbook": 0.5}),
+         "jva_probability is missing a condition: 'tablet'"),
+        # Every condition is needed, whether or not a team takes it.
+        (dict(teams=1, jva_probability={"textbook": 0.5, "tablet": 0.2}),
+         "jva_probability is missing a condition: 'ar'"),
+        (dict(jva_probability={"textbook": 0.2, "tablet": 0.3, "ar": 0.1, "tema02": 0.3}),
+         "jva_probability key is not a condition (textbook, tablet, ar): 'tema02'"),
+        (dict(jva_probability={"textbook": 0.2, "tablet": 0.3, "ar": 0.1, "team01": 0.3}),
+         "jva_probability key is not a condition (textbook, tablet, ar): 'team01'"),
+        # Key by key, its value first, then the conditions no key names.
+        (dict(jva_probability={"team01": 1.5, "textbook": 0.2}),
+         "jva_probability['team01'] must lie in [0, 1]: 1.5"),
+        (dict(jva_probability={"Tablet": 0.3, "ar": "x"}),
+         "jva_probability key is not a condition (textbook, tablet, ar): 'Tablet'"),
         (dict(teams=0), "teams must be positive: 0"),
         (dict(frames_per_team=0), "frames_per_team must be positive: 0"),
         (dict(image_w=0), "image_w must be positive: 0"),
@@ -340,6 +339,12 @@ def test_value_text_is_percent_4f(values):
         (dict(frames_per_team=3.0), "frames_per_team must be an integer: 3.0"),
         (dict(image_w=700.9), "image_w must be an integer: 700.9"),
         (dict(image_h="720"), "image_h must be an integer: '720'"),
+        # bool is a subclass of int, but no count.
+        (dict(teams=True), "teams must be an integer: True"),
+        (dict(frames_per_team=True), "frames_per_team must be an integer: True"),
+        (dict(image_w=True), "image_w must be an integer: True"),
+        (dict(image_h=False), "image_h must be an integer: False"),
+        (dict(seed=False), "seed must be a non-negative integer: False"),
         (dict(gaze_noise_sigma=-1.0), "gaze_noise_sigma must be non-negative: -1.0"),
     ],
 )
@@ -347,15 +352,3 @@ def test_bad_spec_is_rejected_naming_its_field(kwargs, message):
     with pytest.raises(ValueError) as info:
         SynthSpec(**kwargs)
     assert str(info.value).startswith(message)
-
-
-def test_team_id_probability_wins_over_or_stands_in_for_its_condition(tmp_path):
-    # team02 is the only tablet team: its id covers it without a "tablet" key.
-    spec = SynthSpec(teams=4, frames_per_team=50, seed=2,
-                     jva_probability={"team01": 1.0, "team02": 1.0, "team03": 0.0,
-                                      "textbook": 0.0, "ar": 1.0})
-    assert synth._team_probabilities(spec).tolist() == [1.0, 1.0, 0.0, 0.0]
-    _, _, truth_path = generate(spec, tmp_path)
-    truth = json.loads(truth_path.read_text())
-    assert truth["team_ratios"] == {"team01": 1.0, "team02": 1.0, "team03": 0.0, "team04": 0.0}
-
