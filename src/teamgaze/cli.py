@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import math
 import os
 import sys
@@ -161,8 +160,8 @@ def _cmd_synth(args) -> int:
 
     try:
         given = dict(vars(args), jva_probability=_parse_probability_flags(args.jva_probability))
-        names = [field.name for field in dataclasses.fields(SynthSpec)]
-        spec = SynthSpec(**{name: given[name] for name in names if given[name] is not None})
+        spec = SynthSpec(**{name: given[name] for name in SynthSpec._fields
+                            if given[name] is not None})
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -11,7 +11,6 @@ no frame table run without numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence, Union
@@ -23,6 +22,7 @@ from .io_report import (
     Report,
     TeamTable,
     _ChunkParser,
+    _Record,
     _check_known_teams,
     _codes,
     _constant,
@@ -40,8 +40,7 @@ __all__ = ["FrameTable", "read_frame_table", "analyze_table"]
 _MANDATORY_FRAME_COLUMNS = FRAME_COLUMNS[:-1]
 
 
-@dataclass
-class FrameTable:
+class FrameTable(_Record):
     """A frame table as columns: one entry per frame and one per kept row.
 
     Teams and frames are numbered in the order their first kept row appears
@@ -51,19 +50,25 @@ class FrameTable:
     gaze point appears only in ``row_errors``.
     """
 
-    team_ids: list[str]
-    frame_ids: list[str]
-    frame_team: np.ndarray
-    timestamp: np.ndarray
-    width: np.ndarray
-    height: np.ndarray
-    discarded: np.ndarray
-    row_offsets: np.ndarray
-    person_ids: list[str]
-    row_person: np.ndarray
-    gaze_x: np.ndarray
-    gaze_y: np.ndarray
-    row_errors: list[str]
+    def __init__(
+        self, team_ids: list[str], frame_ids: list[str], frame_team: np.ndarray,
+        timestamp: np.ndarray, width: np.ndarray, height: np.ndarray, discarded: np.ndarray,
+        row_offsets: np.ndarray, person_ids: list[str], row_person: np.ndarray,
+        gaze_x: np.ndarray, gaze_y: np.ndarray, row_errors: list[str],
+    ) -> None:
+        self.team_ids = team_ids
+        self.frame_ids = frame_ids
+        self.frame_team = frame_team
+        self.timestamp = timestamp
+        self.width = width
+        self.height = height
+        self.discarded = discarded
+        self.row_offsets = row_offsets
+        self.person_ids = person_ids
+        self.row_person = row_person
+        self.gaze_x = gaze_x
+        self.gaze_y = gaze_y
+        self.row_errors = row_errors
 
 
 def _floats(cells: Sequence, column: str, lines: np.ndarray) -> np.ndarray:
@@ -347,7 +352,9 @@ def analyze_table(
     ratio = np.full(len(teams), np.nan)
     np.divide(jva, denominator, out=ratio, where=denominator > 0)
     ratios = (100.0 * ratio).tolist()
-    report = stats_report(replace(teams, jva_ratio_pct=ratios))
+    report = stats_report(
+        TeamTable(teams.team_ids, teams.condition, teams.gender, ratios, teams.post_test)
+    )
     no_frames = [t for t, ratio in zip(teams.team_ids, ratios) if ratio != ratio]
     if no_frames:
         report.notes.append(f"no countable frames for teams: {no_frames}")

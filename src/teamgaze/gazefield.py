@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import io
 import warnings
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -15,23 +15,25 @@ from .model import Point2D, input_text
 __all__ = ["Heatmap", "decode_heatmap", "load_heatmap_text"]
 
 
-@dataclass(frozen=True)
-class Heatmap:
+class Heatmap(namedtuple("Heatmap", "values")):
     """A grid of non-negative gaze-probability values.
 
     Canonical size is 56x56 but any positive size is accepted. ``values``
-    is indexed [row, col].
+    is indexed [row, col], a float array; the repr leaves it out.
     """
 
-    values: np.ndarray = field(repr=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=float)
+    def __new__(cls, values) -> Heatmap:
+        arr = np.asarray(values, dtype=float)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("heatmap must be a non-empty 2-D grid")
         if np.any(arr < 0) or not np.all(np.isfinite(arr)):
             raise ValueError("heatmap values must be finite and non-negative")
-        object.__setattr__(self, "values", arr)
+        return super().__new__(cls, arr)
+
+    def __repr__(self) -> str:
+        return "Heatmap()"
 
     @property
     def height(self) -> int:

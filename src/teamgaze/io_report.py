@@ -48,13 +48,12 @@ import json
 import math
 import operator
 from array import array
-from dataclasses import asdict, dataclass, field
 from functools import wraps
 from io import StringIO
 from itertools import chain, compress, count, islice, zip_longest
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .model import (
     CONDITION_GROUP,
@@ -131,10 +130,9 @@ _TEAM_ROW_COLUMNS = ("team_id", "condition", "gender", "team_post_test")
 _SUMMARY_COLUMNS = ("grouping", "label", "measure", "n", "mean", "sd")
 
 
-@dataclass
-class LoadResult:
+class LoadResult(NamedTuple):
     frames_by_team: dict[str, list[FrameRecord]]
-    row_errors: list[str] = field(default_factory=list)
+    row_errors: list[str]
 
 
 def _str(cell):
@@ -148,11 +146,14 @@ def _text(cells: Sequence) -> Sequence:
 
 
 def _parse_float(value: str, column: str, line: int, kind=float) -> float:
-    """``kind`` of a cell; a number that ``int`` does not take is not an integer."""
+    """``kind`` of a cell; a number that ``int`` does not take is not an
+    integer, but digits past ``int``'s limit on their count are infinite."""
     try:
         return kind(value)
     except ValueError:
         if kind is int:
+            if value.strip().isdecimal():
+                return math.inf
             _parse_float(value, column, line)
             raise ValueError(f"line {line}: column {column!r} not an integer: {value!r}")
         raise ValueError(f"line {line}: column {column!r} not numeric: {value!r}")
@@ -616,8 +617,20 @@ def build_sessions(
 # --- report assembly -------------------------------------------------------
 
 
-@dataclass
-class TeamTable:
+class _Record:
+    """A mutable record whose fields are the attributes its ``__init__``
+    sets: its repr names them in that order, and it equals a record of its
+    own class with equal fields."""
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other) -> bool:
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+
+class TeamTable(_Record):
     """Per-team columns as lists: what the stats battery and the emitters read.
 
     ``load_teams`` fills one from a team table (every ratio NaN),
@@ -631,11 +644,13 @@ class TeamTable:
     ``len()``.
     """
 
-    team_ids: list[str]
-    condition: list[int]
-    gender: list[int]
-    jva_ratio_pct: list[float]
-    post_test: list[float]
+    def __init__(self, team_ids: list[str], condition: list[int], gender: list[int],
+                 jva_ratio_pct: list[float], post_test: list[float]) -> None:
+        self.team_ids = team_ids
+        self.condition = condition
+        self.gender = gender
+        self.jva_ratio_pct = jva_ratio_pct
+        self.post_test = post_test
 
     def __len__(self) -> int:
         return len(self.team_ids)
@@ -660,8 +675,7 @@ class TeamTable:
         return TeamTable(*(list(map(column.__getitem__, order)) for column in columns))
 
 
-@dataclass
-class Report:
+class Report(_Record):
     """Everything the emitters render.
 
     ``teams`` holds the teams sorted by id. ``summaries`` maps grouping
@@ -669,17 +683,29 @@ class Report:
     "<grouping>_<measure>" -> AnovaResult. Two-group comparisons carry
     Cohen's d in ``effect_d`` (None when the pooled SD is zero but the
     means differ); three-group ANOVAs carry uncorrected pairwise
-    comparisons in ``posthoc``.
+    comparisons in ``posthoc``. A field not given starts empty, in a
+    container of its own.
     """
 
-    teams: TeamTable = field(default_factory=lambda: TeamTable([], [], [], [], []))
-    summaries: dict[str, dict[str, list[GroupSummary]]] = field(default_factory=dict)
-    totals: dict[str, GroupSummary] = field(default_factory=dict)
-    anovas: dict[str, AnovaResult] = field(default_factory=dict)
-    effect_d: dict[str, Optional[float]] = field(default_factory=dict)
-    posthoc: dict[str, list[dict]] = field(default_factory=dict)
-    correlation: Optional[CorrelationResult] = None
-    notes: list[str] = field(default_factory=list)
+    def __init__(
+        self,
+        teams: Optional[TeamTable] = None,
+        summaries: Optional[dict[str, dict[str, list[GroupSummary]]]] = None,
+        totals: Optional[dict[str, GroupSummary]] = None,
+        anovas: Optional[dict[str, AnovaResult]] = None,
+        effect_d: Optional[dict[str, Optional[float]]] = None,
+        posthoc: Optional[dict[str, list[dict]]] = None,
+        correlation: Optional[CorrelationResult] = None,
+        notes: Optional[list[str]] = None,
+    ) -> None:
+        self.teams = TeamTable([], [], [], [], []) if teams is None else teams
+        self.summaries = {} if summaries is None else summaries
+        self.totals = {} if totals is None else totals
+        self.anovas = {} if anovas is None else anovas
+        self.effect_d = {} if effect_d is None else effect_d
+        self.posthoc = {} if posthoc is None else posthoc
+        self.correlation = correlation
+        self.notes = [] if notes is None else notes
 
 
 _MEASURES = tuple(_MEASURE_HIGH)
@@ -735,8 +761,7 @@ def stats_report(teams: TeamTable) -> Report:
     return report
 
 
-@dataclass(frozen=True)
-class TeamRow:
+class TeamRow(NamedTuple):
     """One team of the per-frame path, for ``stats_report_from_team_rows``."""
 
     team_id: str
@@ -971,7 +996,9 @@ def _sections(report: Report, value_rule) -> dict:
         "posthoc": {
             key: list(map(comparison, report.posthoc[key])) for key in sorted(report.posthoc)
         },
-        "correlation": None if report.correlation is None else record(asdict(report.correlation)),
+        "correlation": (
+            None if report.correlation is None else record(report.correlation._asdict())
+        ),
         "notes": list(report.notes),
     }
 

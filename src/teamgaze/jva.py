@@ -15,8 +15,7 @@ frames, each frame as its own team; only ``perfbench/traced.py`` runs them
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -31,15 +30,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class JvaFrameResult:
+class JvaFrameResult(NamedTuple):
     frame_id: str
     is_jva: bool
     counted_in_denominator: bool
 
 
-@dataclass(frozen=True)
-class JvaSessionResult:
+class JvaSessionResult(NamedTuple):
     team_id: str
     jva_frames: int
     denominator_frames: int

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import codecs
 import math
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
+from typing import NamedTuple, Optional
 
 __all__ = [
     "Point2D",
@@ -39,16 +39,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Point2D:
+class Point2D(NamedTuple):
     """A point in pixel coordinates."""
 
     x: float
     y: float
 
 
-@dataclass(frozen=True)
-class GazeObservation:
+class GazeObservation(NamedTuple):
     """One person's predicted gaze point in one frame."""
 
     person_id: str
@@ -81,22 +79,22 @@ SCALE_MODES = ("absolute", "diagonal-normalized")
 DENOMINATOR_POLICIES = ("valid-pair-frames", "all-captured-frames")
 
 
-@dataclass(frozen=True)
-class JvaConfig:
-    """The JVA settings: a threshold in pixels, a label of ``SCALE_MODES``
-    and one of ``DENOMINATOR_POLICIES``."""
+class JvaConfig(namedtuple("JvaConfig", "threshold scale_mode denominator_policy",
+                           defaults=(100.0, SCALE_MODES[0], DENOMINATOR_POLICIES[0]))):
+    """The JVA settings: a threshold in pixels (100 by default), a label of
+    ``SCALE_MODES`` and one of ``DENOMINATOR_POLICIES``."""
 
-    threshold: float = 100.0
-    scale_mode: str = SCALE_MODES[0]
-    denominator_policy: str = DENOMINATOR_POLICIES[0]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> JvaConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if not 0 < self.threshold < math.inf:
             raise ValueError("threshold must be positive and finite")
         for key, labels in [("scale_mode", SCALE_MODES),
                             ("denominator_policy", DENOMINATOR_POLICIES)]:
             if (value := getattr(self, key)) not in labels:
                 raise ValueError(f"{key} must be {' | '.join(labels)}: {value!r}")
+        return self
 
     def effective_threshold(self, image_width: int, image_height: int) -> float:
         """Threshold in this frame's pixels, rescaled when normalizing."""
@@ -116,8 +114,7 @@ def team_post_test_score(score_a: float, score_b: float) -> float:
     return (score_a + score_b) / 2.0
 
 
-@dataclass(frozen=True)
-class FrameRecord:
+class FrameRecord(NamedTuple):
     """The gaze observations a reader kept for one team at one timestamp.
 
     Discarded frames (camera difficulties, extra people in the scene) are
@@ -133,8 +130,7 @@ class FrameRecord:
     discarded: bool = False
 
 
-@dataclass(frozen=True)
-class TeamSession:
+class TeamSession(NamedTuple):
     """Ordered frames for one two-person team plus study metadata.
 
     The per-frame path's type, kept only for ``perfbench/traced.py`` until

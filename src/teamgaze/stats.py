@@ -16,10 +16,10 @@ passes).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from itertools import repeat
 from operator import mul, sub
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 __all__ = [
     "GroupSummary",
@@ -35,24 +35,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GroupSummary:
+class GroupSummary(namedtuple("GroupSummary", "label n mean sd")):
     """Label, size, mean and sample standard deviation of one group."""
 
-    label: str
-    n: int
-    mean: float
-    sd: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> GroupSummary:
+        self = super().__new__(cls, *args, **kwargs)
         if self.n < 2:
             raise ValueError("insufficient data: group needs n >= 2")
         if self.sd < 0:
             raise ValueError("standard deviation must be non-negative")
+        return self
 
 
-@dataclass(frozen=True)
-class AnovaResult:
+class AnovaResult(NamedTuple):
     f: float
     df_between: int
     df_within: int
@@ -63,8 +60,7 @@ class AnovaResult:
     omega_squared: float
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
+class CorrelationResult(NamedTuple):
     r: float
     r_squared: float
     n: int
@@ -154,7 +150,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     r = max(-1.0, min(1.0, r))
     slope = sxy / sxx
     intercept = mean_y - slope * mean_x
-    return replace(correlation_from_r(r, n), slope=slope, intercept=intercept)
+    return correlation_from_r(r, n)._replace(slope=slope, intercept=intercept)
 
 
 def correlation_from_r(r: float, n: int) -> CorrelationResult:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
@@ -81,8 +81,11 @@ _GROUP_TEXT = _group_text()
 JvaProbability = Union[float, Mapping[str, float]]
 
 
-@dataclass(frozen=True)
-class SynthSpec:
+class SynthSpec(namedtuple(
+    "SynthSpec",
+    "teams frames_per_team image_w image_h jva_probability gaze_noise_sigma seed",
+    defaults=(30, 155, 2560, 1440, 0.4, 0.0, 0),
+)):
     """Parameters for one synthetic study.
 
     Team i takes label i mod 3 of ``model.CONDITIONS`` and of
@@ -92,18 +95,15 @@ class SynthSpec:
     ``2 * SEPARATION_FACTOR`` times the default JVA threshold in pixels, so
     that a non-JVA partner point fits inside the image. The counts and
     sides are positive ints, the seed a non-negative one, and a bool is no
-    int here. Every check runs here, before any file is written.
+    int here. Every check runs here, before any file is written. The
+    defaults lay out the paper's study: 30 teams of 155 frames at 2560x1440,
+    a JVA probability of 0.4, no gaze noise and seed 0.
     """
 
-    teams: int = 30
-    frames_per_team: int = 155
-    image_w: int = 2560
-    image_h: int = 1440
-    jva_probability: JvaProbability = 0.4
-    gaze_noise_sigma: float = 0.0
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> SynthSpec:
+        self = super().__new__(cls, *args, **kwargs)
         if type(self.seed) is not int or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer: {self.seed!r}")
         for name in ("teams", "frames_per_team", "image_w", "image_h"):
@@ -125,6 +125,7 @@ class SynthSpec:
                 f"2 * {SEPARATION_FACTOR:g} * threshold = {side:g} px"
             )
         _condition_probabilities(self.jva_probability)
+        return self
 
 
 def _team_ids(indices: range) -> list[str]:

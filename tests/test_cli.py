@@ -825,6 +825,16 @@ def test_cli_import_help_and_stats_load_no_numpy(tmp_path, per_team_table, argv)
         assert (tmp_path / "report").exists()
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # Either costs every command's start-up; a module that the CLI's modules
+    # import could bring either in.
+    out = fresh_python(
+        "import sys\nimport teamgaze.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    assert out == "[]\n"
+
+
 def test_package_exports_are_imported_on_first_use():
     out = fresh_python(
         "import sys\n"

@@ -557,6 +557,16 @@ SUMMARY_HEADER = "grouping,label,measure,n,mean,sd\n"
         ("group,control,post_test,10.5,1.5,1", "line 3: column 'n' not an integer: '10.5'"),
         ("group,control,post_test,2.0,1.5,1", "line 3: column 'n' not an integer: '2.0'"),
         ("group,control,post_test,1e400,1.5,1", "line 3: column 'n' not an integer: '1e400'"),
+        ("group,control,post_test,1e3,1.5,1", "line 3: column 'n' not an integer: '1e3'"),
+        # A count of digits is an integer, one past int's limit of 4,300
+        # digits too: that one used to be "not an integer".
+        *(
+            pytest.param(
+                f"group,control,post_test,{n},1.5,1", f"line 3: n '{n}' out of [2,1000000000]",
+                id=f"n-of-{len(n)}-digits",
+            )
+            for n in ("1" * 20, "1" * 5000)
+        ),
         ("group,control,post_test,5,nan,1", "line 3: mean 'nan' out of [0,5]"),
         ("group,control,jva_ratio_pct,5,40,101", "line 3: sd '101' out of [0,100]"),
         # A repeated group used to become a second group with the same label.
@@ -1056,6 +1066,30 @@ def outcome(load, path) -> tuple:
             for value in vars(result).values()
         ])
     return "ok", repr(result)
+
+
+def test_vars_of_a_frame_table_and_of_a_team_table_lists_every_field(tmp_path):
+    # ``outcome`` compares two tables by their vars(): a table whose vars()
+    # left a field out would compare equal without it.
+    frames, teams = tmp_path / "frames.csv", tmp_path / "teams.csv"
+    frames.write_text(FRAME_HEADER + GOOD_ROW + "\n")
+    teams.write_text(TEAMS_HEADER + "t1,ar,FF,1,2\n")
+    assert list(vars(read_frame_table(frames))) == [
+        "team_ids", "frame_ids", "frame_team", "timestamp", "width", "height", "discarded",
+        "row_offsets", "person_ids", "row_person", "gaze_x", "gaze_y", "row_errors",
+    ]
+    assert list(vars(load_teams(teams))) == [
+        "team_ids", "condition", "gender", "jva_ratio_pct", "post_test",
+    ]
+
+
+def test_each_report_starts_with_containers_of_its_own():
+    first, second = io_report.Report(), io_report.Report()
+    first.notes.append("a note")
+    first.summaries["group"] = {}
+    first.teams.team_ids.append("t1")
+    assert (second.notes, second.summaries, second.teams.team_ids) == ([], {}, [])
+    assert first != second == io_report.Report()
 
 
 # Team tables whose lines end in a lone CR: plain, with a quoted cell

@@ -90,6 +90,22 @@ def make_session(frames, condition="tablet"):
     )
 
 
+def test_the_per_frame_records_take_no_new_value():
+    frame = make_frame("f1", 0.0, [(1.0, 1.0), (2.0, 2.0)])
+    session = make_session([frame])
+    values = [
+        (frame.observations[0], "gaze"), (frame, "discarded"), (session, "frames"),
+        (TeamRow("t1", "ar", "experiment", "FF", 40.0, 2.0), "jva_ratio_pct"),
+        (classify_frame(frame, JvaConfig()), "is_jva"),
+        (session_jva(session, JvaConfig()), "jva_ratio"),
+    ]
+    # A frozen dataclass's FrozenInstanceError is an AttributeError too.
+    for value, field in values:
+        for name in (field, "other"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, field))
+
+
 # perfbench/traced.py takes each TeamRow's group from TeamSession.group.
 @pytest.mark.parametrize("condition", CONDITIONS)
 def test_a_sessions_group_follows_its_condition(condition):

@@ -8,10 +8,12 @@ file in text mode, so that ``model.input_text`` stays the one way from an
 input file's bytes to text; the CLI names no report format
 itself, and synth keeps its truth only in ``ground_truth.json``; no module
 of the package but ``model`` spells a condition, gender or group label or a
-JVA setting's label; the modules ``teamgaze stats`` loads import neither
-numpy nor a module off that path at their top level, and the frame reader
-is imported only inside the functions that read a frame table; and no line
-of the package or the tests is longer than 98 characters.
+JVA setting's label; no module of the package imports ``dataclasses``,
+whose import costs every command's start-up; the modules ``teamgaze stats``
+loads import neither numpy nor a module off that path at their top level,
+and the frame reader is imported only inside the functions that read a
+frame table; and no line of the package or the tests is longer than 98
+characters.
 """
 
 import ast
@@ -462,10 +464,16 @@ def _imported_modules(node) -> list[str]:
 
 
 def _stats_path_imports(module: str, tree: ast.Module) -> list[str]:
-    """``line N: name`` of each module imported at the top level (outside
-    any function or class) by a module on ``STATS_PATH`` that is numpy or a
+    """``line N: name`` of each import of ``dataclasses`` anywhere in the
+    module, and of each module imported at the top level (outside any
+    function or class) by a module on ``STATS_PATH`` that is numpy or a
     package module off that path."""
     package = {p.stem for p in PACKAGE}
+    everywhere = [
+        (node.lineno, "dataclasses") for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and "dataclasses" in _imported_modules(node)
+    ]
     found, todo = [], list(tree.body)
     while todo:
         node = todo.pop()
@@ -478,8 +486,8 @@ def _stats_path_imports(module: str, tree: ast.Module) -> list[str]:
             ]
         todo.extend(ast.iter_child_nodes(node))
     if module not in STATS_PATH:
-        return []
-    return [f"line {line}: {name}" for line, name in sorted(found)]
+        found = []
+    return [f"line {line}: {name}" for line, name in sorted(found + everywhere)]
 
 
 def _frame_module_imports(module: str, tree: ast.Module) -> list[str]:
@@ -519,12 +527,14 @@ def test_the_stats_path_checks_name_each_planted_import():
         "def load_frames():\n    from . import frame_table\n"
         "def _cmd_analyze():\n    import numpy\n    from .frame_table import analyze_table\n"
         "class Lazy:\n    def reader(self):\n        import teamgaze.frame_table\n"
+        "import dataclasses\ndef _replace():\n    from dataclasses import replace\n"
     )
     assert _stats_path_imports("cli", tree) == [
         "line 1: numpy", "line 2: jva", "line 3: synth", "line 5: numpy", "line 7: gazefield",
-        "line 10: frame_table",
+        "line 10: frame_table", "line 19: dataclasses", "line 21: dataclasses",
     ]
-    assert _stats_path_imports("synth", tree) == []
+    # No module may import dataclasses, on the stats path or off it.
+    assert _stats_path_imports("synth", tree) == ["line 19: dataclasses", "line 21: dataclasses"]
     assert _frame_module_imports("cli", tree) == [
         "line 10: <module>", "line 12: load_frames", "line 18: reader",
     ]
