@@ -99,7 +99,6 @@ def test_the_per_frame_records_take_no_new_value():
         (classify_frame(frame, JvaConfig()), "is_jva"),
         (session_jva(session, JvaConfig()), "jva_ratio"),
     ]
-    # A frozen dataclass's FrozenInstanceError is an AttributeError too.
     for value, field in values:
         for name in (field, "other"):
             with pytest.raises(AttributeError):
